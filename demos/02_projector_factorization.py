@@ -4,8 +4,10 @@
 Given a subspace V of R^n, we ask for a projector Pi = J @ Jdag onto V
 with both factors entrywise non-negative. The answer does not depend on
 which basis of V you start from: some m rows of the basis must form an
-invertible block V0 with basis[rest] @ inv(V0) >= 0. The search scans row
-subsets in lexicographic order and stops at the first hit.
+invertible block V0 with basis[rest] @ inv(V0) >= 0. Such rows exist
+exactly when the cone of the basis rows has m extreme rays, each carried
+by a row, so the search drops every row lying in the cone of the others
+and keeps the lowest-index row on each extreme ray.
 """
 import numpy as np
 

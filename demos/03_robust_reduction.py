@@ -6,7 +6,7 @@ with the Moore-Penrose left inverse of the truncated reachability matrix
 happens to give a positive reduced model for the nominal data, but a tiny
 positivity-preserving perturbation of the original system pushes the
 reduced matrices negative. The non-negative factor pair found by the
-subset search cannot be broken that way: products of non-negative
+minimal-route search cannot be broken that way: products of non-negative
 matrices stay non-negative.
 """
 import numpy as np
@@ -45,7 +45,7 @@ print("A_r =\n", Ar, "\nB_r =\n", Br)
 print("-> negative entries: the reduced model is no longer a positive system")
 
 robust = find_nonneg_factorization(basis)
-print("\nnon-negative factor pair from the subset search:")
+print("\nnon-negative factor pair from the minimal-route search:")
 print("J =\n", robust.J, "\nJdag =\n", robust.Jdag)
 for eps in (0.0, 0.1):
     Ar, Br, _ = project(cascade(eps), robust.J, robust.Jdag)

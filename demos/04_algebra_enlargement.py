@@ -6,7 +6,7 @@ Every subspace closed under the coordinate-wise product
 disjoint supports, so the projector onto it always factors non-negatively.
 Enlarging the reachable space to the smallest such algebra therefore
 always yields a positive reduction, but the enlargement can cost
-dimensions that the direct subset search would not pay.
+dimensions that the direct minimal-route search would not pay.
 """
 import numpy as np
 
@@ -43,7 +43,7 @@ print("idempotent generators:\n", algebra.generators)
 F = algebra_factorization(algebra)
 print("factor pair:\nJ =\n", F.J, "\nJdag =\n", F.Jdag)
 
-print("\nminimal route (direct subset search):")
+print("\nminimal route (direct search):")
 direct = rpmr_reachable(S)
 print("  dims", direct.original_dim, "->", direct.reduced_dim,
       "| A_r =", direct.reduced_system.A.tolist(),

@@ -9,21 +9,19 @@ algebra containing it, which always factors non-negatively. Reductions
 built this way reproduce the original impulse response exactly and stay
 positive under any positivity-preserving perturbation of the data.
 """
-from .errors import (BudgetExceededError, ClosureMismatchError,
-                     DimensionMismatchError, NegativeInputError,
-                     NonFiniteError, NotInvariantError, NotNonnegativeError,
-                     NotPositiveError, NotSquareError, PosredError,
-                     RankDeficientError, SingularError, SupportFailureError,
-                     UnsupportedCoordinateError, VerificationError,
-                     ZeroMatrixError)
+from .errors import (ClosureMismatchError, DimensionMismatchError,
+                     NegativeInputError, NonFiniteError, NotInvariantError,
+                     NotNonnegativeError, NotPositiveError, NotSquareError,
+                     PosredError, RankDeficientError, SingularError,
+                     SupportFailureError, UnsupportedCoordinateError,
+                     VerificationError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
-                       column_space_basis, is_nonneg, left_inverse, rank,
-                       row_subsets)
+                       column_space_basis, is_nonneg, left_inverse, rank)
 from .monotone import (MonotoneCertificate, is_monotone_general,
                        is_monotone_nonneg_rect, is_monotone_nonneg_square,
                        nonneg_lstsq)
-from .factorize import (DEFAULT_BUDGET, Factorization,
-                        find_nonneg_factorization, verify_factorization)
+from .factorize import (Factorization, find_nonneg_factorization,
+                        verify_factorization)
 from .possys import (MarkovSequence, PositiveLtiSystem, equivalent, markov,
                      markov_match, markov_parameters, observability_matrix,
                      project, reachability_matrix, reachable_subspace, reduce,
@@ -37,18 +35,17 @@ from .gen import GeneratorSpec, generate_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError", "ClosureMismatchError", "DimensionMismatchError",
+    "ClosureMismatchError", "DimensionMismatchError",
     "NegativeInputError", "NonFiniteError", "NotInvariantError",
     "NotNonnegativeError", "NotPositiveError", "NotSquareError",
     "PosredError", "RankDeficientError", "SingularError",
     "SupportFailureError", "UnsupportedCoordinateError", "VerificationError",
     "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
-    "column_space_basis", "is_nonneg", "left_inverse", "rank", "row_subsets",
+    "column_space_basis", "is_nonneg", "left_inverse", "rank",
     "MonotoneCertificate", "is_monotone_general", "is_monotone_nonneg_rect",
     "is_monotone_nonneg_square", "nonneg_lstsq",
-    "DEFAULT_BUDGET", "Factorization", "find_nonneg_factorization",
-    "verify_factorization",
+    "Factorization", "find_nonneg_factorization", "verify_factorization",
     "MarkovSequence", "PositiveLtiSystem", "equivalent", "markov",
     "markov_match", "markov_parameters", "observability_matrix", "project",
     "reachability_matrix", "reachable_subspace", "reduce", "simulate",

@@ -1,8 +1,8 @@
 """Command-line front end: JSON matrices and systems in, JSON reports out.
 
 Exit codes: 0 success (reduction found, property holds), 1 input or
-validation error, 2 subset budget exceeded, 3 negative result (no
-reduction, not monotone, no factorization, verification failed).
+validation error, 2 usage error (reported by argparse), 3 negative result
+(no reduction, not monotone, no factorization, verification failed).
 The POSRED_LOG environment variable (error|warn|info|debug) controls
 logging verbosity.
 """
@@ -13,16 +13,14 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import (BudgetExceededError, NotPositiveError, PosredError,
-                     ZeroMatrixError)
-from .factorize import DEFAULT_BUDGET, Factorization, find_nonneg_factorization
+from .errors import NotPositiveError, PosredError, ZeroMatrixError
+from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
 from .numerics import (Tolerances, column_space_basis, is_nonneg,
@@ -173,8 +171,7 @@ def cmd_reduce(args) -> int:
     tol = _tolerances(args)
     system = _load_system(args.input, tol)
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
-    report = runner(system, tol, budget=args.budget, seed=args.seed,
-                    force_algebraic=args.force_algebraic)
+    report = runner(system, tol, seed=args.seed, force_algebraic=args.force_algebraic)
     _emit(args, report_to_dict(report))
     return 0 if report.method != "none" else 3
 
@@ -208,7 +205,7 @@ def cmd_factorize(args) -> int:
         basis = column_space_basis(M, tol)
     except ZeroMatrixError as exc:
         raise CliError(1, str(exc))
-    factorization = find_nonneg_factorization(basis, tol, budget=args.budget)
+    factorization = find_nonneg_factorization(basis, tol)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "found": factorization is not None,
@@ -297,29 +294,22 @@ def cmd_perturb(args) -> int:
         raise CliError(3, "input map is zero; nothing to reduce or perturb")
     if basis.dimension == S.dim:
         raise CliError(3, "system is already reachable; nothing to reduce")
+    robust = rpmr_reachable(S, tol, seed=args.seed)
+    if robust.method == "none":
+        raise CliError(3, "no robust reduction exists: the algebra enlargement "
+                          "has full dimension")
     naive = Factorization(np.asarray(basis.basis), left_inverse(basis.basis, tol), [])
-    robust = find_nonneg_factorization(basis, tol, budget=args.budget)
-    robust_method = "minimal"
-    if robust is None:
-        p = choose_p(basis, seed=args.seed, tol=tol)
-        robust = algebra_factorization(closure(basis, p, tol), tol)
-        robust_method = "algebraic"
 
     seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, args.count)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            perturbed = list(pool.map(
-                lambda s: _perturbed_copy(S, args.delta, int(s), tol), seeds))
-    else:
-        perturbed = [_perturbed_copy(S, args.delta, int(s), tol) for s in seeds]
-    records = perturbation_experiment(S, naive, robust, perturbed, tol)
+    perturbed = [_perturbed_copy(S, args.delta, int(s), tol) for s in seeds]
+    records = perturbation_experiment(S, naive, robust.factorization, perturbed, tol)
 
     count = max(len(records), 1)
     _emit(args, {
         "schema_version": SCHEMA_VERSION,
         "count": len(records),
         "delta": args.delta,
-        "robust_method": robust_method,
+        "robust_method": robust.method,
         "naive_positive_rate": sum(r.naive_positive for r in records) / count,
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
@@ -352,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a positive system file")
     _add_io_flags(p)
     p.add_argument("--space", choices=("reachable", "observable"), default="reachable")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force-algebraic", action="store_true")
     p.set_defaults(func=cmd_reduce)
@@ -364,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", help="non-negative projector factors for the "
                                          "column space of a matrix")
     _add_io_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("algebra", help="close the column space of a matrix to a "
@@ -394,11 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="compare naive and robust reductions under "
                                        "positivity-preserving perturbations")
     _add_io_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_perturb)
 
     return parser
@@ -412,9 +398,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PosredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

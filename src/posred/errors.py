@@ -29,13 +29,6 @@ class SingularError(PosredError):
     """An invertible matrix was required."""
 
 
-class BudgetExceededError(PosredError):
-    """The combinatorial row-subset search would exceed its budget.
-
-    Callers may raise the budget or fall back to the algebra route.
-    """
-
-
 class DimensionMismatchError(PosredError):
     """Shapes of the supplied operands are inconsistent."""
 

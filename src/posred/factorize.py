@@ -2,26 +2,24 @@
 
 A subspace V admits a projector Pi = J @ Jdag with J, Jdag >= 0 exactly
 when some m rows of any basis form an invertible block V0 with
-V1 @ inv(V0) >= 0 for the remaining rows V1. Scanning unordered row
-subsets suffices: reordering rows inside V0 only permutes the columns of
-V1 @ inv(V0), which changes neither its sign pattern nor the rank of V0.
+V1 @ inv(V0) >= 0 for the remaining rows V1. Such rows exist exactly when
+the cone spanned by the basis rows is simplicial and each of its m
+extreme rays carries a basis row (the separability condition of separable
+NMF), so the search removes redundant rows by cone membership instead of
+trying row subsets.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, is_nonneg, rank,
-                       row_subsets)
+from .monotone import cone_coefficients
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, is_nonneg, rank
 
 log = logging.getLogger(__name__)
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -46,41 +44,49 @@ class Factorization:
 def find_nonneg_factorization(
     V: SubspaceBasis,
     tol: Tolerances = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> Optional[Factorization]:
-    """First-hit subset scan for non-negative projector factors.
+    """Non-negative projector factors from the extreme rays of the row cone.
 
-    Row subsets of size m are tried in lexicographic order; the first
-    subset S whose block V0 = basis[S] is invertible with
-    basis[~S] @ inv(V0) >= 0 yields J = basis @ inv(V0) (its rows at S are
-    the identity) and the 0/1 selector Jdag. Returns None when no subset
-    qualifies; raises BudgetExceededError without scanning when C(n, m)
-    exceeds the budget, so the caller can raise it or fall back to the
-    algebra route.
+    Rows whose norm is below the rank threshold are dropped as zero. The
+    others are scaled to unit norm and visited from the last to the
+    first, and each row lying in the cone of the rows still kept is
+    dropped, so the survivors do not depend on positive row scaling.
+    Dropping a redundant row never changes the cone, so the survivors are
+    the lowest-index row on each extreme ray: up to the membership
+    tolerance, the lexicographically first subset S whose block
+    V0 = basis[S] is invertible with basis[~S] @ inv(V0) >= 0, when one
+    exists. A row that leaves the cone of the others by less than that
+    tolerance counts as redundant, so near such a boundary the search can
+    return None where a subset scan would still find S. The survivors are
+    accepted only if there are m of them and the unscaled basis passes
+    the rank and sign test on them; then J = basis @ inv(V0), with its
+    rows at S set to the identity, and Jdag is the 0/1 selector of S.
+    Returns None otherwise.
     """
     B = V.basis
     n, m = B.shape
-    total = math.comb(n, m)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({n},{m}) = {total} row subsets exceeds the budget of {budget}")
-    mask = np.empty(n, dtype=bool)
-    for subset in row_subsets(n, m):
-        V0 = B[subset, :]
-        if rank(V0, tol) < m:
-            continue
-        V0_inv = np.linalg.inv(V0)
-        mask[:] = True
-        mask[subset] = False
-        if not is_nonneg(B[mask] @ V0_inv, tol):
-            continue
-        J = B @ V0_inv
-        Jdag = np.zeros((m, n))
-        Jdag[np.arange(m), subset] = 1.0
-        log.debug("non-negative factorization found at rows %s", subset)
-        return Factorization(J, Jdag, list(subset))
-    log.debug("no qualifying subset among %d", total)
-    return None
+    # Rays do not depend on row scale, so the walk runs on unit rows.
+    # Rows below the rank threshold count as zero and carry no ray.
+    norms = np.linalg.norm(B, axis=1)
+    kept = norms > tol.rank_tol * np.abs(B).max()
+    U = B / np.where(kept, norms, 1.0)[:, None]
+    for i in reversed(np.flatnonzero(kept)):
+        kept[i] = False
+        if cone_coefficients(U[kept], U[i], tol) is None:
+            kept[i] = True
+    pivots = np.flatnonzero(kept)
+    if pivots.size != m or rank(B[pivots], tol) < m:
+        log.debug("row cone has %d extreme rows for dimension %d", pivots.size, m)
+        return None
+    J = B @ np.linalg.inv(B[pivots])
+    if not is_nonneg(J[~kept], tol):
+        log.debug("extreme rows %s fail the sign test", pivots.tolist())
+        return None
+    J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
+    Jdag = np.zeros((m, n))
+    Jdag[np.arange(m), pivots] = 1.0
+    log.debug("non-negative factorization found at rows %s", pivots.tolist())
+    return Factorization(J, Jdag, pivots.tolist())
 
 
 def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -97,25 +97,39 @@ def nonneg_lstsq(A, b, max_iter: Optional[int] = None) -> tuple[np.ndarray, floa
     return x, float(np.linalg.norm(b_in - A_in @ x))
 
 
+def cone_coefficients(rows: np.ndarray, target: np.ndarray,
+                      tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
+    """Non-negative c with rows^T c = target, or None when target lies
+    outside the cone spanned by the rows.
+
+    Membership is decided by an active-set non-negative least-squares
+    solve, accepted when the residual stays below
+    eq_tol * (1 + ||target||). The floor is relative for targets of norm
+    one or more and absolute below that, so callers that need a decision
+    independent of scale pass unit-norm rows and targets.
+    """
+    coeffs, residual = nonneg_lstsq(rows.T, target)
+    if residual > tol.eq_tol * (1.0 + np.linalg.norm(target)):
+        return None
+    return coeffs
+
+
 def is_monotone_general(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate:
     """Cone-membership oracle for arbitrary real matrices.
 
-    For each standard basis vector e_j of R^m the feasibility of
-    X^T c = e_j with c >= 0 is decided by an active-set non-negative
-    least-squares solve, accepted when the residual stays below
-    eq_tol * (1 + ||e_j||) so the test is consistent across scalings.
-    A matrix with fewer rows than columns is never monotone.
+    X is monotone exactly when every standard basis vector e_j of R^m lies
+    in the cone spanned by its rows; the cone coefficients of the e_j are
+    the rows of a non-negative left inverse. A matrix with fewer rows than
+    columns is never monotone.
     """
     A = as_matrix(X, "X")
     n, m = A.shape
     if n < m:
         return MonotoneCertificate(False)
     inverse_rows = np.empty((m, n))
-    for j in range(m):
-        target = np.zeros(m)
-        target[j] = 1.0
-        coeffs, residual = nonneg_lstsq(A.T, target)
-        if residual > tol.eq_tol * (1.0 + np.linalg.norm(target)):
+    for j, target in enumerate(np.eye(m)):
+        coeffs = cone_coefficients(A, target, tol)
+        if coeffs is None:
             return MonotoneCertificate(False)
         inverse_rows[j] = coeffs
     return MonotoneCertificate(True, nonneg_left_inverse=inverse_rows)

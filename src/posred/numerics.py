@@ -2,14 +2,11 @@
 
 All operations are pure functions over float64 arrays: rank and column
 bases by Gaussian elimination with an explicit relative pivot threshold,
-Moore-Penrose left inverses, entrywise sign tests, and deterministic
-row-subset enumeration.
+Moore-Penrose left inverses and entrywise sign tests.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -132,11 +129,3 @@ def is_nonneg(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when every entry is >= -nonneg_tol."""
     A = as_matrix(M)
     return bool(A.size == 0 or A.min() >= -tol.nonneg_tol)
-
-
-def row_subsets(n: int, m: int) -> Iterator[list[int]]:
-    """All m-element subsets of range(n) as sorted lists, in lexicographic order."""
-    if not 0 < m <= n:
-        raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-    for combo in itertools.combinations(range(n), m):
-        yield list(combo)

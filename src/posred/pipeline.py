@@ -16,8 +16,8 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import BudgetExceededError, DimensionMismatchError, VerificationError, ZeroMatrixError
-from .factorize import DEFAULT_BUDGET, Factorization, find_nonneg_factorization
+from .errors import DimensionMismatchError, VerificationError, ZeroMatrixError
+from .factorize import Factorization, find_nonneg_factorization
 from .numerics import DEFAULT_TOL, Tolerances, is_nonneg, rank
 from .possys import PositiveLtiSystem
 
@@ -82,8 +82,8 @@ def _empty_factorization(n: int) -> Factorization:
     return Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
 
 
-def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, budget: int,
-               seed: Optional[int], force_algebraic: bool, space: str) -> ReductionReport:
+def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
+               force_algebraic: bool, space: str) -> ReductionReport:
     n = S.dim
     diagnostics: list[str] = []
     try:
@@ -103,32 +103,20 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, budget: int,
         diagnostics.append(f"already {space}: the {space} space has full dimension")
         return ReductionReport("none", space, n, n, diagnostics=diagnostics)
 
-    budget_failure: Optional[str] = None
     if force_algebraic:
         diagnostics.append("minimal route disabled by flag")
     else:
-        try:
-            F = find_nonneg_factorization(basis, tol, budget)
-        except BudgetExceededError as exc:
-            budget_failure = str(exc)
-            F = None
-            diagnostics.append(f"minimal search skipped: {exc}; trying the algebra route")
+        F = find_nonneg_factorization(basis, tol)
         if F is not None:
             reduced = possys.reduce(S, F, tol)
             verification = _verified(S, reduced, tol)
             log.info("minimal %s reduction %d -> %d", space, n, q)
             return ReductionReport("minimal", space, n, q, F, reduced, verification, diagnostics)
-        if budget_failure is None:
-            diagnostics.append(
-                f"no projector onto the {space} space admits non-negative factors")
+        diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
 
     p = choose_p(basis, seed, tol)
     algebra = closure(basis, p, tol)
     if algebra.dimension >= n:
-        if budget_failure is not None:
-            raise BudgetExceededError(
-                budget_failure + "; the algebra enlargement has full dimension, "
-                "so no fallback reduction exists either")
         diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
         return ReductionReport("none", space, n, n, diagnostics=diagnostics, algebra=algebra)
 
@@ -147,23 +135,21 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, budget: int,
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                   budget: int = DEFAULT_BUDGET, seed: Optional[int] = None,
+                   seed: Optional[int] = None,
                    force_algebraic: bool = False) -> ReductionReport:
     """Robust positive reduction onto the reachable space.
 
-    Tries the minimal subset-search factorization first; when none exists
-    (or the subset budget is exhausted) the reachable space is enlarged to
-    the smallest product algebra containing it, which always factors
-    non-negatively. Every reduction that is reported has been re-verified
+    Tries the minimal factorization first; when none exists the reachable
+    space is enlarged to the smallest product algebra containing it, which
+    always factors non-negatively. Every reduction that is reported has been re-verified
     for positivity and Markov equality. force_algebraic skips the minimal
     route so the two answers can be compared on the same system.
     """
-    return _rpmr_core(S, tol, budget, seed, force_algebraic, "reachable")
+    return _rpmr_core(S, tol, seed, force_algebraic, "reachable")
 
 
 def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                    budget: int = DEFAULT_BUDGET, seed: Optional[int] = None,
-                    force_algebraic: bool = False) -> ReductionReport:
+                    seed: Optional[int] = None, force_algebraic: bool = False) -> ReductionReport:
     """Robust positive reduction of the observable direction, by duality.
 
     Runs the reachable pipeline on the transposed system and transposes
@@ -172,7 +158,7 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     the identity-weighted observable complement is searched, so a negative
     outcome is not conclusive.
     """
-    dual = _rpmr_core(S.transpose(), tol, budget, seed, force_algebraic, "observable")
+    dual = _rpmr_core(S.transpose(), tol, seed, force_algebraic, "observable")
     diagnostics = list(dual.diagnostics)
     diagnostics.append("observable search with identity weighting: sufficient test only")
     factorization = None

@@ -1,7 +1,19 @@
-"""Shared fixtures: the two reference systems used across the suite."""
-import numpy as np
+"""Shared fixtures: the reference systems used across the suite, the
+exhaustive subset scan that serves as the minimal-route oracle, and the
+hypothesis profile."""
+import itertools
 
-from posred import PositiveLtiSystem
+import numpy as np
+from hypothesis import settings
+
+from posred import PositiveLtiSystem, Tolerances, is_nonneg, rank
+
+# Derandomized, bounded and without an example database, so the property
+# suites are deterministic, cheap and write no files; no deadline, because
+# timings on shared machines vary.
+settings.register_profile("posred", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+settings.load_profile("posred")
 
 
 def cascade_system(eps: float = 0.0, C=None) -> PositiveLtiSystem:
@@ -37,3 +49,22 @@ def stubborn_span() -> np.ndarray:
                      [0.0, 2.0, 1.0],
                      [1.0, 0.0, 2.0],
                      [3.0, 0.0, 0.0]])
+
+
+def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):
+    """Reference scan over all C(n, m) row subsets in lexicographic order.
+
+    Returns the first subset S (as a sorted list) whose block basis[S] is
+    invertible with basis[~S] @ inv(basis[S]) >= 0, or None when no subset
+    qualifies. Exponential; for test-sized inputs only.
+    """
+    B = np.asarray(basis, dtype=float)
+    n, m = B.shape
+    for subset in itertools.combinations(range(n), m):
+        rows = list(subset)
+        V0 = B[rows]
+        if rank(V0, tol) < m:
+            continue
+        if is_nonneg(np.delete(B, rows, axis=0) @ np.linalg.inv(V0), tol):
+            return rows
+    return None

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from posred import reachable_subspace
 from posred.cli import main
@@ -71,12 +72,13 @@ class TestReduce:
         assert code == 3
         assert json.loads(out)["method"] == "none"
 
-    def test_budget_exits_two(self, tmp_path, capsys):
-        A = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.0, 0.5]]
-        path = write_json(tmp_path / "s.json", {"A": A, "B": [[1.0], [0.0], [1.0]]})
-        code, _, err = run(capsys, "reduce", "--input", path, "--budget", "1")
-        assert code == 2
-        assert "budget" in err
+    def test_unknown_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", cascade_system())
+        for command, flag in (("reduce", "--budget"), ("factorize", "--budget"),
+                              ("perturb", "--budget"), ("perturb", "--jobs")):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--input", path, flag, "1"])
+            assert exit_info.value.code == 2
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -253,13 +255,25 @@ class TestPerturb:
         assert report["naive_positive_rate"] == 1.0
         assert report["robust_positive_rate"] == 1.0
 
-    def test_jobs_flag_is_deterministic(self, tmp_path, capsys):
-        path = write_system(tmp_path / "s.json", cascade_system())
-        args = ["perturb", "--input", path, "--delta", "0.2", "--count", "24",
-                "--seed", "3"]
-        _, out1, _ = run(capsys, *args, "--jobs", "1")
-        _, out2, _ = run(capsys, *args, "--jobs", "4")
-        assert out1 == out2
+    def test_algebraic_robust_factors(self, tmp_path, capsys):
+        # Five rows in the cone of four extreme rays: no minimal factors,
+        # but the repeated last row keeps the algebra at four dimensions.
+        B = np.vstack([stubborn_span(), stubborn_span()[-1:]])
+        path = write_json(tmp_path / "s.json",
+                          {"A": np.zeros((5, 5)).tolist(), "B": B.tolist()})
+        code, out, _ = run(capsys, "perturb", "--input", path, "--count", "20")
+        assert code == 0
+        report = json.loads(out)
+        assert report["robust_method"] == "algebraic"
+        assert report["robust_positive_rate"] == 1.0
+
+    def test_no_robust_reduction_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json",
+                          {"A": np.zeros((4, 4)).tolist(), "B": stubborn_span().tolist()})
+        code, out, err = run(capsys, "perturb", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert "no robust reduction exists" in err
 
     def test_already_reachable_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json",

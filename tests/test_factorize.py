@@ -1,13 +1,15 @@
-"""Subset-search factorization against an independent linear-programming
-oracle, plus the structural invariants of the returned factors."""
+"""Extreme-ray factorization search against the exhaustive subset scan
+and an independent linear-programming oracle, plus the structural
+invariants of the returned factors."""
 import numpy as np
-import pytest
 import scipy.optimize
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from posred import (BudgetExceededError, Factorization, SubspaceBasis,
-                    Tolerances, find_nonneg_factorization,
-                    is_monotone_nonneg_rect, rank, verify_factorization)
-from conftest import stubborn_span
+from posred import (Factorization, SubspaceBasis, Tolerances,
+                    find_nonneg_factorization, is_monotone_nonneg_rect, rank,
+                    verify_factorization)
+from conftest import exhaustive_first_hit, stubborn_span
 
 TOL = Tolerances()
 
@@ -85,10 +87,34 @@ class TestFind:
         F = find_nonneg_factorization(V)
         assert F.pivot_rows == [0, 1]
 
-    def test_budget(self):
-        V = SubspaceBasis(np.eye(4)[:, :2])
-        with pytest.raises(BudgetExceededError):
-            find_nonneg_factorization(V, budget=1)
+    def test_lowest_index_row_stands_for_each_ray(self):
+        # Rows 0 and 1 share a ray, as do rows 2 and 3; row 4 lies inside
+        # the cone. The search keeps the first row on each ray.
+        V = SubspaceBasis(np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                    [0.0, 3.0], [1.0, 1.0]]))
+        F = find_nonneg_factorization(V)
+        assert F.pivot_rows == [0, 2]
+        np.testing.assert_allclose(F.J, [[1.0, 0.0], [0.5, 0.0], [0.0, 1.0],
+                                         [0.0, 3.0], [0.5, 1.0]], atol=1e-12)
+
+    def test_tolerance_boundary_differs_from_scan(self):
+        # Row 2 leaves the cone of rows 0 and 1 by less than the membership
+        # tolerance, so it is dropped as redundant; the sign test on the
+        # survivors then refuses rather than return a mixed-sign factor.
+        # The subset scan accepts rows 1 and 2 here: a known difference.
+        V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -5e-9]]))
+        assert find_nonneg_factorization(V) is None
+        assert exhaustive_first_hit(V.basis) == [1, 2]
+
+    def test_rows_of_any_scale_carry_rays(self):
+        # Unit rays scaled far below the membership tolerance still count,
+        # while a row below the rank threshold counts as zero.
+        V = SubspaceBasis(np.array([[1.0, 0.0, 0.0], [0.0, 5e-5, 0.0],
+                                    [0.0, 0.0, 2.5e-9], [0.0, 0.0, 1e-12],
+                                    [1e-12, 1e-12, 1e-12]]))
+        F = find_nonneg_factorization(V)
+        assert F is not None and F.pivot_rows == [0, 1, 2]
+        assert verify_factorization(F, V)
 
     def test_basis_change_invariance(self):
         rng = np.random.default_rng(17)
@@ -151,6 +177,46 @@ def test_search_matches_lp_oracle():
             found += 1
             assert verify_factorization(F, V)
     assert found > 15 and absent > 15
+
+
+@st.composite
+def subspaces(draw):
+    """Random proper subspaces of R^n, n <= 8, of three kinds: planted J @ T
+    (J >= 0 with an identity block, some rows repeating a pivot direction,
+    T mixed-sign and invertible), generic non-negative, and mixed-sign."""
+    kind = draw(st.sampled_from(["planted", "nonneg", "mixed"]))
+    n = draw(st.sampled_from(range(2, 9)))
+    m = draw(st.sampled_from(range(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mixed":
+        return rng.normal(size=(n, m))
+    raw = np.where(rng.random((n, m)) < 0.6, rng.uniform(0.1, 1.0, (n, m)), 0.0)
+    if kind == "nonneg":
+        return raw
+    raw[rng.choice(n, m, replace=False)] = np.eye(m)
+    for i in np.flatnonzero(rng.random(n) < 0.3):
+        raw[i] = rng.uniform(0.1, 3.0) * np.eye(m)[rng.integers(m)]
+    T = rng.normal(size=(m, m))
+    assume(abs(np.linalg.det(T)) > 0.1)
+    return raw @ T
+
+
+@given(subspaces(), st.integers(0, 2**32 - 1))
+def test_search_matches_exhaustive_scan(raw, scale_seed):
+    assume(rank(raw) == raw.shape[1])
+    F = find_nonneg_factorization(SubspaceBasis(raw))
+    pivots = F.pivot_rows if F is not None else None
+    assert pivots == exhaustive_first_hit(raw)
+    assert (F is not None) == nonneg_projector_exists(raw)
+    # Scaling states by a positive diagonal moves no decision: one common
+    # factor over 24 decades times a factor per state over 4 decades.
+    # Wider per-state spreads can lift rounding noise of about 1e-14 in
+    # rest @ inv(V0) past the absolute floor of the final sign test, which
+    # the subset scan shares.
+    rng = np.random.default_rng(scale_seed)
+    d = 10.0 ** (rng.uniform(-12.0, 12.0) + rng.uniform(-2.0, 2.0, raw.shape[0]))
+    scaled = find_nonneg_factorization(SubspaceBasis(d[:, None] * raw))
+    assert (scaled.pivot_rows if scaled is not None else None) == pivots
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ from posred import (NotNonnegativeError, NotSquareError, RankDeficientError,
                     SingularError, Tolerances, is_monotone_general,
                     is_monotone_nonneg_rect, is_monotone_nonneg_square,
                     nonneg_lstsq)
+from posred.monotone import cone_coefficients
 
 TOL = Tolerances()
 
@@ -58,6 +59,22 @@ class TestNonnegLstsq:
                                                   method="bvls")
             ref_resid = np.linalg.norm(A @ reference.x - b)
             assert resid <= ref_resid * (1 + 1e-9) + 1e-9
+
+
+class TestConeCoefficients:
+    ROWS = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+
+    def test_member_gets_a_certificate(self):
+        target = np.array([2.0, 3.0, 3.0])  # rows 0, 1, 2 with weights 1, 2, 1
+        coeffs = cone_coefficients(self.ROWS, target, TOL)
+        assert coeffs is not None and coeffs.min() >= 0.0
+        np.testing.assert_allclose(self.ROWS.T @ coeffs, target, atol=1e-12)
+
+    def test_non_member_and_empty_cone(self):
+        assert cone_coefficients(self.ROWS, np.array([1.0, 0.0, 0.0]), TOL) is None
+        assert cone_coefficients(self.ROWS, -self.ROWS[0], TOL) is None
+        assert cone_coefficients(np.zeros((0, 3)), self.ROWS[0], TOL) is None
+        assert cone_coefficients(np.zeros((0, 3)), np.zeros(3), TOL) is not None
 
 
 def square_cone_oracle(X) -> bool:

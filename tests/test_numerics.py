@@ -1,12 +1,9 @@
 """Unit tests for the tolerance-controlled linear algebra layer."""
-import math
-
 import numpy as np
 import pytest
 
 from posred import (RankDeficientError, Tolerances, ZeroMatrixError,
-                    column_space_basis, is_nonneg, left_inverse, rank,
-                    row_subsets)
+                    column_space_basis, is_nonneg, left_inverse, rank)
 
 TOL = Tolerances()
 
@@ -122,29 +119,6 @@ class TestIsNonneg:
     def test_tolerance_floor(self):
         assert is_nonneg(np.array([[-1e-12]]), Tolerances(nonneg_tol=1e-9))
         assert not is_nonneg(np.array([[-1e-6]]), Tolerances(nonneg_tol=1e-9))
-
-
-class TestRowSubsets:
-    def test_three_choose_two(self):
-        assert list(row_subsets(3, 2)) == [[0, 1], [0, 2], [1, 2]]
-
-    def test_full_subset(self):
-        assert list(row_subsets(4, 4)) == [[0, 1, 2, 3]]
-
-    def test_count_matches_binomial(self):
-        assert sum(1 for _ in row_subsets(10, 3)) == math.comb(10, 3) == 120
-
-    def test_sorted_unique_lexicographic(self):
-        subsets = list(row_subsets(6, 3))
-        assert all(s == sorted(s) for s in subsets)
-        assert subsets == sorted(subsets)
-        assert len({tuple(s) for s in subsets}) == math.comb(6, 3)
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            list(row_subsets(3, 0))
-        with pytest.raises(ValueError):
-            list(row_subsets(3, 4))
 
 
 def test_tolerances_must_be_nonnegative():

@@ -3,11 +3,11 @@ and the perturbation experiment."""
 import numpy as np
 import pytest
 
-from posred import (BudgetExceededError, Factorization, GeneratorSpec,
-                    PositiveLtiSystem, Tolerances, equivalent,
-                    find_nonneg_factorization, generate_system, left_inverse,
-                    observability_matrix, perturbation_experiment, project,
-                    rank, reachable_subspace, rpmr_observable, rpmr_reachable)
+from posred import (Factorization, GeneratorSpec, PositiveLtiSystem,
+                    Tolerances, equivalent, find_nonneg_factorization,
+                    generate_system, left_inverse, observability_matrix,
+                    perturbation_experiment, project, rank,
+                    reachable_subspace, rpmr_observable, rpmr_reachable)
 from conftest import cascade_system, stubborn_span, swap_system
 
 TOL = Tolerances()
@@ -96,17 +96,44 @@ class TestReachableRoutes:
         assert any("could not be performed" in note for note in report.diagnostics)
         assert report.algebra is not None and report.algebra.dimension == 4
 
-    def test_budget_falls_back_to_algebra(self):
-        report = rpmr_reachable(swap_system(1.0), budget=1)
-        assert report.method == "algebraic"
-        assert report.reduced_dim == 3
-        assert any("budget" in note for note in report.diagnostics)
+    def test_minimal_where_the_algebra_is_full(self):
+        report = rpmr_reachable(cycling_full_closure_system())
+        assert report.method == "minimal"
+        assert report.reduced_dim == 2
+        forced = rpmr_reachable(cycling_full_closure_system(), force_algebraic=True)
+        assert forced.method == "none"
 
-    def test_budget_error_when_algebra_cannot_help(self):
-        S = cycling_full_closure_system()
-        assert rpmr_reachable(S).method == "minimal"  # tractable without the cap
-        with pytest.raises(BudgetExceededError):
-            rpmr_reachable(S, budget=1)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_minimal_route_past_the_subset_count(self, seed):
+        # C(40, 20) ~ 1.4e11 row subsets: out of reach for a subset scan.
+        S = generate_system(GeneratorSpec(n=40, inputs=2, outputs=2, reachable_dim=20,
+                                          density=0.6, seed=seed))
+        # States reachable in the sign graph of (A, B).
+        support = S.B.max(axis=1) > 0
+        for _ in range(S.dim):
+            support |= (S.A[:, support] > 0).any(axis=1)
+        assert support.sum() == 20
+        F = find_nonneg_factorization(reachable_subspace(S))
+        assert F is not None
+        assert F.pivot_rows == np.flatnonzero(support).tolist()
+        report = rpmr_reachable(S)
+        assert report.method == "minimal"
+        assert report.reduced_dim == 20
+
+    def test_minimal_route_on_weak_coupling(self):
+        # A cascade e1 -> e2 -> e3 with couplings 5e-5: the raw reachable
+        # basis has rows of norm 1, 5e-5 and 2.5e-9, all on their own ray,
+        # and a zero row for the unreachable state.
+        A = np.zeros((4, 4))
+        A[1, 0] = A[2, 1] = 5e-5
+        S = PositiveLtiSystem(A, np.eye(4)[:, :1])
+        V = reachable_subspace(S)
+        assert np.linalg.norm(V.basis, axis=1).min() == 0.0
+        F = find_nonneg_factorization(V)
+        assert F is not None and F.pivot_rows == [0, 1, 2]
+        report = rpmr_reachable(S)
+        assert report.method == "minimal"
+        assert report.reduced_dim == 3
 
     def test_minimal_never_beaten_by_algebraic(self):
         for eps in (1.0, 2.0):
