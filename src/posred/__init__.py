@@ -9,12 +9,12 @@ algebra containing it, which always factors non-negatively. Reductions
 built this way reproduce the original impulse response exactly and stay
 positive under any positivity-preserving perturbation of the data.
 """
-from .errors import (ClosureMismatchError, DimensionMismatchError,
-                     NegativeInputError, NonFiniteError, NotInvariantError,
-                     NotNonnegativeError, NotPositiveError, NotSquareError,
-                     PosredError, RankDeficientError, SingularError,
-                     SupportFailureError, UnsupportedCoordinateError,
-                     VerificationError, ZeroMatrixError)
+from .errors import (DimensionMismatchError, NegativeInputError,
+                     NonFiniteError, NotInvariantError, NotNonnegativeError,
+                     NotPositiveError, NotSquareError, PosredError,
+                     RankDeficientError, SingularError, SupportFailureError,
+                     UnsupportedCoordinateError, VerificationError,
+                     ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg, left_inverse, rank)
 from .monotone import (MonotoneCertificate, is_monotone_general,
@@ -35,9 +35,8 @@ from .gen import GeneratorSpec, generate_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClosureMismatchError", "DimensionMismatchError",
-    "NegativeInputError", "NonFiniteError", "NotInvariantError",
-    "NotNonnegativeError", "NotPositiveError", "NotSquareError",
+    "DimensionMismatchError", "NegativeInputError", "NonFiniteError",
+    "NotInvariantError", "NotNonnegativeError", "NotPositiveError", "NotSquareError",
     "PosredError", "RankDeficientError", "SingularError",
     "SupportFailureError", "UnsupportedCoordinateError", "VerificationError",
     "ZeroMatrixError",

@@ -16,12 +16,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ClosureMismatchError, DimensionMismatchError,
-                     NonFiniteError, NotNonnegativeError, SupportFailureError,
-                     UnsupportedCoordinateError, VerificationError)
+from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
+                     SupportFailureError, UnsupportedCoordinateError,
+                     VerificationError)
 from .factorize import Factorization
 from .monotone import is_monotone_nonneg_rect
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, column_space_basis
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
+
+# Random weight draws choose_p tries after unit weights cancel.
+CHOOSE_P_RETRIES = 32
 
 
 class ReferenceVector:
@@ -94,7 +97,7 @@ def wedge(x, y, p: ReferenceVector, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
 
 
 def choose_p(V: SubspaceBasis, seed: Optional[int] = None,
-             tol: Tolerances = DEFAULT_TOL, retries: int = 32) -> ReferenceVector:
+             tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
     """Reference vector as a combination of the basis columns.
 
     Unit weights work whenever the basis is entrywise non-negative, since
@@ -118,7 +121,7 @@ def choose_p(V: SubspaceBasis, seed: Optional[int] = None,
     if admissible(candidate):
         return embed(candidate)
     rng = np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(CHOOSE_P_RETRIES):
         candidate = B @ rng.uniform(1.0, 2.0, B.shape[1])
         if admissible(candidate):
             return embed(candidate)
@@ -131,14 +134,12 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     """Smallest p-product algebra containing span(V) and the unit p.
 
     Dividing by p on its support turns the product into the plain
-    entrywise one. There the closure is computed by fixpoint iteration:
-    append all pairwise products of the current basis columns (each
-    rescaled to unit peak; numerically dead products are dropped),
-    re-extract a column basis, and stop once the rank stalls, which
-    certifies closedness. The closed space is spanned by indicators of
-    coordinate groups; grouping equal rows of an orthonormalized closure
-    basis recovers them, and multiplying each indicator back by p gives
-    the idempotent generators.
+    entrywise one. The unital algebra that vectors generate under the
+    entrywise product is the set of functions constant on their joint
+    level sets, so the blocks are the groups of equal rows of
+    basis[s] / p[s], with each column scaled to unit peak and rows within
+    eq_tol counting as equal. Blocks are ordered by first appearance, and
+    each block's indicator times p is an idempotent generator.
     """
     if p.dim != V.ambient_dim:
         raise DimensionMismatchError("reference vector length does not match the ambient dimension")
@@ -151,39 +152,19 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     if off.any() and np.abs(B[off, :]).max(initial=0.0) > tol.nonneg_tol:
         raise UnsupportedCoordinateError("subspace has weight outside supp(p)")
 
-    transformed = B[s, :] / p.p[s][:, None]
-    unit = np.ones((s.size, 1))
-    basis = column_space_basis(np.hstack([transformed, unit]), tol).basis
-    while True:
-        dim = basis.shape[1]
-        products = []
-        for i in range(dim):
-            for j in range(i, dim):
-                col = basis[:, i] * basis[:, j]
-                peak = np.abs(col).max()
-                if peak > tol.eq_tol:
-                    products.append(col / peak)
-        stacked = np.column_stack([basis] + products) if products else basis
-        basis = column_space_basis(stacked, tol).basis
-        if basis.shape[1] == dim:
-            break
-
-    ortho, _ = np.linalg.qr(basis)
-    groups: list[list[int]] = []
-    representatives: list[np.ndarray] = []
-    for i, row in enumerate(ortho):
-        for k, rep in enumerate(representatives):
-            if np.abs(row - rep).max() <= tol.eq_tol:
-                groups[k].append(i)
-                break
-        else:
-            representatives.append(row)
-            groups.append([i])
-    if len(groups) != basis.shape[1]:
-        raise ClosureMismatchError(
-            f"{len(groups)} coordinate groups for a closure of rank {basis.shape[1]}")
-
-    blocks = tuple(tuple(int(s[i]) for i in group) for group in groups)
+    levels = B[s, :] / p.p[s][:, None]
+    peaks = np.abs(levels).max(axis=0)
+    # A column that vanishes on the support separates no coordinates.
+    peaks[peaks == 0.0] = 1.0
+    levels /= peaks
+    unassigned = np.ones(s.size, dtype=bool)
+    groups = []
+    for i in range(s.size):
+        if unassigned[i]:
+            members = unassigned & (np.abs(levels - levels[i]).max(axis=1) <= tol.eq_tol)
+            unassigned &= ~members
+            groups.append(tuple(int(k) for k in s[members]))
+    blocks = tuple(groups)
     generators = np.zeros((V.ambient_dim, len(blocks)))
     for k, block in enumerate(blocks):
         idx = list(block)

@@ -55,11 +55,6 @@ class SupportFailureError(PosredError):
     subspace support."""
 
 
-class ClosureMismatchError(PosredError):
-    """Coordinate-group count disagrees with the closure rank; indicates a
-    tolerance pathology rather than a modelling error."""
-
-
 class VerificationError(PosredError):
     """A post-condition that is guaranteed by construction failed; this
     signals a bug or a tolerance pathology, never a bad input."""

@@ -1,8 +1,9 @@
 """Tolerance-controlled dense linear algebra shared by every other module.
 
-All operations are pure functions over float64 arrays: rank and column
-bases by Gaussian elimination with an explicit relative pivot threshold,
-Moore-Penrose left inverses and entrywise sign tests.
+All operations are pure functions over float64 arrays: rank by Gaussian
+elimination with a relative pivot threshold fixed once per matrix, greedy
+column bases by one elimination pass whose threshold follows the columns
+kept so far, Moore-Penrose left inverses and entrywise sign tests.
 """
 from __future__ import annotations
 
@@ -18,9 +19,12 @@ class Tolerances:
     """Numerical thresholds used throughout the package.
 
     rank_tol is relative: a pivot counts only if it exceeds rank_tol times
-    the largest absolute entry of the matrix under test. nonneg_tol is the
+    the largest absolute entry of the matrix under test; for column
+    selection that matrix is the columns kept so far plus the candidate,
+    so every kept pivot is held to the threshold too. nonneg_tol is the
     sign-test floor (entries >= -nonneg_tol count as non-negative) and
-    eq_tol the entrywise equality tolerance.
+    eq_tol the entrywise equality tolerance, which also decides when two
+    rows are equal in the algebra closure.
     """
 
     rank_tol: float = 1e-10
@@ -96,18 +100,37 @@ class SubspaceBasis:
 
 
 def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Greedy left-to-right column selection.
+    """Greedy left-to-right column selection in one elimination pass.
 
-    A column is kept exactly when it increases the rank of the columns
-    kept so far; kept columns are returned in their original order.
+    Column j is kept exactly when the columns kept so far plus j have full
+    rank under rank(), whose threshold is rank_tol times the largest entry
+    of those columns: its own pivot and every pivot already kept must
+    exceed that threshold. A column with a large peak can thus be refused
+    because it raises the threshold above a small kept pivot. Kept columns
+    are returned in their original order.
     """
     A = as_matrix(M)
+    W = A.copy()
+    rows, cols = W.shape
+    peaks = np.abs(A).max(axis=0, initial=0.0)
     selected: list[int] = []
-    for j in range(A.shape[1]):
-        if len(selected) == A.shape[0]:
+    kept_peak = 0.0
+    smallest_pivot = np.inf
+    for j in range(cols):
+        r = len(selected)
+        if r == rows:
             break
-        if rank(A[:, selected + [j]], tol) > len(selected):
-            selected.append(j)
+        threshold = tol.rank_tol * max(kept_peak, peaks[j])
+        pivot = r + int(np.argmax(np.abs(W[r:, j])))
+        size = abs(W[pivot, j])
+        if size <= threshold or smallest_pivot <= threshold:
+            continue
+        if pivot != r:
+            W[[r, pivot], j:] = W[[pivot, r], j:]
+        W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
+        selected.append(j)
+        kept_peak = max(kept_peak, peaks[j])
+        smallest_pivot = min(smallest_pivot, size)
     if not selected:
         raise ZeroMatrixError("matrix has rank 0; no column-space basis")
     return SubspaceBasis(A[:, selected], tol)

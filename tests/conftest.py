@@ -1,5 +1,6 @@
 """Shared fixtures: the reference systems used across the suite, the
-exhaustive subset scan that serves as the minimal-route oracle, and the
+exhaustive subset scan that serves as the minimal-route oracle, the
+per-column rank loop that serves as the column-selection oracle, and the
 hypothesis profile."""
 import itertools
 
@@ -49,6 +50,49 @@ def stubborn_span() -> np.ndarray:
                      [0.0, 2.0, 1.0],
                      [1.0, 0.0, 2.0],
                      [3.0, 0.0, 0.0]])
+
+
+def lumped_system(n: int, r: int, q: int, seed: int) -> PositiveLtiSystem:
+    """Positive system whose q-dimensional reachable space lies in an
+    r-block lumpable space, so the algebraic route reduces it to order r.
+
+    The reachable space is spanned by V = L U: L is an n x r block lifting
+    (one positive weight per row, in the column of its block, every block
+    used) and U an r x q positive matrix whose rows lie on a sphere about
+    the barycentre of the simplex, so each is an extreme ray of their
+    cone and no q rows factor V. A = V K, B = V G.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = rng.permutation(np.concatenate([np.arange(r), rng.integers(0, r, n - r)]))
+    L = np.zeros((n, r))
+    L[np.arange(n), blocks] = rng.uniform(0.5, 2.0, n)
+    d = rng.standard_normal((r, q))
+    d -= d.mean(axis=1, keepdims=True)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    U = (1.0 / q + (0.5 / q) * d) * rng.uniform(0.5, 2.0, (r, 1))
+    V = L @ U
+    K = rng.uniform(0.1, 1.0, (q, n))
+    G = rng.uniform(0.1, 1.0, (q, 2))
+    # A = V K has the spectrum of K V plus zeros; scale it to radius one.
+    A = V @ K / np.abs(np.linalg.eigvals(K @ V)).max()
+    return PositiveLtiSystem(A, V @ G, rng.uniform(0.1, 1.0, (2, n)))
+
+
+def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:
+    """Reference column selection: one rank() call per candidate column.
+
+    Column j is kept exactly when rank(M[:, kept + [j]]) exceeds the
+    number of columns kept so far. Quadratic in the column count; the
+    single-pass column_space_basis must select the same columns.
+    """
+    A = np.asarray(M, dtype=float)
+    selected: list[int] = []
+    for j in range(A.shape[1]):
+        if len(selected) == A.shape[0]:
+            break
+        if rank(A[:, selected + [j]], tol) > len(selected):
+            selected.append(j)
+    return selected
 
 
 def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):

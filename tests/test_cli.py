@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, JSON schemas, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posred
 from posred import reachable_subspace
 from posred.cli import main
 from conftest import cascade_system, stubborn_span, swap_system
@@ -286,8 +289,12 @@ def test_console_entry_point(tmp_path):
     path = tmp_path / "s.json"
     S = cascade_system()
     path.write_text(json.dumps({"A": S.A.tolist(), "B": S.B.tolist()}))
+    # The child must import the posred under test, installed or not.
+    package_root = str(Path(posred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "posred", "reduce",
                            "--input", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "minimal"

@@ -1,9 +1,13 @@
 """Unit tests for the tolerance-controlled linear algebra layer."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from posred import (RankDeficientError, Tolerances, ZeroMatrixError,
-                    column_space_basis, is_nonneg, left_inverse, rank)
+from posred import (GeneratorSpec, RankDeficientError, Tolerances, ZeroMatrixError,
+                    column_space_basis, generate_system, is_nonneg, left_inverse,
+                    rank, reachability_matrix)
+from conftest import greedy_column_selection
 
 TOL = Tolerances()
 
@@ -74,6 +78,36 @@ class TestColumnSpaceBasis:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):
             column_space_basis(np.zeros((4, 2)))
+
+
+@st.composite
+def selection_inputs(draw):
+    """Reachability matrices of generated systems (n <= 16), and low-rank
+    products whose columns are scaled over up to 16 decades, so that a
+    column with a large peak can raise the rank threshold above a pivot
+    already kept."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 16))
+        reachable = draw(st.one_of(st.none(), st.integers(1, n)))
+        spec = GeneratorSpec(n=n, inputs=draw(st.integers(1, 3)), reachable_dim=reachable,
+                             density=draw(st.sampled_from([0.3, 0.6, 1.0])), seed=seed)
+        return reachability_matrix(generate_system(spec))
+    rng = np.random.default_rng(seed)
+    n, k, m = draw(st.integers(1, 10)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    decades = draw(st.sampled_from([0.0, 4.0, 8.0]))
+    return (rng.normal(size=(n, k)) @ rng.normal(size=(k, m))
+            * 10.0 ** rng.uniform(-decades, decades, m))
+
+
+@given(selection_inputs())
+def test_column_selection_matches_per_column_rank_oracle(M):
+    selected = greedy_column_selection(M)
+    if not selected:
+        with pytest.raises(ZeroMatrixError):
+            column_space_basis(M)
+        return
+    np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
 
 
 class TestLeftInverse:

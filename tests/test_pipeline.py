@@ -8,7 +8,7 @@ from posred import (Factorization, GeneratorSpec, PositiveLtiSystem,
                     generate_system, left_inverse, observability_matrix,
                     perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
-from conftest import cascade_system, stubborn_span, swap_system
+from conftest import cascade_system, lumped_system, stubborn_span, swap_system
 
 TOL = Tolerances()
 
@@ -134,6 +134,15 @@ class TestReachableRoutes:
         report = rpmr_reachable(S)
         assert report.method == "minimal"
         assert report.reduced_dim == 3
+
+    @pytest.mark.parametrize("n, r, q, seed", [(10, 5, 3, 2), (7, 6, 3, 5), (9, 8, 7, 1)])
+    def test_lumped_system_reduces_to_its_block_count(self, n, r, q, seed):
+        # Products of powers of these bases lose rank numerically, so a
+        # closure built by multiplying basis columns undercounts the r
+        # blocks of parallel rows.
+        report = rpmr_reachable(lumped_system(n, r, q, seed))
+        assert report.method == "algebraic"
+        assert report.reduced_dim == r
 
     def test_minimal_never_beaten_by_algebraic(self):
         for eps in (1.0, 2.0):
