@@ -21,7 +21,7 @@ from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError
                      VerificationError)
 from .factorize import Factorization
 from .monotone import is_monotone_nonneg_rect
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, rank
 
 # Random weight draws choose_p tries after unit weights cancel.
 CHOOSE_P_RETRIES = 32
@@ -129,6 +129,20 @@ def choose_p(V: SubspaceBasis, seed: Optional[int] = None,
         "no combination of the basis is strictly positive on the subspace support")
 
 
+def _level_sets(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """0/1 matrix whose column k marks the k-th group of rows, each row
+    within eq_tol of the first row of its group, in order of first
+    appearance."""
+    unassigned = np.ones(rows.shape[0], dtype=bool)
+    marks = []
+    for i in range(rows.shape[0]):
+        if unassigned[i]:
+            members = unassigned & (np.abs(rows - rows[i]).max(axis=1) <= tol.eq_tol)
+            unassigned &= ~members
+            marks.append(members)
+    return np.column_stack(marks).astype(float)
+
+
 def closure(V: SubspaceBasis, p: ReferenceVector,
             tol: Tolerances = DEFAULT_TOL) -> DistortedAlgebra:
     """Smallest p-product algebra containing span(V) and the unit p.
@@ -137,9 +151,14 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     entrywise one. The unital algebra that vectors generate under the
     entrywise product is the set of functions constant on their joint
     level sets, so the blocks are the groups of equal rows of
-    basis[s] / p[s], with each column scaled to unit peak and rows within
-    eq_tol counting as equal. Blocks are ordered by first appearance, and
-    each block's indicator times p is an idempotent generator.
+    levels = basis[s] / p[s], with each column scaled to unit peak and
+    rows within eq_tol counting as equal. Rows that agree in every column
+    can still be told apart by a combination of nearly parallel columns,
+    so the indicators of the blocks must span the levels under rank();
+    when they do not, the blocks are the groups of rows within eq_tol of
+    an orthonormal basis of the levels, which depend on the span alone.
+    Blocks are ordered by first appearance, and each block's indicator
+    times p is an idempotent generator.
     """
     if p.dim != V.ambient_dim:
         raise DimensionMismatchError("reference vector length does not match the ambient dimension")
@@ -157,18 +176,13 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     # A column that vanishes on the support separates no coordinates.
     peaks[peaks == 0.0] = 1.0
     levels /= peaks
-    unassigned = np.ones(s.size, dtype=bool)
-    groups = []
-    for i in range(s.size):
-        if unassigned[i]:
-            members = unassigned & (np.abs(levels - levels[i]).max(axis=1) <= tol.eq_tol)
-            unassigned &= ~members
-            groups.append(tuple(int(k) for k in s[members]))
-    blocks = tuple(groups)
-    generators = np.zeros((V.ambient_dim, len(blocks)))
-    for k, block in enumerate(blocks):
-        idx = list(block)
-        generators[idx, k] = p.p[idx]
+    marks = _level_sets(levels, tol)
+    # Singleton blocks span everything; otherwise check the span.
+    if marks.shape[1] < s.size and rank(np.hstack([marks, levels]), tol) != marks.shape[1]:
+        marks = _level_sets(np.linalg.qr(levels)[0], tol)
+    generators = np.zeros((V.ambient_dim, marks.shape[1]))
+    generators[s] = marks * p.p[s][:, None]
+    blocks = tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)
     return DistortedAlgebra(p, generators, blocks)
 
 

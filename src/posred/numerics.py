@@ -49,6 +49,20 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _eliminate(W: np.ndarray, r: int, j: int, threshold: float) -> float:
+    """Eliminate column j below row r in place, pivoting on its largest
+    entry at or below row r, and return the pivot's size; when that size
+    is at most threshold, leave W as it is and return 0.0."""
+    pivot = r + int(np.argmax(np.abs(W[r:, j])))
+    size = abs(W[pivot, j])
+    if size <= threshold:
+        return 0.0
+    if pivot != r:
+        W[[r, pivot], j:] = W[[pivot, r], j:]
+    W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
+    return size
+
+
 def rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank via Gaussian elimination with partial pivoting.
 
@@ -64,13 +78,8 @@ def rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     for col in range(cols):
         if r == rows:
             break
-        pivot = r + int(np.argmax(np.abs(A[r:, col])))
-        if abs(A[pivot, col]) <= threshold:
-            continue
-        if pivot != r:
-            A[[r, pivot], col:] = A[[pivot, r], col:]
-        A[r + 1:, col:] -= np.outer(A[r + 1:, col] / A[r, col], A[r, col:])
-        r += 1
+        if _eliminate(A, r, col, threshold):
+            r += 1
     return r
 
 
@@ -121,16 +130,11 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
         if r == rows:
             break
         threshold = tol.rank_tol * max(kept_peak, peaks[j])
-        pivot = r + int(np.argmax(np.abs(W[r:, j])))
-        size = abs(W[pivot, j])
-        if size <= threshold or smallest_pivot <= threshold:
-            continue
-        if pivot != r:
-            W[[r, pivot], j:] = W[[pivot, r], j:]
-        W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
-        selected.append(j)
-        kept_peak = max(kept_peak, peaks[j])
-        smallest_pivot = min(smallest_pivot, size)
+        size = _eliminate(W, r, j, threshold) if smallest_pivot > threshold else 0.0
+        if size:
+            selected.append(j)
+            kept_peak = max(kept_peak, peaks[j])
+            smallest_pivot = min(smallest_pivot, size)
     if not selected:
         raise ZeroMatrixError("matrix has rank 0; no column-space basis")
     return SubspaceBasis(A[:, selected], tol)

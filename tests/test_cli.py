@@ -165,6 +165,18 @@ class TestAlgebra:
         assert report["blocks"] == [[0], [1], [2, 3]]
         np.testing.assert_allclose(report["p"], [1.0, 1.0, 2.0, 2.0])
 
+    def test_nearly_parallel_columns_give_the_whole_space(self, tmp_path, capsys):
+        # Columns within 1e-9 of each other in every state still span a
+        # plane that separates all three states.
+        path = write_json(tmp_path / "m.json",
+                          [[1.0, 1.0], [1.0 + 1e-9, 1.0 - 1e-9], [1.0, 1.0 + 1e-9]])
+        code, out, _ = run(capsys, "algebra", "--input", path)
+        assert code == 0
+        report = json.loads(out)
+        assert report["subspace_dim"] == 2
+        assert report["algebra_dim"] == 3
+        assert report["blocks"] == [[0], [1], [2]]
+
 
 class TestVerify:
     def test_reduction_verifies(self, tmp_path, capsys):

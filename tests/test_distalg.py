@@ -10,10 +10,15 @@ from posred import (DimensionMismatchError, ReferenceVector, SubspaceBasis,
                     algebra_factorization, choose_p, closure, column_space_basis,
                     is_distorted_algebra, is_monotone_nonneg_rect, rank,
                     reachable_subspace, wedge)
-from posred import GeneratorSpec, ZeroMatrixError, generate_system
+from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
 from conftest import lumped_system, swap_system
 
 TOL = Tolerances()
+
+
+# Two columns that differ by about 1e-9 in every state yet span a plane
+# whose vectors separate all three states.
+NEARLY_PARALLEL = [[1.0, 1.0], [1.0 + 1e-9, 1.0 - 1e-9], [1.0, 1.0 + 1e-9]]
 
 
 def swap_basis(eps=1.0):
@@ -132,6 +137,26 @@ class TestClosure:
         V = SubspaceBasis(np.eye(3)[:, :2])
         with pytest.raises(UnsupportedCoordinateError):
             closure(V, ReferenceVector([1.0, 0.0, 0.0]))
+
+    def test_nearly_parallel_columns_are_told_apart(self):
+        # Every column differs between the states by about 1e-9, well
+        # inside eq_tol, but the difference of the columns separates all
+        # three states, so the closure is the whole space.
+        V = column_space_basis(np.array(NEARLY_PARALLEL))
+        assert V.dimension == 2
+        p = choose_p(V)
+        algebra = closure(V, p)
+        assert algebra.blocks == ((0,), (1,), (2,))
+        assert rank(np.hstack([algebra.generators, V.basis])) == 3
+        assert not is_distorted_algebra(V, p)
+
+    def test_rows_within_eq_tol_in_the_span_stay_together(self):
+        # No unit vector of the span tells state 3 from states 1 and 2 by
+        # more than about 1e-9, inside eq_tol, although rank() keeps the
+        # columns apart.
+        V = column_space_basis(np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1e-9]]))
+        assert V.dimension == 2
+        assert closure(V, choose_p(V)).blocks == ((0,), (1, 2, 3))
 
     def test_generator_identities(self):
         checked = 0
@@ -273,3 +298,24 @@ def test_blocks_invariant_under_positive_scaling(basis, scale_seed):
     # One common column factor over 24 decades times one per column over 6.
     c = 10.0 ** (rng.uniform(-12.0, 12.0) + rng.uniform(-3.0, 3.0, basis.dimension))
     assert closure(SubspaceBasis(Q * c), p).blocks == blocks
+
+
+@given(generated_bases())
+def test_blocks_depend_on_the_span_alone(basis):
+    p = choose_p(basis)
+    Q = np.zeros_like(basis.basis)
+    Q[p.support] = np.linalg.qr(basis.basis[p.support])[0]
+    blocks = closure(SubspaceBasis(Q), p).blocks
+    # The columns p + 3e-9 Q[:, c] span the same space, since p is a
+    # combination of the basis, and agree with p and with each other
+    # within eq_tol, so most cases need the orthonormal regrouping. Their
+    # condition is about 3e8, so rounding in them can split two rows that
+    # the span keeps equal (about once in 10^4 lumped pairs at 1e-8); only
+    # spans that separate every state are compared.
+    assume(all(len(block) == 1 for block in blocks))
+    unit = p.p / np.abs(p.p).max()
+    try:
+        nearly_parallel = SubspaceBasis(unit[:, None] + 3e-9 * Q)
+    except RankDeficientError:
+        assume(False)
+    assert closure(nearly_parallel, p).blocks == blocks
