@@ -4,8 +4,8 @@
 Systems are generated with a planted invariant coordinate block, so a
 reduction always exists; the pipeline picks the minimal route when the
 reachable projector factors non-negatively and falls back to the algebra
-enlargement otherwise. Every reported reduction is re-verified against
-the original impulse response.
+enlargement otherwise. The script checks every reported reduction
+against the original impulse response again with `equivalent`.
 """
 import collections
 
@@ -47,4 +47,4 @@ for note in report.diagnostics:
     print("note:", note)
 
 print("\nreduced output map C_r =\n", np.round(report.reduced_system.C, 3))
-print("Markov match re-verified:", report.verification.markov_match)
+print("Markov match checked by reduce:", report.verification.markov_match)

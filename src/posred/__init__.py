@@ -22,10 +22,9 @@ from .monotone import (MonotoneCertificate, is_monotone_general,
                        nonneg_lstsq)
 from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
-from .possys import (MarkovSequence, PositiveLtiSystem, equivalent, markov,
-                     markov_match, markov_parameters, observability_matrix,
-                     project, reachability_matrix, reachable_subspace, reduce,
-                     simulate)
+from .possys import (PositiveLtiSystem, equivalent, markov_match,
+                     markov_parameters, observability_matrix, project,
+                     reachability_matrix, reachable_subspace, reduce, simulate)
 from .distalg import (DistortedAlgebra, ReferenceVector, algebra_factorization,
                       choose_p, closure, is_distorted_algebra, wedge)
 from .pipeline import (PerturbationRecord, ReductionReport, VerificationRecord,
@@ -45,9 +44,9 @@ __all__ = [
     "MonotoneCertificate", "is_monotone_general", "is_monotone_nonneg_rect",
     "is_monotone_nonneg_square", "nonneg_lstsq",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
-    "MarkovSequence", "PositiveLtiSystem", "equivalent", "markov",
-    "markov_match", "markov_parameters", "observability_matrix", "project",
-    "reachability_matrix", "reachable_subspace", "reduce", "simulate",
+    "PositiveLtiSystem", "equivalent", "markov_match", "markov_parameters",
+    "observability_matrix", "project", "reachability_matrix",
+    "reachable_subspace", "reduce", "simulate",
     "DistortedAlgebra", "ReferenceVector", "algebra_factorization", "choose_p",
     "closure", "is_distorted_algebra", "wedge",
     "PerturbationRecord", "ReductionReport", "VerificationRecord",

@@ -227,7 +227,7 @@ def cmd_algebra(args) -> int:
         raise CliError(1, str(exc))
     p = choose_p(basis, seed=args.seed, tol=tol)
     algebra = closure(basis, p, tol)
-    factorization = algebra_factorization(algebra, tol)
+    factorization = algebra_factorization(algebra)
     _emit(args, {
         "schema_version": SCHEMA_VERSION,
         "p": p.p.tolist(),

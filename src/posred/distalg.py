@@ -17,10 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
-                     SupportFailureError, UnsupportedCoordinateError,
-                     VerificationError)
+                     SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
-from .monotone import is_monotone_nonneg_rect
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, rank
 
 # Random weight draws choose_p tries after unit weights cancel.
@@ -186,22 +184,18 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     return DistortedAlgebra(p, generators, blocks)
 
 
-def algebra_factorization(algebra: DistortedAlgebra,
-                          tol: Tolerances = DEFAULT_TOL) -> Factorization:
+def algebra_factorization(algebra: DistortedAlgebra) -> Factorization:
     """Non-negative projector factors for the algebra.
 
-    Disjoint generator supports make the generator matrix monotone, so a
-    pivot row per generator always exists. Columns are rescaled so the
-    pivot rows of J form an identity block, with the plain 0/1 selector as
-    Jdag; the projector J @ Jdag is unchanged by that rescaling.
+    Generator k equals p on blocks[k] and vanishes elsewhere; blocks are
+    disjoint and non-empty, so the first coordinate of each block is a
+    pivot row that only its own generator touches. Columns are rescaled so
+    the pivot rows of J form an identity block, with the plain 0/1
+    selector as Jdag; the projector J @ Jdag is unchanged by that rescaling.
     """
     G = algebra.generators
-    certificate = is_monotone_nonneg_rect(G, tol)
-    if not certificate.monotone:
-        raise VerificationError(
-            "algebra generator matrix is not monotone; tolerance pathology")
     m = G.shape[1]
-    pivots = [int(np.flatnonzero(certificate.nonneg_left_inverse[k])[0]) for k in range(m)]
+    pivots = [block[0] for block in algebra.blocks]
     J = G / G[pivots, np.arange(m)]
     Jdag = np.zeros((m, G.shape[0]))
     Jdag[np.arange(m), pivots] = 1.0

@@ -34,8 +34,8 @@ class DimensionMismatchError(PosredError):
 
 
 class NotInvariantError(PosredError):
-    """The projection image is not invariant under the dynamics or does
-    not contain the input image, so exact reduction is not guaranteed."""
+    """J @ Jdag does not fix the reachable space, so the reduction would
+    not reproduce every Markov coefficient."""
 
 
 class NotPositiveError(PosredError):

@@ -1,5 +1,5 @@
 """End-to-end reduction: try the minimal factorization of the reachable
-space, fall back to the algebra enlargement, verify, and report.
+space, fall back to the algebra enlargement, reduce, and report.
 
 The observable direction is handled by duality: reduce the transposed
 system and transpose the result back. With the identity weighting this is
@@ -16,9 +16,9 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import DimensionMismatchError, VerificationError, ZeroMatrixError
+from .errors import DimensionMismatchError, ZeroMatrixError
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, Tolerances, is_nonneg, rank
+from .numerics import DEFAULT_TOL, Tolerances, is_nonneg
 from .possys import PositiveLtiSystem
 
 log = logging.getLogger(__name__)
@@ -26,7 +26,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Outcome of the post-reduction recheck."""
+    """What possys.reduce established before the reduction was reported:
+    the Markov coefficients C A^k B match for every k (horizon = n + r
+    coefficients cover them all by Cayley-Hamilton) and the reduced
+    triple is non-negative. Both fields are always true on a report."""
 
     markov_match: bool
     positivity: bool
@@ -39,8 +42,9 @@ class ReductionReport:
 
     method is "minimal" (projector onto the target space itself),
     "algebraic" (projector onto its algebra enlargement), or "none".
-    A reduced system is present exactly when method is not "none", and it
-    always carries a passed verification record. The algebra field keeps
+    A reduced system is present exactly when method is not "none"; it was
+    built by possys.reduce, which checked exactness and positivity, and
+    comes with the record of that check. The algebra field keeps
     the enlargement that was computed on the algebraic route.
     """
 
@@ -64,22 +68,15 @@ class PerturbationRecord:
     equivalent: bool
 
 
-def _verified(S: PositiveLtiSystem, reduced: PositiveLtiSystem,
-              tol: Tolerances) -> VerificationRecord:
-    """Re-verify Markov equality and positivity; both are guaranteed by
-    construction, so a failure aborts as an internal error."""
-    horizon = S.dim + reduced.dim
-    markov_ok = possys.equivalent(S, reduced, tol)
-    positive = all(is_nonneg(M, tol) for M in (reduced.A, reduced.B, reduced.C))
-    if not (markov_ok and positive):
-        raise VerificationError(
-            f"reduction verification failed (markov={markov_ok}, positive={positive}); "
-            "tolerance pathology")
-    return VerificationRecord(markov_ok, positive, horizon)
-
-
-def _empty_factorization(n: int) -> Factorization:
-    return Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
+def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
+             tol: Tolerances, diagnostics: list[str],
+             algebra: Optional[DistortedAlgebra] = None) -> ReductionReport:
+    """Report of the reduction by F; possys.reduce raises unless it is exact
+    and positive."""
+    reduced = possys.reduce(S, F, tol)
+    verification = VerificationRecord(True, True, S.dim + reduced.dim)
+    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, verification,
+                           diagnostics, algebra)
 
 
 def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
@@ -93,10 +90,8 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
         # exact with empty factors.
         zero_map = "input" if space == "reachable" else "output"
         diagnostics.append(f"{space} space is trivial (zero {zero_map} map); reduced to order 0")
-        F = _empty_factorization(n)
-        reduced = possys.reduce(S, F, tol)
-        verification = _verified(S, reduced, tol)
-        return ReductionReport("minimal", space, n, 0, F, reduced, verification, diagnostics)
+        F = Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
+        return _reduced("minimal", space, S, F, tol, diagnostics)
 
     q = basis.dimension
     if q == n:
@@ -108,10 +103,8 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
     else:
         F = find_nonneg_factorization(basis, tol)
         if F is not None:
-            reduced = possys.reduce(S, F, tol)
-            verification = _verified(S, reduced, tol)
             log.info("minimal %s reduction %d -> %d", space, n, q)
-            return ReductionReport("minimal", space, n, q, F, reduced, verification, diagnostics)
+            return _reduced("minimal", space, S, F, tol, diagnostics)
         diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
 
     p = choose_p(basis, seed, tol)
@@ -120,18 +113,12 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
         diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
         return ReductionReport("none", space, n, n, diagnostics=diagnostics, algebra=algebra)
 
-    F = algebra_factorization(algebra, tol)
-    # The enlargement need not be A-invariant; exactness only needs the
-    # target space inside Im(J), where the projector acts as the identity.
-    if rank(np.hstack([F.J, basis.basis]), tol) != algebra.dimension:
-        raise VerificationError("algebra enlargement does not contain the target space")
-    Ar, Br, Cr = possys.project(S, F.J, F.Jdag)
-    reduced = PositiveLtiSystem(Ar, Br, Cr, S.time_domain, tol)
-    verification = _verified(S, reduced, tol)
+    # The enlargement need not be A-invariant; reduce() only needs its
+    # projector to fix the target space.
     diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
     log.info("algebraic %s reduction %d -> %d", space, n, algebra.dimension)
-    return ReductionReport("algebraic", space, n, algebra.dimension, F, reduced,
-                           verification, diagnostics, algebra)
+    return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
+                    diagnostics, algebra)
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
@@ -141,9 +128,11 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
 
     Tries the minimal factorization first; when none exists the reachable
     space is enlarged to the smallest product algebra containing it, which
-    always factors non-negatively. Every reduction that is reported has been re-verified
-    for positivity and Markov equality. force_algebraic skips the minimal
-    route so the two answers can be compared on the same system.
+    always factors non-negatively. Every reported reduction comes from
+    possys.reduce, which checks that J @ Jdag fixes the reachable space
+    (so every Markov coefficient matches) and that the reduced triple is
+    non-negative. force_algebraic skips the minimal route so the two
+    answers can be compared on the same system.
     """
     return _rpmr_core(S, tol, seed, force_algebraic, "reachable")
 

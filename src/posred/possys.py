@@ -2,15 +2,13 @@
 parameters, projection-based reduction, equivalence, and simulation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (DimensionMismatchError, NegativeInputError,
                      NotInvariantError, NotPositiveError, VerificationError)
 from .factorize import Factorization
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
-                       column_space_basis, is_nonneg, rank)
+                       column_space_basis, is_nonneg)
 
 TIME_DOMAINS = ("discrete", "continuous")
 
@@ -72,14 +70,6 @@ class PositiveLtiSystem:
                 f"outputs={self.num_outputs}, {self.time_domain})")
 
 
-@dataclass(frozen=True)
-class MarkovSequence:
-    """Impulse-response coefficients C A^k B for k = 0..horizon."""
-
-    horizon: int
-    coefficients: list[np.ndarray]
-
-
 def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
     """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B]."""
     blocks = [S.B]
@@ -120,23 +110,25 @@ def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
     return coefficients
 
 
-def markov(S: PositiveLtiSystem, horizon: int) -> MarkovSequence:
-    """Markov coefficients of the system up to the given horizon (inclusive)."""
-    return MarkovSequence(horizon, markov_parameters(S.A, S.B, S.C, horizon))
-
-
 def markov_match(first: list[np.ndarray], second: list[np.ndarray],
                  tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Entrywise comparison at eq_tol scaled by the largest coefficient
-    magnitude (floored at one so all-zero sequences compare sanely)."""
+    """Coefficientwise comparison, each pair at its own scale:
+    max|M1_k - M2_k| <= eq_tol * s_k with s_k = max(max|M1_k|, max|M2_k|),
+    so a mode that decays beside one that grows is still seen. Where one
+    side is exactly zero the other carries rounding noise, so a difference
+    below rank_tol times the largest s_j with j <= k counts as zero too.
+    Overflowed coefficients never match.
+    """
     if len(first) != len(second):
         return False
-    scale = 1.0
-    for M in (*first, *second):
-        if M.size:
-            scale = max(scale, float(np.abs(M).max()))
-    atol = tol.eq_tol * scale
-    return all(np.abs(M1 - M2).max(initial=0.0) <= atol for M1, M2 in zip(first, second))
+    peak = 0.0
+    for M1, M2 in zip(first, second):
+        scale = max(np.abs(M1).max(initial=0.0), np.abs(M2).max(initial=0.0))
+        peak = max(peak, scale)
+        allowed = max(tol.eq_tol * scale, tol.rank_tol * peak)
+        if not (np.isfinite(scale) and np.abs(M1 - M2).max(initial=0.0) <= allowed):
+            return False
+    return True
 
 
 def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,20 +145,25 @@ def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.n
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
-    Requires Im(J) to be A-invariant and to contain Im(B), both checked by
-    rank tests, so that the restriction reproduces every Markov
-    coefficient. The reduced triple must come out non-negative; a
-    violation (possible only with mixed-sign factors) is reported, never
-    clamped.
+    The reduction is exact when J @ Jdag fixes A^k B for k < n: by
+    Cayley-Hamilton it then fixes every A^k B, and by induction
+    (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov coefficient matches.
+    Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
+    scale-free: each column of A^k B is scaled to unit peak before the
+    residual max|P - J (Jdag P)| is held to eq_tol. The reduced triple must
+    come out non-negative; a violation (possible only with mixed-sign
+    factors) is reported, never clamped.
     """
     J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
         raise DimensionMismatchError("factor shapes do not match the system dimension")
-    r = rank(J, tol)
-    if rank(np.hstack([J, S.A @ J]), tol) != r:
-        raise NotInvariantError("Im(J) is not invariant under A")
-    if rank(np.hstack([J, S.B]), tol) != r:
-        raise NotInvariantError("Im(J) does not contain Im(B)")
+    P = S.B
+    for _ in range(S.dim):
+        peaks = np.abs(P).max(axis=0, initial=0.0)
+        P = P / np.where(peaks > 0.0, peaks, 1.0)
+        if not np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
+            raise NotInvariantError("J @ Jdag does not fix the reachable space")
+        P = S.A @ P
     Ar, Br, Cr = project(S, J, Jdag)
     for name, M in (("A", Ar), ("B", Br), ("C", Cr)):
         if not is_nonneg(M, tol):
@@ -185,8 +182,8 @@ def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,
     if S1.num_inputs != S2.num_inputs or S1.num_outputs != S2.num_outputs:
         raise DimensionMismatchError("input/output dimensions differ")
     horizon = S1.dim + S2.dim
-    return markov_match(markov(S1, horizon).coefficients,
-                        markov(S2, horizon).coefficients, tol)
+    return markov_match(markov_parameters(S1.A, S1.B, S1.C, horizon),
+                        markov_parameters(S2.A, S2.B, S2.C, horizon), tol)
 
 
 def simulate(S: PositiveLtiSystem, x0, inputs, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

@@ -1,13 +1,15 @@
 """Shared fixtures: the reference systems used across the suite, the
 exhaustive subset scan that serves as the minimal-route oracle, the
-per-column rank loop that serves as the column-selection oracle, and the
+per-column rank loop that serves as the column-selection oracle, the
+block Arnoldi basis that serves as the reachable-space oracle, and the
 hypothesis profile."""
 import itertools
 
 import numpy as np
 from hypothesis import settings
 
-from posred import PositiveLtiSystem, Tolerances, is_nonneg, rank
+from posred import (GeneratorSpec, PositiveLtiSystem, Tolerances, generate_system,
+                    is_nonneg, rank, rpmr_reachable)
 
 # Derandomized, bounded and without an example database, so the property
 # suites are deterministic, cheap and write no files; no deadline, because
@@ -76,6 +78,47 @@ def lumped_system(n: int, r: int, q: int, seed: int) -> PositiveLtiSystem:
     # A = V K has the spectrum of K V plus zeros; scale it to radius one.
     A = V @ K / np.abs(np.linalg.eigvals(K @ V)).max()
     return PositiveLtiSystem(A, V @ G, rng.uniform(0.1, 1.0, (2, n)))
+
+
+def spurious_mode_pair() -> tuple[PositiveLtiSystem, PositiveLtiSystem]:
+    """A planted 12-state system and its exact reduction with one extra
+    state: a mode decaying like 0.5^k that adds 1e-3 * max|CB| to the
+    impulse response at k = 0. The system's other modes grow, so the
+    largest Markov coefficient up to the comparison horizon exceeds
+    1e5 * max|CB| and one global scale misses the extra mode."""
+    S = generate_system(GeneratorSpec(n=12, inputs=2, outputs=2, reachable_dim=6,
+                                      density=0.6, seed=0))
+    R = rpmr_reachable(S).reduced_system
+    r = R.dim
+    A = np.zeros((r + 1, r + 1))
+    A[:r, :r] = R.A
+    A[r, r] = 0.5
+    B = np.vstack([R.B, np.ones((1, R.num_inputs))])
+    weight = 1e-3 * np.abs(S.C @ S.B).max()
+    C = np.hstack([R.C, np.full((R.num_outputs, 1), weight)])
+    return S, PositiveLtiSystem(A, B, C)
+
+
+def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis of the reachable space Im[B, AB, A^2 B, ...] by
+    block Arnoldi: each block, starting from B, has its columns scaled to
+    unit norm and is orthogonalised twice against the basis so far; the
+    left singular vectors whose singular value exceeds tol join the basis,
+    and A times them is the next block. Independent of the raw powers
+    A^k B, which lose directions to the growing ones."""
+    A = np.asarray(A, dtype=float)
+    Q = np.zeros((A.shape[0], 0))
+    block = np.asarray(B, dtype=float)
+    while block.shape[1]:
+        norms = np.linalg.norm(block, axis=0)
+        block = block[:, norms > 0] / norms[norms > 0]
+        for _ in range(2):
+            block = block - Q @ (Q.T @ block)
+        U, sigma, _ = np.linalg.svd(block, full_matrices=False)
+        new = U[:, sigma > tol]
+        Q = np.hstack([Q, new])
+        block = A @ new
+    return Q
 
 
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:

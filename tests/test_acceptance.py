@@ -14,8 +14,8 @@ from posred import (Factorization, GeneratorSpec,
                     Tolerances, choose_p, closure, equivalent,
                     find_nonneg_factorization, generate_system,
                     is_distorted_algebra, is_monotone_general,
-                    is_monotone_nonneg_rect, left_inverse, markov, project,
-                    rank, reachability_matrix, reachable_subspace, reduce,
+                    is_monotone_nonneg_rect, left_inverse, markov_parameters,
+                    project, rank, reachability_matrix, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable, wedge)
 from conftest import cascade_system, swap_system
 
@@ -126,8 +126,8 @@ def test_criterion_2_cascade_robustness():
     for S in (base, perturbed):
         reduced = reduce(S, robust)  # raises if any entry were negative
         assert min(reduced.A.min(), reduced.B.min(), reduced.C.min()) >= 0.0
-        full = markov(S, 6).coefficients
-        small = markov(reduced, 6).coefficients
+        full = markov_parameters(S.A, S.B, S.C, 6)
+        small = markov_parameters(reduced.A, reduced.B, reduced.C, 6)
         assert max(max_err(M1, M2) for M1, M2 in zip(full, small)) <= 1e-8
 
 

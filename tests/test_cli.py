@@ -11,7 +11,7 @@ import pytest
 import posred
 from posred import reachable_subspace
 from posred.cli import main
-from conftest import cascade_system, stubborn_span, swap_system
+from conftest import cascade_system, spurious_mode_pair, stubborn_span, swap_system
 
 
 def write_json(path, payload):
@@ -199,6 +199,14 @@ class TestVerify:
         payload = json.loads(out)["reduced_system"]
         payload["B"][0][0] += 0.1  # breaks the k = 0 coefficient
         reduced = write_json(tmp_path / "red.json", payload)
+        code, out, _ = run(capsys, "verify", original, reduced)
+        assert code == 3
+        assert json.loads(out)["markov_match"] is False
+
+    def test_spurious_decaying_mode_fails(self, tmp_path, capsys):
+        S, spurious = spurious_mode_pair()
+        original = write_system(tmp_path / "orig.json", S)
+        reduced = write_system(tmp_path / "red.json", spurious)
         code, out, _ = run(capsys, "verify", original, reduced)
         assert code == 3
         assert json.loads(out)["markov_match"] is False

@@ -1,0 +1,22 @@
+"""Every demo runs to completion against the package under test."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import posred
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    # The child must import the posred under test, installed or not.
+    package_root = str(Path(posred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -2,13 +2,16 @@
 and the perturbation experiment."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posred import (Factorization, GeneratorSpec, PositiveLtiSystem,
                     Tolerances, equivalent, find_nonneg_factorization,
-                    generate_system, left_inverse, observability_matrix,
+                    generate_system, is_nonneg, left_inverse, observability_matrix,
                     perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
-from conftest import cascade_system, lumped_system, stubborn_span, swap_system
+from conftest import (arnoldi_reachable_basis, cascade_system, lumped_system,
+                      stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -272,3 +275,49 @@ def test_soundness_on_planted_systems():
             assert forced.method == "algebraic"
             assert report.reduced_dim <= forced.reduced_dim
     assert produced > 25
+
+
+@st.composite
+def reductions(draw):
+    """A system and the report of one route on it: planted generated
+    systems with n <= 10 or lumped systems, reduced on the reachable or
+    the observable side (then transposed, so that the planted block is
+    unobservable), with or without the minimal route."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 10))
+        S = generate_system(GeneratorSpec(
+            n=n, inputs=draw(st.integers(1, 3)), outputs=draw(st.integers(1, 3)),
+            reachable_dim=draw(st.none() | st.integers(1, n)),
+            density=draw(st.sampled_from([0.3, 0.6, 1.0])),
+            seed=draw(st.integers(0, 2**31 - 1))))
+    else:
+        n = draw(st.integers(4, 10))
+        r = draw(st.integers(3, n - 1))
+        S = lumped_system(n, r, draw(st.integers(2, r - 1)), draw(st.integers(0, 2**31 - 1)))
+    force_algebraic = draw(st.booleans())
+    if draw(st.booleans()):
+        S = S.transpose()
+        return S, rpmr_observable(S, force_algebraic=force_algebraic)
+    return S, rpmr_reachable(S, force_algebraic=force_algebraic)
+
+
+@given(reductions())
+def test_every_reported_reduction_fixes_the_target_space(case):
+    # J @ Jdag fixes an orthonormal reachable basis built without the
+    # raw powers A^k B (on the observable side, (J @ Jdag)^T fixes the
+    # reachable basis of the dual), both factors are non-negative and the
+    # reduced triple is the projection (Jdag A J, Jdag B, C J).
+    S, report = case
+    if report.method == "none":
+        return
+    F = report.factorization
+    if report.space == "reachable":
+        Q = arnoldi_reachable_basis(S.A, S.B)
+        assert np.abs(Q - F.J @ (F.Jdag @ Q)).max(initial=0.0) <= 1e-8
+    else:
+        Q = arnoldi_reachable_basis(S.A.T, S.C.T)
+        assert np.abs(Q - F.Jdag.T @ (F.J.T @ Q)).max(initial=0.0) <= 1e-8
+    assert is_nonneg(F.J) and is_nonneg(F.Jdag)
+    R = report.reduced_system
+    for got, expected in zip((R.A, R.B, R.C), project(S, F.J, F.Jdag)):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)

@@ -6,10 +6,11 @@ import pytest
 from posred import (DimensionMismatchError, Factorization, NegativeInputError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
                     Tolerances, equivalent, find_nonneg_factorization,
-                    left_inverse, markov, observability_matrix, project, rank,
-                    reachability_matrix, reachable_subspace, reduce, simulate)
+                    left_inverse, markov_parameters, observability_matrix,
+                    project, rank, reachability_matrix, reachable_subspace,
+                    reduce, simulate)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
-from conftest import cascade_system, swap_system
+from conftest import cascade_system, spurious_mode_pair, swap_system
 
 TOL = Tolerances()
 
@@ -129,16 +130,16 @@ class TestObservability:
 class TestMarkov:
     def test_first_coefficient(self):
         S = cascade_system(C=np.array([[1.0, 0.0, 0.0, 0.0]]))
-        seq = markov(S, 0)
-        assert seq.horizon == 0
-        np.testing.assert_allclose(seq.coefficients[0], [[1.0]])
+        seq = markov_parameters(S.A, S.B, S.C, 0)
+        assert len(seq) == 1
+        np.testing.assert_allclose(seq[0], [[1.0]])
 
     def test_nilpotent_vanishes(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         S = PositiveLtiSystem(A, np.eye(2))
-        seq = markov(S, 5)
+        seq = markov_parameters(S.A, S.B, S.C, 5)
         for k in range(2, 6):
-            np.testing.assert_allclose(seq.coefficients[k], np.zeros((2, 2)))
+            np.testing.assert_allclose(seq[k], np.zeros((2, 2)))
 
     def test_reduction_preserves_sequence(self):
         C = np.array([[0.0, 0.0, 1.0, 0.0]])
@@ -147,8 +148,8 @@ class TestMarkov:
         # block alternates the two leading states.
         reduced = PositiveLtiSystem([[0.0, 1.0], [1.0, 0.0]], [[0.0], [1.0]],
                                     [[1.0, 1.0]])
-        full = markov(S, 6).coefficients
-        small = markov(reduced, 6).coefficients
+        full = markov_parameters(S.A, S.B, S.C, 6)
+        small = markov_parameters(reduced.A, reduced.B, reduced.C, 6)
         for M1, M2 in zip(full, small):
             np.testing.assert_allclose(M1, M2, atol=1e-12)
 
@@ -188,6 +189,15 @@ class TestReduce:
         with pytest.raises(NotInvariantError):
             reduce(S, F)
 
+    def test_doubled_jdag_rejected(self):
+        # Im(J) is A-invariant and contains B, but J @ (2 Jdag) is twice a
+        # projector and fixes nothing: the reduced model would be wrong.
+        S = cascade_system()
+        F = find_nonneg_factorization(reachable_subspace(S))
+        doubled = Factorization(F.J, 2.0 * F.Jdag, F.pivot_rows)
+        with pytest.raises(NotInvariantError, match="does not fix"):
+            reduce(S, doubled)
+
     def test_shape_mismatch(self):
         S = cascade_system()
         F = Factorization(np.eye(3)[:, :1], np.eye(3)[:1, :], [0])
@@ -218,6 +228,20 @@ class TestEquivalent:
         with pytest.raises(DimensionMismatchError):
             equivalent(S1, S2)
 
+    def test_spurious_decaying_mode_detected(self):
+        S, spurious = spurious_mode_pair()
+        assert equivalent(S, reduce(S, find_nonneg_factorization(reachable_subspace(S))))
+        assert not equivalent(S, spurious)
+
+    def test_rounding_noise_on_zero_coefficients(self):
+        # C A^k B vanishes from k = 2 on; a reduced model computed in
+        # floating point leaves noise of 1e-17 there instead of zeros.
+        S = PositiveLtiSystem([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 1.0]])
+        noisy = PositiveLtiSystem([[0.0, 1.0], [1e-17, 0.0]], [[0.0], [1.0]], [[1.0, 1.0]])
+        assert equivalent(S, noisy)
+        assert not equivalent(S, PositiveLtiSystem([[0.0, 1.0], [1e-6, 0.0]],
+                                                   [[0.0], [1.0]], [[1.0, 1.0]]))
+
 
 class TestSimulate:
     def test_zero_everything(self):
@@ -231,7 +255,7 @@ class TestSimulate:
         for seed in range(6):
             S = generate_system(GeneratorSpec(n=4, inputs=2, outputs=3,
                                               density=0.8, seed=seed))
-            seq = markov(S, 5).coefficients
+            seq = markov_parameters(S.A, S.B, S.C, 5)
             for j in range(S.num_inputs):
                 impulse = [np.eye(S.num_inputs)[j]] + [np.zeros(S.num_inputs)] * 5
                 outputs = simulate(S, np.zeros(S.dim), impulse)
