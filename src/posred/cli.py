@@ -171,7 +171,7 @@ def cmd_reduce(args) -> int:
     tol = _tolerances(args)
     system = _load_system(args.input, tol)
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
-    report = runner(system, tol, seed=args.seed, force_algebraic=args.force_algebraic)
+    report = runner(system, tol, force_algebraic=args.force_algebraic)
     _emit(args, report_to_dict(report))
     return 0 if report.method != "none" else 3
 
@@ -225,7 +225,7 @@ def cmd_algebra(args) -> int:
         basis = column_space_basis(M, tol)
     except ZeroMatrixError as exc:
         raise CliError(1, str(exc))
-    p = choose_p(basis, seed=args.seed, tol=tol)
+    p = choose_p(basis, tol)
     algebra = closure(basis, p, tol)
     factorization = algebra_factorization(algebra)
     _emit(args, {
@@ -245,6 +245,8 @@ def cmd_algebra(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
+    if args.horizon is not None and args.horizon < 0:
+        raise CliError(1, "--horizon must be non-negative")
     A1, B1, C1, _ = _raw_system(_load_json(args.original))
     A2, B2, C2, _ = _raw_system(_load_json(args.reduced))
     if B1.shape[1] != B2.shape[1] or C1.shape[0] != C2.shape[0]:
@@ -287,6 +289,9 @@ def _perturbed_copy(S: PositiveLtiSystem, delta: float, seed: int,
 
 def cmd_perturb(args) -> int:
     tol = _tolerances(args)
+    for flag, value in (("--delta", args.delta), ("--count", args.count)):
+        if not 0 <= value < np.inf:
+            raise CliError(1, f"{flag} must be finite and non-negative")
     S = _load_system(args.input, tol)
     try:
         basis = reachable_subspace(S, tol)
@@ -294,7 +299,7 @@ def cmd_perturb(args) -> int:
         raise CliError(3, "input map is zero; nothing to reduce or perturb")
     if basis.dimension == S.dim:
         raise CliError(3, "system is already reachable; nothing to reduce")
-    robust = rpmr_reachable(S, tol, seed=args.seed)
+    robust = rpmr_reachable(S, tol)
     if robust.method == "none":
         raise CliError(3, "no robust reduction exists: the algebra enlargement "
                           "has full dimension")
@@ -342,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a positive system file")
     _add_io_flags(p)
     p.add_argument("--space", choices=("reachable", "observable"), default="reachable")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force-algebraic", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
@@ -358,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="close the column space of a matrix to a "
                                        "product algebra")
     _add_io_flags(p)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("verify", help="check Markov equivalence and positivity of "

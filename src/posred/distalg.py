@@ -12,17 +12,14 @@ idempotent generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
                      SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
+from .monotone import cone_coefficients
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, rank
-
-# Random weight draws choose_p tries after unit weights cancel.
-CHOOSE_P_RETRIES = 32
 
 
 class ReferenceVector:
@@ -94,37 +91,38 @@ def wedge(x, y, p: ReferenceVector, tol: Tolerances = DEFAULT_TOL) -> np.ndarray
     return out
 
 
-def choose_p(V: SubspaceBasis, seed: Optional[int] = None,
-             tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
-    """Reference vector as a combination of the basis columns.
+def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
+    """Vector of span(V), strictly positive on the subspace support.
 
-    Unit weights work whenever the basis is entrywise non-negative, since
-    sums of non-negative columns cannot cancel and the support of the sum
-    is then the support of the whole subspace. Otherwise seeded random
-    weights in [1, 2] are retried a bounded number of times before the
-    search is declared infeasible.
+    The column sum is tried first; on an entrywise non-negative basis,
+    such as the generators A^k B of a positive system, it cannot cancel
+    and is returned. Otherwise one non-negative least-squares solve
+    decides: with the support rows, then the columns, scaled to unit peak
+    (which changes no sign of B c and keeps the solve well scaled),
+    Bs c >= 1 for some c exactly when [Bs, -Bs, -I] z = 1 has a solution
+    z >= 0, and p = B D c is then at least each row's peak.
+    SupportFailureError means no vector of the span is strictly positive
+    on the support.
     """
     B = V.basis
-    support = np.flatnonzero(np.abs(B).max(axis=1) > tol.nonneg_tol)
-
-    def admissible(candidate: np.ndarray) -> bool:
-        return bool((candidate[support] > tol.nonneg_tol).all())
-
-    def embed(candidate: np.ndarray) -> ReferenceVector:
-        p = np.zeros(V.ambient_dim)
-        p[support] = candidate[support]
-        return ReferenceVector(p, tol)
-
+    peaks = np.abs(B).max(axis=1)
+    support = np.flatnonzero(peaks > tol.nonneg_tol)
     candidate = B.sum(axis=1)
-    if admissible(candidate):
-        return embed(candidate)
-    rng = np.random.default_rng(seed)
-    for _ in range(CHOOSE_P_RETRIES):
-        candidate = B @ rng.uniform(1.0, 2.0, B.shape[1])
-        if admissible(candidate):
-            return embed(candidate)
-    raise SupportFailureError(
-        "no combination of the basis is strictly positive on the subspace support")
+    if not (candidate[support] > tol.nonneg_tol).all():
+        Bs = B[support] / peaks[support][:, None]
+        d = np.abs(Bs).max(axis=0)
+        d = 1.0 / np.where(d > 0.0, d, 1.0)
+        Bs *= d
+        k, m = Bs.shape
+        z = cone_coefficients(np.hstack([Bs, -Bs, -np.eye(k)]).T, np.ones(k), tol)
+        if z is not None:
+            candidate = B @ (d * (z[:m] - z[m:2 * m]))
+        if z is None or not (candidate[support] > tol.nonneg_tol).all():
+            raise SupportFailureError("no vector of the span is strictly positive "
+                                      "on the subspace support")
+    p = np.zeros(V.ambient_dim)
+    p[support] = candidate[support]
+    return ReferenceVector(p, tol)
 
 
 def _level_sets(rows: np.ndarray, tol: Tolerances) -> np.ndarray:

@@ -51,8 +51,8 @@ class UnsupportedCoordinateError(PosredError):
 
 
 class SupportFailureError(PosredError):
-    """No combination of the generators is strictly positive on the
-    subspace support."""
+    """No vector of the span is strictly positive on the subspace support,
+    so no reference vector exists."""
 
 
 class VerificationError(PosredError):

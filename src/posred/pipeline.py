@@ -79,8 +79,8 @@ def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
                            diagnostics, algebra)
 
 
-def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
-               force_algebraic: bool, space: str) -> ReductionReport:
+def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
+               space: str) -> ReductionReport:
     n = S.dim
     diagnostics: list[str] = []
     try:
@@ -107,7 +107,7 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
             return _reduced("minimal", space, S, F, tol, diagnostics)
         diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
 
-    p = choose_p(basis, seed, tol)
+    p = choose_p(basis, tol)
     algebra = closure(basis, p, tol)
     if algebra.dimension >= n:
         diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
@@ -122,32 +122,33 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, seed: Optional[int],
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                   seed: Optional[int] = None,
                    force_algebraic: bool = False) -> ReductionReport:
     """Robust positive reduction onto the reachable space.
 
     Tries the minimal factorization first; when none exists the reachable
     space is enlarged to the smallest product algebra containing it, which
-    always factors non-negatively. Every reported reduction comes from
-    possys.reduce, which checks that J @ Jdag fixes the reachable space
-    (so every Markov coefficient matches) and that the reduced triple is
-    non-negative. force_algebraic skips the minimal route so the two
-    answers can be compared on the same system.
+    always factors non-negatively; its unit p is the sum of the
+    non-negative reachable generators, so the report depends on S and tol
+    alone. Every reported reduction comes from possys.reduce, which checks
+    that J @ Jdag fixes the reachable space (so every Markov coefficient
+    matches) and that the reduced triple is non-negative. force_algebraic
+    skips the minimal route so the two answers can be compared on the
+    same system.
     """
-    return _rpmr_core(S, tol, seed, force_algebraic, "reachable")
+    return _rpmr_core(S, tol, force_algebraic, "reachable")
 
 
 def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                    seed: Optional[int] = None, force_algebraic: bool = False) -> ReductionReport:
+                    force_algebraic: bool = False) -> ReductionReport:
     """Robust positive reduction of the observable direction, by duality.
 
     Runs the reachable pipeline on the transposed system and transposes
     the outcome back; the factor pair is swapped and transposed so that
     (Jdag A J, Jdag B, C J) reproduces the reported reduced system. Only
     the identity-weighted observable complement is searched, so a negative
-    outcome is not conclusive.
+    outcome is not conclusive. No step draws random numbers.
     """
-    dual = _rpmr_core(S.transpose(), tol, seed, force_algebraic, "observable")
+    dual = _rpmr_core(S.transpose(), tol, force_algebraic, "observable")
     diagnostics = list(dual.diagnostics)
     diagnostics.append("observable search with identity weighting: sufficient test only")
     factorization = None

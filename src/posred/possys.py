@@ -151,8 +151,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
     scale-free: each column of A^k B is scaled to unit peak before the
     residual max|P - J (Jdag P)| is held to eq_tol. The reduced triple must
-    come out non-negative; a violation (possible only with mixed-sign
-    factors) is reported, never clamped.
+    come out non-negative; the PositiveLtiSystem constructor raises
+    NotPositiveError otherwise (possible only with mixed-sign factors).
     """
     J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
@@ -164,12 +164,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         if not np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
             raise NotInvariantError("J @ Jdag does not fix the reachable space")
         P = S.A @ P
-    Ar, Br, Cr = project(S, J, Jdag)
-    for name, M in (("A", Ar), ("B", Br), ("C", Cr)):
-        if not is_nonneg(M, tol):
-            raise NotPositiveError(
-                f"reduced {name} has negative entries; the factors mix signs")
-    return PositiveLtiSystem(Ar, Br, Cr, S.time_domain, tol)
+    return PositiveLtiSystem(*project(S, J, Jdag), S.time_domain, tol)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

@@ -78,7 +78,8 @@ class TestReduce:
     def test_unknown_flag_is_a_usage_error(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", cascade_system())
         for command, flag in (("reduce", "--budget"), ("factorize", "--budget"),
-                              ("perturb", "--budget"), ("perturb", "--jobs")):
+                              ("perturb", "--budget"), ("perturb", "--jobs"),
+                              ("reduce", "--seed"), ("algebra", "--seed")):
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--input", path, flag, "1"])
             assert exit_info.value.code == 2
@@ -221,6 +222,10 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["positivity"] is False
 
+    def test_negative_horizon_is_an_input_error(self, tmp_path, capsys):
+        original = write_system(tmp_path / "orig.json", cascade_system())
+        assert_input_error(run(capsys, "verify", original, original, "--horizon", "-1"))
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -258,7 +263,23 @@ class TestGen:
         assert _system_payload(PositiveLtiSystem(A, B, C, time_domain)) == payload
 
 
+def assert_input_error(outcome):
+    code, _, err = outcome
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestPerturb:
+    def test_negative_count_is_an_input_error(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", cascade_system())
+        assert_input_error(run(capsys, "perturb", "--input", path, "--count", "-1"))
+
+    def test_negative_or_non_finite_delta_is_an_input_error(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", cascade_system())
+        for delta in ("-2", "nan", "inf"):
+            assert_input_error(run(capsys, "perturb", "--input", path, "--delta", delta))
+
     def test_cascade_rates(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", cascade_system())
         code, out, _ = run(capsys, "perturb", "--input", path, "--delta", "0.1",
@@ -318,3 +339,15 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "minimal"
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/ wraps the public API (choose_p, the rpmr entry points);
+    # its self-test fails when a change to that API breaks the harness.
+    repo_root = Path(__file__).resolve().parents[1]
+    package_root = str(Path(posred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(repo_root / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, env=env, cwd=repo_root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,6 +2,7 @@
 closure, idempotent generators, and their factorization."""
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -78,21 +79,37 @@ class TestChooseP:
     def test_mixed_sign_line_fails(self):
         V = SubspaceBasis(np.array([[1.0], [-1.0]]))
         with pytest.raises(SupportFailureError):
-            choose_p(V, seed=0)
+            choose_p(V)
 
-    def test_random_weights_rescue_cancellation(self):
-        # Unit weights cancel coordinate 0; random weights in [1, 2] fix it
-        # about half the time, so a bounded retry succeeds.
+    def test_cone_solve_rescues_cancellation(self):
+        # Unit weights cancel coordinate 0; the cone solve finds weights
+        # that do not.
         V = SubspaceBasis(np.array([[1.0, -1.0], [1.0, 0.0]]))
-        p = choose_p(V, seed=0)
+        p = choose_p(V)
         np.testing.assert_array_equal(p.support, [0, 1])
         assert p.p.min() > 0
 
-    def test_deterministic_for_seed(self):
+    def test_two_calls_give_the_same_p(self):
         V = SubspaceBasis(np.array([[1.0, -1.0], [1.0, 0.0]]))
-        p1 = choose_p(V, seed=11)
-        p2 = choose_p(V, seed=11)
+        p1 = choose_p(V)
+        p2 = choose_p(V)
         np.testing.assert_array_equal(p1.p, p2.p)
+
+    def test_weights_outside_one_to_two(self):
+        # Columns (1, -2) and (0, 1): c1 (1, -2) + c2 (0, 1) is positive
+        # exactly when c2 > 2 c1 > 0, which no weights in [1, 2] give.
+        V = SubspaceBasis(np.array([[1.0, 0.0], [-2.0, 1.0]]))
+        p = choose_p(V)
+        np.testing.assert_array_equal(p.support, [0, 1])
+        assert p.p.min() > 0
+
+    def test_column_below_the_sign_floor_on_the_support(self):
+        # The third column is nonzero only in a row below nonneg_tol, so
+        # it vanishes on the support and its scale factor must stay finite.
+        V = SubspaceBasis(np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 5e-10]]))
+        p = choose_p(V)
+        np.testing.assert_array_equal(p.support, [0, 1])
+        assert np.isfinite(p.p).all() and p.p[:2].min() > 0
 
 
 def spans_same_space(generators: np.ndarray, target: np.ndarray) -> bool:
@@ -319,3 +336,80 @@ def test_blocks_depend_on_the_span_alone(basis):
     except RankDeficientError:
         assume(False)
     assert closure(nearly_parallel, p).blocks == blocks
+
+
+def positive_combination_exists(B: np.ndarray) -> bool:
+    """Independent oracle: some c makes B c strictly positive on the rows
+    above the sign floor. The rows and then the columns are scaled to unit
+    peak, which changes no sign of B c, and B c >= 1 is solved as one
+    linear-programming feasibility problem."""
+    Bs = B[np.abs(B).max(axis=1) > TOL.nonneg_tol]
+    Bs = Bs / np.abs(Bs).max(axis=1)[:, None]
+    Bs = Bs / np.abs(Bs).max(axis=0)
+    result = scipy.optimize.linprog(
+        c=np.zeros(B.shape[1]), A_ub=-Bs, b_ub=-np.ones(Bs.shape[0]),
+        bounds=(None, None), method="highs")
+    return result.status == 0
+
+
+@st.composite
+def mixed_sign_bases(draw):
+    """Full-rank bases with n <= 6, small integer entries of both signs,
+    rows scaled over 6 decades and columns over 2."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n))
+    B = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m)),
+                 dtype=float).reshape(n, m)
+    assume(B.min() < 0)
+    B *= 10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))[:, None]
+    B *= 10.0 ** np.array(draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)))
+    try:
+        return SubspaceBasis(B)
+    except RankDeficientError:
+        assume(False)
+
+
+@given(mixed_sign_bases())
+def test_choose_p_fails_exactly_when_no_positive_combination_exists(V):
+    B = V.basis
+    support = np.flatnonzero(np.abs(B).max(axis=1) > TOL.nonneg_tol)
+    if not positive_combination_exists(B):
+        with pytest.raises(SupportFailureError):
+            choose_p(V)
+        return
+    p = choose_p(V)
+    np.testing.assert_array_equal(p.support, support)
+    assert rank(np.column_stack([B, p.p])) == V.dimension
+
+
+@st.composite
+def nonneg_bases(draw):
+    """Column spaces of small non-negative integer matrices with zeros."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    M = np.array(draw(st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)),
+                 dtype=float).reshape(n, m)
+    try:
+        return column_space_basis(M)
+    except ZeroMatrixError:
+        assume(False)
+
+
+@given(st.one_of(generated_bases(), lumped_bases(), nonneg_bases()))
+def test_choose_p_is_the_column_sum_on_nonneg_bases(V):
+    # Every pipeline basis is non-negative, so this pins its p.
+    B = V.basis
+    assert B.min() >= 0.0
+    p = choose_p(V)
+    np.testing.assert_array_equal(p.support,
+                                  np.flatnonzero(np.abs(B).max(axis=1) > TOL.nonneg_tol))
+    np.testing.assert_array_equal(p.p[p.support], B.sum(axis=1)[p.support])
+
+
+@given(st.one_of(generated_bases(), lumped_bases()), st.integers(0, 2**32 - 1))
+def test_blocks_do_not_depend_on_the_choice_of_p(basis, weight_seed):
+    # Any p' of the span positive on the support is constant on the level
+    # sets of basis / p, so it generates the same algebra.
+    w = np.random.default_rng(weight_seed).uniform(0.1, 10.0, basis.dimension)
+    other = ReferenceVector(basis.basis @ w)
+    assert closure(basis, other).blocks == closure(basis, choose_p(basis)).blocks
