@@ -100,9 +100,9 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
     decides: with the support rows, then the columns, scaled to unit peak
     (which changes no sign of B c and keeps the solve well scaled),
     Bs c >= 1 for some c exactly when [Bs, -Bs, -I] z = 1 has a solution
-    z >= 0, and p = B D c is then at least each row's peak.
-    SupportFailureError means no vector of the span is strictly positive
-    on the support.
+    z >= 0, and p = B D c (D the column scaling) is then at least each
+    row's peak. SupportFailureError means no vector of the span is
+    strictly positive on the support.
     """
     B = V.basis
     peaks = np.abs(B).max(axis=1)
