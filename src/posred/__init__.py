@@ -27,8 +27,8 @@ from .possys import (PositiveLtiSystem, equivalent, markov_match,
                      reachability_matrix, reachable_subspace, reduce, simulate)
 from .distalg import (DistortedAlgebra, ReferenceVector, algebra_factorization,
                       choose_p, closure, is_distorted_algebra, wedge)
-from .pipeline import (PerturbationRecord, ReductionReport, VerificationRecord,
-                       perturbation_experiment, rpmr_observable, rpmr_reachable)
+from .pipeline import (PerturbationRecord, ReductionReport, perturbation_experiment,
+                       rpmr_observable, rpmr_reachable)
 from .gen import GeneratorSpec, generate_system
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "reachable_subspace", "reduce", "simulate",
     "DistortedAlgebra", "ReferenceVector", "algebra_factorization", "choose_p",
     "closure", "is_distorted_algebra", "wedge",
-    "PerturbationRecord", "ReductionReport", "VerificationRecord",
-    "perturbation_experiment", "rpmr_observable", "rpmr_reachable",
+    "PerturbationRecord", "ReductionReport", "perturbation_experiment",
+    "rpmr_observable", "rpmr_reachable",
     "GeneratorSpec", "generate_system",
 ]

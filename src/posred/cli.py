@@ -19,14 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NotPositiveError, PosredError, ZeroMatrixError
+from .errors import NotNonnegativeError, PosredError, RankDeficientError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
-from .numerics import (Tolerances, column_space_basis, is_nonneg,
-                       left_inverse, rank)
+from .numerics import Tolerances, column_space_basis, is_nonneg, left_inverse
 from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
-from .possys import PositiveLtiSystem, markov_match, markov_parameters, reachable_subspace
+from .possys import PositiveLtiSystem, markov_match, reachable_subspace
 
 SCHEMA_VERSION = 1
 
@@ -107,10 +106,7 @@ def _raw_system(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
 
 def _load_system(path: Optional[str], tol: Tolerances) -> PositiveLtiSystem:
     A, B, C, time_domain = _raw_system(_load_json(path))
-    try:
-        return PositiveLtiSystem(A, B, C, time_domain, tol)
-    except NotPositiveError:
-        raise CliError(1, "system is not positive")
+    return PositiveLtiSystem(A, B, C, time_domain, tol)
 
 
 def _system_payload(S: PositiveLtiSystem) -> dict:
@@ -148,8 +144,9 @@ def _emit(args, payload: dict) -> None:
 
 
 def report_to_dict(report: ReductionReport) -> dict:
+    # possys.reduce certified every reported reduced system: all Markov
+    # coefficients up to n + r (hence all by Cayley-Hamilton) and positivity.
     reduced = report.reduced_system
-    verification = report.verification
     return {
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
@@ -159,10 +156,9 @@ def report_to_dict(report: ReductionReport) -> dict:
         "J": report.factorization.J.tolist() if report.factorization else None,
         "Jdag": report.factorization.Jdag.tolist() if report.factorization else None,
         "reduced_system": _system_payload(reduced) if reduced is not None else None,
-        "verification": ({"markov_match": verification.markov_match,
-                          "positivity": verification.positivity,
-                          "horizon": verification.horizon}
-                         if verification is not None else None),
+        "verification": ({"markov_match": True, "positivity": True,
+                          "horizon": report.original_dim + report.reduced_dim}
+                         if reduced is not None else None),
         "diagnostics": list(report.diagnostics),
     }
 
@@ -179,11 +175,10 @@ def cmd_reduce(args) -> int:
 def cmd_monotone(args) -> int:
     tol = _tolerances(args)
     X = _load_matrix(args.input)
-    n, m = X.shape
-    if is_nonneg(X, tol) and n >= m and rank(X, tol) == m:
+    try:
         certificate = is_monotone_nonneg_rect(X, tol)
         method = "nonneg-shortcut"
-    else:
+    except (NotNonnegativeError, RankDeficientError):
         certificate = is_monotone_general(X, tol)
         method = "general-oracle"
     L = certificate.nonneg_left_inverse
@@ -200,11 +195,7 @@ def cmd_monotone(args) -> int:
 
 def cmd_factorize(args) -> int:
     tol = _tolerances(args)
-    M = _load_matrix(args.input)
-    try:
-        basis = column_space_basis(M, tol)
-    except ZeroMatrixError as exc:
-        raise CliError(1, str(exc))
+    basis = column_space_basis(_load_matrix(args.input), tol)
     factorization = find_nonneg_factorization(basis, tol)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -220,11 +211,7 @@ def cmd_factorize(args) -> int:
 
 def cmd_algebra(args) -> int:
     tol = _tolerances(args)
-    M = _load_matrix(args.input)
-    try:
-        basis = column_space_basis(M, tol)
-    except ZeroMatrixError as exc:
-        raise CliError(1, str(exc))
+    basis = column_space_basis(_load_matrix(args.input), tol)
     p = choose_p(basis, tol)
     algebra = closure(basis, p, tol)
     factorization = algebra_factorization(algebra)
@@ -247,14 +234,12 @@ def cmd_verify(args) -> int:
     tol = _tolerances(args)
     if args.horizon is not None and args.horizon < 0:
         raise CliError(1, "--horizon must be non-negative")
-    A1, B1, C1, _ = _raw_system(_load_json(args.original))
-    A2, B2, C2, _ = _raw_system(_load_json(args.reduced))
-    if B1.shape[1] != B2.shape[1] or C1.shape[0] != C2.shape[0]:
-        raise CliError(1, "input/output dimensions differ")
-    horizon = args.horizon if args.horizon is not None else A1.shape[0] + A2.shape[0]
-    match = markov_match(markov_parameters(A1, B1, C1, horizon),
-                         markov_parameters(A2, B2, C2, horizon), tol)
-    positive = all(is_nonneg(M, tol) for M in (A2, B2, C2))
+    original = _raw_system(_load_json(args.original))[:3]
+    reduced = _raw_system(_load_json(args.reduced))[:3]
+    horizon = (args.horizon if args.horizon is not None
+               else original[0].shape[0] + reduced[0].shape[0])
+    match = markov_match(original, reduced, horizon, tol)
+    positive = all(is_nonneg(M, tol) for M in reduced)
     _emit(args, {
         "schema_version": SCHEMA_VERSION,
         "markov_match": match,
@@ -293,17 +278,16 @@ def cmd_perturb(args) -> int:
         if not 0 <= value < np.inf:
             raise CliError(1, f"{flag} must be finite and non-negative")
     S = _load_system(args.input, tol)
-    try:
-        basis = reachable_subspace(S, tol)
-    except ZeroMatrixError:
-        raise CliError(3, "input map is zero; nothing to reduce or perturb")
-    if basis.dimension == S.dim:
-        raise CliError(3, "system is already reachable; nothing to reduce")
     robust = rpmr_reachable(S, tol)
+    if robust.reduced_dim == 0:
+        raise CliError(3, "input map is zero; nothing to reduce or perturb")
     if robust.method == "none":
+        if robust.algebra is None:  # the closure runs only below full dimension
+            raise CliError(3, "system is already reachable; nothing to reduce")
         raise CliError(3, "no robust reduction exists: the algebra enlargement "
                           "has full dimension")
-    naive = Factorization(np.asarray(basis.basis), left_inverse(basis.basis, tol), [])
+    basis = reachable_subspace(S, tol).basis
+    naive = Factorization(basis, left_inverse(basis, tol), [])
 
     seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, args.count)
     perturbed = [_perturbed_copy(S, args.delta, int(s), tol) for s in seeds]

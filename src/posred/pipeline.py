@@ -25,27 +25,15 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class VerificationRecord:
-    """What possys.reduce established before the reduction was reported:
-    the Markov coefficients C A^k B match for every k (horizon = n + r
-    coefficients cover them all by Cayley-Hamilton) and the reduced
-    triple is non-negative. Both fields are always true on a report."""
-
-    markov_match: bool
-    positivity: bool
-    horizon: int
-
-
-@dataclass(frozen=True)
 class ReductionReport:
     """What was done to a system and the evidence that it is sound.
 
     method is "minimal" (projector onto the target space itself),
     "algebraic" (projector onto its algebra enlargement), or "none".
     A reduced system is present exactly when method is not "none"; it was
-    built by possys.reduce, which checked exactness and positivity, and
-    comes with the record of that check. The algebra field keeps
-    the enlargement that was computed on the algebraic route.
+    built by possys.reduce, which checked exactness and positivity, so its
+    presence is the verification. The algebra field keeps the enlargement
+    that was computed on the algebraic route.
     """
 
     method: str
@@ -54,7 +42,6 @@ class ReductionReport:
     reduced_dim: int
     factorization: Optional[Factorization] = None
     reduced_system: Optional[PositiveLtiSystem] = None
-    verification: Optional[VerificationRecord] = None
     diagnostics: list[str] = field(default_factory=list)
     algebra: Optional[DistortedAlgebra] = None
 
@@ -74,9 +61,7 @@ def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
     """Report of the reduction by F; possys.reduce raises unless it is exact
     and positive."""
     reduced = possys.reduce(S, F, tol)
-    verification = VerificationRecord(True, True, S.dim + reduced.dim)
-    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, verification,
-                           diagnostics, algebra)
+    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, diagnostics, algebra)
 
 
 def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
@@ -158,8 +143,8 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
                                       dual.factorization.pivot_rows)
     reduced = dual.reduced_system.transpose() if dual.reduced_system is not None else None
     return ReductionReport(dual.method, "observable", dual.original_dim,
-                           dual.reduced_dim, factorization, reduced,
-                           dual.verification, diagnostics, dual.algebra)
+                           dual.reduced_dim, factorization, reduced, diagnostics,
+                           dual.algebra)
 
 
 def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
@@ -181,10 +166,6 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
         robust = possys.project(P, F_robust.J, F_robust.Jdag)
         naive_positive = all(is_nonneg(M, tol) for M in naive)
         robust_positive = all(is_nonneg(M, tol) for M in robust)
-        horizon = P.dim + robust[0].shape[0]
-        original_seq = possys.markov_parameters(P.A, P.B, P.C, horizon)
-        reduced_seq = possys.markov_parameters(*robust, horizon)
-        records.append(PerturbationRecord(
-            naive_positive, robust_positive,
-            possys.markov_match(original_seq, reduced_seq, tol)))
+        match = possys.markov_match((P.A, P.B, P.C), robust, P.dim + robust[0].shape[0], tol)
+        records.append(PerturbationRecord(naive_positive, robust_positive, match))
     return records

@@ -96,7 +96,10 @@ def observability_matrix(S: PositiveLtiSystem) -> np.ndarray:
 
 
 def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
-    """Coefficients C A^k B for k = 0..horizon by iterated multiplication."""
+    """Coefficients C A^k B for k = 0..horizon by iterated multiplication.
+
+    The raw powers overflow on large systems; markov_match compares two
+    impulse responses without forming them."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     A = as_matrix(A, "A")
@@ -110,24 +113,47 @@ def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
     return coefficients
 
 
-def markov_match(first: list[np.ndarray], second: list[np.ndarray],
-                 tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Coefficientwise comparison, each pair at its own scale:
-    max|M1_k - M2_k| <= eq_tol * s_k with s_k = max(max|M1_k|, max|M2_k|),
-    so a mode that decays beside one that grows is still seen. Where one
-    side is exactly zero the other carries rounding noise, so a difference
-    below rank_tol times the largest s_j with j <= k counts as zero too.
-    Overflowed coefficients never match.
+def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Compare C1 A1^k B1 with C2 A2^k B2 for k = 0..horizon, each pair at
+    its own scale: max|M1_k - M2_k| <= eq_tol * s_k with
+    s_k = max(max|M1_k|, max|M2_k|), so a mode that decays beside one that
+    grows is still seen. Where one side is exactly zero the other carries
+    rounding noise, so a difference below rank_tol times the largest s_j
+    with j <= k counts as zero too.
+
+    first and second are (A, B, C) triples. Both impulse responses are
+    walked as one block-diagonal system whose state, and the running peak
+    with it, is divided by its largest entry after every step. A common
+    positive factor leaves each comparison unchanged, so the verdict is
+    that of the raw coefficients without their overflow. Overflowed
+    coefficients never match.
     """
-    if len(first) != len(second):
-        return False
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    A1, B1, C1 = (as_matrix(M, name) for M, name in zip(first, "ABC"))
+    A2, B2, C2 = (as_matrix(M, name) for M, name in zip(second, "ABC"))
+    if B1.shape[1] != B2.shape[1] or C1.shape[0] != C2.shape[0]:
+        raise DimensionMismatchError("input/output dimensions differ")
+    n1, outputs = A1.shape[0], C1.shape[0]
+    A = np.zeros((n1 + A2.shape[0],) * 2)
+    A[:n1, :n1], A[n1:, n1:] = A1, A2
+    C = np.zeros((2 * outputs, A.shape[0]))
+    C[:outputs, :n1], C[outputs:, n1:] = C1, C2
+    P = np.vstack([B1, B2])
     peak = 0.0
-    for M1, M2 in zip(first, second):
-        scale = max(np.abs(M1).max(initial=0.0), np.abs(M2).max(initial=0.0))
+    for _ in range(horizon + 1):
+        Y = C @ P
+        scale = np.abs(Y).max(initial=0.0)
         peak = max(peak, scale)
         allowed = max(tol.eq_tol * scale, tol.rank_tol * peak)
-        if not (np.isfinite(scale) and np.abs(M1 - M2).max(initial=0.0) <= allowed):
+        if not (np.isfinite(scale)
+                and np.abs(Y[:outputs] - Y[outputs:]).max(initial=0.0) <= allowed):
             return False
+        P = A @ P
+        factor = np.abs(P).max(initial=0.0)
+        if factor > 0.0:
+            P /= factor
+            peak /= factor
     return True
 
 
@@ -174,11 +200,7 @@ def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,
     Agreement for k = 0..(n1 + n2) implies agreement for every k by the
     Cayley-Hamilton theorem, so the comparison horizon is finite.
     """
-    if S1.num_inputs != S2.num_inputs or S1.num_outputs != S2.num_outputs:
-        raise DimensionMismatchError("input/output dimensions differ")
-    horizon = S1.dim + S2.dim
-    return markov_match(markov_parameters(S1.A, S1.B, S1.C, horizon),
-                        markov_parameters(S2.A, S2.B, S2.C, horizon), tol)
+    return markov_match((S1.A, S1.B, S1.C), (S2.A, S2.B, S2.C), S1.dim + S2.dim, tol)
 
 
 def simulate(S: PositiveLtiSystem, x0, inputs, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

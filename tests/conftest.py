@@ -80,13 +80,13 @@ def lumped_system(n: int, r: int, q: int, seed: int) -> PositiveLtiSystem:
     return PositiveLtiSystem(A, V @ G, rng.uniform(0.1, 1.0, (2, n)))
 
 
-def spurious_mode_pair() -> tuple[PositiveLtiSystem, PositiveLtiSystem]:
-    """A planted 12-state system and its exact reduction with one extra
+def spurious_mode_pair(n: int = 12) -> tuple[PositiveLtiSystem, PositiveLtiSystem]:
+    """A planted n-state system and its exact reduction with one extra
     state: a mode decaying like 0.5^k that adds 1e-3 * max|CB| to the
-    impulse response at k = 0. The system's other modes grow, so the
-    largest Markov coefficient up to the comparison horizon exceeds
-    1e5 * max|CB| and one global scale misses the extra mode."""
-    S = generate_system(GeneratorSpec(n=12, inputs=2, outputs=2, reachable_dim=6,
+    impulse response at k = 0. The system's other modes grow (at n = 12
+    the largest Markov coefficient up to the comparison horizon exceeds
+    1e5 * max|CB|), so one global scale misses the extra mode."""
+    S = generate_system(GeneratorSpec(n=n, inputs=2, outputs=2, reachable_dim=n // 2,
                                       density=0.6, seed=0))
     R = rpmr_reachable(S).reduced_system
     r = R.dim
@@ -101,14 +101,27 @@ def spurious_mode_pair() -> tuple[PositiveLtiSystem, PositiveLtiSystem]:
 
 def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the reachable space Im[B, AB, A^2 B, ...] by
-    block Arnoldi: each block, starting from B, has its columns scaled to
-    unit norm and is orthogonalised twice against the basis so far; the
-    left singular vectors whose singular value exceeds tol join the basis,
-    and A times them is the next block. Independent of the raw powers
-    A^k B, which lose directions to the growing ones."""
+    block Arnoldi on the reachable support: the states reached from the
+    nonzero rows of B in the graph of A, outside which every A^k B is
+    exactly zero. There each block, starting from B, has its columns
+    scaled to unit norm and is orthogonalised twice against the basis so
+    far; the left singular vectors whose singular value exceeds tol join
+    the basis, and A times them is the next block. Independent of the raw
+    powers A^k B, which lose directions to the growing ones; without the
+    restriction, rounding would leak into the unreachable states and the
+    unreachable block's dominant modes would amplify it into spurious
+    directions."""
     A = np.asarray(A, dtype=float)
-    Q = np.zeros((A.shape[0], 0))
-    block = np.asarray(B, dtype=float)
+    B = np.asarray(B, dtype=float)
+    reached = np.abs(B).max(axis=1, initial=0.0) > 0
+    while True:
+        grown = reached | (A[:, reached] != 0).any(axis=1)
+        if (grown == reached).all():
+            break
+        reached = grown
+    A_s = A[np.ix_(reached, reached)]
+    Q = np.zeros((int(reached.sum()), 0))
+    block = B[reached]
     while block.shape[1]:
         norms = np.linalg.norm(block, axis=0)
         block = block[:, norms > 0] / norms[norms > 0]
@@ -117,8 +130,10 @@ def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
         U, sigma, _ = np.linalg.svd(block, full_matrices=False)
         new = U[:, sigma > tol]
         Q = np.hstack([Q, new])
-        block = A @ new
-    return Q
+        block = A_s @ new
+    embedded = np.zeros((A.shape[0], Q.shape[1]))
+    embedded[reached] = Q
+    return embedded
 
 
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:

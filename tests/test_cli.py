@@ -204,6 +204,14 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["markov_match"] is False
 
+    def test_large_exact_reduction_verifies(self, tmp_path, capsys):
+        S = posred.generate_system(posred.GeneratorSpec(150, 2, 2, 75, 0.6, 0))
+        original = write_system(tmp_path / "orig.json", S)
+        reduced = write_system(tmp_path / "red.json", posred.rpmr_reachable(S).reduced_system)
+        code, out, _ = run(capsys, "verify", original, reduced)
+        assert code == 0
+        assert json.loads(out)["horizon"] == 225
+
     def test_spurious_decaying_mode_fails(self, tmp_path, capsys):
         S, spurious = spurious_mode_pair()
         original = write_system(tmp_path / "orig.json", S)

@@ -6,9 +6,9 @@ import pytest
 from posred import (DimensionMismatchError, Factorization, NegativeInputError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
                     Tolerances, equivalent, find_nonneg_factorization,
-                    left_inverse, markov_parameters, observability_matrix,
+                    left_inverse, markov_match, markov_parameters, observability_matrix,
                     project, rank, reachability_matrix, reachable_subspace,
-                    reduce, simulate)
+                    reduce, rpmr_reachable, simulate)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from conftest import cascade_system, spurious_mode_pair, swap_system
 
@@ -232,6 +232,50 @@ class TestEquivalent:
         S, spurious = spurious_mode_pair()
         assert equivalent(S, reduce(S, find_nonneg_factorization(reachable_subspace(S))))
         assert not equivalent(S, spurious)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_exact_reductions(self, n, seed):
+        # The raw coefficients C A^k B overflow long before k = n + r here;
+        # the scaled walk compares them anyway.
+        S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
+        assert equivalent(S, rpmr_reachable(S).reduced_system)
+
+    def test_spurious_decaying_mode_detected_at_large_n(self):
+        S, spurious = spurious_mode_pair(200)
+        assert not equivalent(S, spurious)
+
+    def test_scaled_walk_agrees_with_raw_coefficients(self):
+        # Reference: the per-coefficient rule applied to the raw C A^k B of
+        # markov_parameters, which stay finite at these sizes.
+        def raw_match(first, second, horizon):
+            peak = 0.0
+            for M1, M2 in zip(markov_parameters(*first, horizon),
+                              markov_parameters(*second, horizon)):
+                scale = max(np.abs(M1).max(), np.abs(M2).max())
+                peak = max(peak, scale)
+                if np.abs(M1 - M2).max() > max(TOL.eq_tol * scale, TOL.rank_tol * peak):
+                    return False
+            return True
+
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for i in range(300):
+            n, m, p = (int(k) for k in rng.integers(1, [9, 3, 3]))
+            A = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.6) * 10**rng.uniform(-2, 1)
+            first = (A, rng.uniform(0, 1, (n, m)), rng.uniform(0, 1, (p, n)))
+            if i % 3 == 0:
+                second = (A * (1 + 10**rng.uniform(-12, -6) * rng.random((n, n))), *first[1:])
+            elif i % 3 == 1:
+                second = (*first[:2], first[2] * (1 + 10**rng.uniform(-11, -7)))
+            else:
+                r = int(rng.integers(1, 9))
+                second = (rng.uniform(0, 1, (r, r)) * 10**rng.uniform(-2, 1),
+                          rng.uniform(0, 1, (r, m)), rng.uniform(0, 1, (p, r)))
+            horizon = n + second[0].shape[0]
+            verdicts.append(markov_match(first, second, horizon))
+            assert verdicts[-1] == raw_match(first, second, horizon)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_rounding_noise_on_zero_coefficients(self):
         # C A^k B vanishes from k = 2 on; a reduced model computed in
