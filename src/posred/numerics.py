@@ -116,7 +116,10 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     of those columns: its own pivot and every pivot already kept must
     exceed that threshold. A column with a large peak can thus be refused
     because it raises the threshold above a small kept pivot. Kept columns
-    are returned in their original order.
+    are returned in their original order. The kept columns get the row
+    operations and pivots that rank() would give them, and each kept pivot
+    beats rank_tol times the final kept peak, rank()'s threshold for them;
+    so the result has full rank and skips SubspaceBasis's check.
     """
     A = as_matrix(M)
     W = A.copy()
@@ -137,7 +140,10 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
             smallest_pivot = min(smallest_pivot, size)
     if not selected:
         raise ZeroMatrixError("matrix has rank 0; no column-space basis")
-    return SubspaceBasis(A[:, selected], tol)
+    result = object.__new__(SubspaceBasis)
+    result.basis = A[:, selected]  # a fresh copy, full rank by construction
+    result.basis.setflags(write=False)
+    return result
 
 
 def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

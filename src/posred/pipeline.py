@@ -18,7 +18,7 @@ from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .errors import DimensionMismatchError, ZeroMatrixError
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, Tolerances, is_nonneg
+from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 from .possys import PositiveLtiSystem
 
 log = logging.getLogger(__name__)
@@ -155,17 +155,24 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     Records whether each reduced triple is entrywise non-negative and
     whether the robust reduction still reproduces the perturbed Markov
     sequence (it cannot once a perturbation pushes the reachable space
-    outside Im(F_robust.J); that is recorded, not raised).
+    outside Im(F_robust.J); that is recorded, not raised). The perturbed
+    matrices are stacked, each factor pair projects the whole stack in one
+    broadcast product, and one markov_match call compares every item.
     """
-    records = []
-    for P in perturbations:
-        if (P.dim != S.dim or P.num_inputs != S.num_inputs
-                or P.num_outputs != S.num_outputs):
-            raise DimensionMismatchError("perturbation dimensions differ from the base system")
-        naive = possys.project(P, F_naive.J, F_naive.Jdag)
-        robust = possys.project(P, F_robust.J, F_robust.Jdag)
-        naive_positive = all(is_nonneg(M, tol) for M in naive)
-        robust_positive = all(is_nonneg(M, tol) for M in robust)
-        match = possys.markov_match((P.A, P.B, P.C), robust, P.dim + robust[0].shape[0], tol)
-        records.append(PerturbationRecord(naive_positive, robust_positive, match))
-    return records
+    systems = list(perturbations)
+    if any((P.dim, P.num_inputs, P.num_outputs) != (S.dim, S.num_inputs, S.num_outputs)
+           for P in systems):
+        raise DimensionMismatchError("perturbation dimensions differ from the base system")
+    if not systems:
+        return []
+    A, B, C = (np.stack([getattr(P, name) for P in systems]) for name in "ABC")
+    reduced = []
+    for F in (F_naive, F_robust):
+        J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
+        reduced.append((Jdag @ A @ J, Jdag @ B, C @ J))
+    naive_positive, robust_positive = (
+        np.min([M.min(axis=(-2, -1), initial=0.0) for M in triple], axis=0) >= -tol.nonneg_tol
+        for triple in reduced)
+    match = possys.markov_match((A, B, C), reduced[1], S.dim + reduced[1][0].shape[-1], tol)
+    return [PerturbationRecord(bool(a), bool(b), bool(c))
+            for a, b, c in zip(naive_positive, robust_positive, match)]

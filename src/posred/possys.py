@@ -113,7 +113,7 @@ def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
     return coefficients
 
 
-def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool:
+def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
     """Compare C1 A1^k B1 with C2 A2^k B2 for k = 0..horizon, each pair at
     its own scale: max|M1_k - M2_k| <= eq_tol * s_k with
     s_k = max(max|M1_k|, max|M2_k|), so a mode that decays beside one that
@@ -121,40 +121,42 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     rounding noise, so a difference below rank_tol times the largest s_j
     with j <= k counts as zero too.
 
-    first and second are (A, B, C) triples. Both impulse responses are
-    walked as one block-diagonal system whose state, and the running peak
-    with it, is divided by its largest entry after every step. A common
+    first and second are (A, B, C) triples of matrices, or of stacks of
+    matrices along a leading batch axis (broadcast against each other); the
+    verdict is a bool for matrices and a boolean array with one entry per
+    item for stacks. The two impulse responses are walked side by side, and
+    after every step both states of an item, and its running peak with
+    them, are divided by the largest entry of either state. A common
     positive factor leaves each comparison unchanged, so the verdict is
     that of the raw coefficients without their overflow. Overflowed
     coefficients never match.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    A1, B1, C1 = (as_matrix(M, name) for M, name in zip(first, "ABC"))
-    A2, B2, C2 = (as_matrix(M, name) for M, name in zip(second, "ABC"))
-    if B1.shape[1] != B2.shape[1] or C1.shape[0] != C2.shape[0]:
+    A1, B1, C1, A2, B2, C2 = matrices = [np.asarray(M, dtype=float) for M in (*first, *second)]
+    for M, name in zip(matrices, "ABCABC"):
+        as_matrix(M.reshape(M.shape[0] * M.shape[1], M.shape[2]) if M.ndim == 3 else M, name)
+    if B1.shape[-1] != B2.shape[-1] or C1.shape[-2] != C2.shape[-2]:
         raise DimensionMismatchError("input/output dimensions differ")
-    n1, outputs = A1.shape[0], C1.shape[0]
-    A = np.zeros((n1 + A2.shape[0],) * 2)
-    A[:n1, :n1], A[n1:, n1:] = A1, A2
-    C = np.zeros((2 * outputs, A.shape[0]))
-    C[:outputs, :n1], C[outputs:, n1:] = C1, C2
-    P = np.vstack([B1, B2])
-    peak = 0.0
+
+    def peak_of(M):
+        return abs(M).max(axis=(-2, -1), initial=0.0, keepdims=True)
+
+    P1, P2, peak, match = B1, B2, 0.0, True
     for _ in range(horizon + 1):
-        Y = C @ P
-        scale = np.abs(Y).max(initial=0.0)
-        peak = max(peak, scale)
-        allowed = max(tol.eq_tol * scale, tol.rank_tol * peak)
-        if not (np.isfinite(scale)
-                and np.abs(Y[:outputs] - Y[outputs:]).max(initial=0.0) <= allowed):
-            return False
-        P = A @ P
-        factor = np.abs(P).max(initial=0.0)
-        if factor > 0.0:
-            P /= factor
-            peak /= factor
-    return True
+        Y1, Y2 = C1 @ P1, C2 @ P2
+        scale = np.maximum(peak_of(Y1), peak_of(Y2))
+        peak = np.maximum(peak, scale)
+        allowed = np.maximum(tol.eq_tol * scale, tol.rank_tol * peak)
+        match = match & np.isfinite(scale) & (peak_of(Y1 - Y2) <= allowed)
+        if not match.any():
+            break
+        P1, P2 = A1 @ P1, A2 @ P2
+        factor = np.maximum(peak_of(P1), peak_of(P2))
+        factor[factor == 0.0] = 1.0
+        P1, P2, peak = P1 / factor, P2 / factor, peak / factor
+    match = match[..., 0, 0]
+    return bool(match) if match.ndim == 0 else match
 
 
 def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

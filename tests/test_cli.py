@@ -307,6 +307,15 @@ class TestPerturb:
         assert report["naive_positive_rate"] == 1.0
         assert report["robust_positive_rate"] == 1.0
 
+    def test_zero_count(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", cascade_system())
+        code, out, _ = run(capsys, "perturb", "--input", path, "--count", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["count"] == 0 and report["records"] == []
+        assert (report["naive_positive_rate"] == report["robust_positive_rate"]
+                == report["equivalent_rate"] == 0.0)
+
     def test_algebraic_robust_factors(self, tmp_path, capsys):
         # Five rows in the cone of four extreme rays: no minimal factors,
         # but the repeated last row keeps the algebra at four dimensions.

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posred import (GeneratorSpec, RankDeficientError, Tolerances, ZeroMatrixError,
-                    column_space_basis, generate_system, is_nonneg, left_inverse,
+from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
+                    ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
                     rank, reachability_matrix)
 from conftest import greedy_column_selection
 
@@ -108,6 +108,26 @@ def test_column_selection_matches_per_column_rank_oracle(M):
             column_space_basis(M)
         return
     np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6), st.integers(2, 12),
+       st.floats(6.0, 16.0))
+def test_selected_columns_pass_the_rank_check_they_skip(seed, n, k, m, decades):
+    # column_space_basis does not run SubspaceBasis's rank() check on its
+    # result; the selection must make that check redundant even when the
+    # column peaks span many decades.
+    rng = np.random.default_rng(seed)
+    exponents = rng.uniform(0.0, decades, m)
+    exponents[rng.permutation(m)[:2]] = 0.0, decades
+    M = rng.normal(size=(n, k)) @ rng.normal(size=(k, m)) * 10.0 ** exponents
+    basis = column_space_basis(M)
+    assert rank(basis.basis) == basis.dimension
+    assert not basis.basis.flags.writeable
+
+
+def test_direct_basis_construction_checks_rank():
+    with pytest.raises(RankDeficientError):
+        SubspaceBasis(RANK_TWO_BLOCK)
 
 
 class TestLeftInverse:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posred import (Factorization, GeneratorSpec, PositiveLtiSystem,
+from posred import (Factorization, GeneratorSpec, PerturbationRecord, PositiveLtiSystem,
                     Tolerances, equivalent, find_nonneg_factorization,
-                    generate_system, is_nonneg, left_inverse, observability_matrix,
-                    perturbation_experiment, project, rank,
+                    generate_system, is_nonneg, left_inverse, markov_match,
+                    observability_matrix, perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
 from conftest import (arnoldi_reachable_basis, cascade_system, lumped_system,
                       stubborn_span, swap_system)
@@ -251,6 +251,37 @@ class TestPerturbationExperiment:
         with pytest.raises(Exception):
             perturbation_experiment(cascade_system(), naive, robust,
                                     [swap_system(1.0, C=np.eye(4)[:1])])
+
+    def test_batch_equals_one_at_a_time(self):
+        # Reference: each perturbation projected, sign-tested and compared
+        # on its own, with a 2-D markov_match.
+        def one_at_a_time(F_naive, F_robust, perturbations):
+            records = []
+            for P in perturbations:
+                naive = project(P, F_naive.J, F_naive.Jdag)
+                robust = project(P, F_robust.J, F_robust.Jdag)
+                match = markov_match((P.A, P.B, P.C), robust, P.dim + robust[0].shape[0])
+                records.append(PerturbationRecord(all(is_nonneg(M) for M in naive),
+                                                  all(is_nonneg(M) for M in robust), match))
+            return records
+
+        naive, robust = self.factors()
+        S = cascade_system()
+        rng = np.random.default_rng(3)
+        batch = [PositiveLtiSystem(*(np.where(M > 0, M * rng.uniform(1.0, 1.0 + d, M.shape), M)
+                                     for M in (S.A, S.B, S.C)))
+                 for d in np.repeat([0.0, 1e-9, 1e-3, 0.1, 1.0], 8)]
+        A = S.A.copy()
+        A[2, 0] = 0.5
+        batch.insert(17, PositiveLtiSystem(A, S.B, S.C))
+        records = perturbation_experiment(S, naive, robust, batch)
+        assert records == one_at_a_time(naive, robust, batch)
+        assert {r.naive_positive for r in records} == {True, False}
+        assert {r.equivalent for r in records} == {True, False}
+
+    def test_empty_batch(self):
+        naive, robust = self.factors()
+        assert perturbation_experiment(cascade_system(), naive, robust, []) == []
 
 
 def test_soundness_on_planted_systems():

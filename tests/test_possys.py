@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posred import (DimensionMismatchError, Factorization, NegativeInputError,
-                    NotInvariantError, NotPositiveError, PositiveLtiSystem,
+                    NonFiniteError, NotInvariantError, NotPositiveError, PositiveLtiSystem,
                     Tolerances, equivalent, find_nonneg_factorization,
                     left_inverse, markov_match, markov_parameters, observability_matrix,
                     project, rank, reachability_matrix, reachable_subspace,
@@ -285,6 +285,80 @@ class TestEquivalent:
         assert equivalent(S, noisy)
         assert not equivalent(S, PositiveLtiSystem([[0.0, 1.0], [1e-6, 0.0]],
                                                    [[0.0], [1.0]], [[1.0, 1.0]]))
+
+
+def padded(triple, n, inputs, outputs):
+    """The triple with zero states, inputs and outputs appended: the same
+    impulse response, padded with zero rows and columns."""
+    A, B, C = (np.asarray(M, dtype=float) for M in triple)
+    k = A.shape[0]
+    out = np.zeros((n, n)), np.zeros((n, inputs)), np.zeros((outputs, n))
+    out[0][:k, :k], out[1][:k, :B.shape[1]], out[2][:C.shape[0], :k] = A, B, C
+    return out
+
+
+class TestMarkovMatchBatch:
+    HORIZON = 20  # n1 + n2 of the padded triples
+
+    def pairs(self):
+        """An exact reduction, a spurious decaying mode, a nilpotent pair
+        with rounding noise, an exact and a spurious pair scaled so that
+        their raw coefficients overflow within the horizon, and a shift
+        chain at 1e-250 whose only nonzero coefficient, at k = 7, differs.
+        Each item is rescaled by its own factor: one factor for the whole
+        stack would flush the last item to zero."""
+        S = generate_system(GeneratorSpec(12, 2, 2, 6, 0.6, 1))
+        R = rpmr_reachable(S).reduced_system
+        exact = ((S.A, S.B, S.C), (R.A, R.B, R.C))
+        spurious = tuple((T.A, T.B, T.C) for T in spurious_mode_pair())
+        nilpotent = (([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 1.0]]),
+                     ([[0.0, 1.0], [1e-17, 0.0]], [[0.0], [1.0]], [[1.0, 1.0]]))
+
+        def near_overflow(pair):
+            return tuple((10.0 * A, 1e150 * B, 1e150 * C) for A, B, C in pair)
+
+        shift = np.eye(8, k=-1)
+        late = ((shift, 1e-250 * np.eye(8)[:, :1], np.eye(8)[7:]),
+                (shift, 1e-250 * np.eye(8)[:, :1], 1.001 * np.eye(8)[7:]))
+        return [exact, spurious, nilpotent, near_overflow(exact), near_overflow(spurious), late]
+
+    def stacks(self, pairs):
+        firsts = [padded(first, 12, 2, 2) for first, _ in pairs]
+        seconds = [padded(second, 8, 2, 2) for _, second in pairs]
+        return ([np.stack(Ms) for Ms in zip(*firsts)], [np.stack(Ms) for Ms in zip(*seconds)],
+                firsts, seconds)
+
+    def test_batch_verdicts_equal_single_verdicts(self):
+        pairs = self.pairs()
+        first, second, firsts, seconds = self.stacks(pairs)
+        batch = markov_match(first, second, self.HORIZON)
+        single = [markov_match(f, s, self.HORIZON) for f, s in zip(firsts, seconds)]
+        unpadded = [markov_match(f, s, self.HORIZON) for f, s in pairs]
+        assert isinstance(batch, np.ndarray) and batch.dtype == bool and batch.shape == (6,)
+        assert all(isinstance(v, bool) for v in single)
+        assert batch.tolist() == single == unpadded == [True, False, True, True, False, False]
+        # The scaled pairs would overflow without the per-step rescaling.
+        A, B, C = pairs[3][0]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(markov_parameters(A, B, C, self.HORIZON)[-1]).all()
+
+    def test_non_finite_entry_raises(self):
+        first, second, firsts, seconds = self.stacks(self.pairs())
+        bad = firsts[0][2].copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            markov_match((firsts[0][0], firsts[0][1], bad), seconds[0], self.HORIZON)
+        first[2][3, 1, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            markov_match(first, second, self.HORIZON)
+
+    def test_input_output_mismatch_raises(self):
+        first, second, firsts, seconds = self.stacks(self.pairs())
+        with pytest.raises(DimensionMismatchError):
+            markov_match(firsts[0], (seconds[0][0], seconds[0][1][:, :1], seconds[0][2]),
+                         self.HORIZON)
+        with pytest.raises(DimensionMismatchError):
+            markov_match(first, (second[0], second[1], second[2][:, :1]), self.HORIZON)
 
 
 class TestSimulate:
