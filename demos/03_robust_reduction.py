@@ -52,13 +52,12 @@ for eps in (0.0, 0.1):
     print(f"\neps = {eps}: A_r =\n{Ar}\nB_r = {Br.ravel()}  (still positive)")
 
 print("\n=== batch comparison over 200 random 5% perturbations ===")
-rng = np.random.default_rng(0)
-batch = []
-for seed in range(200):
-    gen = np.random.default_rng(seed)
-    matrices = [np.where(M > 0, M * gen.uniform(1.0, 1.05, M.shape), M)
-                for M in (base.A, base.B, base.C)]
-    batch.append(PositiveLtiSystem(*matrices))
+# One generator per perturbation, drawing its noise for A, then B, then C;
+# the experiment takes the perturbed matrices as three stacks.
+generators = [np.random.default_rng(seed) for seed in range(200)]
+batch = tuple(np.array([np.where(M > 0, M * gen.uniform(1.0, 1.05, M.shape), M)
+                        for gen in generators])
+              for M in (base.A, base.B, base.C))
 records = perturbation_experiment(base, naive, robust, batch)
 print("naive reduction positive: ",
       sum(r.naive_positive for r in records), "/ 200")

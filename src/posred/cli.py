@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
 from .numerics import Tolerances, column_space_basis, is_nonneg, left_inverse
 from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
-from .possys import PositiveLtiSystem, markov_match, reachable_subspace
+from .possys import PositiveLtiSystem, markov_match
 
 SCHEMA_VERSION = 1
 
@@ -260,18 +261,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _perturbed_copy(S: PositiveLtiSystem, delta: float, seed: int,
-                    tol: Tolerances) -> PositiveLtiSystem:
-    # Multiplicative noise on nonzero entries keeps the system positive and
-    # preserves the zero pattern.
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for M in (S.A, S.B, S.C):
-        noise = rng.uniform(1.0, 1.0 + delta, M.shape)
-        matrices.append(np.where(M > 0, M * noise, M))
-    return PositiveLtiSystem(*matrices, time_domain=S.time_domain, tol=tol)
-
-
 def cmd_perturb(args) -> int:
     tol = _tolerances(args)
     for flag, value in (("--delta", args.delta), ("--count", args.count)):
@@ -286,11 +275,17 @@ def cmd_perturb(args) -> int:
             raise CliError(3, "system is already reachable; nothing to reduce")
         raise CliError(3, "no robust reduction exists: the algebra enlargement "
                           "has full dimension")
-    basis = reachable_subspace(S, tol).basis
+    basis = robust.basis.basis
     naive = Factorization(basis, left_inverse(basis, tol), [])
 
+    # Multiplicative noise on nonzero entries keeps positivity and the zero
+    # pattern; perturbation k draws its noise for A, then B, then C from generator k.
     seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, args.count)
-    perturbed = [_perturbed_copy(S, args.delta, int(s), tol) for s in seeds]
+    generators = [np.random.default_rng(int(s)) for s in seeds]
+    perturbed = []
+    for M in (S.A, S.B, S.C):
+        noise = np.array([g.uniform(1.0, 1.0 + args.delta, M.shape) for g in generators])
+        perturbed.append(np.where(M > 0, M * noise.reshape(args.count, *M.shape), M))
     records = perturbation_experiment(S, naive, robust.factorization, perturbed, tol)
 
     count = max(len(records), 1)
@@ -302,9 +297,7 @@ def cmd_perturb(args) -> int:
         "naive_positive_rate": sum(r.naive_positive for r in records) / count,
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
-        "records": [{"naive_positive": r.naive_positive,
-                     "robust_positive": r.robust_positive,
-                     "equivalent": r.equivalent} for r in records],
+        "records": [asdict(r) for r in records],
     })
     return 0
 

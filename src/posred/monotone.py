@@ -29,7 +29,7 @@ class MonotoneCertificate:
     orthogonal_row_set: Optional[list[int]] = None
 
 
-def nonneg_lstsq(A, b, max_iter: Optional[int] = None) -> tuple[np.ndarray, float]:
+def nonneg_lstsq(A, b) -> tuple[np.ndarray, float]:
     """Minimize ||A x - b|| over x >= 0 by the classic active-set method.
 
     Variables enter the passive set one at a time by steepest gradient;
@@ -37,7 +37,10 @@ def nonneg_lstsq(A, b, max_iter: Optional[int] = None) -> tuple[np.ndarray, floa
     iterate backtracks to the boundary and the blocking variables leave
     the set. The problem is normalized to unit scale so the termination
     tolerance is dimensionless, the returned point is always feasible, and
-    the residual norm is recomputed from it on the original data.
+    the residual norm is recomputed from it on the original data. At most
+    30 * (n + 1) steps are taken for n unknowns; past that cap the last
+    feasible iterate is returned, which stops a degenerate problem from
+    cycling.
     """
     A_in = np.asarray(A, dtype=float)
     b_in = np.asarray(b, dtype=float).reshape(-1)
@@ -48,8 +51,7 @@ def nonneg_lstsq(A, b, max_iter: Optional[int] = None) -> tuple[np.ndarray, floa
         return np.zeros(n), float(np.linalg.norm(b_in))
     A = A_in / a_scale
     b = b_in / b_scale
-    if max_iter is None:
-        max_iter = 30 * (n + 1)
+    max_iter = 30 * (n + 1)
     eps = np.finfo(float).eps
     grad_tol = 10.0 * eps * max(m, n)
 

@@ -18,7 +18,7 @@ from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .errors import DimensionMismatchError, ZeroMatrixError
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix
 from .possys import PositiveLtiSystem
 
 log = logging.getLogger(__name__)
@@ -33,7 +33,9 @@ class ReductionReport:
     A reduced system is present exactly when method is not "none"; it was
     built by possys.reduce, which checked exactness and positivity, so its
     presence is the verification. The algebra field keeps the enlargement
-    that was computed on the algebraic route.
+    that was computed on the algebraic route, and basis the target-space
+    basis (for the observable space, the reachable basis of the transposed
+    system), or None when that space is trivial.
     """
 
     method: str
@@ -44,6 +46,7 @@ class ReductionReport:
     reduced_system: Optional[PositiveLtiSystem] = None
     diagnostics: list[str] = field(default_factory=list)
     algebra: Optional[DistortedAlgebra] = None
+    basis: Optional[SubspaceBasis] = None
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,13 @@ class PerturbationRecord:
 
 
 def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
-             tol: Tolerances, diagnostics: list[str],
+             tol: Tolerances, diagnostics: list[str], basis: Optional[SubspaceBasis],
              algebra: Optional[DistortedAlgebra] = None) -> ReductionReport:
     """Report of the reduction by F; possys.reduce raises unless it is exact
     and positive."""
     reduced = possys.reduce(S, F, tol)
-    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, diagnostics, algebra)
+    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, diagnostics,
+                           algebra, basis)
 
 
 def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
@@ -76,12 +80,12 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         zero_map = "input" if space == "reachable" else "output"
         diagnostics.append(f"{space} space is trivial (zero {zero_map} map); reduced to order 0")
         F = Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
-        return _reduced("minimal", space, S, F, tol, diagnostics)
+        return _reduced("minimal", space, S, F, tol, diagnostics, None)
 
     q = basis.dimension
     if q == n:
         diagnostics.append(f"already {space}: the {space} space has full dimension")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics)
+        return ReductionReport("none", space, n, n, diagnostics=diagnostics, basis=basis)
 
     if force_algebraic:
         diagnostics.append("minimal route disabled by flag")
@@ -89,21 +93,22 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         F = find_nonneg_factorization(basis, tol)
         if F is not None:
             log.info("minimal %s reduction %d -> %d", space, n, q)
-            return _reduced("minimal", space, S, F, tol, diagnostics)
+            return _reduced("minimal", space, S, F, tol, diagnostics, basis)
         diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
 
     p = choose_p(basis, tol)
     algebra = closure(basis, p, tol)
     if algebra.dimension >= n:
         diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics, algebra=algebra)
+        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
+                               algebra=algebra, basis=basis)
 
     # The enlargement need not be A-invariant; reduce() only needs its
     # projector to fix the target space.
     diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
     log.info("algebraic %s reduction %d -> %d", space, n, algebra.dimension)
     return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
-                    diagnostics, algebra)
+                    diagnostics, basis, algebra)
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
@@ -144,7 +149,7 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     reduced = dual.reduced_system.transpose() if dual.reduced_system is not None else None
     return ReductionReport(dual.method, "observable", dual.original_dim,
                            dual.reduced_dim, factorization, reduced, diagnostics,
-                           dual.algebra)
+                           dual.algebra, dual.basis)
 
 
 def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
@@ -152,20 +157,18 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
                             tol: Tolerances = DEFAULT_TOL) -> list[PerturbationRecord]:
     """Reduce each perturbed system with both factor pairs.
 
+    perturbations is an (A, B, C) triple of stacks along a leading batch
+    axis, as markov_match takes them, whose items have the shapes of S.
     Records whether each reduced triple is entrywise non-negative and
     whether the robust reduction still reproduces the perturbed Markov
     sequence (it cannot once a perturbation pushes the reachable space
-    outside Im(F_robust.J); that is recorded, not raised). The perturbed
-    matrices are stacked, each factor pair projects the whole stack in one
-    broadcast product, and one markov_match call compares every item.
+    outside Im(F_robust.J); that is recorded, not raised). Each factor
+    pair projects the whole stack in one broadcast product, and one
+    markov_match call compares every item.
     """
-    systems = list(perturbations)
-    if any((P.dim, P.num_inputs, P.num_outputs) != (S.dim, S.num_inputs, S.num_outputs)
-           for P in systems):
+    A, B, C = (np.asarray(M, dtype=float) for M in perturbations)
+    if [M.shape for M in (A, B, C)] != [A.shape[:1] + M.shape for M in (S.A, S.B, S.C)]:
         raise DimensionMismatchError("perturbation dimensions differ from the base system")
-    if not systems:
-        return []
-    A, B, C = (np.stack([getattr(P, name) for P in systems]) for name in "ABC")
     reduced = []
     for F in (F_naive, F_robust):
         J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")

@@ -342,6 +342,33 @@ class TestPerturb:
         code, _, err = run(capsys, "perturb", "--input", path)
         assert code == 3
 
+    @pytest.mark.parametrize("system, seed, method, naive_bits", [
+        ("cascade", "5", "minimal",
+         "0010000000010000000010010000100010000010100001001010100000010001"
+         "011110010100001100001000000000001000"),
+        ("planted", "5", "minimal", "0" * 200),
+    ])
+    def test_exact_records(self, tmp_path, capsys, system, seed, method, naive_bits):
+        # Every record is pinned, so each perturbation's noise stream (one
+        # generator per seed drawn from --seed, A then B then C) is too.
+        path = str(tmp_path / "s.json")
+        if system == "cascade":
+            write_system(tmp_path / "s.json", cascade_system())
+        else:
+            assert main(["gen", "--n", "8", "--inputs", "2", "--outputs", "2",
+                         "--reachable-dim", "4", "--density", "0.6", "--seed", "3",
+                         "--output", path]) == 0
+        count = len(naive_bits)
+        code, out, _ = run(capsys, "perturb", "--input", path, "--count", str(count),
+                           "--seed", seed)
+        assert code == 0
+        records = [{"naive_positive": bit == "1", "robust_positive": True,
+                    "equivalent": True} for bit in naive_bits]
+        assert json.loads(out) == {
+            "schema_version": 1, "count": count, "delta": 0.1, "robust_method": method,
+            "naive_positive_rate": naive_bits.count("1") / count,
+            "robust_positive_rate": 1.0, "equivalent_rate": 1.0, "records": records}
+
 
 def test_console_entry_point(tmp_path):
     path = tmp_path / "s.json"

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posred import (Factorization, GeneratorSpec, PerturbationRecord, PositiveLtiSystem,
-                    Tolerances, equivalent, find_nonneg_factorization,
-                    generate_system, is_nonneg, left_inverse, markov_match,
-                    observability_matrix, perturbation_experiment, project, rank,
-                    reachable_subspace, rpmr_observable, rpmr_reachable)
+from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
+                    PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
+                    find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
+                    markov_match, observability_matrix, perturbation_experiment, project,
+                    rank, reachable_subspace, rpmr_observable, rpmr_reachable)
 from conftest import (arnoldi_reachable_basis, cascade_system, lumped_system,
                       stubborn_span, swap_system)
 
 TOL = Tolerances()
+
+
+def stacked(systems):
+    """The (A, B, C) stacks of the given systems along a leading batch axis."""
+    return tuple(np.stack([getattr(P, name) for P in systems]) for name in "ABC")
 
 
 def cycling_full_closure_system():
@@ -219,6 +224,36 @@ class TestObservable:
         np.testing.assert_allclose(Cr, report.reduced_system.C, atol=1e-12)
 
 
+class TestReportBasis:
+    """The report carries the target-space basis that the pipeline built."""
+
+    @pytest.mark.parametrize("S, force_algebraic, method", [
+        (cascade_system(), False, "minimal"),
+        (swap_system(1.0), True, "algebraic"),
+        (PositiveLtiSystem(np.zeros((5, 5)),
+                           np.vstack([stubborn_span(), stubborn_span()[-1:]])),
+         False, "algebraic"),
+        (stubborn_system(), False, "none"),
+        (PositiveLtiSystem([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.0]]), False, "none"),
+    ])
+    def test_reachable_basis(self, S, force_algebraic, method):
+        report = rpmr_reachable(S, force_algebraic=force_algebraic)
+        assert report.method == method
+        np.testing.assert_array_equal(report.basis.basis, reachable_subspace(S).basis)
+
+    def test_observable_basis_is_that_of_the_transposed_system(self):
+        S = swap_system(1.0).transpose()
+        report = rpmr_observable(S)
+        assert report.method == "minimal"
+        np.testing.assert_array_equal(report.basis.basis,
+                                      reachable_subspace(S.transpose()).basis)
+
+    def test_zero_input_map_has_no_basis(self):
+        S = PositiveLtiSystem(np.eye(3), np.zeros((3, 2)), np.ones((1, 3)))
+        assert rpmr_reachable(S).basis is None
+        assert rpmr_observable(S.transpose()).basis is None
+
+
 class TestPerturbationExperiment:
     def factors(self):
         basis = reachable_subspace(cascade_system())
@@ -230,7 +265,7 @@ class TestPerturbationExperiment:
         naive, robust = self.factors()
         records = perturbation_experiment(
             cascade_system(), naive, robust,
-            [cascade_system(0.0), cascade_system(0.1)])
+            stacked([cascade_system(0.0), cascade_system(0.1)]))
         assert records[0].naive_positive and records[0].robust_positive
         assert records[0].equivalent
         assert not records[1].naive_positive
@@ -242,7 +277,7 @@ class TestPerturbationExperiment:
         A = S.A.copy()
         A[2, 0] = 0.5  # couples the tail block to the input path
         enlarged = PositiveLtiSystem(A, S.B, S.C)
-        record = perturbation_experiment(S, naive, robust, [enlarged])[0]
+        record = perturbation_experiment(S, naive, robust, stacked([enlarged]))[0]
         assert record.robust_positive
         assert not record.equivalent
 
@@ -250,7 +285,15 @@ class TestPerturbationExperiment:
         naive, robust = self.factors()
         with pytest.raises(Exception):
             perturbation_experiment(cascade_system(), naive, robust,
-                                    [swap_system(1.0, C=np.eye(4)[:1])])
+                                    stacked([swap_system(1.0, C=np.eye(4)[:1])]))
+
+    def test_stack_shapes_must_match_the_system(self):
+        naive, robust = self.factors()
+        S = cascade_system()
+        A, B, C = stacked([S, S])
+        for bad in ((A[0], B[0], C[0]), (A, B[:1], C), (A, B, C[:, :1])):
+            with pytest.raises(DimensionMismatchError):
+                perturbation_experiment(S, naive, robust, bad)
 
     def test_batch_equals_one_at_a_time(self):
         # Reference: each perturbation projected, sign-tested and compared
@@ -274,14 +317,16 @@ class TestPerturbationExperiment:
         A = S.A.copy()
         A[2, 0] = 0.5
         batch.insert(17, PositiveLtiSystem(A, S.B, S.C))
-        records = perturbation_experiment(S, naive, robust, batch)
+        records = perturbation_experiment(S, naive, robust, stacked(batch))
         assert records == one_at_a_time(naive, robust, batch)
         assert {r.naive_positive for r in records} == {True, False}
         assert {r.equivalent for r in records} == {True, False}
 
     def test_empty_batch(self):
         naive, robust = self.factors()
-        assert perturbation_experiment(cascade_system(), naive, robust, []) == []
+        S = cascade_system()
+        empty = tuple(M[np.newaxis][:0] for M in (S.A, S.B, S.C))
+        assert perturbation_experiment(S, naive, robust, empty) == []
 
 
 def test_soundness_on_planted_systems():
