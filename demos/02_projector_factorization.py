@@ -6,8 +6,10 @@ with both factors entrywise non-negative. The answer does not depend on
 which basis of V you start from: some m rows of the basis must form an
 invertible block V0 with basis[rest] @ inv(V0) >= 0. Such rows exist
 exactly when the cone of the basis rows has m extreme rays, each carried
-by a row, so the search drops every row lying in the cone of the others
-and keeps the lowest-index row on each extreme ray.
+by a row. With the unit rows put on a hyperplane, successive projection
+finds them in m steps (pick the largest row, project it out of all
+rows), keeping the lowest-index row on each extreme ray, and the sign
+test on unit rows certifies the pick.
 """
 import numpy as np
 

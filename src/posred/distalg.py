@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
                      SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
-from .monotone import cone_coefficients
+from .monotone import positive_combination
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, rank
 
 
@@ -96,28 +96,20 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
 
     The column sum is tried first; on an entrywise non-negative basis,
     such as the generators A^k B of a positive system, it cannot cancel
-    and is returned. Otherwise one non-negative least-squares solve
-    decides: with the support rows, then the columns, scaled to unit peak
-    (which changes no sign of B c and keeps the solve well scaled),
-    Bs c >= 1 for some c exactly when [Bs, -Bs, -I] z = 1 has a solution
-    z >= 0, and p = B D c (D the column scaling) is then at least each
-    row's peak. SupportFailureError means no vector of the span is
-    strictly positive on the support.
+    and is returned. Otherwise one cone-membership solve on the support
+    rows decides (monotone.positive_combination), and p = B c is then
+    about as large as each row's peak. SupportFailureError means no
+    vector of the span is strictly positive on the support.
     """
     B = V.basis
     peaks = np.abs(B).max(axis=1)
     support = np.flatnonzero(peaks > tol.nonneg_tol)
     candidate = B.sum(axis=1)
     if not (candidate[support] > tol.nonneg_tol).all():
-        Bs = B[support] / peaks[support][:, None]
-        d = np.abs(Bs).max(axis=0)
-        d = 1.0 / np.where(d > 0.0, d, 1.0)
-        Bs *= d
-        k, m = Bs.shape
-        z = cone_coefficients(np.hstack([Bs, -Bs, -np.eye(k)]).T, np.ones(k), tol)
-        if z is not None:
-            candidate = B @ (d * (z[:m] - z[m:2 * m]))
-        if z is None or not (candidate[support] > tol.nonneg_tol).all():
+        c = positive_combination(B[support], tol)
+        if c is not None:
+            candidate = B @ c
+        if c is None or not (candidate[support] > tol.nonneg_tol).all():
             raise SupportFailureError("no vector of the span is strictly positive "
                                       "on the subspace support")
     p = np.zeros(V.ambient_dim)

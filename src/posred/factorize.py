@@ -4,9 +4,10 @@ A subspace V admits a projector Pi = J @ Jdag with J, Jdag >= 0 exactly
 when some m rows of any basis form an invertible block V0 with
 V1 @ inv(V0) >= 0 for the remaining rows V1. Such rows exist exactly when
 the cone spanned by the basis rows is simplicial and each of its m
-extreme rays carries a basis row (the separability condition of separable
-NMF), so the search removes redundant rows by cone membership instead of
-trying row subsets.
+extreme rays carries a basis row: the separability condition of separable
+NMF. Successive projection (Gillis & Vavasis, IEEE TPAMI 36(4), 2014)
+finds those rows in m projection steps; it only proposes them, and the
+sign test on unit rows decides.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .monotone import cone_coefficients
+from .monotone import positive_combination
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, is_nonneg, rank
 
 log = logging.getLogger(__name__)
@@ -41,48 +42,82 @@ class Factorization:
         return self.J.shape[1]
 
 
+def _row_norms(B: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of B, and the mask of the rows above the rank threshold;
+    the others count as zero and carry no ray."""
+    norms = np.linalg.norm(B, axis=1)
+    return norms, norms > tol.rank_tol * np.abs(B).max()
+
+
+def _sign_test(J: np.ndarray, B: np.ndarray, pivots, tol: Tolerances) -> bool:
+    """J >= 0 on unit rows: entry (i, j) is scaled by
+    norms[pivots[j]] / norms[i], which turns B @ inv(B[pivots]) into
+    U @ inv(U[pivots]) for the unit rows U of B, so positive row scaling
+    of B moves no decision. Rows of B that count as zero keep the
+    absolute test."""
+    norms, nonzero = _row_norms(B, tol)
+    scale = np.ones_like(J)
+    scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
+    return is_nonneg(J * scale, tol)
+
+
 def find_nonneg_factorization(
     V: SubspaceBasis,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Optional[Factorization]:
     """Non-negative projector factors from the extreme rays of the row cone.
 
-    Rows whose norm is below the rank threshold are dropped as zero. The
-    others are scaled to unit norm and visited from the last to the
-    first, and each row lying in the cone of the rows still kept is
-    dropped, so the survivors do not depend on positive row scaling.
-    Dropping a redundant row never changes the cone, so the survivors are
-    the lowest-index row on each extreme ray: up to the membership
-    tolerance, the lexicographically first subset S whose block
-    V0 = basis[S] is invertible with basis[~S] @ inv(V0) >= 0, when one
-    exists. A row that leaves the cone of the others by less than that
-    tolerance counts as redundant, so near such a boundary the search can
-    return None where a subset scan would still find S. The survivors are
-    accepted only if there are m of them and the unscaled basis passes
-    the rank and sign test on them; then J = basis @ inv(V0), with its
-    rows at S set to the identity, and Jdag is the 0/1 selector of S.
-    Returns None otherwise.
+    Rows whose norm is below the rank threshold are dropped as zero and
+    the others scaled to unit rows U, so positive row scaling moves
+    nothing. Each unit row is divided by U @ c for a c positive on every
+    row: c = 1 when the row sums are positive, else the one cone solve of
+    monotone.positive_combination; when that finds none, no factorization
+    exists (it would supply one) and the search returns None. The rows
+    then lie on a hyperplane, and when a factorization exists every row
+    is a convex combination of the m extreme ones, so successive
+    projection finds them: m times, pick the row of largest norm and
+    project it out of all rows. Each pick stands for the lowest-index row
+    on its ray, the first unit row within eq_tol of it. The picks are
+    accepted only if m distinct rows pass the rank test and the sign test
+    on unit rows, U[rest] @ inv(U[pivots]) >= 0; then
+    J = basis @ inv(V0), with its rows at the pivots set to the identity,
+    and Jdag is the 0/1 selector of the pivots. Returns None otherwise.
+    The proposal is the lexicographically first qualifying row subset up
+    to the eq_tol ray grouping: a row within eq_tol of a lower-index
+    row's ray is represented by that row, so near such a boundary the
+    search can return None where a subset scan would still find one.
     """
     B = V.basis
     n, m = B.shape
-    # Rays do not depend on row scale, so the walk runs on unit rows.
-    # Rows below the rank threshold count as zero and carry no ray.
-    norms = np.linalg.norm(B, axis=1)
-    kept = norms > tol.rank_tol * np.abs(B).max()
-    U = B / np.where(kept, norms, 1.0)[:, None]
-    for i in reversed(np.flatnonzero(kept)):
-        kept[i] = False
-        if cone_coefficients(U[kept], U[i], tol) is None:
-            kept[i] = True
-    pivots = np.flatnonzero(kept)
+    norms, nonzero = _row_norms(B, tol)
+    rows = np.flatnonzero(nonzero)
+    U = B[rows] / norms[rows][:, None]
+    height = U.sum(axis=1)
+    if not (height > tol.nonneg_tol).all():
+        c = positive_combination(U, tol)
+        height = U @ c if c is not None else height
+        if not (height > tol.nonneg_tol).all():
+            log.debug("no combination of the basis columns is positive on every row")
+            return None
+    R = U / height[:, None]
+    picks = []
+    for _ in range(m):
+        squares = np.einsum("ij,ij->i", R, R)
+        j = int(np.argmax(squares))
+        if squares[j] == 0.0:
+            break
+        r = R[j] / np.sqrt(squares[j])
+        R = R - np.outer(R @ r, r)
+        picks.append(int(np.argmax(np.abs(U - U[j]).max(axis=1) <= tol.eq_tol)))
+    pivots = rows[sorted(set(picks))]  # not np.unique: its first call in a process takes ~12 ms
     if pivots.size != m or rank(B[pivots], tol) < m:
-        log.debug("row cone has %d extreme rows for dimension %d", pivots.size, m)
+        log.debug("successive projection picked rows %s for dimension %d", pivots.tolist(), m)
         return None
     J = B @ np.linalg.inv(B[pivots])
-    if not is_nonneg(J[~kept], tol):
+    J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
+    if not _sign_test(J, B, pivots, tol):
         log.debug("extreme rows %s fail the sign test", pivots.tolist())
         return None
-    J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
     Jdag = np.zeros((m, n))
     Jdag[np.arange(m), pivots] = 1.0
     log.debug("non-negative factorization found at rows %s", pivots.tolist())
@@ -92,13 +127,18 @@ def find_nonneg_factorization(
 def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Independent recheck of the factorization invariants.
 
-    Both factors non-negative, Jdag @ J = I within eq_tol, and Im(J)
-    equal to the span of V (rank of [J | basis] stays at m).
+    Both factors non-negative, J by the search's sign test on unit rows
+    (entry (i, j) scaled by the norm of basis row pivot_rows[j] over that
+    of basis row i; rows of the basis that count as zero keep the absolute
+    test), Jdag @ J = I within eq_tol, and Im(J) equal to the span of V
+    (rank of [J | basis] stays at m).
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):
         return False
-    if not (is_nonneg(F.J, tol) and is_nonneg(F.Jdag, tol)):
+    if len(F.pivot_rows) != m or not all(0 <= i < V.ambient_dim for i in F.pivot_rows):
+        return False
+    if not (_sign_test(F.J, V.basis, F.pivot_rows, tol) and is_nonneg(F.Jdag, tol)):
         return False
     if np.abs(F.Jdag @ F.J - np.eye(m)).max() > tol.eq_tol:
         return False

@@ -3,10 +3,11 @@
 A matrix X is monotone when X x >= 0 forces x >= 0, which happens exactly
 when X has an entrywise non-negative left inverse, or again when the cone
 spanned by its rows contains the whole non-negative orthant. The general
-test here settles cone membership with non-negative least squares; for
-non-negative matrices a much cheaper structural test applies, because
-non-negative vectors are orthogonal exactly when their supports are
-disjoint.
+test here settles cone membership with non-negative least squares, and
+one such solve also finds a combination of columns positive on every
+row; for non-negative matrices a much cheaper structural test applies,
+because non-negative vectors are orthogonal exactly when their supports
+are disjoint.
 """
 from __future__ import annotations
 
@@ -114,6 +115,26 @@ def cone_coefficients(rows: np.ndarray, target: np.ndarray,
     if residual > tol.eq_tol * (1.0 + np.linalg.norm(target)):
         return None
     return coeffs
+
+
+def positive_combination(rows: np.ndarray,
+                         tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
+    """Coefficients c with rows @ c positive on every row, or None when
+    the cone-membership solve finds none. The rows must be nonzero.
+
+    With the rows, then the columns, scaled to unit peak (which changes no
+    sign of rows @ c and keeps the solve well scaled), Rs c >= 1 for some
+    c exactly when [Rs, -Rs, -I] z = 1 has a solution z >= 0; the returned
+    c = D (z_+ - z_-), D the column scaling, then makes each entry of
+    rows @ c about as large as the peak of its row.
+    """
+    Rs = rows / np.abs(rows).max(axis=1)[:, None]
+    d = np.abs(Rs).max(axis=0)
+    d = 1.0 / np.where(d > 0.0, d, 1.0)
+    Rs *= d
+    k, m = Rs.shape
+    z = cone_coefficients(np.hstack([Rs, -Rs, -np.eye(k)]).T, np.ones(k), tol)
+    return None if z is None else d * (z[:m] - z[m:2 * m])
 
 
 def is_monotone_general(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate:

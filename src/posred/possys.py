@@ -124,12 +124,15 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     first and second are (A, B, C) triples of matrices, or of stacks of
     matrices along a leading batch axis (broadcast against each other); the
     verdict is a bool for matrices and a boolean array with one entry per
-    item for stacks. The two impulse responses are walked side by side, and
-    after every step both states of an item, and its running peak with
-    them, are divided by the largest entry of either state. A common
-    positive factor leaves each comparison unchanged, so the verdict is
-    that of the raw coefficients without their overflow. Overflowed
-    coefficients never match.
+    item for stacks. B1 and B2 of an item are first divided by one power
+    of two that brings their larger peak below one, and C1 and C2 by
+    another; such a division is exact above the underflow range. The two
+    impulse responses are then walked side by side, and after every step
+    both states of an item, and its running peak with them, are divided
+    by the largest entry of either state. A common positive factor leaves
+    each comparison unchanged, so the verdict is that of the raw
+    coefficients without their overflow, for any finite B and C.
+    Coefficients that still overflow (only A can cause it) never match.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -142,6 +145,11 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     def peak_of(M):
         return abs(M).max(axis=(-2, -1), initial=0.0, keepdims=True)
 
+    def exactly_scaled(M1, M2):
+        exponent = np.frexp(np.maximum(peak_of(M1), peak_of(M2)))[1]
+        return np.ldexp(M1, -exponent), np.ldexp(M2, -exponent)
+
+    (B1, B2), (C1, C2) = exactly_scaled(B1, B2), exactly_scaled(C1, C2)
     P1, P2, peak, match = B1, B2, 0.0, True
     for _ in range(horizon + 1):
         Y1, Y2 = C1 @ P1, C2 @ P2

@@ -1,8 +1,8 @@
 """Shared fixtures: the reference systems used across the suite, the
-exhaustive subset scan that serves as the minimal-route oracle, the
-per-column rank loop that serves as the column-selection oracle, the
-block Arnoldi basis that serves as the reachable-space oracle, and the
-hypothesis profile."""
+exhaustive subset scan and the per-row cone walk that serve as the
+minimal-route oracles, the per-column rank loop that serves as the
+column-selection oracle, the block Arnoldi basis that serves as the
+reachable-space oracle, and the hypothesis profile."""
 import itertools
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from posred import (GeneratorSpec, PositiveLtiSystem, Tolerances, generate_system,
                     is_nonneg, rank, rpmr_reachable)
+from posred.monotone import cone_coefficients
 
 # Derandomized, bounded and without an example database, so the property
 # suites are deterministic, cheap and write no files; no deadline, because
@@ -170,3 +171,34 @@ def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):
         if is_nonneg(np.delete(B, rows, axis=0) @ np.linalg.inv(V0), tol):
             return rows
     return None
+
+
+def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
+    """Reference minimal-route search by one cone-membership solve per row.
+
+    Rows whose norm is below the rank threshold count as zero. The others
+    are scaled to unit rows U and visited from the last to the first, and
+    each row lying in the cone of the rows still kept is dropped, which
+    leaves the lowest-index row on each extreme ray. Returns those rows
+    when there are m of them, they are independent and
+    U[rest] @ inv(U[rows]) >= 0, with the rows counted as zero held to
+    basis[i] @ inv(basis[rows]) >= 0; None otherwise. Makes n non-negative
+    least-squares solves; the search must propose the same rows.
+    """
+    B = np.asarray(basis, dtype=float)
+    n, m = B.shape
+    norms = np.linalg.norm(B, axis=1)
+    kept = norms > tol.rank_tol * np.abs(B).max()
+    nonzero = kept.copy()
+    U = B / np.where(kept, norms, 1.0)[:, None]
+    for i in reversed(np.flatnonzero(kept)):
+        kept[i] = False
+        if cone_coefficients(U[kept], U[i], tol) is None:
+            kept[i] = True
+    pivots = np.flatnonzero(kept)
+    if pivots.size != m or rank(B[pivots], tol) < m:
+        return None
+    ratios = U @ np.linalg.inv(U[pivots])
+    ratios[~nonzero] = B[~nonzero] @ np.linalg.inv(B[pivots])
+    ratios[pivots] = np.eye(m)
+    return pivots.tolist() if is_nonneg(ratios, tol) else None

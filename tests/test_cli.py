@@ -316,6 +316,23 @@ class TestPerturb:
         assert (report["naive_positive_rate"] == report["robust_positive_rate"]
                 == report["equivalent_rate"] == 0.0)
 
+    def test_huge_delta_is_compared_without_overflow(self, tmp_path, capsys):
+        # At --delta 1e200 the perturbed B and C reach about 1e200, so
+        # their raw Markov coefficients overflow; the records are those of
+        # --delta 1e150 and nothing is printed to stderr.
+        path = str(tmp_path / "s.json")
+        assert main(["gen", "--n", "8", "--inputs", "2", "--outputs", "2",
+                     "--reachable-dim", "4", "--density", "0.6", "--seed", "3",
+                     "--output", path]) == 0
+        records = {}
+        for delta in ("1e150", "1e200"):
+            code, out, err = run(capsys, "perturb", "--input", path, "--count", "20",
+                                 "--delta", delta)
+            assert code == 0 and err == ""
+            records[delta] = json.loads(out)["records"]
+        assert records["1e200"] == records["1e150"]
+        assert all(r["robust_positive"] and r["equivalent"] for r in records["1e200"])
+
     def test_algebraic_robust_factors(self, tmp_path, capsys):
         # Five rows in the cone of four extreme rays: no minimal factors,
         # but the repeated last row keeps the algebra at four dimensions.

@@ -6,10 +6,11 @@ import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (Factorization, SubspaceBasis, Tolerances,
-                    find_nonneg_factorization, is_monotone_nonneg_rect, rank,
+from posred import (Factorization, GeneratorSpec, PositiveLtiSystem, SubspaceBasis,
+                    Tolerances, ZeroMatrixError, find_nonneg_factorization,
+                    generate_system, is_monotone_nonneg_rect, rank, reachable_subspace,
                     verify_factorization)
-from conftest import exhaustive_first_hit, stubborn_span
+from conftest import cone_walk_pivots, exhaustive_first_hit, lumped_system, stubborn_span
 
 TOL = Tolerances()
 
@@ -98,10 +99,10 @@ class TestFind:
                                          [0.0, 3.0], [0.5, 1.0]], atol=1e-12)
 
     def test_tolerance_boundary_differs_from_scan(self):
-        # Row 2 leaves the cone of rows 0 and 1 by less than the membership
-        # tolerance, so it is dropped as redundant; the sign test on the
-        # survivors then refuses rather than return a mixed-sign factor.
-        # The subset scan accepts rows 1 and 2 here: a known difference.
+        # Row 2 lies within eq_tol of the ray of row 0, so row 0 stands
+        # for it; the sign test on rows 0 and 1 then refuses rather than
+        # return a mixed-sign factor. The subset scan accepts rows 1 and 2
+        # here: a known difference.
         V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -5e-9]]))
         assert find_nonneg_factorization(V) is None
         assert exhaustive_first_hit(V.basis) == [1, 2]
@@ -115,6 +116,16 @@ class TestFind:
         F = find_nonneg_factorization(V)
         assert F is not None and F.pivot_rows == [0, 1, 2]
         assert verify_factorization(F, V)
+
+    def test_sign_test_ignores_row_scale(self):
+        # Row 2 has J entry -5e-6 at scale 1e4, past the absolute floor,
+        # but -5e-10 on unit rows; the search and the recheck decide on
+        # unit rows, so the scale of the row moves nothing.
+        for scale in (1e-4, 1.0, 1e4):
+            V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [scale, -5e-10 * scale]]))
+            F = find_nonneg_factorization(V)
+            assert F is not None and F.pivot_rows == [0, 1]
+            assert verify_factorization(F, V)
 
     def test_basis_change_invariance(self):
         rng = np.random.default_rng(17)
@@ -209,14 +220,49 @@ def test_search_matches_exhaustive_scan(raw, scale_seed):
     assert pivots == exhaustive_first_hit(raw)
     assert (F is not None) == nonneg_projector_exists(raw)
     # Scaling states by a positive diagonal moves no decision: one common
-    # factor over 24 decades times a factor per state over 4 decades.
-    # Wider per-state spreads can lift rounding noise of about 1e-14 in
-    # rest @ inv(V0) past the absolute floor of the final sign test, which
-    # the subset scan shares.
+    # factor over 24 decades times a factor per state over 4 decades. The
+    # search tests signs on unit rows, which the scaling leaves unchanged
+    # up to rounding.
     rng = np.random.default_rng(scale_seed)
     d = 10.0 ** (rng.uniform(-12.0, 12.0) + rng.uniform(-2.0, 2.0, raw.shape[0]))
     scaled = find_nonneg_factorization(SubspaceBasis(d[:, None] * raw))
     assert (scaled.pivot_rows if scaled is not None else None) == pivots
+
+
+@st.composite
+def system_bases(draw):
+    """Raw reachable bases of generated, planted (reachable dimension n/2,
+    two inputs, density 0.6) and lumped systems with n <= 40, half of them
+    after a diagonal similarity D A D^-1, D B, C D^-1 with log10 d
+    uniform in [-3, 3]."""
+    kind = draw(st.sampled_from(["generated", "planted", "lumped"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "lumped":
+        n = draw(st.integers(4, 40))
+        r = draw(st.integers(3, n))
+        S = lumped_system(n, r, draw(st.integers(2, r - 1)), seed)
+    else:
+        n = draw(st.integers(2, 40))
+        spec = (GeneratorSpec(n, 2, 2, max(1, n // 2), 0.6, seed) if kind == "planted" else
+                GeneratorSpec(n, draw(st.integers(1, 2)), 1, draw(st.integers(1, n)),
+                              draw(st.sampled_from([0.3, 0.6, 1.0])), seed))
+        S = generate_system(spec)
+    if draw(st.booleans()):
+        d = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+        S = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
+    try:
+        return reachable_subspace(S)
+    except ZeroMatrixError:
+        assume(False)
+
+
+@given(system_bases())
+def test_search_proposes_the_cone_walk_rows(basis):
+    # Successive projection and the per-row cone walk find the same
+    # lowest-index row on each extreme ray; exhaustive_first_hit would
+    # take C(n, m) subsets at these sizes.
+    F = find_nonneg_factorization(basis)
+    assert (F.pivot_rows if F is not None else None) == cone_walk_pivots(basis.basis)
 
 
 class TestVerify:

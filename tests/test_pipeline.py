@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import posred.monotone
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
@@ -142,6 +143,42 @@ class TestReachableRoutes:
         report = rpmr_reachable(S)
         assert report.method == "minimal"
         assert report.reduced_dim == 3
+
+    def test_minimal_route_survives_a_diagonal_similarity(self):
+        # lumped_system(8, 5, 2, 4) is system 304 of a 600-system check
+        # (generated systems 0-299, then lumped_system(4 + i % 7,
+        # n // 2 + 1, 2, i)) that transforms each system to D A D^-1,
+        # D B U, Y C D^-1 with log10 d uniform in [-5, 5] and log10 u, y
+        # in [-1, 1], drawn in system order from default_rng(2026). Its
+        # basis rows then span 7.7 decades, and rest @ inv(V0) on the
+        # pivot rows of the untransformed system reaches -8.7e-8: past the
+        # absolute sign floor, but within it on unit rows.
+        rng = np.random.default_rng(2026)
+        rng.random(sum(3 + i % 8 + 2 * (1 + i % 2) for i in range(300))
+                   + sum(8 + i % 7 for i in range(4)))
+        d, u, y = (10.0 ** rng.uniform(-k, k, size) for k, size in ((5, 8), (1, 2), (1, 2)))
+        S = lumped_system(8, 5, 2, 4)
+        T = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B * u, y[:, None] * S.C / d)
+        plain, scaled = rpmr_reachable(S), rpmr_reachable(T)
+        assert plain.method == scaled.method == "minimal"
+        assert plain.factorization.pivot_rows == scaled.factorization.pivot_rows == [0, 2]
+        assert equivalent(T, scaled.reduced_system)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nonnegative_bases_need_no_cone_solve(self, monkeypatch, seed):
+        # The rows of a non-negative basis have positive sums, so the
+        # search takes no non-negative least-squares solve, and neither
+        # does choose_p; one solve per row would fail here.
+        def refuse(*args):
+            raise AssertionError("nonneg_lstsq called")
+
+        monkeypatch.setattr(posred.monotone, "nonneg_lstsq", refuse)
+        for n in range(12, 17):
+            S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
+            assert rpmr_reachable(S).method == "minimal"
+        for n, r, q in ((12, 6, 4), (14, 8, 5), (16, 8, 6)):
+            report = rpmr_reachable(lumped_system(n, r, q, seed))
+            assert (report.method, report.reduced_dim) == ("algebraic", r)
 
     @pytest.mark.parametrize("n, r, q, seed", [(10, 5, 3, 2), (7, 6, 3, 5), (9, 8, 7, 1)])
     def test_lumped_system_reduces_to_its_block_count(self, n, r, q, seed):

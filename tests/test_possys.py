@@ -342,6 +342,20 @@ class TestMarkovMatchBatch:
         with np.errstate(over="ignore"):
             assert not np.isfinite(markov_parameters(A, B, C, self.HORIZON)[-1]).all()
 
+    def test_any_finite_input_and_output_scale(self):
+        # With B and C scaled by 1e200, C B alone overflows. Each side's B
+        # and C are first divided by one exact power of two per item, so
+        # the verdicts are those of the unscaled pairs.
+        exact, spurious = self.pairs()[:2]
+
+        def huge(pair):
+            return tuple((A, 1e200 * np.asarray(B), 1e200 * np.asarray(C)) for A, B, C in pair)
+
+        assert markov_match(*huge(exact), self.HORIZON) is True
+        assert markov_match(*huge(spurious), self.HORIZON) is False
+        first, second, _, _ = self.stacks([huge(exact), huge(spurious), exact])
+        assert markov_match(first, second, self.HORIZON).tolist() == [True, False, True]
+
     def test_non_finite_entry_raises(self):
         first, second, firsts, seconds = self.stacks(self.pairs())
         bad = firsts[0][2].copy()
