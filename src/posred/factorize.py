@@ -7,7 +7,7 @@ the cone spanned by the basis rows is simplicial and each of its m
 extreme rays carries a basis row: the separability condition of separable
 NMF. Successive projection (Gillis & Vavasis, IEEE TPAMI 36(4), 2014)
 finds those rows in m projection steps; it only proposes them, and the
-sign test on unit rows decides.
+sign test on unit rows and verify_factorization decide.
 """
 from __future__ import annotations
 
@@ -42,25 +42,6 @@ class Factorization:
         return self.J.shape[1]
 
 
-def _row_norms(B: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of B, and the mask of the rows above the rank threshold;
-    the others count as zero and carry no ray."""
-    norms = np.linalg.norm(B, axis=1)
-    return norms, norms > tol.rank_tol * np.abs(B).max()
-
-
-def _sign_test(J: np.ndarray, B: np.ndarray, pivots, tol: Tolerances) -> bool:
-    """J >= 0 on unit rows: entry (i, j) is scaled by
-    norms[pivots[j]] / norms[i], which turns B @ inv(B[pivots]) into
-    U @ inv(U[pivots]) for the unit rows U of B, so positive row scaling
-    of B moves no decision. Rows of B that count as zero keep the
-    absolute test."""
-    norms, nonzero = _row_norms(B, tol)
-    scale = np.ones_like(J)
-    scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
-    return is_nonneg(J * scale, tol)
-
-
 def find_nonneg_factorization(
     V: SubspaceBasis,
     tol: Tolerances = DEFAULT_TOL,
@@ -79,9 +60,13 @@ def find_nonneg_factorization(
     project it out of all rows. Each pick stands for the lowest-index row
     on its ray, the first unit row within eq_tol of it. The picks are
     accepted only if m distinct rows pass the rank test and the sign test
-    on unit rows, U[rest] @ inv(U[pivots]) >= 0; then
-    J = basis @ inv(V0), with its rows at the pivots set to the identity,
-    and Jdag is the 0/1 selector of the pivots. Returns None otherwise.
+    on unit rows, U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero
+    keep the absolute test). Then J = basis @ inv(V0), with its rows at
+    the pivots set to the identity and the negative entries the sign test
+    forgave set to zero, and Jdag is the 0/1 selector of the pivots; the
+    pair is returned only if verify_factorization accepts it, so zeroing
+    those entries must leave each basis column fixed within eq_tol of its
+    peak. Returns None otherwise.
     The proposal is the lexicographically first qualifying row subset up
     to the eq_tol ray grouping: a row within eq_tol of a lower-index
     row's ray is represented by that row, so near such a boundary the
@@ -89,7 +74,8 @@ def find_nonneg_factorization(
     """
     B = V.basis
     n, m = B.shape
-    norms, nonzero = _row_norms(B, tol)
+    norms = np.linalg.norm(B, axis=1)
+    nonzero = norms > tol.rank_tol * np.abs(B).max()
     rows = np.flatnonzero(nonzero)
     U = B[rows] / norms[rows][:, None]
     height = U.sum(axis=1)
@@ -115,31 +101,37 @@ def find_nonneg_factorization(
         return None
     J = B @ np.linalg.inv(B[pivots])
     J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
-    if not _sign_test(J, B, pivots, tol):
+    # U[rest] @ inv(U[pivots]) is J with entry (i, j) scaled by
+    # norms[pivots[j]] / norms[i].
+    scale = np.ones_like(J)
+    scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
+    if not is_nonneg(J * scale, tol):
         log.debug("extreme rows %s fail the sign test", pivots.tolist())
         return None
+    np.maximum(J, 0.0, out=J)
     Jdag = np.zeros((m, n))
     Jdag[np.arange(m), pivots] = 1.0
+    F = Factorization(J, Jdag, pivots.tolist())
+    if not verify_factorization(F, V, tol):
+        log.debug("clamped factor at rows %s does not fix the basis", pivots.tolist())
+        return None
     log.debug("non-negative factorization found at rows %s", pivots.tolist())
-    return Factorization(J, Jdag, pivots.tolist())
+    return F
 
 
 def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Independent recheck of the factorization invariants.
 
-    Both factors non-negative, J by the search's sign test on unit rows
-    (entry (i, j) scaled by the norm of basis row pivot_rows[j] over that
-    of basis row i; rows of the basis that count as zero keep the absolute
-    test), Jdag @ J = I within eq_tol, and Im(J) equal to the span of V
-    (rank of [J | basis] stays at m).
+    Both factors non-negative, Jdag @ J = I within eq_tol, and J @ Jdag
+    fixing each basis column, scaled to unit peak, within eq_tol (the
+    exactness test of possys.reduce); the two give Im(J) = span of V.
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):
         return False
-    if len(F.pivot_rows) != m or not all(0 <= i < V.ambient_dim for i in F.pivot_rows):
-        return False
-    if not (_sign_test(F.J, V.basis, F.pivot_rows, tol) and is_nonneg(F.Jdag, tol)):
+    if not (is_nonneg(F.J, tol) and is_nonneg(F.Jdag, tol)):
         return False
     if np.abs(F.Jdag @ F.J - np.eye(m)).max() > tol.eq_tol:
         return False
-    return rank(np.hstack([F.J, V.basis]), tol) == m
+    P = V.basis / np.abs(V.basis).max(axis=0)
+    return np.abs(P - F.J @ (F.Jdag @ P)).max() <= tol.eq_tol

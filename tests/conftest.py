@@ -180,10 +180,13 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     are scaled to unit rows U and visited from the last to the first, and
     each row lying in the cone of the rows still kept is dropped, which
     leaves the lowest-index row on each extreme ray. Returns those rows
-    when there are m of them, they are independent and
+    when there are m of them, they are independent,
     U[rest] @ inv(U[rows]) >= 0, with the rows counted as zero held to
-    basis[i] @ inv(basis[rows]) >= 0; None otherwise. Makes n non-negative
-    least-squares solves; the search must propose the same rows.
+    basis[i] @ inv(basis[rows]) >= 0, and J = basis @ inv(basis[rows]),
+    with the identity at the rows and its negative entries zeroed, still
+    fixes each basis column within eq_tol of its peak; None otherwise.
+    Makes n non-negative least-squares solves; the search must return the
+    same rows.
     """
     B = np.asarray(basis, dtype=float)
     n, m = B.shape
@@ -201,4 +204,9 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     ratios = U @ np.linalg.inv(U[pivots])
     ratios[~nonzero] = B[~nonzero] @ np.linalg.inv(B[pivots])
     ratios[pivots] = np.eye(m)
-    return pivots.tolist() if is_nonneg(ratios, tol) else None
+    if not is_nonneg(ratios, tol):
+        return None
+    J = np.maximum(B @ np.linalg.inv(B[pivots]), 0.0)
+    J[pivots] = np.eye(m)
+    P = B / np.abs(B).max(axis=0)
+    return pivots.tolist() if np.abs(P - J @ P[pivots]).max() <= tol.eq_tol else None

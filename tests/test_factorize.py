@@ -119,13 +119,24 @@ class TestFind:
 
     def test_sign_test_ignores_row_scale(self):
         # Row 2 has J entry -5e-6 at scale 1e4, past the absolute floor,
-        # but -5e-10 on unit rows; the search and the recheck decide on
-        # unit rows, so the scale of the row moves nothing.
+        # but -5e-10 on unit rows, so the sign test forgives it at every
+        # scale. The entry is returned as 0, which moves column 1 by
+        # 5e-6 / 1e3 of its peak: row 3 sets that peak.
         for scale in (1e-4, 1.0, 1e4):
-            V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [scale, -5e-10 * scale]]))
+            V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [scale, -5e-10 * scale],
+                                        [0.0, 1e3]]))
             F = find_nonneg_factorization(V)
             assert F is not None and F.pivot_rows == [0, 1]
-            assert verify_factorization(F, V)
+            assert F.J.min() == 0.0 and verify_factorization(F, V)
+
+    def test_forgiven_entry_must_keep_the_basis_fixed(self):
+        # The raw reachable basis [B, AB] of B = (1, 0, 1e4)^T and
+        # A = u w^T, u = (1e-9, 1, 5e-6), w = (0, 0, 1e-4). On rows 0 and 1,
+        # J row 2 is [1e4, -5e-6]: -5e-10 on unit rows, but zeroing it
+        # moves AB by 5e-6 of its peak, so no factor is returned. The
+        # mixed-sign J would give C J < 0 for C = (0, 0, 1).
+        V = SubspaceBasis(np.array([[1.0, 1e-9], [0.0, 1.0], [1e4, 5e-6]]))
+        assert find_nonneg_factorization(V) is None
 
     def test_basis_change_invariance(self):
         rng = np.random.default_rng(17)
@@ -284,6 +295,14 @@ class TestVerify:
         mixed[0, 0] += 1.0  # still a left inverse? no: perturbed on purpose
         bad = Factorization(F.J, mixed, F.pivot_rows)
         assert not verify_factorization(bad, self.V)
+
+    def test_rejects_negative_factor_whatever_the_pivot_rows(self):
+        # pivot_rows naming the zero row 2 does not excuse the negative
+        # entry of J, though Jdag @ J = I and J @ Jdag fixes the basis.
+        V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, -1.0]]))
+        Jdag = np.zeros((2, 4))
+        Jdag[[0, 1], [0, 1]] = 1.0
+        assert not verify_factorization(Factorization(V.basis, Jdag, [0, 2]), V)
 
     def test_rejects_wrong_image(self):
         F = find_nonneg_factorization(self.V)

@@ -152,7 +152,8 @@ class TestReachableRoutes:
         # in [-1, 1], drawn in system order from default_rng(2026). Its
         # basis rows then span 7.7 decades, and rest @ inv(V0) on the
         # pivot rows of the untransformed system reaches -8.7e-8: past the
-        # absolute sign floor, but within it on unit rows.
+        # absolute sign floor, but within it on unit rows. The search
+        # returns that entry as 0.
         rng = np.random.default_rng(2026)
         rng.random(sum(3 + i % 8 + 2 * (1 + i % 2) for i in range(300))
                    + sum(8 + i % 7 for i in range(4)))
@@ -162,7 +163,21 @@ class TestReachableRoutes:
         plain, scaled = rpmr_reachable(S), rpmr_reachable(T)
         assert plain.method == scaled.method == "minimal"
         assert plain.factorization.pivot_rows == scaled.factorization.pivot_rows == [0, 2]
+        assert scaled.factorization.J.min() >= 0.0
         assert equivalent(T, scaled.reduced_system)
+
+    def test_forgiven_sign_that_breaks_exactness_leaves_the_minimal_route(self):
+        # Row 3 is 1e4 (row 0 + row 1) - 1e-7 row 2: -7e-12 on unit rows,
+        # which the sign test forgives, but zeroing it moves the third
+        # basis column by 1e-7 of its peak. The row cone has four extreme
+        # rays, so no non-negative factorization exists; a mixed-sign J
+        # would give C J < 0, and a zeroed one would fail the exactness
+        # test of reduce.
+        B = np.array([[1.0, 0.0, 1e-10], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1e4, 1e4, 9e-7]])
+        S = PositiveLtiSystem(np.zeros((4, 4)), B, np.array([[0.0, 0.0, 0.0, 1.0]]))
+        assert find_nonneg_factorization(reachable_subspace(S)) is None
+        report = rpmr_reachable(S)
+        assert (report.method, report.reduced_dim) == ("none", 4)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nonnegative_bases_need_no_cone_solve(self, monkeypatch, seed):
