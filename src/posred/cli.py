@@ -13,14 +13,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NotNonnegativeError, PosredError, RankDeficientError
+from .errors import NonFiniteError, NotNonnegativeError, PosredError, RankDeficientError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
@@ -283,10 +282,18 @@ def cmd_perturb(args) -> int:
     seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, args.count)
     generators = [np.random.default_rng(int(s)) for s in seeds]
     perturbed = []
-    for M in (S.A, S.B, S.C):
-        noise = np.array([g.uniform(1.0, 1.0 + args.delta, M.shape) for g in generators])
-        perturbed.append(np.where(M > 0, M * noise.reshape(args.count, *M.shape), M))
-    records = perturbation_experiment(S, naive, robust.factorization, perturbed, tol)
+    # A huge --delta can overflow the perturbed stacks or their projections;
+    # the experiment then raises NonFiniteError instead of giving records.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for M in (S.A, S.B, S.C):
+                noise = np.array([g.uniform(1.0, 1.0 + args.delta, M.shape)
+                                  for g in generators])
+                perturbed.append(np.where(M > 0, M * noise.reshape(args.count, *M.shape), M))
+            records = perturbation_experiment(S, naive, robust.factorization, perturbed, tol)
+    except NonFiniteError:
+        raise CliError(1, f"--delta {args.delta:g} overflows the perturbed systems "
+                          "or their projections")
 
     count = max(len(records), 1)
     _emit(args, {
@@ -297,7 +304,8 @@ def cmd_perturb(args) -> int:
         "naive_positive_rate": sum(r.naive_positive for r in records) / count,
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
-        "records": [asdict(r) for r in records],
+        "records": [{"naive_positive": r.naive_positive, "robust_positive": r.robust_positive,
+                     "equivalent": r.equivalent} for r in records],
     })
     return 0
 

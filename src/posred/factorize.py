@@ -59,14 +59,16 @@ def find_nonneg_factorization(
     projection finds them: m times, pick the row of largest norm and
     project it out of all rows. Each pick stands for the lowest-index row
     on its ray, the first unit row within eq_tol of it. The picks are
-    accepted only if m distinct rows pass the rank test and the sign test
-    on unit rows, U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero
-    keep the absolute test). Then J = basis @ inv(V0), with its rows at
-    the pivots set to the identity and the negative entries the sign test
-    forgave set to zero, and Jdag is the 0/1 selector of the pivots; the
-    pair is returned only if verify_factorization accepts it, so zeroing
-    those entries must leave each basis column fixed within eq_tol of its
-    peak. Returns None otherwise.
+    accepted only if m distinct rows pass the rank test on their unit
+    rows, rank(U[pivots]) = m, and the sign test on unit rows,
+    U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero keep the
+    absolute test); neither depends on positive row scaling. Then
+    J = basis @ inv(V0), with its rows at the pivots set to the identity
+    and the negative entries the sign test forgave set to zero, and Jdag
+    is the 0/1 selector of the pivots; the pair is returned only if
+    verify_factorization accepts it, so zeroing those entries must leave
+    each basis column fixed within eq_tol of its peak. Returns None
+    otherwise.
     The proposal is the lexicographically first qualifying row subset up
     to the eq_tol ray grouping: a row within eq_tol of a lower-index
     row's ray is represented by that row, so near such a boundary the
@@ -89,14 +91,18 @@ def find_nonneg_factorization(
     picks = []
     for _ in range(m):
         squares = np.einsum("ij,ij->i", R, R)
-        j = int(np.argmax(squares))
+        j = int(squares.argmax())
         if squares[j] == 0.0:
             break
         r = R[j] / np.sqrt(squares[j])
-        R = R - np.outer(R @ r, r)
-        picks.append(int(np.argmax(np.abs(U - U[j]).max(axis=1) <= tol.eq_tol)))
-    pivots = rows[sorted(set(picks))]  # not np.unique: its first call in a process takes ~12 ms
-    if pivots.size != m or rank(B[pivots], tol) < m:
+        R = R - (R @ r)[:, None] * r
+        picks.append(j)
+    # Each pick stands for the first unit row within eq_tol of it; not
+    # np.unique, whose first call in a process takes ~12 ms.
+    on_ray = abs(U - U[picks][:, None]).max(axis=2) <= tol.eq_tol
+    kept = sorted(set(on_ray.argmax(axis=1).tolist()))
+    pivots = rows[kept]
+    if pivots.size != m or rank(U[kept], tol) < m:
         log.debug("successive projection picked rows %s for dimension %d", pivots.tolist(), m)
         return None
     J = B @ np.linalg.inv(B[pivots])

@@ -53,13 +53,15 @@ def _eliminate(W: np.ndarray, r: int, j: int, threshold: float) -> float:
     """Eliminate column j below row r in place, pivoting on its largest
     entry at or below row r, and return the pivot's size; when that size
     is at most threshold, leave W as it is and return 0.0."""
-    pivot = r + int(np.argmax(np.abs(W[r:, j])))
+    pivot = r + int(abs(W[r:, j]).argmax())
     size = abs(W[pivot, j])
     if size <= threshold:
         return 0.0
     if pivot != r:
         W[[r, pivot], j:] = W[[pivot, r], j:]
-    W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
+    # The outer product by broadcasting: np.outer's wrapper costs more
+    # than the arithmetic on the small matrices eliminated here.
+    W[r + 1:, j:] -= (W[r + 1:, j] / W[r, j])[:, None] * W[r, j:]
     return size
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import DimensionMismatchError, ZeroMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, NotInvariantError, ZeroMatrixError
 from .factorize import Factorization, find_nonneg_factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix
 from .possys import PositiveLtiSystem
@@ -91,10 +91,18 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         diagnostics.append("minimal route disabled by flag")
     else:
         F = find_nonneg_factorization(basis, tol)
-        if F is not None:
-            log.info("minimal %s reduction %d -> %d", space, n, q)
-            return _reduced("minimal", space, S, F, tol, diagnostics, basis)
-        diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
+        if F is None:
+            diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
+        else:
+            # Factors of a basis that column selection left short of the
+            # space (raw powers under scaling) fail reduce's Krylov check.
+            try:
+                report = _reduced("minimal", space, S, F, tol, diagnostics, basis)
+                log.info("minimal %s reduction %d -> %d", space, n, q)
+                return report
+            except NotInvariantError:
+                diagnostics.append(f"non-negative factors of the {space} basis do not fix "
+                                   f"the {space} space")
 
     p = choose_p(basis, tol)
     algebra = closure(basis, p, tol)
@@ -115,11 +123,13 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
                    force_algebraic: bool = False) -> ReductionReport:
     """Robust positive reduction onto the reachable space.
 
-    Tries the minimal factorization first; when none exists the reachable
-    space is enlarged to the smallest product algebra containing it, which
-    always factors non-negatively; its unit p is the sum of the
-    non-negative reachable generators, so the report depends on S and tol
-    alone. Every reported reduction comes from possys.reduce, which checks
+    Tries the minimal factorization first; when none exists, or its
+    factors fail the exactness check of possys.reduce (the raw-power basis
+    can fall short of the reachable space under strong state scaling),
+    the reachable space is enlarged to the smallest product algebra
+    containing it, which always factors non-negatively; its unit p is the
+    sum of the non-negative reachable generators, so the report depends on
+    S and tol alone. Every reported reduction comes from possys.reduce, which checks
     that J @ Jdag fixes the reachable space (so every Markov coefficient
     matches) and that the reduced triple is non-negative. force_algebraic
     skips the minimal route so the two answers can be compared on the
@@ -164,7 +174,9 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     sequence (it cannot once a perturbation pushes the reachable space
     outside Im(F_robust.J); that is recorded, not raised). Each factor
     pair projects the whole stack in one broadcast product, and one
-    markov_match call compares every item.
+    markov_match call compares every item. Raises NonFiniteError when a
+    perturbed matrix or one of its projections is not finite (overflow),
+    rather than recording NaN comparisons.
     """
     A, B, C = (np.asarray(M, dtype=float) for M in perturbations)
     if [M.shape for M in (A, B, C)] != [A.shape[:1] + M.shape for M in (S.A, S.B, S.C)]:
@@ -173,6 +185,8 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     for F in (F_naive, F_robust):
         J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
         reduced.append((Jdag @ A @ J, Jdag @ B, C @ J))
+    if not all(np.isfinite(M).all() for M in (A, B, C, *reduced[0], *reduced[1])):
+        raise NonFiniteError("a perturbed system or one of its projections is not finite")
     naive_positive, robust_positive = (
         np.min([M.min(axis=(-2, -1), initial=0.0) for M in triple], axis=0) >= -tol.nonneg_tol
         for triple in reduced)

@@ -2,7 +2,8 @@
 exhaustive subset scan and the per-row cone walk that serve as the
 minimal-route oracles, the per-column rank loop that serves as the
 column-selection oracle, the block Arnoldi basis that serves as the
-reachable-space oracle, and the hypothesis profile."""
+reachable-space oracle, the n-step Krylov loop that serves as the
+exactness oracle, and the hypothesis profile."""
 import itertools
 
 import numpy as np
@@ -137,6 +138,22 @@ def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
     return embedded
 
 
+def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = Tolerances()) -> bool:
+    """Reference exactness test: J @ Jdag fixes the unit-peak columns of
+    A^k B for every k < n, one block at a time (the Cayley-Hamilton
+    bound), each block formed from the scaled one before it. reduce must
+    accept exactly when this does, though it checks only min(n, m + 1)
+    blocks for J with m columns."""
+    P = S.B
+    for _ in range(S.dim):
+        peaks = np.abs(P).max(axis=0, initial=0.0)
+        P = P / np.where(peaks > 0.0, peaks, 1.0)
+        if not np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
+            return False
+        P = S.A @ P
+    return True
+
+
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:
     """Reference column selection: one rank() call per candidate column.
 
@@ -180,7 +197,7 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     are scaled to unit rows U and visited from the last to the first, and
     each row lying in the cone of the rows still kept is dropped, which
     leaves the lowest-index row on each extreme ray. Returns those rows
-    when there are m of them, they are independent,
+    when there are m of them, their unit rows are independent,
     U[rest] @ inv(U[rows]) >= 0, with the rows counted as zero held to
     basis[i] @ inv(basis[rows]) >= 0, and J = basis @ inv(basis[rows]),
     with the identity at the rows and its negative entries zeroed, still
@@ -199,7 +216,7 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
         if cone_coefficients(U[kept], U[i], tol) is None:
             kept[i] = True
     pivots = np.flatnonzero(kept)
-    if pivots.size != m or rank(B[pivots], tol) < m:
+    if pivots.size != m or rank(U[pivots], tol) < m:
         return None
     ratios = U @ np.linalg.inv(U[pivots])
     ratios[~nonzero] = B[~nonzero] @ np.linalg.inv(B[pivots])

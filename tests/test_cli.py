@@ -333,6 +333,27 @@ class TestPerturb:
         assert records["1e200"] == records["1e150"]
         assert all(r["robust_positive"] and r["equivalent"] for r in records["1e200"])
 
+    @pytest.mark.parametrize("system", ["cascade", "planted"])
+    def test_overflowing_delta_is_an_input_error(self, tmp_path, capsys, system):
+        # At --delta 1e308 the cascade's perturbed A (entries up to 3)
+        # overflows; the planted system's entries stay below 1, so its
+        # perturbed stack is finite, but the naive projection Jdag A J
+        # overflows. Neither may give records or print a RuntimeWarning
+        # (which the test settings would also turn into an exception).
+        path = str(tmp_path / "s.json")
+        if system == "cascade":
+            write_system(tmp_path / "s.json", cascade_system())
+        else:
+            assert main(["gen", "--n", "8", "--inputs", "2", "--outputs", "2",
+                         "--reachable-dim", "4", "--density", "0.6", "--seed", "3",
+                         "--output", path]) == 0
+        code, out, err = run(capsys, "perturb", "--input", path, "--count", "3",
+                             "--delta", "1e308")
+        assert_input_error((code, out, err))
+        assert out == ""
+        assert err.count("\n") == 1 and "--delta" in err
+        assert "Warning" not in err
+
     def test_algebraic_robust_factors(self, tmp_path, capsys):
         # Five rows in the cone of four extreme rays: no minimal factors,
         # but the repeated last row keeps the algebra at four dimensions.
@@ -400,6 +421,19 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["method"] == "minimal"
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs about 13 ms of start-up; only perturb and gen use
+    # it, and they load it on first use.
+    package_root = str(Path(posred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, posred.cli; print('numpy.random' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_benchmark_selftest_passes():

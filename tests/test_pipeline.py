@@ -166,6 +166,43 @@ class TestReachableRoutes:
         assert scaled.factorization.J.min() >= 0.0
         assert equivalent(T, scaled.reduced_system)
 
+    def test_rank_test_on_unit_rows_ignores_row_scale(self):
+        # The second of 300 diagonal similarities of lumped_system(9, 5, 2,
+        # 110), log10 d uniform in [-5, 5] from default_rng(0): the search
+        # picks rows [0, 2], and row 2 has norm 1.7e-10 of the largest
+        # entry, so the scaled rows B[[0, 2]] have rank 1 under rank_tol.
+        # Their unit rows have rank 2, and the route stays minimal.
+        rng = np.random.default_rng(0)
+        rng.uniform(-5.0, 5.0, 9)
+        d = 10.0 ** rng.uniform(-5.0, 5.0, 9)
+        S = lumped_system(9, 5, 2, 110)
+        T = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
+        basis = reachable_subspace(T).basis
+        assert rank(basis[[0, 2]]) == 1
+        plain, scaled = rpmr_reachable(S), rpmr_reachable(T)
+        assert plain.method == scaled.method == "minimal"
+        assert plain.factorization.pivot_rows == scaled.factorization.pivot_rows == [0, 2]
+        assert scaled.factorization.J.min() >= 0.0
+        assert equivalent(T, scaled.reduced_system)
+
+    def test_minimal_factors_of_a_short_basis_fall_back_to_the_algebra(self):
+        # System 34 of the 600-system check above, after its diagonal
+        # similarity at 5 decades: the raw-power basis keeps 2 of the 3
+        # reachable directions, so its minimal factors fail reduce's Krylov
+        # check; the algebra enlargement has dimension 3 and passes it.
+        rng = np.random.default_rng(2026)
+        rng.random(sum(3 + i % 8 + 2 * (1 + i % 2) for i in range(34)))
+        d, u, y = (10.0 ** rng.uniform(-k, k, size) for k, size in ((5, 5), (1, 1), (1, 1)))
+        S = generate_system(GeneratorSpec(5, 1, 1, 3, 0.9, 34))
+        T = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B * u, y[:, None] * S.C / d)
+        basis = reachable_subspace(T)
+        assert basis.dimension == 2
+        assert find_nonneg_factorization(basis) is not None
+        report = rpmr_reachable(T)
+        assert (report.method, report.reduced_dim) == ("algebraic", 3)
+        assert "do not fix" in report.diagnostics[0]
+        assert equivalent(T, report.reduced_system)
+
     def test_forgiven_sign_that_breaks_exactness_leaves_the_minimal_route(self):
         # Row 3 is 1e4 (row 0 + row 1) - 1e-7 row 2: -7e-12 on unit rows,
         # which the sign test forgives, but zeroing it moves the third

@@ -2,6 +2,8 @@
 equivalence, simulation."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posred import (DimensionMismatchError, Factorization, NegativeInputError,
                     NonFiniteError, NotInvariantError, NotPositiveError, PositiveLtiSystem,
@@ -10,7 +12,8 @@ from posred import (DimensionMismatchError, Factorization, NegativeInputError,
                     project, rank, reachability_matrix, reachable_subspace,
                     reduce, rpmr_reachable, simulate)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
-from conftest import cascade_system, spurious_mode_pair, swap_system
+from conftest import (cascade_system, fixes_every_krylov_block, spurious_mode_pair,
+                      swap_system)
 
 TOL = Tolerances()
 
@@ -203,6 +206,65 @@ class TestReduce:
         F = Factorization(np.eye(3)[:, :1], np.eye(3)[:1, :], [0])
         with pytest.raises(DimensionMismatchError):
             reduce(S, F)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_first_escaping_block_is_the_last_one_checked(self, m):
+        # A shifts state i to state i + 1, so A^k B = e_k: the selector of
+        # the first m states fixes the blocks k < m, and A^m B is the
+        # first one outside Im(J). reduce checks the blocks k <= m.
+        n = 6
+        J = np.eye(n)[:, :m]
+        F = Factorization(J, J.T, list(range(m)))
+        A = np.eye(n, k=-1)
+        with pytest.raises(NotInvariantError):
+            reduce(PositiveLtiSystem(A, np.eye(n)[:, :1]), F)
+        A[m, m - 1] = 0.0  # the chain now stops inside Im(J)
+        assert reduce(PositiveLtiSystem(A, np.eye(n)[:, :1]), F).dim == m
+
+
+@st.composite
+def selector_reductions(draw):
+    """A positive system with n <= 6, its nonzero entries in [0.5, 2], and
+    the selector J of a set of states, with Jdag = J^T. The set is random,
+    or the reachable support (the states reached from the nonzero rows of
+    B in the graph of A) with random states added, or with one removed.
+    With these entries every reached state's first nonzero entry in the
+    unit-peak blocks exceeds 3e-8 > eq_tol, so J @ Jdag fixes the
+    reachable space exactly when the set contains the support."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.4, 0.7]))
+
+    def sparse(shape):
+        return np.where(rng.random(shape) < density, rng.uniform(0.5, 2.0, shape), 0.0)
+
+    S = PositiveLtiSystem(sparse((n, n)), sparse((n, draw(st.integers(1, 2)))))
+    support = (S.B != 0).any(axis=1)
+    for _ in range(n):
+        support = support | (S.A[:, support] != 0).any(axis=1)
+    kind = draw(st.sampled_from(["random", "superset", "short"]))
+    if kind == "random":
+        states = rng.random(n) < 0.5
+    elif kind == "superset":
+        states = support | (rng.random(n) < 0.3)
+    else:
+        states = support.copy()
+        if support.any():
+            states[rng.choice(np.flatnonzero(support))] = False
+    J = np.eye(n)[:, states]
+    return S, Factorization(J, J.T, np.flatnonzero(states).tolist()), support
+
+
+@given(selector_reductions())
+def test_reduce_accepts_exactly_when_every_krylov_block_is_fixed(case):
+    S, F, support = case
+    try:
+        reduce(S, F)
+        accepted = True
+    except NotInvariantError:
+        accepted = False
+    assert accepted == fixes_every_krylov_block(S, F.J, F.Jdag)
+    assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
 
 
 class TestEquivalent:
