@@ -304,8 +304,7 @@ def cmd_perturb(args) -> int:
         "naive_positive_rate": sum(r.naive_positive for r in records) / count,
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
-        "records": [{"naive_positive": r.naive_positive, "robust_positive": r.robust_positive,
-                     "equivalent": r.equivalent} for r in records],
+        "records": [dict(vars(r)) for r in records],
     })
     return 0
 

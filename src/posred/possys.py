@@ -181,22 +181,19 @@ def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.n
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
-    The reduction is exact when J @ Jdag fixes A^k B for k <= m, with m
-    the column count of J. The spaces K_k spanned by the blocks A^j B,
-    j < k, grow until K_(k+1) = K_k, and then stay put (A K_k lies in
-    K_(k+1) = K_k). If J @ Jdag fixes K_(m+1), that space lies in Im(J)
-    and has dimension at most m, so the chain K_1, ..., K_(m+1) cannot
-    grow at each of its m steps: it has stopped, K_(m+1) is the whole
-    reachable space, and J @ Jdag fixes every A^k B. k < n decides too,
-    by Cayley-Hamilton, so min(n, m + 1) blocks are checked. By
-    induction (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov
-    coefficient matches. Neither A-invariance of Im(J) nor Jdag @ J = I
-    is needed. The test is scale-free: each column of each block is
-    scaled to unit peak before the next block is formed from it, and the
-    residual max|P - J (Jdag P)| over all blocks is held to eq_tol. The
-    reduced triple must come out non-negative; the PositiveLtiSystem
-    constructor raises NotPositiveError otherwise (possible only with
-    mixed-sign factors).
+    The reduction is exact when J @ Jdag fixes A^k B for k < n: by
+    Cayley-Hamilton it then fixes every A^k B, and by induction
+    (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov coefficient matches.
+    Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
+    scale-free: each column of each block is scaled to unit peak before
+    the next block is formed from it, and the residual max|P - J (Jdag P)|
+    over all n blocks is held to eq_tol. In exact arithmetic the blocks
+    k <= m (m the column count of J) would decide, since a Krylov chain
+    inside an m-dimensional Im(J) stops growing within m steps; under
+    eq_tol they do not: blocks within eq_tol of Im(J) can still drift out
+    of it at later powers. The reduced triple must come out non-negative;
+    the PositiveLtiSystem constructor raises NotPositiveError otherwise
+    (possible only with mixed-sign factors).
     """
     J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
@@ -207,7 +204,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         return P / np.where(peaks > 0.0, peaks, 1.0)
 
     blocks = [unit_peak(S.B)]
-    for _ in range(min(S.dim, J.shape[1] + 1) - 1):
+    for _ in range(S.dim - 1):
         blocks.append(unit_peak(S.A @ blocks[-1]))
     P = np.hstack(blocks)
     if not abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:

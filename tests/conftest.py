@@ -141,9 +141,9 @@ def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
 def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = Tolerances()) -> bool:
     """Reference exactness test: J @ Jdag fixes the unit-peak columns of
     A^k B for every k < n, one block at a time (the Cayley-Hamilton
-    bound), each block formed from the scaled one before it. reduce must
-    accept exactly when this does, though it checks only min(n, m + 1)
-    blocks for J with m columns."""
+    bound), each block formed from the scaled one before it and tested
+    on its own. reduce, which tests all n blocks in one stacked residual,
+    must accept exactly when this does."""
     P = S.B
     for _ in range(S.dim):
         peaks = np.abs(P).max(axis=0, initial=0.0)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import posred.monotone
-from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
+from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, observability_matrix, perturbation_experiment, project,
@@ -202,6 +202,24 @@ class TestReachableRoutes:
         assert (report.method, report.reduced_dim) == ("algebraic", 3)
         assert "do not fix" in report.diagnostics[0]
         assert equivalent(T, report.reduced_system)
+
+    def test_short_basis_whose_algebra_also_fails_is_an_error(self):
+        # Unscaled, this system reduces minimally to order 2. After the
+        # diagonal similarity, column selection keeps B alone, the minimal
+        # factors of that basis fail reduce, and so does the projector of
+        # its one-dimensional algebra: the pipeline raises rather than
+        # report a reduction that reduce did not certify.
+        S = generate_system(GeneratorSpec(3, 1, 1, 2, 0.9, 54))
+        assert rpmr_reachable(S).reduced_dim == 2
+        d = np.array([1e-5, 1e-3, 1e4])
+        T = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
+        basis = reachable_subspace(T)
+        assert basis.dimension == 1
+        assert find_nonneg_factorization(basis) is not None
+        with pytest.raises(NotInvariantError, match="does not fix"):
+            rpmr_reachable(T, force_algebraic=True)
+        with pytest.raises(NotInvariantError, match="does not fix"):
+            rpmr_reachable(T)
 
     def test_forgiven_sign_that_breaks_exactness_leaves_the_minimal_route(self):
         # Row 3 is 1e4 (row 0 + row 1) - 1e-7 row 2: -7e-12 on unit rows,

@@ -211,7 +211,7 @@ class TestReduce:
     def test_first_escaping_block_is_the_last_one_checked(self, m):
         # A shifts state i to state i + 1, so A^k B = e_k: the selector of
         # the first m states fixes the blocks k < m, and A^m B is the
-        # first one outside Im(J). reduce checks the blocks k <= m.
+        # first one outside Im(J).
         n = 6
         J = np.eye(n)[:, :m]
         F = Factorization(J, J.T, list(range(m)))
@@ -221,50 +221,108 @@ class TestReduce:
         A[m, m - 1] = 0.0  # the chain now stops inside Im(J)
         assert reduce(PositiveLtiSystem(A, np.eye(n)[:, :1]), F).dim == m
 
+    def test_blocks_within_eq_tol_that_drift_out_later_are_rejected(self):
+        # The selector of states {0, 1} fixes the unit-peak blocks e0, e1
+        # and e1 + 1e-9 e2 within eq_tol, so the blocks k <= m = 2 pass.
+        # State 2 doubles at every step: block k carries 1e-9 (2^(k-1) - 1)
+        # of e2, 1.5e-8 at k = 5, and C A^k B would miss by about 2 at
+        # k = 32.
+        n = 40
+        A = np.zeros((n, n))
+        A[1, 0] = A[1, 1] = 1.0
+        A[2, 1], A[2, 2] = 1e-9, 2.0
+        S = PositiveLtiSystem(A, np.eye(n)[:, :1], np.ones((1, n)))
+        J = np.eye(n)[:, :2]
+        F = Factorization(J, J.T, [0, 1])
+        assert not fixes_every_krylov_block(S, J, J.T)
+        with pytest.raises(NotInvariantError):
+            reduce(S, F)
+        assert not equivalent(S, PositiveLtiSystem(*project(S, J, J.T)))
+
+
+def drifting_chain(rng, n, m):
+    """A chain 0 -> ... -> m-1 with a self-loop on m-1, B = e0, and a
+    faint edge, of weight 1e-10 to 1e-8 (around eq_tol), from state m-1
+    into state m, which grows by up to 4 a step among the states m..n-1.
+    The selector of states 0..m-1 fixes the first blocks within eq_tol,
+    and the faint state can drift out of tolerance at any later power."""
+    A = np.zeros((n, n))
+    A[np.arange(1, m), np.arange(m - 1)] = rng.uniform(0.5, 2.0, m - 1)
+    A[m - 1, m - 1] = rng.uniform(0.5, 2.0)
+    A[m, m - 1] = 10.0 ** rng.uniform(-10.0, -8.0)
+    A[m:, m:] = np.where(rng.random((n - m, n - m)) < 0.4,
+                         rng.uniform(0.5, 2.0, (n - m, n - m)), 0.0)
+    A[m, m] = rng.uniform(0.5, 4.0)
+    return PositiveLtiSystem(A, np.eye(n)[:, :1])
+
 
 @st.composite
 def selector_reductions(draw):
-    """A positive system with n <= 6, its nonzero entries in [0.5, 2], and
-    the selector J of a set of states, with Jdag = J^T. The set is random,
-    or the reachable support (the states reached from the nonzero rows of
-    B in the graph of A) with random states added, or with one removed.
-    With these entries every reached state's first nonzero entry in the
-    unit-peak blocks exceeds 3e-8 > eq_tol, so J @ Jdag fixes the
-    reachable space exactly when the set contains the support."""
-    n = draw(st.integers(2, 6))
+    """A positive system with n <= 8 and the selector J of a set of
+    states, with Jdag = J^T, and whether J @ Jdag is known to fix the
+    reachable space exactly when the set contains the reachable support
+    (the states reached from the nonzero rows of B in the graph of A).
+    Random systems have n <= 6 and nonzero entries in [0.5, 2], so every
+    reached state's first nonzero entry in the unit-peak blocks exceeds
+    3e-8 > eq_tol and it is known; the set is random, or the support with
+    random states added, or with one removed. Drifting chains (see
+    drifting_chain) select their first m states; for them it is not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.sampled_from([0.2, 0.4, 0.7]))
+    kind = draw(st.sampled_from(["random", "superset", "short", "drift"]))
+    if kind == "drift":
+        n = draw(st.integers(3, 8))
+        m = draw(st.integers(1, n - 2))
+        S = drifting_chain(rng, n, m)
+        states = np.arange(n) < m
+    else:
+        n = draw(st.integers(2, 6))
+        density = draw(st.sampled_from([0.2, 0.4, 0.7]))
 
-    def sparse(shape):
-        return np.where(rng.random(shape) < density, rng.uniform(0.5, 2.0, shape), 0.0)
+        def sparse(shape):
+            return np.where(rng.random(shape) < density, rng.uniform(0.5, 2.0, shape), 0.0)
 
-    S = PositiveLtiSystem(sparse((n, n)), sparse((n, draw(st.integers(1, 2)))))
+        S = PositiveLtiSystem(sparse((n, n)), sparse((n, draw(st.integers(1, 2)))))
     support = (S.B != 0).any(axis=1)
     for _ in range(n):
         support = support | (S.A[:, support] != 0).any(axis=1)
-    kind = draw(st.sampled_from(["random", "superset", "short"]))
     if kind == "random":
         states = rng.random(n) < 0.5
     elif kind == "superset":
         states = support | (rng.random(n) < 0.3)
-    else:
+    elif kind == "short":
         states = support.copy()
         if support.any():
             states[rng.choice(np.flatnonzero(support))] = False
     J = np.eye(n)[:, states]
-    return S, Factorization(J, J.T, np.flatnonzero(states).tolist()), support
+    return S, Factorization(J, J.T, np.flatnonzero(states).tolist()), support, kind != "drift"
 
 
 @given(selector_reductions())
 def test_reduce_accepts_exactly_when_every_krylov_block_is_fixed(case):
-    S, F, support = case
+    S, F, support, support_decides = case
     try:
         reduce(S, F)
         accepted = True
     except NotInvariantError:
         accepted = False
     assert accepted == fixes_every_krylov_block(S, F.J, F.Jdag)
-    assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
+    if support_decides:
+        assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
+
+
+def test_drifting_chains_reach_both_verdicts_after_block_m():
+    # The property above is only as strong as its cases. With m = 2 the
+    # blocks k <= m touch states 0..2 only, so they are the blocks of the
+    # 3-state truncation, and those pass; yet some of the full chains are
+    # rejected at a later block, and some are not.
+    rng = np.random.default_rng(7)
+    later = []
+    for _ in range(40):
+        S = drifting_chain(rng, 8, 2)
+        J = np.eye(8)[:, :2]
+        assert fixes_every_krylov_block(PositiveLtiSystem(S.A[:3, :3], S.B[:3]), J[:3], J[:3].T)
+        later.append(fixes_every_krylov_block(S, J, J.T))
+    assert 0 < sum(later) < len(later)
 
 
 class TestEquivalent:
