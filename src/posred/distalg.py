@@ -19,7 +19,7 @@ from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError
                      SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
 from .monotone import positive_combination
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, rank
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
 
 
 class ReferenceVector:
@@ -117,18 +117,37 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
     return ReferenceVector(p, tol)
 
 
-def _level_sets(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """0/1 matrix whose column k marks the k-th group of rows, each row
-    within eq_tol of the first row of its group, in order of first
-    appearance."""
-    unassigned = np.ones(rows.shape[0], dtype=bool)
-    marks = []
-    for i in range(rows.shape[0]):
-        if unassigned[i]:
-            members = unassigned & (np.abs(rows - rows[i]).max(axis=1) <= tol.eq_tol)
-            unassigned &= ~members
-            marks.append(members)
-    return np.column_stack(marks).astype(float)
+def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of rows, each row within eq_tol of the first row of its
+    group, in order of first appearance: the 0/1 matrix whose column k
+    marks the k-th group, and for each row the index of its group's first
+    row. Closeness is one n x n boolean matrix, built column by column."""
+    n = rows.shape[0]
+    close = np.ones((n, n), dtype=bool)
+    for column in rows.T:
+        close &= abs(column[:, None] - column) <= tol.eq_tol
+    # Python lists: one numpy call per group costs more than the whole
+    # walk at the sizes grouped here.
+    first = [-1] * n
+    for i, row in enumerate(close.tolist()):
+        if first[i] < 0:
+            for j in range(i, n):
+                if row[j] and first[j] < 0:
+                    first[j] = i
+    first = np.array(first)
+    return (first[:, None] == np.unique(first)).astype(float), first
+
+
+def _indicators_span(levels: np.ndarray, first: np.ndarray, tol: Tolerances) -> bool:
+    """Whether the indicators of the groups span the columns of levels,
+    given each row's group leader first: every row equals its leader
+    within rank_tol times max(1, max|levels|). This is the decision of
+    rank([indicators | levels]) == #groups, bit for bit: elimination on
+    the indicator columns pivots on each group's leader (the first
+    maximum) with multipliers exactly 1 or 0, so what it leaves of the
+    levels is exactly each row minus its leader, and rank's threshold is
+    rank_tol times the largest entry, max(1, max|levels|)."""
+    return abs(levels - levels[first]).max() <= tol.rank_tol * max(1.0, abs(levels).max())
 
 
 def closure(V: SubspaceBasis, p: ReferenceVector,
@@ -142,11 +161,11 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     levels = basis[s] / p[s], with each column scaled to unit peak and
     rows within eq_tol counting as equal. Rows that agree in every column
     can still be told apart by a combination of nearly parallel columns,
-    so the indicators of the blocks must span the levels under rank();
-    when they do not, the blocks are the groups of rows within eq_tol of
-    an orthonormal basis of the levels, which depend on the span alone.
-    Blocks are ordered by first appearance, and each block's indicator
-    times p is an idempotent generator.
+    so the indicators of the blocks must span the levels
+    (_indicators_span); when they do not, the blocks are the groups of
+    rows within eq_tol of an orthonormal basis of the levels, which depend
+    on the span alone. Blocks are ordered by first appearance, and each
+    block's indicator times p is an idempotent generator.
     """
     if p.dim != V.ambient_dim:
         raise DimensionMismatchError("reference vector length does not match the ambient dimension")
@@ -164,10 +183,10 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     # A column that vanishes on the support separates no coordinates.
     peaks[peaks == 0.0] = 1.0
     levels /= peaks
-    marks = _level_sets(levels, tol)
+    marks, first = _level_sets(levels, tol)
     # Singleton blocks span everything; otherwise check the span.
-    if marks.shape[1] < s.size and rank(np.hstack([marks, levels]), tol) != marks.shape[1]:
-        marks = _level_sets(np.linalg.qr(levels)[0], tol)
+    if marks.shape[1] < s.size and not _indicators_span(levels, first, tol):
+        marks = _level_sets(np.linalg.qr(levels)[0], tol)[0]
     generators = np.zeros((V.ambient_dim, marks.shape[1]))
     generators[s] = marks * p.p[s][:, None]
     blocks = tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)

@@ -185,9 +185,13 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     Cayley-Hamilton it then fixes every A^k B, and by induction
     (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov coefficient matches.
     Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
-    scale-free: each column of each block is scaled to unit peak before
-    the next block is formed from it, and the residual max|P - J (Jdag P)|
-    over all n blocks is held to eq_tol. In exact arithmetic the blocks
+    scale-free: each column of each block is scaled to unit peak, and the
+    residual max|P - J (Jdag P)| over all n blocks is held to eq_tol.
+    Scaling a column commutes with multiplying by A, so the blocks are the
+    raw stack reachability_matrix(S) divided by its column peaks once,
+    when every peak lies in [2^-500, 2^500]; otherwise (a power overflows,
+    or a column is zero or may have underflowed) each block is formed
+    from the scaled one before it. In exact arithmetic the blocks
     k <= m (m the column count of J) would decide, since a Krylov chain
     inside an m-dimensional Im(J) stops growing within m steps; under
     eq_tol they do not: blocks within eq_tol of Im(J) can still drift out
@@ -203,10 +207,16 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         peaks = abs(P).max(axis=0, initial=0.0)
         return P / np.where(peaks > 0.0, peaks, 1.0)
 
-    blocks = [unit_peak(S.B)]
-    for _ in range(S.dim - 1):
-        blocks.append(unit_peak(S.A @ blocks[-1]))
-    P = np.hstack(blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = reachability_matrix(S)
+        peaks = abs(P).max(axis=0, initial=0.0)
+    if ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all():
+        P = P / peaks
+    else:
+        blocks = [unit_peak(S.B)]
+        for _ in range(S.dim - 1):
+            blocks.append(unit_peak(S.A @ blocks[-1]))
+        P = np.hstack(blocks)
     if not abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
         raise NotInvariantError("J @ Jdag does not fix the reachable space")
     return PositiveLtiSystem(*project(S, J, Jdag), S.time_domain, tol)

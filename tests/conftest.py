@@ -3,7 +3,8 @@ exhaustive subset scan and the per-row cone walk that serve as the
 minimal-route oracles, the per-column rank loop that serves as the
 column-selection oracle, the block Arnoldi basis that serves as the
 reachable-space oracle, the n-step Krylov loop that serves as the
-exactness oracle, and the hypothesis profile."""
+exactness oracle, the per-group row loop and the rank test that serve as
+the closure's grouping and span oracles, and the hypothesis profile."""
 import itertools
 
 import numpy as np
@@ -152,6 +153,30 @@ def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = To
             return False
         P = S.A @ P
     return True
+
+
+def greedy_level_sets(rows, tol: Tolerances = Tolerances()) -> np.ndarray:
+    """Reference row grouping, one comparison per group: the first row not
+    yet grouped takes every ungrouped row within eq_tol of it in every
+    column. Returns the 0/1 matrix whose column k marks the k-th group;
+    distalg's _level_sets must return the same matrix."""
+    rows = np.asarray(rows, dtype=float)
+    unassigned = np.ones(rows.shape[0], dtype=bool)
+    marks = []
+    for i in range(rows.shape[0]):
+        if unassigned[i]:
+            members = unassigned & (np.abs(rows - rows[i]).max(axis=1) <= tol.eq_tol)
+            unassigned &= ~members
+            marks.append(members)
+    return np.column_stack(marks).astype(float)
+
+
+def indicators_span_by_rank(marks, levels, tol: Tolerances = Tolerances()) -> bool:
+    """Reference span test: the group indicators span the columns of
+    levels exactly when rank([marks | levels]) equals the number of
+    groups, by Gaussian elimination; distalg's closed-form test must
+    decide the same."""
+    return rank(np.hstack([marks, levels]), tol) == np.asarray(marks).shape[1]
 
 
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:

@@ -12,7 +12,8 @@ from posred import (DimensionMismatchError, ReferenceVector, SubspaceBasis,
                     is_distorted_algebra, is_monotone_nonneg_rect, rank,
                     reachable_subspace, wedge)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
-from conftest import lumped_system, swap_system
+from posred.distalg import _indicators_span, _level_sets
+from conftest import greedy_level_sets, indicators_span_by_rank, lumped_system, swap_system
 
 TOL = Tolerances()
 
@@ -413,3 +414,81 @@ def test_blocks_do_not_depend_on_the_choice_of_p(basis, weight_seed):
     w = np.random.default_rng(weight_seed).uniform(0.1, 10.0, basis.dimension)
     other = ReferenceVector(basis.basis @ w)
     assert closure(basis, other).blocks == closure(basis, choose_p(basis)).blocks
+
+
+def repeated_rows(rng: np.random.Generator) -> np.ndarray:
+    """Level matrix with repeated rows: up to 10 rows, each a copy of one
+    of g base rows plus, per entry, no deviation, one near rank_tol
+    (10^-10.3 to 10^-9.7) or one near eq_tol (10^-8.3 to 10^-7.7), with
+    a random sign and random shares of the three kinds; columns scaled to
+    unit peak as closure scales them, and half the time the whole matrix
+    by a factor in [0.5, 2], so that rank's threshold is not always
+    rank_tol."""
+    n, q = rng.integers(2, 11), rng.integers(1, 5)
+    g = rng.integers(1, n + 1)
+    rows = rng.uniform(0.0, 1.0, (g, q))[rng.integers(0, g, n)]
+    kind = rng.choice(3, (n, q), p=rng.dirichlet(np.ones(3)))
+    exponent = np.where(kind == 1, rng.uniform(-10.3, -9.7, (n, q)),
+                        rng.uniform(-8.3, -7.7, (n, q)))
+    rows = rows + np.where(kind == 0, 0.0, rng.choice([-1.0, 1.0], (n, q)) * 10.0 ** exponent)
+    rows /= np.abs(rows).max(axis=0)
+    return rows * rng.uniform(0.5, 2.0) if rng.random() < 0.5 else rows
+
+
+def leaders_of(marks: np.ndarray) -> np.ndarray:
+    """Each row's group leader: the first row marked in its group's column."""
+    return marks.argmax(axis=0)[marks.argmax(axis=1)]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_level_sets_and_span_test_match_the_reference_loops(seed):
+    levels = repeated_rows(np.random.default_rng(seed))
+    marks, first = _level_sets(levels, TOL)
+    expected = greedy_level_sets(levels)
+    np.testing.assert_array_equal(marks, expected)
+    np.testing.assert_array_equal(first, leaders_of(expected))
+    assert _indicators_span(levels, first, TOL) == indicators_span_by_rank(expected, levels)
+
+
+def test_repeated_rows_reach_both_span_decisions():
+    # The property above is only as strong as its cases: deviations near
+    # rank_tol must leave some groups spanning their levels and some not.
+    spans = []
+    for seed in range(300):
+        levels = repeated_rows(np.random.default_rng(seed))
+        marks = greedy_level_sets(levels)
+        if marks.shape[1] < levels.shape[0]:
+            spans.append(indicators_span_by_rank(marks, levels))
+    assert 10 < sum(spans) < len(spans) - 10
+
+
+@st.composite
+def nearly_parallel_bases(draw):
+    """The span of a generated basis, spanned by p + 3e-9 Q (see
+    test_blocks_depend_on_the_span_alone), whose first grouping mostly
+    fails the span test."""
+    basis = draw(generated_bases())
+    p = choose_p(basis)
+    Q = np.zeros_like(basis.basis)
+    Q[p.support] = np.linalg.qr(basis.basis[p.support])[0]
+    try:
+        return SubspaceBasis(p.p[:, None] / np.abs(p.p).max() + 3e-9 * Q)
+    except RankDeficientError:
+        assume(False)
+
+
+@given(st.one_of(generated_bases(), lumped_bases(), nearly_parallel_bases()))
+def test_closure_blocks_match_the_reference_loops(basis):
+    p = choose_p(basis)
+    s = p.support
+    levels = basis.basis[s] / p.p[s][:, None]
+    peaks = np.abs(levels).max(axis=0)
+    levels /= np.where(peaks > 0.0, peaks, 1.0)
+    marks = greedy_level_sets(levels)
+    if marks.shape[1] < s.size and not indicators_span_by_rank(marks, levels):
+        marks = greedy_level_sets(np.linalg.qr(levels)[0])
+    algebra = closure(basis, p)
+    assert algebra.blocks == tuple(tuple(s[column > 0].tolist()) for column in marks.T)
+    expected = np.zeros_like(algebra.generators)
+    expected[s] = marks * p.p[s][:, None]
+    np.testing.assert_array_equal(algebra.generators, expected)

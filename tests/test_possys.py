@@ -1,5 +1,7 @@
 """Positive-system objects: reachability, Markov parameters, reduction,
 equivalence, simulation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -323,6 +325,70 @@ def test_drifting_chains_reach_both_verdicts_after_block_m():
         assert fixes_every_krylov_block(PositiveLtiSystem(S.A[:3, :3], S.B[:3]), J[:3], J[:3].T)
         later.append(fixes_every_krylov_block(S, J, J.T))
     assert 0 < sum(later) < len(later)
+
+
+def raw_stack_in_range(S: PositiveLtiSystem) -> bool:
+    """Whether every column peak of the raw stack [B, AB, ...] lies in
+    [2^-500, 2^500], where reduce scales the raw stack instead of forming
+    each block from the scaled one before it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        peaks = np.abs(reachability_matrix(S)).max(axis=0)
+    return bool(((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all())
+
+
+def overflowing_chain() -> PositiveLtiSystem:
+    """States 0 -> 1 -> 2 -> 3 with weight 1e200 and a self-loop on 3:
+    A^2 B is 1e400 e2, which overflows, while each unit-peak block is a
+    unit vector. States 4 and 5 are unreachable."""
+    A = np.zeros((6, 6))
+    A[[1, 2, 3], [0, 1, 2]] = 1e200
+    A[3, 3], A[5, 4] = 0.5, 1.0
+    return PositiveLtiSystem(A, np.eye(6)[:, :1], np.ones((1, 6)))
+
+
+def tiny_input_cascade() -> PositiveLtiSystem:
+    """The cascade with B scaled by 2^-600: every raw power stays far
+    below 2^-500, while its unit-peak blocks are the cascade's. The
+    reachable space is the plane of states {0, 1}."""
+    S = cascade_system()
+    return PositiveLtiSystem(S.A, np.ldexp(S.B, -600), S.C)
+
+
+class TestReduceFallback:
+    """Systems whose raw powers overflow or sit near underflow take the
+    block-by-block path; its verdict must be the reference loop's, with
+    no floating-point warning."""
+
+    @pytest.mark.parametrize("system, reached, accepted", [
+        (overflowing_chain, 4, True), (overflowing_chain, 3, False),
+        (tiny_input_cascade, 2, True), (tiny_input_cascade, 1, False)])
+    def test_verdict_matches_the_reference_loop(self, system, reached, accepted):
+        S = system()
+        assert not raw_stack_in_range(S)
+        J = np.eye(S.dim)[:, :reached]
+        assert fixes_every_krylov_block(S, J, J.T) == accepted
+        F = Factorization(J, J.T, list(range(reached)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if accepted:
+                assert reduce(S, F).dim == reached
+            else:
+                with pytest.raises(NotInvariantError):
+                    reduce(S, F)
+
+
+@given(selector_reductions(), st.integers(-700, 700))
+def test_reduce_verdict_matches_the_reference_loop_at_any_input_scale(case, e):
+    # Scaling B by 2^e is exact, so the reference verdict does not move;
+    # e beyond about +-500 sends reduce down the block-by-block path.
+    S, F, _, _ = case
+    scaled = PositiveLtiSystem(S.A, np.ldexp(S.B, e), S.C)
+    try:
+        reduce(scaled, F)
+        accepted = True
+    except NotInvariantError:
+        accepted = False
+    assert accepted == fixes_every_krylov_block(scaled, F.J, F.Jdag)
 
 
 class TestEquivalent:
