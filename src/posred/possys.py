@@ -189,10 +189,13 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     residual max|P - J (Jdag P)| over all n blocks is held to eq_tol.
     Scaling a column commutes with multiplying by A, so the blocks are the
     raw stack reachability_matrix(S) divided by its column peaks once,
-    when every peak lies in [2^-500, 2^500]; otherwise (a power overflows,
-    or a column is zero or may have underflowed) each block is formed
-    from the scaled one before it. In exact arithmetic the blocks
-    k <= m (m the column count of J) would decide, since a Krylov chain
+    when every peak lies in [2^-500, 2^500] and no product term
+    B[j] A[i1, j] ... of the stack can fall below 2^-1022 (the smallest
+    nonzero |B| times min(1, smallest nonzero |A|)^(n-1)). Otherwise (a
+    power overflows, a column is zero or tiny, or small entries of a
+    column may underflow and be amplified again by later powers) each
+    block is formed from the scaled one before it. In exact arithmetic
+    the blocks k <= m (m the column count of J) would decide, since a Krylov chain
     inside an m-dimensional Im(J) stops growing within m steps; under
     eq_tol they do not: blocks within eq_tol of Im(J) can still drift out
     of it at later powers. The reduced triple must come out non-negative;
@@ -207,10 +210,17 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         peaks = abs(P).max(axis=0, initial=0.0)
         return P / np.where(peaks > 0.0, peaks, 1.0)
 
+    def smallest(M):
+        M = abs(M)
+        return float(M[M > 0.0].min(initial=np.inf))
+
+    # Every product term of an entry of A^k B (k < n) is 0 or at least
+    # this large in magnitude, so no entry of the raw stack underflows.
+    floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         P = reachability_matrix(S)
         peaks = abs(P).max(axis=0, initial=0.0)
-    if ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all():
+    if floor >= 2.0 ** -1022 and ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all():
         P = P / peaks
     else:
         blocks = [unit_peak(S.B)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from posred import (DimensionMismatchError, Factorization, NegativeInputError,
                     NonFiniteError, NotInvariantError, NotPositiveError, PositiveLtiSystem,
-                    Tolerances, equivalent, find_nonneg_factorization,
+                    PosredError, Tolerances, equivalent, find_nonneg_factorization,
                     left_inverse, markov_match, markov_parameters, observability_matrix,
                     project, rank, reachability_matrix, reachable_subspace,
                     reduce, rpmr_reachable, simulate)
@@ -327,13 +327,17 @@ def test_drifting_chains_reach_both_verdicts_after_block_m():
     assert 0 < sum(later) < len(later)
 
 
-def raw_stack_in_range(S: PositiveLtiSystem) -> bool:
-    """Whether every column peak of the raw stack [B, AB, ...] lies in
-    [2^-500, 2^500], where reduce scales the raw stack instead of forming
-    each block from the scaled one before it."""
+def takes_raw_stack(S: PositiveLtiSystem) -> bool:
+    """Whether reduce scales the raw stack [B, AB, ...] instead of forming
+    each block from the scaled one before it: every column peak lies in
+    [2^-500, 2^500] and no product term of the stack can underflow."""
+    def smallest(M):
+        return np.abs(M)[M != 0.0].min(initial=np.inf)
+
     with np.errstate(over="ignore", invalid="ignore"):
         peaks = np.abs(reachability_matrix(S)).max(axis=0)
-    return bool(((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all())
+    floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
+    return bool(floor >= 2.0 ** -1022 and ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all())
 
 
 def overflowing_chain() -> PositiveLtiSystem:
@@ -354,17 +358,30 @@ def tiny_input_cascade() -> PositiveLtiSystem:
     return PositiveLtiSystem(S.A, np.ldexp(S.B, -600), S.C)
 
 
+def amplifying_chain(b=-499, down=(299, 299), up=(299, 299)) -> PositiveLtiSystem:
+    """B = 2^b e0, a self-loop of weight 1 on state 0, and a chain
+    0 -> 1 -> 2 -> 3 -> 4 with weights 2^-down then 2^up. Every column
+    peak of the raw stack is 2^b, yet state 2 of A^2 B is
+    2^(b - down[0] - down[1]), below the subnormal range by default, so
+    the raw states 3 and 4 stay 0 while the unit-peak block 4 holds 1 at
+    state 4."""
+    A = np.diag(np.ldexp(1.0, [-down[0], -down[1], up[0], up[1]]), -1)
+    A[0, 0] = 1.0
+    return PositiveLtiSystem(A, np.ldexp(np.eye(5)[:, :1], b), np.ones((1, 5)))
+
+
 class TestReduceFallback:
-    """Systems whose raw powers overflow or sit near underflow take the
-    block-by-block path; its verdict must be the reference loop's, with
-    no floating-point warning."""
+    """Systems whose raw powers overflow, sit near underflow, or lose small
+    entries to underflow take the block-by-block path; its verdict must
+    be the reference loop's, with no floating-point warning."""
 
     @pytest.mark.parametrize("system, reached, accepted", [
         (overflowing_chain, 4, True), (overflowing_chain, 3, False),
-        (tiny_input_cascade, 2, True), (tiny_input_cascade, 1, False)])
+        (tiny_input_cascade, 2, True), (tiny_input_cascade, 1, False),
+        (amplifying_chain, 5, True), (amplifying_chain, 1, False)])
     def test_verdict_matches_the_reference_loop(self, system, reached, accepted):
         S = system()
-        assert not raw_stack_in_range(S)
+        assert not takes_raw_stack(S)
         J = np.eye(S.dim)[:, :reached]
         assert fixes_every_krylov_block(S, J, J.T) == accepted
         F = Factorization(J, J.T, list(range(reached)))
@@ -375,6 +392,17 @@ class TestReduceFallback:
             else:
                 with pytest.raises(NotInvariantError):
                     reduce(S, F)
+
+    def test_underflowed_chain_is_not_reduced_to_its_input_state(self):
+        # The raw powers see nothing beyond state 1, so a basis built from
+        # them is short of the reachable space; whatever route answers must
+        # keep every Markov coefficient.
+        S = amplifying_chain()
+        try:
+            report = rpmr_reachable(S)
+        except PosredError:
+            return
+        assert equivalent(S, report.reduced_system)
 
 
 @given(selector_reductions(), st.integers(-700, 700))
@@ -389,6 +417,23 @@ def test_reduce_verdict_matches_the_reference_loop_at_any_input_scale(case, e):
     except NotInvariantError:
         accepted = False
     assert accepted == fixes_every_krylov_block(scaled, F.J, F.Jdag)
+
+
+@given(st.integers(-520, -480), st.tuples(st.integers(250, 450), st.integers(250, 450)),
+       st.tuples(st.integers(250, 450), st.integers(250, 450)), st.integers(1, 5))
+def test_reduce_verdict_matches_the_reference_loop_when_amplified_entries_underflow(
+        b, down, up, reached):
+    # State 2 of the raw A^2 B lies between 2^-1420 and 2^-980, so it is
+    # lost to underflow in some draws, and the rising edges bring it back
+    # to the column peak's scale in some of those.
+    S = amplifying_chain(b, down, up)
+    J = np.eye(5)[:, :reached]
+    try:
+        reduce(S, Factorization(J, J.T, list(range(reached))))
+        accepted = True
+    except NotInvariantError:
+        accepted = False
+    assert accepted == fixes_every_krylov_block(S, J, J.T)
 
 
 class TestEquivalent:
