@@ -10,8 +10,7 @@ column supported on that column alone.
 """
 import numpy as np
 
-from posred import (is_monotone_general, is_monotone_nonneg_rect,
-                    is_monotone_nonneg_square)
+from posred import is_monotone_general, is_monotone_nonneg_rect
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -34,7 +33,7 @@ print("=== Square non-negative matrices: generalized permutations only ===")
 for M in (np.diag([2.0, 3.0]),
           np.array([[0.0, 5.0], [7.0, 0.0]]),
           np.array([[1.0, 1.0], [0.0, 1.0]])):
-    print("M =\n", M, "\nmonotone?", is_monotone_nonneg_square(M), "\n")
+    print("M =\n", M, "\nmonotone?", is_monotone_nonneg_rect(M).monotone, "\n")
 
 print("=== Rectangular non-negative matrices: one private row per column ===")
 R = np.array([[1.0, 0.0],

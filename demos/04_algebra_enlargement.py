@@ -11,8 +11,7 @@ dimensions that the direct minimal-route search would not pay.
 import numpy as np
 
 from posred import (PositiveLtiSystem, algebra_factorization, choose_p,
-                    closure, is_distorted_algebra, reachable_subspace,
-                    rpmr_reachable)
+                    closure, reachable_subspace, rpmr_reachable)
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -33,10 +32,9 @@ print("truncated reachability matrix:\n", basis.basis)
 
 p = choose_p(basis)
 print("\nreference vector p =", p.p, "(sum of the basis columns)")
-print("is the reachable space already product-closed?",
-      is_distorted_algebra(basis, p))
-
 algebra = closure(basis, p)
+print("is the reachable space already product-closed?",
+      algebra.dimension == basis.dimension)
 print("closure dimension:", algebra.dimension)
 print("coordinate blocks:", algebra.blocks)
 print("idempotent generators:\n", algebra.generators)
@@ -61,7 +59,7 @@ print("\n=== eps = 2: reachable space of dimension 3 ===")
 S = swap(2.0)
 basis = reachable_subspace(S)
 print("is the reachable space product-closed now?",
-      is_distorted_algebra(basis, choose_p(basis)))
+      closure(basis, choose_p(basis)).dimension == basis.dimension)
 report = rpmr_reachable(S)
 print("minimal route dims:", report.original_dim, "->", report.reduced_dim)
 print("J =\n", report.factorization.J)

@@ -9,24 +9,20 @@ algebra containing it, which always factors non-negatively. Reductions
 built this way reproduce the original impulse response exactly and stay
 positive under any positivity-preserving perturbation of the data.
 """
-from .errors import (DimensionMismatchError, NegativeInputError,
-                     NonFiniteError, NotInvariantError, NotNonnegativeError,
-                     NotPositiveError, NotSquareError, PosredError,
-                     RankDeficientError, SingularError, SupportFailureError,
-                     UnsupportedCoordinateError, VerificationError,
-                     ZeroMatrixError)
+from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
+                     NotNonnegativeError, NotPositiveError, PosredError,
+                     RankDeficientError, SupportFailureError,
+                     UnsupportedCoordinateError, VerificationError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg, left_inverse, rank)
 from .monotone import (MonotoneCertificate, is_monotone_general,
-                       is_monotone_nonneg_rect, is_monotone_nonneg_square,
-                       nonneg_lstsq)
+                       is_monotone_nonneg_rect, nonneg_lstsq)
 from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
-from .possys import (PositiveLtiSystem, equivalent, markov_match,
-                     markov_parameters, observability_matrix, project,
-                     reachability_matrix, reachable_subspace, reduce, simulate)
+from .possys import (PositiveLtiSystem, equivalent, markov_match, project,
+                     reachability_matrix, reachable_subspace, reduce)
 from .distalg import (DistortedAlgebra, ReferenceVector, algebra_factorization,
-                      choose_p, closure, is_distorted_algebra, wedge)
+                      choose_p, closure)
 from .pipeline import (PerturbationRecord, ReductionReport, perturbation_experiment,
                        rpmr_observable, rpmr_reachable)
 from .gen import GeneratorSpec, generate_system
@@ -34,21 +30,19 @@ from .gen import GeneratorSpec, generate_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatchError", "NegativeInputError", "NonFiniteError",
-    "NotInvariantError", "NotNonnegativeError", "NotPositiveError", "NotSquareError",
-    "PosredError", "RankDeficientError", "SingularError",
+    "DimensionMismatchError", "NonFiniteError", "NotInvariantError",
+    "NotNonnegativeError", "NotPositiveError", "PosredError", "RankDeficientError",
     "SupportFailureError", "UnsupportedCoordinateError", "VerificationError",
     "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
     "column_space_basis", "is_nonneg", "left_inverse", "rank",
     "MonotoneCertificate", "is_monotone_general", "is_monotone_nonneg_rect",
-    "is_monotone_nonneg_square", "nonneg_lstsq",
+    "nonneg_lstsq",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
-    "PositiveLtiSystem", "equivalent", "markov_match", "markov_parameters",
-    "observability_matrix", "project", "reachability_matrix",
-    "reachable_subspace", "reduce", "simulate",
+    "PositiveLtiSystem", "equivalent", "markov_match", "project",
+    "reachability_matrix", "reachable_subspace", "reduce",
     "DistortedAlgebra", "ReferenceVector", "algebra_factorization", "choose_p",
-    "closure", "is_distorted_algebra", "wedge",
+    "closure",
     "PerturbationRecord", "ReductionReport", "perturbation_experiment",
     "rpmr_observable", "rpmr_reachable",
     "GeneratorSpec", "generate_system",

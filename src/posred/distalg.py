@@ -63,34 +63,6 @@ class DistortedAlgebra:
         return self.generators.shape[1]
 
 
-def _vector(x, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape[0] != dim:
-        raise DimensionMismatchError(f"{name} must have length {dim}")
-    if v.size and not np.isfinite(v).all():
-        raise NonFiniteError(f"{name} has non-finite entries")
-    return v
-
-
-def wedge(x, y, p: ReferenceVector, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Product x_i y_i / p_i on the support of p, zero elsewhere.
-
-    Both vectors must vanish off the support; p itself is the unit.
-    """
-    x = _vector(x, p.dim, "x")
-    y = _vector(y, p.dim, "y")
-    off = np.ones(p.dim, dtype=bool)
-    off[p.support] = False
-    if off.any():
-        weight = max(np.abs(x[off]).max(initial=0.0), np.abs(y[off]).max(initial=0.0))
-        if weight > tol.nonneg_tol:
-            raise UnsupportedCoordinateError("vector has weight outside supp(p)")
-    out = np.zeros(p.dim)
-    s = p.support
-    out[s] = x[s] * y[s] / p.p[s]
-    return out
-
-
 def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
     """Vector of span(V), strictly positive on the subspace support.
 
@@ -210,8 +182,3 @@ def algebra_factorization(algebra: DistortedAlgebra) -> Factorization:
     Jdag[np.arange(m), pivots] = 1.0
     return Factorization(J, Jdag, sorted(pivots))
 
-
-def is_distorted_algebra(V: SubspaceBasis, p: ReferenceVector,
-                         tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when span(V) is already closed under the p-product."""
-    return closure(V, p, tol).dimension == V.dimension

@@ -21,14 +21,6 @@ class NotNonnegativeError(PosredError):
     """An entrywise non-negative matrix was required."""
 
 
-class NotSquareError(PosredError):
-    """A square matrix was required."""
-
-
-class SingularError(PosredError):
-    """An invertible matrix was required."""
-
-
 class DimensionMismatchError(PosredError):
     """Shapes of the supplied operands are inconsistent."""
 
@@ -40,10 +32,6 @@ class NotInvariantError(PosredError):
 
 class NotPositiveError(PosredError):
     """System matrices (original or reduced) have negative entries."""
-
-
-class NegativeInputError(PosredError):
-    """Simulation inputs or initial states must be non-negative."""
 
 
 class UnsupportedCoordinateError(PosredError):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotNonnegativeError, NotSquareError, RankDeficientError, SingularError
+from .errors import NotNonnegativeError, RankDeficientError
 from .numerics import DEFAULT_TOL, Tolerances, as_matrix, is_nonneg, rank
 
 
@@ -156,25 +156,6 @@ def is_monotone_general(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate
             return MonotoneCertificate(False)
         inverse_rows[j] = coeffs
     return MonotoneCertificate(True, nonneg_left_inverse=inverse_rows)
-
-
-def is_monotone_nonneg_square(X, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Orthogonal-columns test for a square, invertible, non-negative matrix.
-
-    Equivalent to X being a generalized permutation matrix: exactly one
-    positive entry per row and per column.
-    """
-    A = as_matrix(X, "X")
-    n, m = A.shape
-    if n != m:
-        raise NotSquareError(f"expected a square matrix, got {n}x{m}")
-    if not is_nonneg(A, tol):
-        raise NotNonnegativeError("matrix has negative entries")
-    if rank(A, tol) < n:
-        raise SingularError("matrix is singular")
-    gram = A.T @ A
-    off_diagonal = gram - np.diag(np.diag(gram))
-    return bool(np.abs(off_diagonal).max() <= tol.eq_tol)
 
 
 def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate:

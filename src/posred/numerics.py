@@ -24,7 +24,8 @@ class Tolerances:
     so every kept pivot is held to the threshold too. nonneg_tol is the
     sign-test floor (entries >= -nonneg_tol count as non-negative) and
     eq_tol the entrywise equality tolerance, which also decides when two
-    rows are equal in the algebra closure.
+    rows are equal in the algebra closure. Each must be finite and
+    non-negative.
     """
 
     rank_tol: float = 1e-10
@@ -32,8 +33,8 @@ class Tolerances:
     eq_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.rank_tol, self.nonneg_tol, self.eq_tol) < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not all(0 <= t < np.inf for t in (self.rank_tol, self.nonneg_tol, self.eq_tol)):
+            raise ValueError("tolerances must be finite and non-negative")
 
 
 DEFAULT_TOL = Tolerances()

@@ -1,11 +1,10 @@
-"""Positive LTI systems: reachability and observability objects, Markov
-parameters, projection-based reduction, equivalence, and simulation."""
+"""Positive LTI systems: the reachable space, comparison of impulse
+responses, projection-based reduction and equivalence."""
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NegativeInputError,
-                     NotInvariantError, NotPositiveError, VerificationError)
+from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
 from .factorize import Factorization
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg)
@@ -24,7 +23,7 @@ class PositiveLtiSystem:
 
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
-    identical for both, while simulation accepts discrete systems only.
+    identical for both.
     """
 
     def __init__(self, A, B, C=None, time_domain: str = "discrete",
@@ -62,8 +61,14 @@ class PositiveLtiSystem:
         return self.C.shape[0]
 
     def transpose(self) -> "PositiveLtiSystem":
-        """The dual system (A^T, C^T, B^T); swaps reachability with observability."""
-        return PositiveLtiSystem(self.A.T, self.C.T, self.B.T, self.time_domain)
+        """The dual system (A^T, C^T, B^T); swaps reachability with observability.
+
+        The matrices were checked at construction, under the caller's
+        tolerances, so the dual is not checked again."""
+        dual = object.__new__(PositiveLtiSystem)
+        dual.A, dual.B, dual.C = _frozen(self.A.T), _frozen(self.C.T), _frozen(self.B.T)
+        dual.time_domain = self.time_domain
+        return dual
 
     def __repr__(self) -> str:
         return (f"PositiveLtiSystem(n={self.dim}, inputs={self.num_inputs}, "
@@ -83,34 +88,6 @@ def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Truncated reachability matrix: independent columns of [B, AB, ...]."""
     return column_space_basis(reachability_matrix(S), tol)
-
-
-def observability_matrix(S: PositiveLtiSystem) -> np.ndarray:
-    """The (n * outputs) x n stacked matrix [C; CA; ...; C A^(n-1)]."""
-    blocks = [S.C]
-    P = S.C
-    for _ in range(S.dim - 1):
-        P = P @ S.A
-        blocks.append(P)
-    return np.vstack(blocks)
-
-
-def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
-    """Coefficients C A^k B for k = 0..horizon by iterated multiplication.
-
-    The raw powers overflow on large systems; markov_match compares two
-    impulse responses without forming them."""
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    C = as_matrix(C, "C")
-    coefficients = []
-    P = B
-    for _ in range(horizon + 1):
-        coefficients.append(C @ P)
-        P = A @ P
-    return coefficients
 
 
 def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
@@ -241,30 +218,3 @@ def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,
     """
     return markov_match((S1.A, S1.B, S1.C), (S2.A, S2.B, S2.C), S1.dim + S2.dim, tol)
 
-
-def simulate(S: PositiveLtiSystem, x0, inputs, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Step x(k+1) = A x(k) + B u(k); returns outputs y(0)..y(len(inputs)).
-
-    Initial state and inputs must be non-negative; the produced trajectory
-    is certified non-negative as it is generated (positivity witness).
-    """
-    if S.time_domain != "discrete":
-        raise ValueError("only discrete-time systems can be stepped")
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape[0] != S.dim:
-        raise DimensionMismatchError(f"initial state must have length {S.dim}")
-    if x.min(initial=0.0) < -tol.nonneg_tol:
-        raise NegativeInputError("initial state has negative entries")
-    outputs = [S.C @ x]
-    for k, u in enumerate(inputs):
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape[0] != S.num_inputs:
-            raise DimensionMismatchError(f"input {k} must have length {S.num_inputs}")
-        if u.min(initial=0.0) < -tol.nonneg_tol:
-            raise NegativeInputError(f"input {k} has negative entries")
-        x = S.A @ x + S.B @ u
-        y = S.C @ x
-        if x.min(initial=0.0) < -tol.nonneg_tol or y.min(initial=0.0) < -tol.nonneg_tol:
-            raise VerificationError("trajectory of a positive system went negative")
-        outputs.append(y)
-    return outputs

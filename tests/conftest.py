@@ -4,14 +4,18 @@ minimal-route oracles, the per-column rank loop that serves as the
 column-selection oracle, the block Arnoldi basis that serves as the
 reachable-space oracle, the n-step Krylov loop that serves as the
 exactness oracle, the per-group row loop and the rank test that serve as
-the closure's grouping and span oracles, and the hypothesis profile."""
+the closure's grouping and span oracles, the raw Markov coefficients, the
+observability matrix, a simulator and the wedge product that serve as
+reference definitions, and the hypothesis profile."""
 import itertools
 
 import numpy as np
 from hypothesis import settings
 
-from posred import (GeneratorSpec, PositiveLtiSystem, Tolerances, generate_system,
-                    is_nonneg, rank, rpmr_reachable)
+from posred import (DimensionMismatchError, GeneratorSpec, NonFiniteError,
+                    PositiveLtiSystem, ReferenceVector, Tolerances,
+                    UnsupportedCoordinateError, VerificationError, as_matrix,
+                    generate_system, is_nonneg, rank, rpmr_reachable)
 from posred.monotone import cone_coefficients
 
 # Derandomized, bounded and without an example database, so the property
@@ -252,3 +256,87 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     J[pivots] = np.eye(m)
     P = B / np.abs(B).max(axis=0)
     return pivots.tolist() if np.abs(P - J @ P[pivots]).max() <= tol.eq_tol else None
+
+
+def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
+    """Coefficients C A^k B for k = 0..horizon by iterated multiplication.
+
+    The raw powers overflow on large systems; markov_match compares two
+    impulse responses without forming them."""
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    A = as_matrix(A, "A")
+    B = as_matrix(B, "B")
+    C = as_matrix(C, "C")
+    coefficients = []
+    P = B
+    for _ in range(horizon + 1):
+        coefficients.append(C @ P)
+        P = A @ P
+    return coefficients
+
+
+def observability_matrix(S: PositiveLtiSystem) -> np.ndarray:
+    """The (n * outputs) x n stacked matrix [C; CA; ...; C A^(n-1)]."""
+    blocks = [S.C]
+    P = S.C
+    for _ in range(S.dim - 1):
+        P = P @ S.A
+        blocks.append(P)
+    return np.vstack(blocks)
+
+
+def simulate(S: PositiveLtiSystem, x0, inputs, tol: Tolerances = Tolerances()) -> list[np.ndarray]:
+    """Step x(k+1) = A x(k) + B u(k); returns outputs y(0)..y(len(inputs)).
+
+    Initial state and inputs must be non-negative; the produced trajectory
+    is certified non-negative as it is generated (positivity witness).
+    """
+    if S.time_domain != "discrete":
+        raise ValueError("only discrete-time systems can be stepped")
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape[0] != S.dim:
+        raise DimensionMismatchError(f"initial state must have length {S.dim}")
+    if x.min(initial=0.0) < -tol.nonneg_tol:
+        raise ValueError("initial state has negative entries")
+    outputs = [S.C @ x]
+    for k, u in enumerate(inputs):
+        u = np.asarray(u, dtype=float).reshape(-1)
+        if u.shape[0] != S.num_inputs:
+            raise DimensionMismatchError(f"input {k} must have length {S.num_inputs}")
+        if u.min(initial=0.0) < -tol.nonneg_tol:
+            raise ValueError(f"input {k} has negative entries")
+        x = S.A @ x + S.B @ u
+        y = S.C @ x
+        if x.min(initial=0.0) < -tol.nonneg_tol or y.min(initial=0.0) < -tol.nonneg_tol:
+            raise VerificationError("trajectory of a positive system went negative")
+        outputs.append(y)
+    return outputs
+
+
+def _vector(x, dim: int, name: str) -> np.ndarray:
+    v = np.asarray(x, dtype=float).reshape(-1)
+    if v.shape[0] != dim:
+        raise DimensionMismatchError(f"{name} must have length {dim}")
+    if v.size and not np.isfinite(v).all():
+        raise NonFiniteError(f"{name} has non-finite entries")
+    return v
+
+
+def wedge(x, y, p: ReferenceVector, tol: Tolerances = Tolerances()) -> np.ndarray:
+    """Product x_i y_i / p_i on the support of p, zero elsewhere.
+
+    Both vectors must vanish off the support; p itself is the unit.
+    """
+    x = _vector(x, p.dim, "x")
+    y = _vector(y, p.dim, "y")
+    off = np.ones(p.dim, dtype=bool)
+    off[p.support] = False
+    if off.any():
+        weight = max(np.abs(x[off]).max(initial=0.0), np.abs(y[off]).max(initial=0.0))
+        if weight > tol.nonneg_tol:
+            raise UnsupportedCoordinateError("vector has weight outside supp(p)")
+    out = np.zeros(p.dim)
+    s = p.support
+    out[s] = x[s] * y[s] / p.p[s]
+    return out

@@ -13,11 +13,10 @@ import pytest
 from posred import (Factorization, GeneratorSpec,
                     Tolerances, choose_p, closure, equivalent,
                     find_nonneg_factorization, generate_system,
-                    is_distorted_algebra, is_monotone_general,
-                    is_monotone_nonneg_rect, left_inverse, markov_parameters,
+                    is_monotone_general, is_monotone_nonneg_rect, left_inverse,
                     project, rank, reachability_matrix, reachable_subspace, reduce,
-                    rpmr_observable, rpmr_reachable, wedge)
-from conftest import cascade_system, swap_system
+                    rpmr_observable, rpmr_reachable)
+from conftest import cascade_system, markov_parameters, swap_system, wedge
 
 TOL = Tolerances()
 
@@ -197,8 +196,9 @@ def test_criterion_5_oracle_equivalence():
         assert fast.monotone == slow.monotone
         verdicts[fast.monotone] += 1
         if n == m:
-            from posred import is_monotone_nonneg_square
-            assert is_monotone_nonneg_square(X) == fast.monotone
+            # Square case: monotone exactly when the columns are orthogonal.
+            gram = X.T @ X
+            assert (np.abs(gram - np.diag(np.diag(gram))).max() <= TOL.eq_tol) == fast.monotone
     elapsed = time.perf_counter() - start
     assert min(verdicts.values()) > 100  # both verdicts well represented
     assert elapsed < 30.0
@@ -259,7 +259,7 @@ def test_criterion_8_orthogonality_criterion(planted_suite):
         gram = J.T @ J
         orthogonal = bool(np.abs(gram - np.diag(np.diag(gram))).max() <= TOL.eq_tol)
         basis = reachable_subspace(S)
-        closed = is_distorted_algebra(basis, choose_p(basis))
+        closed = closure(basis, choose_p(basis)).dimension == basis.dimension
         assert closed == orthogonal
         checked += 1
     assert checked > 100

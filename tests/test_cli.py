@@ -61,6 +61,14 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["space"] == "observable"
 
+    def test_observable_space_keeps_the_sign_tolerance(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.0], [-5e-7, 1.0]],
+                                                "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]})
+        code, out, _ = run(capsys, "reduce", "--input", path, "--space", "observable",
+                           "--nonneg-tol", "1e-6")
+        assert code == 0
+        assert json.loads(out)["reduced_dim"] == 1
+
     def test_negative_entry_exits_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json",
                           {"A": [[1.0, -1.0], [0.0, 1.0]], "B": [[1.0], [1.0]]})
@@ -233,6 +241,12 @@ class TestVerify:
     def test_negative_horizon_is_an_input_error(self, tmp_path, capsys):
         original = write_system(tmp_path / "orig.json", cascade_system())
         assert_input_error(run(capsys, "verify", original, original, "--horizon", "-1"))
+
+    def test_infinite_tolerance_is_an_input_error(self, tmp_path, capsys):
+        first = write_system(tmp_path / "a.json", posred.generate_system(posred.GeneratorSpec(4)))
+        second = write_system(tmp_path / "b.json",
+                              posred.generate_system(posred.GeneratorSpec(4, seed=1)))
+        assert_input_error(run(capsys, "verify", first, second, "--tol", "inf"))
 
 
 class TestGen:

@@ -3,10 +3,8 @@ combinatorial shortcuts against the oracle."""
 import numpy as np
 import pytest
 
-from posred import (NotNonnegativeError, NotSquareError, RankDeficientError,
-                    SingularError, Tolerances, is_monotone_general,
-                    is_monotone_nonneg_rect, is_monotone_nonneg_square,
-                    nonneg_lstsq)
+from posred import (NotNonnegativeError, RankDeficientError, Tolerances,
+                    is_monotone_general, is_monotone_nonneg_rect, nonneg_lstsq)
 from posred.monotone import cone_coefficients
 
 TOL = Tolerances()
@@ -120,15 +118,18 @@ class TestGeneralOracle:
 
 
 class TestSquareShortcut:
+    """On square input the orthogonal-row test accepts exactly the
+    generalized permutation matrices."""
+
     def test_diagonal(self):
-        assert is_monotone_nonneg_square(np.diag([2.0, 3.0]))
+        assert is_monotone_nonneg_rect(np.diag([2.0, 3.0])).monotone
 
     def test_antidiagonal_generalized_permutation(self):
-        assert is_monotone_nonneg_square(np.array([[0.0, 5.0], [7.0, 0.0]]))
+        assert is_monotone_nonneg_rect(np.array([[0.0, 5.0], [7.0, 0.0]])).monotone
 
     def test_upper_triangular_is_not(self):
         X = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert not is_monotone_nonneg_square(X)
+        assert not is_monotone_nonneg_rect(X).monotone
         assert not is_monotone_general(X).monotone
 
     def test_generalized_permutation_pattern_equivalence(self):
@@ -140,15 +141,14 @@ class TestSquareShortcut:
                 continue
             one_per_row = (X > 0).sum(axis=1) == 1
             one_per_col = (X > 0).sum(axis=0) == 1
-            assert is_monotone_nonneg_square(X) == bool(one_per_row.all() and one_per_col.all())
+            assert (is_monotone_nonneg_rect(X).monotone
+                    == bool(one_per_row.all() and one_per_col.all()))
 
     def test_rejections(self):
-        with pytest.raises(NotSquareError):
-            is_monotone_nonneg_square(np.ones((3, 2)))
         with pytest.raises(NotNonnegativeError):
-            is_monotone_nonneg_square(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(SingularError):
-            is_monotone_nonneg_square(np.ones((2, 2)))
+            is_monotone_nonneg_rect(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(RankDeficientError):
+            is_monotone_nonneg_rect(np.ones((2, 2)))
 
 
 class TestRectShortcut:

@@ -178,3 +178,7 @@ class TestIsNonneg:
 def test_tolerances_must_be_nonnegative():
     with pytest.raises(ValueError):
         Tolerances(rank_tol=-1.0)
+    for value in (np.inf, np.nan):
+        for name in ("rank_tol", "nonneg_tol", "eq_tol"):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                Tolerances(**{name: value})

@@ -9,10 +9,10 @@ import posred.monotone
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
-                    markov_match, observability_matrix, perturbation_experiment, project,
-                    rank, reachable_subspace, rpmr_observable, rpmr_reachable)
+                    markov_match, perturbation_experiment, project, rank,
+                    reachable_subspace, rpmr_observable, rpmr_reachable)
 from conftest import (arnoldi_reachable_basis, cascade_system, lumped_system,
-                      stubborn_span, swap_system)
+                      observability_matrix, stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -282,6 +282,18 @@ class TestObservable:
         report = rpmr_observable(S)
         assert report.method == "none"
         assert any("already observable" in note for note in report.diagnostics)
+
+    def test_dual_keeps_the_callers_sign_tolerance(self):
+        # -5e-7 passes nonneg_tol = 1e-6; the dual must not be checked
+        # again under the default tolerance.
+        tol = Tolerances(nonneg_tol=1e-6)
+        S = PositiveLtiSystem([[1.0, -5e-7], [0.0, 1.0]], [[1.0], [0.0]], [[1.0, 1.0]],
+                              tol=tol)
+        assert rpmr_reachable(S, tol).reduced_dim == 1
+        assert rpmr_observable(S, tol).method == "none"  # fully observable
+        report = rpmr_observable(S.transpose(), tol)
+        assert report.method == "minimal"
+        assert report.reduced_dim == 1
 
     def test_planted_unobservable_block(self):
         reduced_count = 0
