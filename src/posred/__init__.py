@@ -12,7 +12,7 @@ positive under any positivity-preserving perturbation of the data.
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      NotNonnegativeError, NotPositiveError, PosredError,
                      RankDeficientError, SupportFailureError,
-                     UnsupportedCoordinateError, VerificationError, ZeroMatrixError)
+                     UnsupportedCoordinateError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg, left_inverse, rank)
 from .monotone import (MonotoneCertificate, is_monotone_general,
@@ -32,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionMismatchError", "NonFiniteError", "NotInvariantError",
     "NotNonnegativeError", "NotPositiveError", "PosredError", "RankDeficientError",
-    "SupportFailureError", "UnsupportedCoordinateError", "VerificationError",
-    "ZeroMatrixError",
+    "SupportFailureError", "UnsupportedCoordinateError", "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
     "column_space_basis", "is_nonneg", "left_inverse", "rank",
     "MonotoneCertificate", "is_monotone_general", "is_monotone_nonneg_rect",

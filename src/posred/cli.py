@@ -3,15 +3,11 @@
 Exit codes: 0 success (reduction found, property holds), 1 input or
 validation error, 2 usage error (reported by argparse), 3 negative result
 (no reduction, not monotone, no factorization, verification failed).
-The POSRED_LOG environment variable (error|warn|info|debug) controls
-logging verbosity.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,20 +25,12 @@ from .possys import PositiveLtiSystem, markov_match
 
 SCHEMA_VERSION = 1
 
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("POSRED_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _tolerances(args) -> Tolerances:
@@ -270,10 +258,10 @@ def cmd_perturb(args) -> int:
     if robust.reduced_dim == 0:
         raise CliError(3, "input map is zero; nothing to reduce or perturb")
     if robust.method == "none":
-        if robust.algebra is None:  # the closure runs only below full dimension
+        if robust.basis.dimension == S.dim:
             raise CliError(3, "system is already reachable; nothing to reduce")
-        raise CliError(3, "no robust reduction exists: the algebra enlargement "
-                          "has full dimension")
+        reason = robust.diagnostics[-1].removeprefix("RPMR could not be performed: ")
+        raise CliError(3, f"no robust reduction exists: {reason}")
     basis = robust.basis.basis
     naive = Factorization(basis, left_inverse(basis, tol), [])
 
@@ -378,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -42,7 +42,3 @@ class SupportFailureError(PosredError):
     """No vector of the span is strictly positive on the subspace support,
     so no reference vector exists."""
 
-
-class VerificationError(PosredError):
-    """A post-condition that is guaranteed by construction failed; this
-    signals a bug or a tolerance pathology, never a bad input."""

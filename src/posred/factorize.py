@@ -11,7 +11,6 @@ sign test on unit rows and verify_factorization decide.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .monotone import positive_combination
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, is_nonneg, rank
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -36,10 +33,6 @@ class Factorization:
     J: np.ndarray
     Jdag: np.ndarray
     pivot_rows: list[int]
-
-    @property
-    def dimension(self) -> int:
-        return self.J.shape[1]
 
 
 def find_nonneg_factorization(
@@ -85,7 +78,6 @@ def find_nonneg_factorization(
         c = positive_combination(U, tol)
         height = U @ c if c is not None else height
         if not (height > tol.nonneg_tol).all():
-            log.debug("no combination of the basis columns is positive on every row")
             return None
     R = U / height[:, None]
     picks = []
@@ -103,7 +95,6 @@ def find_nonneg_factorization(
     kept = sorted(set(on_ray.argmax(axis=1).tolist()))
     pivots = rows[kept]
     if pivots.size != m or rank(U[kept], tol) < m:
-        log.debug("successive projection picked rows %s for dimension %d", pivots.tolist(), m)
         return None
     J = B @ np.linalg.inv(B[pivots])
     J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
@@ -112,16 +103,13 @@ def find_nonneg_factorization(
     scale = np.ones_like(J)
     scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
     if not is_nonneg(J * scale, tol):
-        log.debug("extreme rows %s fail the sign test", pivots.tolist())
         return None
     np.maximum(J, 0.0, out=J)
     Jdag = np.zeros((m, n))
     Jdag[np.arange(m), pivots] = 1.0
     F = Factorization(J, Jdag, pivots.tolist())
     if not verify_factorization(F, V, tol):
-        log.debug("clamped factor at rows %s does not fix the basis", pivots.tolist())
         return None
-    log.debug("non-negative factorization found at rows %s", pivots.tolist())
     return F
 
 

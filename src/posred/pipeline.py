@@ -8,7 +8,6 @@ observable complement might admit a reduction when this one does not.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,12 +15,11 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import DimensionMismatchError, NonFiniteError, NotInvariantError, ZeroMatrixError
+from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
+                     SupportFailureError, ZeroMatrixError)
 from .factorize import Factorization, find_nonneg_factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix
 from .possys import PositiveLtiSystem
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -97,15 +95,18 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
             # Factors of a basis that column selection left short of the
             # space (raw powers under scaling) fail reduce's Krylov check.
             try:
-                report = _reduced("minimal", space, S, F, tol, diagnostics, basis)
-                log.info("minimal %s reduction %d -> %d", space, n, q)
-                return report
+                return _reduced("minimal", space, S, F, tol, diagnostics, basis)
             except NotInvariantError:
                 diagnostics.append(f"non-negative factors of the {space} basis do not fix "
                                    f"the {space} space")
 
-    p = choose_p(basis, tol)
-    algebra = closure(basis, p, tol)
+    try:
+        p = choose_p(basis, tol)
+        algebra = closure(basis, p, tol)
+    except SupportFailureError as exc:
+        diagnostics.append(f"RPMR could not be performed: the {space} basis has no "
+                           f"reference vector for the algebra closure ({exc})")
+        return ReductionReport("none", space, n, n, diagnostics=diagnostics, basis=basis)
     if algebra.dimension >= n:
         diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
         return ReductionReport("none", space, n, n, diagnostics=diagnostics,
@@ -114,9 +115,15 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
     # The enlargement need not be A-invariant; reduce() only needs its
     # projector to fix the target space.
     diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
-    log.info("algebraic %s reduction %d -> %d", space, n, algebra.dimension)
-    return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
-                    diagnostics, basis, algebra)
+    try:
+        return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
+                        diagnostics, basis, algebra)
+    except NotInvariantError:
+        diagnostics.append(f"RPMR could not be performed: the projector of the algebra "
+                           f"enlargement fails the exactness check (it does not fix the "
+                           f"{space} space)")
+        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
+                               algebra=algebra, basis=basis)
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
@@ -131,7 +138,10 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     sum of the non-negative reachable generators, so the report depends on
     S and tol alone. Every reported reduction comes from possys.reduce, which checks
     that J @ Jdag fixes the reachable space (so every Markov coefficient
-    matches) and that the reduced triple is non-negative. force_algebraic
+    matches) and that the reduced triple is non-negative. When the
+    algebraic route fails too (choose_p finds no reference vector, or the
+    algebra's projector fails that check), the report is "none" at full
+    order and its last diagnostic names the check. force_algebraic
     skips the minimal route so the two answers can be compared on the
     same system.
     """

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from posred import (DimensionMismatchError, GeneratorSpec, NonFiniteError,
                     PositiveLtiSystem, ReferenceVector, Tolerances,
-                    UnsupportedCoordinateError, VerificationError, as_matrix,
+                    UnsupportedCoordinateError, as_matrix,
                     generate_system, is_nonneg, rank, rpmr_reachable)
 from posred.monotone import cone_coefficients
 
@@ -309,7 +309,7 @@ def simulate(S: PositiveLtiSystem, x0, inputs, tol: Tolerances = Tolerances()) -
         x = S.A @ x + S.B @ u
         y = S.C @ x
         if x.min(initial=0.0) < -tol.nonneg_tol or y.min(initial=0.0) < -tol.nonneg_tol:
-            raise VerificationError("trajectory of a positive system went negative")
+            raise AssertionError("trajectory of a positive system went negative")
         outputs.append(y)
     return outputs
 

@@ -8,7 +8,7 @@ PUBLIC_NAMES = sorted([
     "NotNonnegativeError", "NotPositiveError", "PerturbationRecord", "PositiveLtiSystem",
     "PosredError", "RankDeficientError", "ReductionReport", "ReferenceVector",
     "SubspaceBasis", "SupportFailureError", "Tolerances", "UnsupportedCoordinateError",
-    "VerificationError", "ZeroMatrixError", "algebra_factorization", "as_matrix",
+    "ZeroMatrixError", "algebra_factorization", "as_matrix",
     "choose_p", "closure", "column_space_basis", "equivalent",
     "find_nonneg_factorization", "generate_system", "is_monotone_general",
     "is_monotone_nonneg_rect", "is_nonneg", "left_inverse", "markov_match",
@@ -19,7 +19,7 @@ PUBLIC_NAMES = sorted([
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name

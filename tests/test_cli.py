@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import posred
-from posred import reachable_subspace
+from posred import PositiveLtiSystem, reachable_subspace
 from posred.cli import main
-from conftest import cascade_system, spurious_mode_pair, stubborn_span, swap_system
+from conftest import (cascade_system, lumped_system, spurious_mode_pair, stubborn_span,
+                      swap_system)
 
 
 def write_json(path, payload):
@@ -393,6 +394,24 @@ class TestPerturb:
                           {"A": [[0.0, 1.0], [1.0, 0.0]], "B": [[1.0], [0.0]]})
         code, _, err = run(capsys, "perturb", "--input", path)
         assert code == 3
+        assert "already reachable" in err
+
+    @pytest.mark.parametrize("scale, reason", [
+        (1e-9, "the projector of the algebra enlargement fails the exactness check"),
+        (1e-12, "the reachable basis has no reference vector")])
+    def test_failed_algebraic_route_names_its_reason(self, tmp_path, capsys, scale, reason):
+        # The algebraic route fails on this scaled system (see the pipeline
+        # test of the same systems); perturb names the failed check rather
+        # than calling the system reachable.
+        S = lumped_system(12, 6, 4, 0)
+        path = write_system(tmp_path / "s.json", PositiveLtiSystem(S.A, S.B * scale, S.C))
+        code, out, err = run(capsys, "reduce", "--input", path)
+        assert code == 3
+        assert json.loads(out)["method"] == "none"
+        code, out, err = run(capsys, "perturb", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: no robust reduction exists: {reason}")
 
     @pytest.mark.parametrize("system, seed, method, naive_bits", [
         ("cascade", "5", "minimal",
@@ -439,15 +458,17 @@ def test_console_entry_point(tmp_path):
 
 def test_import_does_not_load_numpy_random():
     # numpy.random costs about 13 ms of start-up; only perturb and gen use
-    # it, and they load it on first use.
+    # it, and they load it on first use. No module imports logging.
     package_root = str(Path(posred.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, posred.cli; print('numpy.random' in sys.modules)"],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for module in ("posred", "posred.cli"):
+        proc = subprocess.run([sys.executable, "-c",
+                               f"import sys, {module}; print(sorted("
+                               "{'numpy.random', 'logging'} & set(sys.modules)))"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_benchmark_selftest_passes():

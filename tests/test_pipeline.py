@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import posred.monotone
-from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
+from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
@@ -203,12 +203,12 @@ class TestReachableRoutes:
         assert "do not fix" in report.diagnostics[0]
         assert equivalent(T, report.reduced_system)
 
-    def test_short_basis_whose_algebra_also_fails_is_an_error(self):
+    def test_short_basis_whose_algebra_also_fails_is_not_reduced(self):
         # Unscaled, this system reduces minimally to order 2. After the
         # diagonal similarity, column selection keeps B alone, the minimal
         # factors of that basis fail reduce, and so does the projector of
-        # its one-dimensional algebra: the pipeline raises rather than
-        # report a reduction that reduce did not certify.
+        # its one-dimensional algebra: the pipeline reports no reduction
+        # at full order rather than one that reduce did not certify.
         S = generate_system(GeneratorSpec(3, 1, 1, 2, 0.9, 54))
         assert rpmr_reachable(S).reduced_dim == 2
         d = np.array([1e-5, 1e-3, 1e4])
@@ -216,10 +216,29 @@ class TestReachableRoutes:
         basis = reachable_subspace(T)
         assert basis.dimension == 1
         assert find_nonneg_factorization(basis) is not None
-        with pytest.raises(NotInvariantError, match="does not fix"):
-            rpmr_reachable(T, force_algebraic=True)
-        with pytest.raises(NotInvariantError, match="does not fix"):
-            rpmr_reachable(T)
+        for report in (rpmr_reachable(T, force_algebraic=True), rpmr_reachable(T)):
+            assert (report.method, report.reduced_dim) == ("none", 3)
+            assert report.reduced_system is None and report.factorization is None
+            assert report.algebra.dimension == 1
+            assert "exactness check" in report.diagnostics[-1]
+
+    @pytest.mark.parametrize("n, r, q, seed", [(12, 6, 4, 0), (8, 5, 3, 1)])
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_failed_algebraic_route_ends_in_a_report(self, n, r, q, seed, scale):
+        # With B as given or scaled by 1e-6 these systems reduce
+        # algebraically to order r. Scaled by 1e-9 the algebra's projector
+        # fails reduce's check, and by 1e-12 the basis falls below the
+        # absolute sign tolerance, so choose_p finds no reference vector.
+        # Either way the pipeline returns a report; any reduction in it
+        # must be exact.
+        S = lumped_system(n, r, q, seed)
+        T = PositiveLtiSystem(S.A, S.B * scale, S.C)
+        report = rpmr_reachable(T)
+        if report.method == "none":
+            assert report.reduced_dim == n and report.reduced_system is None
+            assert report.diagnostics[-1].startswith("RPMR could not be performed")
+        else:
+            assert equivalent(T, report.reduced_system)
 
     def test_forgiven_sign_that_breaks_exactness_leaves_the_minimal_route(self):
         # Row 3 is 1e4 (row 0 + row 1) - 1e-7 row 2: -7e-12 on unit rows,
