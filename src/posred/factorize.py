@@ -41,6 +41,10 @@ def find_nonneg_factorization(
 ) -> Optional[Factorization]:
     """Non-negative projector factors from the extreme rays of the row cone.
 
+    The basis is first divided by the power of two that brings its
+    largest entry into [1/2, 1), so its row norms are finite and nonzero
+    at any scale; outside the subnormal range the division is exact, and
+    every decision and J are those of the unscaled basis.
     Rows whose norm is below the rank threshold are dropped as zero and
     the others scaled to unit rows U, so positive row scaling moves
     nothing. Each unit row is divided by U @ c for a c positive on every
@@ -67,7 +71,7 @@ def find_nonneg_factorization(
     row's ray is represented by that row, so near such a boundary the
     search can return None where a subset scan would still find one.
     """
-    B = V.basis
+    B = np.ldexp(V.basis, -np.frexp(abs(V.basis).max())[1])
     n, m = B.shape
     norms = np.linalg.norm(B, axis=1)
     nonzero = norms > tol.rank_tol * np.abs(B).max()

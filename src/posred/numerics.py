@@ -59,7 +59,10 @@ def _eliminate(W: np.ndarray, r: int, j: int, threshold: float) -> float:
     if size <= threshold:
         return 0.0
     if pivot != r:
-        W[[r, pivot], j:] = W[[pivot, r], j:]
+        # Two slice copies: fancy-indexing the row pair costs more.
+        row = W[r, j:].copy()
+        W[r, j:] = W[pivot, j:]
+        W[pivot, j:] = row
     # The outer product by broadcasting: np.outer's wrapper costs more
     # than the arithmetic on the small matrices eliminated here.
     W[r + 1:, j:] -= (W[r + 1:, j] / W[r, j])[:, None] * W[r, j:]
@@ -123,6 +126,12 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     operations and pivots that rank() would give them, and each kept pivot
     beats rank_tol times the final kept peak, rank()'s threshold for them;
     so the result has full rank and skips SubspaceBasis's check.
+
+    The eliminated matrix changes only when a column is kept, so after a
+    refusal one vectorised scan applies the same test to every later
+    column at once and the pass resumes at the first one that would be
+    kept, or stops when there is none. The selection is that of the
+    column-by-column loop, bit for bit.
     """
     A = as_matrix(M)
     W = A.copy()
@@ -131,16 +140,25 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     selected: list[int] = []
     kept_peak = 0.0
     smallest_pivot = np.inf
-    for j in range(cols):
+    j = 0
+    while j < cols and len(selected) < rows:
         r = len(selected)
-        if r == rows:
-            break
         threshold = tol.rank_tol * max(kept_peak, peaks[j])
         size = _eliminate(W, r, j, threshold) if smallest_pivot > threshold else 0.0
         if size:
             selected.append(j)
             kept_peak = max(kept_peak, peaks[j])
             smallest_pivot = min(smallest_pivot, size)
+            j += 1
+            continue
+        # The refusal test above, negated as written, so that a NaN in W
+        # leaves its column live as it does in _eliminate.
+        thresholds = tol.rank_tol * np.maximum(kept_peak, peaks[j + 1:])
+        refused = ~(smallest_pivot > thresholds) | (abs(W[r:, j + 1:]).max(axis=0) <= thresholds)
+        live = np.flatnonzero(~refused)
+        if not live.size:
+            break
+        j += 1 + int(live[0])
     if not selected:
         raise ZeroMatrixError("matrix has rank 0; no column-space basis")
     result = object.__new__(SubspaceBasis)
@@ -150,15 +168,28 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
 
 
 def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose left inverse (M^T M)^{-1} M^T of a full-column-rank matrix."""
+    """Moore-Penrose left inverse (M^T M)^{-1} M^T of a full-column-rank matrix.
+
+    M is divided by the power of two that brings its largest entry into
+    [1/2, 1), and the inverse of the scaled matrix multiplied by the same
+    power, so M^T M neither overflows nor underflows; outside the
+    subnormal range both steps are exact. Raises RankDeficientError when
+    rank(M) is below the column count, when the scaled M^T M is singular,
+    or when L @ M misses the identity by more than eq_tol (a NaN misses).
+    """
     A = as_matrix(M)
     n, m = A.shape
+    exponent = np.frexp(np.abs(A).max(initial=0.0))[1]
+    A = np.ldexp(A, -exponent)
     if rank(A, tol) < m:
         raise RankDeficientError(f"{n}x{m} matrix has rank below {m}")
-    L = np.linalg.solve(A.T @ A, A.T)
-    if np.abs(L @ A - np.eye(m)).max() > tol.eq_tol:
+    try:
+        L = np.linalg.solve(A.T @ A, A.T)
+    except np.linalg.LinAlgError:
+        raise RankDeficientError(f"{n}x{m} matrix has a singular Gram matrix") from None
+    if not np.abs(L @ A - np.eye(m)).max(initial=0.0) <= tol.eq_tol:
         raise RankDeficientError("left inverse is inaccurate; matrix is numerically rank-deficient")
-    return L
+    return np.ldexp(L, -exponent)
 
 
 def is_nonneg(M, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
 from .factorize import Factorization
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
-                       column_space_basis, is_nonneg)
+                       column_space_basis)
 
 TIME_DOMAINS = ("discrete", "continuous")
 
@@ -23,8 +23,12 @@ class PositiveLtiSystem:
 
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
-    identical for both.
+    identical for both. The matrices are read-only, so the raw Krylov
+    stack that reachable_subspace and reduce both read is built once, on
+    first use, and kept read-only beside them.
     """
+
+    _stack = None  # [B, AB, ..., A^(n-1) B], see _raw_stack
 
     def __init__(self, A, B, C=None, time_domain: str = "discrete",
                  tol: Tolerances = DEFAULT_TOL):
@@ -41,7 +45,7 @@ class PositiveLtiSystem:
         if time_domain not in TIME_DOMAINS:
             raise ValueError(f"time_domain must be one of {TIME_DOMAINS}")
         for name, M in (("A", A), ("B", B), ("C", C)):
-            if not is_nonneg(M, tol):
+            if M.size and not M.min() >= -tol.nonneg_tol:
                 raise NotPositiveError(f"system is not positive: {name} has negative entries")
         self.A = _frozen(A)
         self.B = _frozen(B)
@@ -75,19 +79,40 @@ class PositiveLtiSystem:
                 f"outputs={self.num_outputs}, {self.time_domain})")
 
 
-def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
-    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B]."""
-    blocks = [S.B]
-    P = S.B
-    for _ in range(S.dim - 1):
-        P = S.A @ P
-        blocks.append(P)
+def _krylov_powers(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[B, AB, ..., A^(n-1) B]; a power that overflows holds inf, silently."""
+    blocks = [B]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(A.shape[0] - 1):
+            blocks.append(A @ blocks[-1])
     return np.hstack(blocks)
 
 
+def _raw_stack(S: PositiveLtiSystem) -> np.ndarray:
+    """S's read-only raw Krylov stack, built on the first call. Two threads
+    that race here build equal stacks, and either may be kept."""
+    if S._stack is None:
+        stack = _krylov_powers(S.A, S.B)
+        stack.setflags(write=False)
+        S._stack = stack
+    return S._stack
+
+
+def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
+    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B].
+
+    A fresh, writable copy of the stack that S keeps for reachable_subspace
+    and reduce, so changing it changes neither. Powers that overflow are
+    inf, without a floating-point warning.
+    """
+    return _raw_stack(S).copy()
+
+
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Truncated reachability matrix: independent columns of [B, AB, ...]."""
-    return column_space_basis(reachability_matrix(S), tol)
+    """Truncated reachability matrix: independent columns of [B, AB, ...],
+    selected by column_space_basis from the stack S keeps. A power that
+    overflows raises NonFiniteError."""
+    return column_space_basis(_raw_stack(S), tol)
 
 
 def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
@@ -165,7 +190,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     scale-free: each column of each block is scaled to unit peak, and the
     residual max|P - J (Jdag P)| over all n blocks is held to eq_tol.
     Scaling a column commutes with multiplying by A, so the blocks are the
-    raw stack reachability_matrix(S) divided by its column peaks once,
+    raw stack [B, AB, ...] divided by its column peaks once (the stack S
+    keeps, which reachable_subspace has usually built already),
     when every peak lies in [2^-500, 2^500] and no product term
     B[j] A[i1, j] ... of the stack can fall below 2^-1022 (the smallest
     nonzero |B| times min(1, smallest nonzero |A|)^(n-1)). Otherwise (a
@@ -194,9 +220,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     # Every product term of an entry of A^k B (k < n) is 0 or at least
     # this large in magnitude, so no entry of the raw stack underflows.
     floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = reachability_matrix(S)
-        peaks = abs(P).max(axis=0, initial=0.0)
+    P = _raw_stack(S)
+    peaks = abs(P).max(axis=0, initial=0.0)
     if floor >= 2.0 ** -1022 and ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all():
         P = P / peaks
     else:

@@ -1,12 +1,13 @@
 """Shared fixtures: the reference systems used across the suite, the
 exhaustive subset scan and the per-row cone walk that serve as the
-minimal-route oracles, the per-column rank loop that serves as the
-column-selection oracle, the block Arnoldi basis that serves as the
-reachable-space oracle, the n-step Krylov loop that serves as the
-exactness oracle, the per-group row loop and the rank test that serve as
-the closure's grouping and span oracles, the raw Markov coefficients, the
-observability matrix, a simulator and the wedge product that serve as
-reference definitions, and the hypothesis profile."""
+minimal-route oracles, the per-column rank loop and the per-column
+elimination loop that serve as the column-selection oracles, the block
+Arnoldi basis that serves as the reachable-space oracle, the n-step
+Krylov loop that serves as the exactness oracle, the per-group row loop
+and the rank test that serve as the closure's grouping and span oracles,
+the raw Markov coefficients, the observability matrix, a simulator and
+the wedge product that serve as reference definitions, and the
+hypothesis profile."""
 import itertools
 
 import numpy as np
@@ -197,6 +198,36 @@ def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:
             break
         if rank(A[:, selected + [j]], tol) > len(selected):
             selected.append(j)
+    return selected
+
+
+def per_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:
+    """Reference single-pass column selection, one elimination step per
+    column: column j is refused when the smallest pivot kept so far or
+    its own largest entry at or below row r (the number kept) is at most
+    rank_tol * max(kept peak, peak of j); otherwise it is eliminated
+    below row r with partial pivoting and kept. column_space_basis, which
+    skips the columns it can refuse all at once, must keep the same
+    columns."""
+    W = np.array(M, dtype=float)
+    rows, cols = W.shape
+    peaks = np.abs(W).max(axis=0, initial=0.0)
+    selected: list[int] = []
+    kept_peak, smallest_pivot = 0.0, np.inf
+    for j in range(cols):
+        r = len(selected)
+        if r == rows:
+            break
+        threshold = tol.rank_tol * max(kept_peak, peaks[j])
+        pivot = r + int(np.abs(W[r:, j]).argmax())
+        size = abs(W[pivot, j])
+        if not smallest_pivot > threshold or size <= threshold:
+            continue
+        W[[r, pivot], j:] = W[[pivot, r], j:]
+        W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
+        selected.append(j)
+        kept_peak = max(kept_peak, peaks[j])
+        smallest_pivot = min(smallest_pivot, size)
     return selected
 
 

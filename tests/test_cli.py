@@ -162,6 +162,16 @@ class TestFactorize:
         code, _, err = run(capsys, "factorize", "--input", path)
         assert code == 1
 
+    def test_huge_entries_factor_like_unit_ones(self, tmp_path, capsys):
+        # The row norms of this basis overflowed, and numpy's LinAlgError
+        # escaped as a traceback.
+        path = write_json(tmp_path / "m.json", [[1e200, 1e200], [1e200, -1e200]])
+        code, out, err = run(capsys, "factorize", "--input", path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["found"] is True
+        assert report["J"] == report["Jdag"] == [[1.0, 0.0], [0.0, 1.0]]
+
 
 class TestAlgebra:
     def test_swap_reachable_closure(self, tmp_path, capsys):
@@ -368,6 +378,21 @@ class TestPerturb:
         assert out == ""
         assert err.count("\n") == 1 and "--delta" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_input_maps_at_extreme_scales_give_records(self, tmp_path, capsys, scale):
+        # The naive factors' left inverse came from a Gram matrix that
+        # overflowed to a NaN inverse (1e160: exit 1 blaming --delta) or
+        # underflowed to a singular one (1e-170: numpy's LinAlgError).
+        S = posred.generate_system(posred.GeneratorSpec(n=6, inputs=1, outputs=1,
+                                                        reachable_dim=3, density=0.8, seed=3))
+        path = write_system(tmp_path / "s.json", PositiveLtiSystem(S.A, S.B * scale, S.C))
+        code, out, err = run(capsys, "perturb", "--input", path, "--delta", "0.1",
+                             "--count", "20")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["robust_method"] == "minimal"
+        assert report["robust_positive_rate"] == report["equivalent_rate"] == 1.0
 
     def test_algebraic_robust_factors(self, tmp_path, capsys):
         # Five rows in the cone of four extreme rays: no minimal factors,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
                     ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
                     rank, reachability_matrix)
-from conftest import greedy_column_selection
+from conftest import greedy_column_selection, per_column_selection
 
 TOL = Tolerances()
 
@@ -110,6 +110,39 @@ def test_column_selection_matches_per_column_rank_oracle(M):
     np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
 
 
+@st.composite
+def refusal_inputs(draw):
+    """Matrices with many columns to refuse: random columns followed by
+    duplicates, near-duplicates (a column plus 1e-11 to 1e-9 of a random
+    one, about the rank threshold) and zero columns, in that order or
+    shuffled, with each column scaled by 1 or by 10^u, u uniform in
+    [-12, 12]. The shape and contents follow one drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = rng.integers(1, 11), rng.integers(1, 9)
+    base = rng.normal(size=(n, k))
+    copies = base[:, rng.integers(0, k, rng.integers(0, 9))]
+    near = base[:, rng.integers(0, k, rng.integers(0, 9))]
+    near = near + 10.0 ** rng.uniform(-11, -9, near.shape[1]) * rng.normal(size=near.shape)
+    M = np.hstack([base, copies, near, np.zeros((n, rng.integers(0, 5)))])
+    if rng.random() < 0.5:
+        M = M[:, rng.permutation(M.shape[1])]
+    decades = rng.choice([0.0, 12.0])
+    return M * 10.0 ** rng.uniform(-decades, decades, M.shape[1])
+
+
+@given(st.one_of(selection_inputs(), refusal_inputs()))
+def test_column_selection_matches_the_per_column_loop(M):
+    # Bit for bit: the same columns, so the same basis, as one
+    # elimination step per column, on Krylov stacks of generated systems
+    # (selection_inputs) and on matrices with many columns to refuse.
+    selected = per_column_selection(M)
+    if not selected:
+        with pytest.raises(ZeroMatrixError):
+            column_space_basis(M)
+        return
+    np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6), st.integers(2, 12),
        st.floats(6.0, 16.0))
 def test_selected_columns_pass_the_rank_check_they_skip(seed, n, k, m, decades):
@@ -161,6 +194,19 @@ class TestLeftInverse:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficientError):
             left_inverse(np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("k", [-600, 560])
+    def test_extreme_scales_scale_the_inverse(self, k):
+        # M^T M underflowed to a singular matrix (numpy's LinAlgError) or
+        # overflowed to a NaN inverse that passed the accuracy check.
+        M = np.random.default_rng(3).random((6, 3))
+        np.testing.assert_array_equal(left_inverse(np.ldexp(M, k)), np.ldexp(left_inverse(M), -k))
+
+    def test_singular_gram_matrix_is_rank_deficient(self):
+        # With rank_tol = 0 the rank test keeps a column at 2^-600 of the
+        # peak, whose square underflows to an exactly singular M^T M.
+        with pytest.raises(RankDeficientError):
+            left_inverse(np.diag([1.0, 2.0 ** -600]), Tolerances(rank_tol=0.0))
 
 
 class TestIsNonneg:

@@ -1,11 +1,14 @@
 """End-to-end reduction pipeline: route selection, verification, duality,
 and the perturbation experiment."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import posred.monotone
+import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
@@ -392,6 +395,40 @@ class TestReportBasis:
         assert rpmr_observable(S.transpose()).basis is None
 
 
+def short_basis_system() -> PositiveLtiSystem:
+    """The system of test_short_basis_whose_algebra_also_fails_is_not_reduced,
+    on which reduce runs twice and rejects both factor pairs."""
+    S = generate_system(GeneratorSpec(3, 1, 1, 2, 0.9, 54))
+    d = np.array([1e-5, 1e-3, 1e4])
+    return PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
+
+
+@pytest.mark.parametrize("rpmr, system, reduce_calls", [
+    (rpmr_reachable, cascade_system, 1),
+    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), 1),
+    (rpmr_observable, lambda: cascade_system().transpose(), 1),
+    (rpmr_reachable, short_basis_system, 2)])
+def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls):
+    # The basis layer and the exactness check share the raw stack that
+    # the (possibly transposed) system builds on first use. Both layers
+    # stay public functions of possys that the pipeline calls.
+    S = system()
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(posred.possys, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("_krylov_powers", "reachable_subspace", "reduce"):
+        monkeypatch.setattr(posred.possys, name, counted(name))
+    rpmr(S)
+    assert calls == {"_krylov_powers": 1, "reachable_subspace": 1, "reduce": reduce_calls}
+
+
 class TestPerturbationExperiment:
     def factors(self):
         basis = reachable_subspace(cascade_system())
@@ -544,3 +581,34 @@ def test_every_reported_reduction_fixes_the_target_space(case):
     R = report.reduced_system
     for got, expected in zip((R.A, R.B, R.C), project(S, F.J, F.Jdag)):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def seed_three_system() -> PositiveLtiSystem:
+    """Planted system that reduces minimally to order 3."""
+    return generate_system(GeneratorSpec(n=6, inputs=1, outputs=1, reachable_dim=3,
+                                         density=0.8, seed=3))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_input_maps_at_extreme_scales_reduce_as_unscaled(scale):
+    # The basis rows' norms overflowed (1e160: the cone solve's SVD did
+    # not converge) or underflowed to zero (1e-170: every row was dropped
+    # as zero) before the basis was brought to unit scale.
+    S = seed_three_system()
+    report = rpmr_reachable(PositiveLtiSystem(S.A, S.B * scale, S.C))
+    assert (report.method, report.reduced_dim) == ("minimal", 3)
+    assert report.factorization.pivot_rows == rpmr_reachable(S).factorization.pivot_rows
+
+
+@given(st.integers(2, 10), st.integers(1, 2), st.sampled_from([0.6, 0.8, 1.0]),
+       st.integers(0, 2**31 - 1),
+       st.integers(-560, 500) | st.integers(-560, -520) | st.integers(460, 500))
+def test_route_and_order_do_not_depend_on_the_scale_of_B(n, inputs, density, seed, k):
+    # Multiplying B by 2^k is exact and changes no Markov coefficient's
+    # direction, so the route and the reduced order must not move. Below
+    # about k = -537 the squares of the basis entries underflow.
+    S = generate_system(GeneratorSpec(n=n, inputs=inputs, reachable_dim=max(1, n // 2),
+                                      density=density, seed=seed))
+    plain = rpmr_reachable(S)
+    scaled = rpmr_reachable(PositiveLtiSystem(S.A, np.ldexp(S.B, k), S.C))
+    assert (scaled.method, scaled.reduced_dim) == (plain.method, plain.reduced_dim)

@@ -81,6 +81,17 @@ class TestReachability:
         S = PositiveLtiSystem(np.eye(2), np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(reachability_matrix(S), [[1.0, 1.0], [0.0, 0.0]])
 
+    def test_changing_the_returned_matrix_changes_no_later_result(self):
+        # The system keeps one stack for reachable_subspace and reduce;
+        # reachability_matrix hands out a copy of it.
+        S = cascade_system()
+        R = reachability_matrix(S)
+        R[2:] = 1.0
+        J = np.eye(4)[:, :2]
+        assert reduce(S, Factorization(J, J.T, [0, 1])).dim == 2
+        assert reachable_subspace(S).dimension == 2
+        assert reachability_matrix(S)[2:].max() == 0.0
+
 
 class TestReachableSubspace:
     def test_cascade_basis(self):
