@@ -8,6 +8,13 @@ extreme rays carries a basis row: the separability condition of separable
 NMF. Successive projection (Gillis & Vavasis, IEEE TPAMI 36(4), 2014)
 finds those rows in m projection steps; it only proposes them, and the
 sign test on unit rows and verify_factorization decide.
+
+A basis that is exactly zero outside m rows needs no search: V1 = 0, the
+subspace is the coordinate subspace of those rows, and the 0/1 selector
+of the rows factors its projector. This is the generic case for positive
+systems, whose reachable space is, for generic weights, the coordinate
+subspace of the states reachable in the influence digraph (Lin,
+"Structural controllability", IEEE TAC 19, 1974).
 """
 from __future__ import annotations
 
@@ -41,6 +48,13 @@ def find_nonneg_factorization(
 ) -> Optional[Factorization]:
     """Non-negative projector factors from the extreme rays of the row cone.
 
+    When exactly m rows of the basis are nonzero, with no tolerance, the
+    pair is the 0/1 selector of those rows: J has a one at (row, k) for
+    the k-th nonzero row and Jdag = J.T. Full column rank makes those
+    rows an invertible block, so they span the coordinate subspace and
+    the residual of verify_factorization is exactly zero. Every other
+    basis goes through the search below.
+
     The basis is first divided by the power of two that brings its
     largest entry into [1/2, 1), so its row norms are finite and nonzero
     at any scale; outside the subnormal range the division is exact, and
@@ -71,8 +85,14 @@ def find_nonneg_factorization(
     row's ray is represented by that row, so near such a boundary the
     search can return None where a subset scan would still find one.
     """
+    n, m = V.basis.shape
+    support = np.flatnonzero(V.basis.any(axis=1))
+    if support.size == m:
+        J = np.zeros((n, m))
+        J[support, np.arange(m)] = 1.0
+        F = Factorization(J, np.ascontiguousarray(J.T), support.tolist())
+        return F if verify_factorization(F, V, tol) else None
     B = np.ldexp(V.basis, -np.frexp(abs(V.basis).max())[1])
-    n, m = B.shape
     norms = np.linalg.norm(B, axis=1)
     nonzero = norms > tol.rank_tol * np.abs(B).max()
     rows = np.flatnonzero(nonzero)

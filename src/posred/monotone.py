@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotNonnegativeError, RankDeficientError
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix, is_nonneg, rank
+from .numerics import DEFAULT_TOL, Tolerances, as_matrix, rank
 
 
 @dataclass(frozen=True)
@@ -163,16 +163,21 @@ def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertifi
 
     m nonzero rows with pairwise disjoint supports inside m columns must
     each occupy a single, distinct column, so the scan looks for the first
-    row supported on each column alone. On success the left inverse picks
+    row supported on each column alone. Both the sign test and the
+    support are taken relative to the largest entry: X counts as
+    non-negative when no entry is below -nonneg_tol times it, and an entry
+    is in the support when it exceeds nonneg_tol times it, so the verdict
+    does not depend on the scale of X. On success the left inverse picks
     those rows, scaled to invert the diagonal block they form.
     """
     A = as_matrix(X, "X")
     n, m = A.shape
-    if not is_nonneg(A, tol):
+    peak = abs(A).max(initial=0.0)
+    if not A.min(initial=0.0) >= -tol.nonneg_tol * peak:
         raise NotNonnegativeError("matrix has negative entries")
     if n < m or rank(A, tol) < m:
         raise RankDeficientError(f"{n}x{m} matrix does not have full column rank")
-    support = A > tol.nonneg_tol
+    support = A > tol.nonneg_tol * peak
     support_sizes = support.sum(axis=1)
     pivot_for_column: dict[int, int] = {}
     for i in range(n):

@@ -214,8 +214,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         return P / np.where(peaks > 0.0, peaks, 1.0)
 
     def smallest(M):
-        M = abs(M)
-        return float(M[M > 0.0].min(initial=np.inf))
+        return float(abs(M).min(initial=np.inf, where=M != 0.0))
 
     # Every product term of an entry of A^k B (k < n) is 0 or at least
     # this large in magnitude, so no entry of the raw stack underflows.
@@ -231,7 +230,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         P = np.hstack(blocks)
     if not abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
         raise NotInvariantError("J @ Jdag does not fix the reachable space")
-    return PositiveLtiSystem(*project(S, J, Jdag), S.time_domain, tol)
+    return PositiveLtiSystem(Jdag @ S.A @ J, Jdag @ S.B, S.C @ J, S.time_domain, tol)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

@@ -133,6 +133,18 @@ class TestMonotone:
         assert code == 3
         assert json.loads(out)["monotone"] is False
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-5, 1.0, 1e20])
+    def test_shortcut_verdict_does_not_depend_on_scale(self, tmp_path, capsys, scale):
+        # The support was taken against the absolute nonneg_tol, so at
+        # 1e-9 and below no entry counted and the answer was "false".
+        X = scale * np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        path = write_json(tmp_path / "m.json", X.tolist())
+        code, out, _ = run(capsys, "monotone", "--input", path)
+        report = json.loads(out)
+        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        assert report["orthogonal_rows"] == [0, 2]
+        np.testing.assert_allclose(np.array(report["left_inverse"]) @ X, np.eye(2))
+
     def test_mixed_sign_uses_general_oracle(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [[2.0, -1.0], [-1.0, 2.0]])
         code, out, _ = run(capsys, "monotone", "--input", path)

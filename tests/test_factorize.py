@@ -241,6 +241,35 @@ def test_search_matches_exhaustive_scan(raw, scale_seed):
 
 
 @st.composite
+def coordinate_bases(draw):
+    """Raw reachable bases of generated systems with n <= 10 that are
+    exactly zero outside as many rows as they have columns: the
+    coordinate subspace of the reachable support."""
+    n = draw(st.integers(2, 10))
+    S = generate_system(GeneratorSpec(n, draw(st.integers(1, 2)), 1, draw(st.integers(1, n)),
+                                      draw(st.sampled_from([0.3, 0.6, 1.0])),
+                                      draw(st.integers(0, 2**32 - 1))))
+    try:
+        basis = reachable_subspace(S)
+    except ZeroMatrixError:
+        assume(False)
+    assume(np.count_nonzero(basis.basis.any(axis=1)) == basis.dimension)
+    return basis
+
+
+@given(coordinate_bases())
+def test_coordinate_basis_factors_by_its_selector(basis):
+    support = np.flatnonzero(basis.basis.any(axis=1))
+    F = find_nonneg_factorization(basis)
+    selector = np.zeros_like(basis.basis)
+    selector[support, np.arange(support.size)] = 1.0
+    assert F.pivot_rows == support.tolist()
+    assert np.array_equal(F.J, selector) and np.array_equal(F.Jdag, selector.T)
+    assert F.Jdag.flags.c_contiguous
+    assert exhaustive_first_hit(basis.basis) == support.tolist()
+
+
+@st.composite
 def system_bases(draw):
     """Raw reachable bases of generated, planted (reachable dimension n/2,
     two inputs, density 0.6) and lumped systems with n <= 40, half of them

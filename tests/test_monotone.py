@@ -185,6 +185,18 @@ class TestRectShortcut:
         assert cert.monotone
         np.testing.assert_allclose(cert.nonneg_left_inverse @ X, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_sign_test_is_relative_to_the_peak(self, scale):
+        # -5e-10 of the peak counts as zero at every scale, and -1e-6 of
+        # it as negative; an absolute floor decided both by the scale of X.
+        X = scale * np.array([[1.0, -5e-10], [1.0, 1.0], [0.0, 1.0]])
+        cert = is_monotone_nonneg_rect(X)
+        assert cert.monotone and cert.orthogonal_row_set == [0, 2]
+        np.testing.assert_allclose(cert.nonneg_left_inverse @ X, np.eye(2), atol=1e-9)
+        X[0, 1] = -1e-6 * scale
+        with pytest.raises(NotNonnegativeError):
+            is_monotone_nonneg_rect(X)
+
     def test_zero_rows_are_skipped(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         cert = is_monotone_nonneg_rect(X)

@@ -132,6 +132,17 @@ class TestReachableRoutes:
         assert report.method == "minimal"
         assert report.reduced_dim == 20
 
+    def test_ill_conditioned_coordinate_basis_reduces_minimally(self):
+        # The raw basis is zero outside 11 rows and has condition about
+        # 1e11: every row the successive projection picks lies within
+        # eq_tol of the ray of row 0, so the search kept one row, found no
+        # factors, and the report was algebraic at order 11.
+        S = generate_system(GeneratorSpec(n=15, inputs=1, outputs=2, reachable_dim=11,
+                                          density=0.9769306985792126, seed=593))
+        report = rpmr_reachable(S)
+        assert (report.method, report.reduced_dim) == ("minimal", 11)
+        assert equivalent(S, report.reduced_system)
+
     def test_minimal_route_on_weak_coupling(self):
         # A cascade e1 -> e2 -> e3 with couplings 5e-5: the raw reachable
         # basis has rows of norm 1, 5e-5 and 2.5e-9, all on their own ray,
@@ -525,6 +536,18 @@ def test_soundness_on_planted_systems():
             assert forced.method == "algebraic"
             assert report.reduced_dim <= forced.reduced_dim
     assert produced > 25
+
+
+@given(st.integers(2, 12), st.integers(1, 2), st.integers(1, 2), st.integers(1, 12),
+       st.sampled_from([0.3, 0.6, 1.0]), st.integers(0, 2**31 - 1), st.booleans())
+def test_order_never_exceeds_the_forced_algebraic_order(n, inputs, outputs, q, density,
+                                                        seed, observable):
+    # The minimal route reduces to the dimension of the target space, which
+    # every algebra enlargement of it contains; when it fails, the report
+    # takes the forced route itself.
+    S = generate_system(GeneratorSpec(n, inputs, outputs, min(q, n), density, seed))
+    rpmr = rpmr_observable if observable else rpmr_reachable
+    assert rpmr(S).reduced_dim <= rpmr(S, force_algebraic=True).reduced_dim
 
 
 @st.composite
