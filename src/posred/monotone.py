@@ -164,20 +164,23 @@ def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertifi
     m nonzero rows with pairwise disjoint supports inside m columns must
     each occupy a single, distinct column, so the scan looks for the first
     row supported on each column alone. Both the sign test and the
-    support are taken relative to the largest entry: X counts as
-    non-negative when no entry is below -nonneg_tol times it, and an entry
-    is in the support when it exceeds nonneg_tol times it, so the verdict
-    does not depend on the scale of X. On success the left inverse picks
-    those rows, scaled to invert the diagonal block they form.
+    support are taken relative to the largest entry of each row: X counts
+    as non-negative when no entry is below -nonneg_tol times its row's
+    peak, and an entry is in the support when it exceeds nonneg_tol times
+    that peak. A pivot row is divided by its own pivot, which is its peak,
+    so L X is within nonneg_tol of I, and the verdict depends neither on
+    the scale of X nor on the scale of any row. On success the left
+    inverse picks those rows, scaled to invert the diagonal block they
+    form.
     """
     A = as_matrix(X, "X")
     n, m = A.shape
-    peak = abs(A).max(initial=0.0)
-    if not A.min(initial=0.0) >= -tol.nonneg_tol * peak:
+    row_floor = tol.nonneg_tol * abs(A).max(axis=1, initial=0.0, keepdims=True)
+    if (A < -row_floor).any():
         raise NotNonnegativeError("matrix has negative entries")
     if n < m or rank(A, tol) < m:
         raise RankDeficientError(f"{n}x{m} matrix does not have full column rank")
-    support = A > tol.nonneg_tol * peak
+    support = A > row_floor
     support_sizes = support.sum(axis=1)
     pivot_for_column: dict[int, int] = {}
     for i in range(n):

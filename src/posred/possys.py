@@ -175,8 +175,11 @@ def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.n
     Used for comparison experiments where the factors may have mixed signs
     or the image may fail to be invariant; reduce() is the checked path.
     """
-    J = as_matrix(J, "J")
-    Jdag = as_matrix(Jdag, "Jdag")
+    return _restrict(S, as_matrix(J, "J"), as_matrix(Jdag, "Jdag"))
+
+
+def _restrict(S: PositiveLtiSystem, J: np.ndarray,
+              Jdag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Jdag @ S.A @ J, Jdag @ S.B, S.C @ J
 
 
@@ -230,7 +233,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         P = np.hstack(blocks)
     if not abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
         raise NotInvariantError("J @ Jdag does not fix the reachable space")
-    return PositiveLtiSystem(Jdag @ S.A @ J, Jdag @ S.B, S.C @ J, S.time_domain, tol)
+    return PositiveLtiSystem(*_restrict(S, J, Jdag), S.time_domain, tol)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

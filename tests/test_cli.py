@@ -145,6 +145,24 @@ class TestMonotone:
         assert report["orthogonal_rows"] == [0, 2]
         np.testing.assert_allclose(np.array(report["left_inverse"]) @ X, np.eye(2))
 
+    def test_small_row_beside_a_large_one_is_monotone(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", [[1e3, 0.0], [0.0, 5e-7]])
+        code, out, _ = run(capsys, "monotone", "--input", path)
+        report = json.loads(out)
+        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        assert report["orthogonal_rows"] == [0, 1]
+        np.testing.assert_allclose(report["left_inverse"], np.diag([1e-3, 2e6]))
+
+    def test_small_negative_block_goes_to_general_oracle(self, tmp_path, capsys):
+        X = np.zeros((4, 4))
+        X[0, 0] = 1e3
+        X[1:, 1:] = -9.9e-7
+        X[[1, 2, 3], [1, 2, 3]] = 1.01e-6
+        path = write_json(tmp_path / "m.json", X.tolist())
+        code, out, _ = run(capsys, "monotone", "--input", path)
+        report = json.loads(out)
+        assert (code, report["monotone"], report["method"]) == (3, False, "general-oracle")
+
     def test_mixed_sign_uses_general_oracle(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", [[2.0, -1.0], [-1.0, 2.0]])
         code, out, _ = run(capsys, "monotone", "--input", path)

@@ -197,6 +197,27 @@ class TestRectShortcut:
         with pytest.raises(NotNonnegativeError):
             is_monotone_nonneg_rect(X)
 
+    def test_small_row_beside_a_large_one_keeps_its_support(self):
+        # A support taken against the matrix peak dropped the 5e-7 entry,
+        # which is below 1e-9 * 1e3, and called a positive diagonal
+        # matrix not monotone.
+        X = np.array([[1e3, 0.0], [0.0, 5e-7]])
+        cert = is_monotone_nonneg_rect(X)
+        assert cert.monotone and cert.orthogonal_row_set == [0, 1]
+        np.testing.assert_allclose(cert.nonneg_left_inverse, np.diag([1e-3, 2e6]))
+
+    def test_small_negative_block_is_not_forgiven_by_a_large_row(self):
+        # Against the matrix peak every -9.9e-7 passed the sign test and the
+        # shortcut called X monotone, yet X x >= 0 at x = (0, -1, -1, -1).
+        X = np.zeros((4, 4))
+        X[0, 0] = 1e3
+        X[1:, 1:] = -9.9e-7
+        X[[1, 2, 3], [1, 2, 3]] = 1.01e-6
+        assert (X @ np.array([0.0, -1.0, -1.0, -1.0]) >= 0.0).all()
+        with pytest.raises(NotNonnegativeError):
+            is_monotone_nonneg_rect(X)
+        assert not is_monotone_general(X).monotone
+
     def test_zero_rows_are_skipped(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         cert = is_monotone_nonneg_rect(X)
