@@ -100,14 +100,15 @@ def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarr
         close &= abs(column[:, None] - column) <= tol.eq_tol
     # Python lists: one numpy call per group costs more than the whole
     # walk at the sizes grouped here.
-    first = [-1] * n
+    first, leaders = [-1] * n, []
     for i, row in enumerate(close.tolist()):
         if first[i] < 0:
+            leaders.append(i)
             for j in range(i, n):
                 if row[j] and first[j] < 0:
                     first[j] = i
     first = np.array(first)
-    return (first[:, None] == np.unique(first)).astype(float), first
+    return (first[:, None] == leaders).astype(float), first
 
 
 def _indicators_span(levels: np.ndarray, first: np.ndarray, tol: Tolerances) -> bool:
@@ -136,8 +137,9 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     so the indicators of the blocks must span the levels
     (_indicators_span); when they do not, the blocks are the groups of
     rows within eq_tol of an orthonormal basis of the levels, which depend
-    on the span alone. Blocks are ordered by first appearance, and each
-    block's indicator times p is an idempotent generator.
+    on the span alone. Blocks are read off each row's group leader in
+    order of first appearance; block indicators times p are the
+    idempotent generators.
     """
     if p.dim != V.ambient_dim:
         raise DimensionMismatchError("reference vector length does not match the ambient dimension")
@@ -158,11 +160,13 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     marks, first = _level_sets(levels, tol)
     # Singleton blocks span everything; otherwise check the span.
     if marks.shape[1] < s.size and not _indicators_span(levels, first, tol):
-        marks = _level_sets(np.linalg.qr(levels)[0], tol)[0]
+        marks, first = _level_sets(np.linalg.qr(levels)[0], tol)
     generators = np.zeros((V.ambient_dim, marks.shape[1]))
     generators[s] = marks * p.p[s][:, None]
-    blocks = tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)
-    return DistortedAlgebra(p, generators, blocks)
+    blocks: dict[int, list[int]] = {}
+    for k, leader in zip(s.tolist(), first.tolist()):
+        blocks.setdefault(leader, []).append(k)
+    return DistortedAlgebra(p, generators, tuple(map(tuple, blocks.values())))
 
 
 def algebra_factorization(algebra: DistortedAlgebra) -> Factorization:

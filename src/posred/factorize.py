@@ -70,15 +70,15 @@ def find_nonneg_factorization(
     projection finds them: m times, pick the row of largest norm and
     project it out of all rows. Each pick stands for the lowest-index row
     on its ray, the first unit row within eq_tol of it. The picks are
-    accepted only if m distinct rows pass the rank test on their unit
-    rows, rank(U[pivots]) = m, and the sign test on unit rows,
-    U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero keep the
-    absolute test); neither depends on positive row scaling. Then
-    J = basis @ inv(V0), with its rows at the pivots set to the identity
-    and the negative entries the sign test forgave set to zero, and Jdag
-    is the 0/1 selector of the pivots; the pair is returned only if
-    verify_factorization accepts it, so zeroing those entries must leave
-    each basis column fixed within eq_tol of its peak. Returns None
+    accepted only if m distinct rows pass the sign test on unit rows,
+    U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero keep the absolute
+    test; a singular block or a non-finite entry fails it, silently), and
+    then the rank test, rank(U[pivots]) = m; neither depends on positive
+    row scaling. Then J = basis @ inv(V0), with its rows at the pivots set
+    to the identity and the negative entries the sign test forgave set to
+    zero, and Jdag is the 0/1 selector of the pivots; the pair is returned
+    only if verify_factorization accepts it, so zeroing those entries must
+    leave each basis column fixed within eq_tol of its peak. Returns None
     otherwise.
     The proposal is the lexicographically first qualifying row subset up
     to the eq_tol ray grouping: a row within eq_tol of a lower-index
@@ -118,15 +118,21 @@ def find_nonneg_factorization(
     on_ray = abs(U - U[picks][:, None]).max(axis=2) <= tol.eq_tol
     kept = sorted(set(on_ray.argmax(axis=1).tolist()))
     pivots = rows[kept]
-    if pivots.size != m or rank(U[kept], tol) < m:
+    if pivots.size != m:
         return None
-    J = B @ np.linalg.inv(B[pivots])
-    J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
-    # U[rest] @ inv(U[pivots]) is J with entry (i, j) scaled by
-    # norms[pivots[j]] / norms[i].
-    scale = np.ones_like(J)
-    scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
-    if not is_nonneg(J * scale, tol):
+    with np.errstate(all="ignore"):
+        try:
+            J = B @ np.linalg.inv(B[pivots])
+        except np.linalg.LinAlgError:
+            return None
+        J[pivots] = np.eye(m)  # exact by construction; drop the rounding of inv(V0)
+        # U[rest] @ inv(U[pivots]) is J with entry (i, j) scaled by
+        # norms[pivots[j]] / norms[i].
+        scale = np.ones_like(J)
+        scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
+        if not (J * scale).min() >= -tol.nonneg_tol:  # a NaN fails too
+            return None
+    if rank(U[kept], tol) < m:
         return None
     np.maximum(J, 0.0, out=J)
     Jdag = np.zeros((m, n))

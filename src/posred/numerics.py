@@ -130,12 +130,14 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     The eliminated matrix changes only when a column is kept, so after a
     refusal one vectorised scan applies the same test to every later
     column at once and the pass resumes at the first one that would be
-    kept, or stops when there is none. The selection is that of the
-    column-by-column loop, bit for bit.
+    kept, or stops when there is none; it also stops once it has kept a
+    column per nonzero row of M, as every row of W left is then zero. The
+    selection is that of the column-by-column loop, bit for bit (while W
+    does not overflow).
     """
     A = as_matrix(M)
     W = A.copy()
-    rows, cols = W.shape
+    cols, rows = W.shape[1], int(A.any(axis=1).sum())  # rows: those not all zero
     peaks = np.abs(A).max(axis=0, initial=0.0)
     selected: list[int] = []
     kept_peak = 0.0

@@ -80,12 +80,15 @@ class PositiveLtiSystem:
 
 
 def _krylov_powers(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B]; a power that overflows holds inf, silently."""
-    blocks = [B]
+    """[B, AB, ..., A^(n-1) B], each block A times the one before it in one
+    buffer; a power that overflows holds inf, silently."""
+    n, m = B.shape
+    powers = np.empty((max(n, 1), n, m))  # B alone when n = 0
+    powers[0] = B
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(A.shape[0] - 1):
-            blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
+        for k in range(1, n):
+            np.matmul(A, powers[k - 1], out=powers[k])
+    return powers.transpose(1, 0, 2).reshape(n, len(powers) * m)
 
 
 def _raw_stack(S: PositiveLtiSystem) -> np.ndarray:

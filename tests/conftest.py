@@ -2,12 +2,14 @@
 exhaustive subset scan and the per-row cone walk that serve as the
 minimal-route oracles, the per-column rank loop and the per-column
 elimination loop that serve as the column-selection oracles, the block
-Arnoldi basis that serves as the reachable-space oracle, the n-step
-Krylov loop that serves as the exactness oracle, the per-group row loop
-and the rank test that serve as the closure's grouping and span oracles,
-the raw Markov coefficients, the observability matrix, a simulator and
-the wedge product that serve as reference definitions, and the
-hypothesis profile."""
+Arnoldi basis that serves as the reachable-space oracle, the list of
+Krylov blocks that serves as the raw-stack oracle, the n-step Krylov
+loop that serves as the exactness oracle, the per-group row loop and the
+rank test that serve as the closure's grouping and span oracles, the
+per-block mask closure that serves as its block-building oracle, the raw
+Markov coefficients, the observability matrix, a simulator and the wedge
+product that serve as reference definitions, and the hypothesis
+profile."""
 import itertools
 
 import numpy as np
@@ -144,6 +146,18 @@ def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
     return embedded
 
 
+def stacked_krylov_blocks(A, B) -> np.ndarray:
+    """Reference raw Krylov stack [B, AB, ..., A^(n-1) B]: a list of
+    blocks, each A times the one before it, joined by np.hstack.
+    possys._krylov_powers, which writes the blocks into one buffer, must
+    return the same bytes; a power that overflows holds inf."""
+    blocks = [B]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(A.shape[0] - 1):
+            blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = Tolerances()) -> bool:
     """Reference exactness test: J @ Jdag fixes the unit-peak columns of
     A^k B for every k < n, one block at a time (the Cayley-Hamilton
@@ -182,6 +196,29 @@ def indicators_span_by_rank(marks, levels, tol: Tolerances = Tolerances()) -> bo
     groups, by Gaussian elimination; distalg's closed-form test must
     decide the same."""
     return rank(np.hstack([marks, levels]), tol) == np.asarray(marks).shape[1]
+
+
+def closure_by_block_masks(basis, p: ReferenceVector,
+                           tol: Tolerances = Tolerances()) -> tuple[np.ndarray, tuple]:
+    """Reference closure blocks, one boolean mask per block: the groups of
+    greedy_level_sets on the unit-peak levels basis[s] / p[s], regrouped
+    on an orthonormal basis of the levels when indicators_span_by_rank
+    says their indicators do not span, numbered by np.unique of each
+    row's group leader. Returns (generators, blocks); distalg's closure
+    must return the same bytes."""
+    B = np.asarray(basis, dtype=float)
+    s = p.support
+    levels = B[s] / p.p[s][:, None]
+    peaks = np.abs(levels).max(axis=0)
+    levels /= np.where(peaks > 0.0, peaks, 1.0)
+    marks = greedy_level_sets(levels, tol)
+    if marks.shape[1] < s.size and not indicators_span_by_rank(marks, levels, tol):
+        marks = greedy_level_sets(np.linalg.qr(levels)[0], tol)
+    leaders = marks.argmax(axis=0)[marks.argmax(axis=1)]
+    marks = (leaders[:, None] == np.unique(leaders)).astype(float)
+    generators = np.zeros((B.shape[0], marks.shape[1]))
+    generators[s] = marks * p.p[s][:, None]
+    return generators, tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)
 
 
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:

@@ -13,8 +13,8 @@ from posred import (DimensionMismatchError, ReferenceVector, SubspaceBasis,
                     is_monotone_nonneg_rect, rank, reachable_subspace)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
 from posred.distalg import _indicators_span, _level_sets
-from conftest import (greedy_level_sets, indicators_span_by_rank, lumped_system,
-                      swap_system, wedge)
+from conftest import (closure_by_block_masks, greedy_level_sets, indicators_span_by_rank,
+                      lumped_system, swap_system, wedge)
 
 TOL = Tolerances()
 
@@ -495,3 +495,18 @@ def test_closure_blocks_match_the_reference_loops(basis):
     expected = np.zeros_like(algebra.generators)
     expected[s] = marks * p.p[s][:, None]
     np.testing.assert_array_equal(algebra.generators, expected)
+
+
+@given(st.one_of(generated_bases(), lumped_bases(), nearly_parallel_bases()))
+def test_closure_matches_the_block_mask_builder_bytes(basis):
+    # Blocks read off each row's group leader in one pass are those of one
+    # boolean mask per block, numbered by np.unique, byte for byte; the
+    # nearly parallel bases take the regrouping on orthonormal rows.
+    p = choose_p(basis)
+    algebra = closure(basis, p)
+    generators, blocks = closure_by_block_masks(basis.basis, p)
+    assert algebra.blocks == blocks
+    assert all(type(k) is int for block in algebra.blocks for k in block)
+    assert algebra.generators.shape == generators.shape
+    assert algebra.generators.tobytes() == generators.tobytes()
+    assert algebra.p.p.tobytes() == p.p.tobytes()

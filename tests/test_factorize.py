@@ -1,7 +1,10 @@
 """Extreme-ray factorization search against the exhaustive subset scan
 and an independent linear-programming oracle, plus the structural
 invariants of the returned factors."""
+import warnings
+
 import numpy as np
+import pytest
 import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from posred import (Factorization, GeneratorSpec, PositiveLtiSystem, SubspaceBas
                     Tolerances, ZeroMatrixError, find_nonneg_factorization,
                     generate_system, is_monotone_nonneg_rect, rank, reachable_subspace,
                     verify_factorization)
+from posred import factorize
 from conftest import cone_walk_pivots, exhaustive_first_hit, lumped_system, stubborn_span
 
 TOL = Tolerances()
@@ -303,6 +307,44 @@ def test_search_proposes_the_cone_walk_rows(basis):
     # take C(n, m) subsets at these sizes.
     F = find_nonneg_factorization(basis)
     assert (F.pivot_rows if F is not None else None) == cone_walk_pivots(basis.basis)
+
+
+@st.composite
+def lumped_bases(draw):
+    """Reachable bases of lumped systems with n <= 16 and q >= 3: r > q
+    extreme rays in their row cone, so no minimal factorization."""
+    n = draw(st.integers(4, 16))
+    r = draw(st.integers(4, n))
+    return reachable_subspace(lumped_system(n, r, draw(st.integers(3, r - 1)),
+                                            draw(st.integers(0, 2**32 - 1))))
+
+
+def counting_rank_calls(basis):
+    """(find_nonneg_factorization(basis), calls to rank it made), with
+    floating-point warnings raised as errors."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        patch.setattr(factorize, "rank", lambda *args: calls.append(args) or rank(*args))
+        F = find_nonneg_factorization(basis)
+    return F, len(calls)
+
+
+@given(lumped_bases())
+def test_lumped_search_ends_at_the_sign_test(basis):
+    # The sign test runs before the rank test and rejects every lumped
+    # pick, so the search never pays for rank's elimination steps.
+    assert counting_rank_calls(basis) == (None, 0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-300])
+def test_singular_picked_block_fails_without_a_warning(eps):
+    # Successive projection picks rows 1, 2 and 3; row 3 is within eq_tol
+    # of row 0's ray and stands for it, and rows 0-2 are singular (eps =
+    # 0) or singular to working precision: no factorization, no warning.
+    V = SubspaceBasis(np.array([[1.0, 1.0, eps], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                [1.0, 1.0, 5e-9]]))
+    assert counting_rank_calls(V) == (None, 0)
 
 
 class TestVerify:

@@ -1,12 +1,13 @@
 """Unit tests for the tolerance-controlled linear algebra layer."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
                     ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
                     rank, reachability_matrix)
+from posred import numerics
 from conftest import greedy_column_selection, per_column_selection
 
 TOL = Tolerances()
@@ -116,7 +117,9 @@ def refusal_inputs(draw):
     duplicates, near-duplicates (a column plus 1e-11 to 1e-9 of a random
     one, about the rank threshold) and zero columns, in that order or
     shuffled, with each column scaled by 1 or by 10^u, u uniform in
-    [-12, 12]. The shape and contents follow one drawn seed."""
+    [-12, 12], and in half of them one to three identically zero rows
+    inserted between the others. The shape and contents follow one drawn
+    seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, k = rng.integers(1, 11), rng.integers(1, 9)
     base = rng.normal(size=(n, k))
@@ -127,7 +130,10 @@ def refusal_inputs(draw):
     if rng.random() < 0.5:
         M = M[:, rng.permutation(M.shape[1])]
     decades = rng.choice([0.0, 12.0])
-    return M * 10.0 ** rng.uniform(-decades, decades, M.shape[1])
+    M = M * 10.0 ** rng.uniform(-decades, decades, M.shape[1])
+    if rng.random() < 0.5:
+        M = np.insert(M, rng.integers(0, n + 1, rng.integers(1, 4)), 0.0, axis=0)
+    return M
 
 
 @given(st.one_of(selection_inputs(), refusal_inputs()))
@@ -141,6 +147,44 @@ def test_column_selection_matches_the_per_column_loop(M):
             column_space_basis(M)
         return
     np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
+
+
+@given(refusal_inputs())
+def test_column_selection_matches_per_column_rank_oracle_on_refusals(M):
+    selected = greedy_column_selection(M)
+    if not selected:
+        with pytest.raises(ZeroMatrixError):
+            column_space_basis(M)
+        return
+    np.testing.assert_array_equal(column_space_basis(M).basis, M[:, selected])
+
+
+@given(st.integers(2, 16), st.integers(1, 3), st.integers(1, 15),
+       st.sampled_from([0.3, 0.6, 1.0]), st.integers(0, 2**32 - 1))
+def test_coordinate_stack_selection_stops_at_its_last_pivot(n, inputs, reachable, density,
+                                                            seed):
+    # The Krylov stack of a coordinate reachable space is zero outside the
+    # reachable states, so once it has kept a column per nonzero row the
+    # selection stops: its last elimination step keeps a column, and no
+    # refused step or scan follows it.
+    spec = GeneratorSpec(n=n, inputs=inputs, reachable_dim=min(reachable, n - 1),
+                         density=density, seed=seed)
+    M = reachability_matrix(generate_system(spec))
+    nonzero_rows = int(M.any(axis=1).sum())
+    assume(nonzero_rows > 0)
+    sizes = []
+    eliminate = numerics._eliminate
+
+    def counted(*args):
+        sizes.append(eliminate(*args))
+        return sizes[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_eliminate", counted)
+        basis = column_space_basis(M)
+    assume(basis.dimension == nonzero_rows)
+    assert sum(1 for size in sizes if size) == basis.dimension
+    assert sizes[-1]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6), st.integers(2, 12),

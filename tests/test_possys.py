@@ -13,8 +13,10 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     left_inverse, markov_match, project, rank, reachability_matrix,
                     reachable_subspace, reduce, rpmr_reachable)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
+from posred.possys import _krylov_powers
 from conftest import (cascade_system, fixes_every_krylov_block, markov_parameters,
-                      observability_matrix, simulate, spurious_mode_pair, swap_system)
+                      observability_matrix, simulate, spurious_mode_pair,
+                      stacked_krylov_blocks, swap_system)
 
 TOL = Tolerances()
 
@@ -91,6 +93,32 @@ class TestReachability:
         assert reduce(S, Factorization(J, J.T, [0, 1])).dim == 2
         assert reachable_subspace(S).dimension == 2
         assert reachability_matrix(S)[2:].max() == 0.0
+
+
+@given(st.integers(1, 16), st.integers(1, 3), st.one_of(st.none(), st.integers(1, 16)),
+       st.sampled_from([0.3, 0.6, 1.0]), st.integers(0, 2**32 - 1))
+def test_krylov_stack_matches_the_list_of_blocks(n, inputs, reachable, density, seed):
+    # Bit for bit: one buffer written block by block gives the bytes of
+    # the list of blocks joined by hstack.
+    spec = GeneratorSpec(n=n, inputs=inputs, reachable_dim=min(reachable, n) if reachable else None,
+                         density=density, seed=seed)
+    S = generate_system(spec)
+    for T in (S, S.transpose()):
+        stack = _krylov_powers(T.A, T.B)
+        expected = stacked_krylov_blocks(T.A, T.B)
+        assert stack.shape == expected.shape == (n, n * T.num_inputs)
+        assert stack.tobytes() == expected.tobytes()
+
+
+def test_overflowing_krylov_powers_hold_inf_without_a_warning():
+    A = np.full((4, 4), 1e200)
+    B = np.ones((4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = _krylov_powers(A, B)
+        expected = stacked_krylov_blocks(A, B)
+    assert np.isinf(stack[:, 4:]).all() and np.isfinite(stack[:, :4]).all()
+    assert stack.tobytes() == expected.tobytes()
 
 
 class TestReachableSubspace:
