@@ -19,9 +19,9 @@ from .errors import NonFiniteError, NotNonnegativeError, PosredError, RankDefici
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
-from .numerics import Tolerances, column_space_basis, is_nonneg, left_inverse
+from .numerics import Tolerances, as_matrix, column_space_basis, is_nonneg, left_inverse
 from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
-from .possys import PositiveLtiSystem, markov_match
+from .possys import TIME_DOMAINS, PositiveLtiSystem, markov_match
 
 SCHEMA_VERSION = 1
 
@@ -46,24 +46,18 @@ def _tolerances(args) -> Tolerances:
 def _load_json(path: Optional[str]):
     try:
         text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
-    except OSError as exc:
-        raise CliError(1, str(exc))
-    try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(1, f"invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(1, str(exc))
 
 
 def _matrix_from(payload, name: str) -> np.ndarray:
     try:
-        M = np.array(payload, dtype=float)
-    except (TypeError, ValueError):
-        raise CliError(1, f"{name} must be a rectangular 2-D array of numbers")
-    if M.ndim != 2:
-        raise CliError(1, f"{name} must be 2-D, got {M.ndim} dimension(s)")
-    if not np.isfinite(M).all():
-        raise CliError(1, f"{name} contains non-finite entries")
-    return M
+        return as_matrix(payload, name)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(1, f"{name} is not a 2-D array of numbers: {exc}")
 
 
 def _load_matrix(path: Optional[str]) -> np.ndarray:
@@ -71,24 +65,15 @@ def _load_matrix(path: Optional[str]) -> np.ndarray:
 
 
 def _raw_system(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The CLI's own rules for a system file; the library checks shapes and signs."""
     if not isinstance(payload, dict) or "A" not in payload or "B" not in payload:
         raise CliError(1, "system file must be a JSON object with keys A and B")
     A = _matrix_from(payload["A"], "A")
     B = _matrix_from(payload["B"], "B")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise CliError(1, "A must be square")
-    if B.shape[0] != n:
-        raise CliError(1, f"B must have {n} rows")
-    if payload.get("C") is not None:
-        C = _matrix_from(payload["C"], "C")
-        if C.shape[1] != n:
-            raise CliError(1, f"C must have {n} columns")
-    else:
-        C = np.eye(n)
+    C = np.eye(len(A)) if payload.get("C") is None else _matrix_from(payload["C"], "C")
     time_domain = payload.get("time_domain", "discrete")
-    if time_domain not in ("discrete", "continuous"):
-        raise CliError(1, "time_domain must be 'discrete' or 'continuous'")
+    if time_domain not in TIME_DOMAINS:
+        raise CliError(1, f"time_domain must be one of {TIME_DOMAINS}")
     return A, B, C, time_domain
 
 
@@ -126,7 +111,10 @@ def _emit(args, payload: dict) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise CliError(1, str(exc))
     else:
         sys.stdout.write(text)
 
@@ -297,15 +285,16 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def _add_io_flags(parser, with_input=True):
+def _add_io_flags(parser, with_input=True, with_tolerances=True):
     if with_input:
         parser.add_argument("--input", help="input file path (default: stdin)")
     parser.add_argument("--output", help="output file path (default: stdout)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="equality tolerance; rank tolerance defaults to tol/100 "
-                             "and sign tolerance to tol/10")
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-    parser.add_argument("--nonneg-tol", dest="nonneg_tol", type=float, default=None)
+    if with_tolerances:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="equality tolerance; rank tolerance defaults to tol/100 "
+                                 "and sign tolerance to tol/10")
+        parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
+        parser.add_argument("--nonneg-tol", dest="nonneg_tol", type=float, default=None)
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -345,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded random positive system")
-    _add_io_flags(p, with_input=False)
+    _add_io_flags(p, with_input=False, with_tolerances=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--inputs", type=int, default=1)
     p.add_argument("--outputs", type=int, default=1)

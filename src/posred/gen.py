@@ -11,7 +11,6 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerances
 from .possys import PositiveLtiSystem
 
 
@@ -43,7 +42,7 @@ def _dense(rng: np.random.Generator, shape, density: float) -> np.ndarray:
     return values
 
 
-def generate_system(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
+def generate_system(spec: GeneratorSpec) -> PositiveLtiSystem:
     """Deterministic for a fixed spec: same spec and seed, same system."""
     rng = np.random.default_rng(spec.seed)
     A = _dense(rng, (spec.n, spec.n), spec.density)
@@ -55,4 +54,4 @@ def generate_system(spec: GeneratorSpec, tol: Tolerances = DEFAULT_TOL) -> Posit
         outside = permutation[spec.reachable_dim:]
         A[np.ix_(outside, inside)] = 0.0
         B[outside, :] = 0.0
-    return PositiveLtiSystem(A, B, C, tol=tol)
+    return PositiveLtiSystem(A, B, C)

@@ -8,7 +8,7 @@ observable complement might admit a reduction when this one does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,10 +80,14 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         F = Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
         return _reduced("minimal", space, S, F, tol, diagnostics, None)
 
+    def none(reason: str, algebra: Optional[DistortedAlgebra] = None) -> ReductionReport:
+        diagnostics.append(reason)
+        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
+                               algebra=algebra, basis=basis)
+
     q = basis.dimension
     if q == n:
-        diagnostics.append(f"already {space}: the {space} space has full dimension")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics, basis=basis)
+        return none(f"already {space}: the {space} space has full dimension")
 
     if force_algebraic:
         diagnostics.append("minimal route disabled by flag")
@@ -104,13 +108,11 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         p = choose_p(basis, tol)
         algebra = closure(basis, p, tol)
     except SupportFailureError as exc:
-        diagnostics.append(f"RPMR could not be performed: the {space} basis has no "
-                           f"reference vector for the algebra closure ({exc})")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics, basis=basis)
+        return none(f"RPMR could not be performed: the {space} basis has no "
+                    f"reference vector for the algebra closure ({exc})")
     if algebra.dimension >= n:
-        diagnostics.append("RPMR could not be performed: the algebra enlargement has full dimension")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
-                               algebra=algebra, basis=basis)
+        return none("RPMR could not be performed: the algebra enlargement has full dimension",
+                    algebra)
 
     # The enlargement need not be A-invariant; reduce() only needs its
     # projector to fix the target space.
@@ -119,11 +121,9 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
                         diagnostics, basis, algebra)
     except NotInvariantError:
-        diagnostics.append(f"RPMR could not be performed: the projector of the algebra "
-                           f"enlargement fails the exactness check (it does not fix the "
-                           f"{space} space)")
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
-                               algebra=algebra, basis=basis)
+        return none(f"RPMR could not be performed: the projector of the algebra "
+                    f"enlargement fails the exactness check (it does not fix the "
+                    f"{space} space)", algebra)
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
@@ -159,17 +159,13 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     outcome is not conclusive. No step draws random numbers.
     """
     dual = _rpmr_core(S.transpose(), tol, force_algebraic, "observable")
-    diagnostics = list(dual.diagnostics)
-    diagnostics.append("observable search with identity weighting: sufficient test only")
-    factorization = None
-    if dual.factorization is not None:
-        factorization = Factorization(dual.factorization.Jdag.T,
-                                      dual.factorization.J.T,
-                                      dual.factorization.pivot_rows)
-    reduced = dual.reduced_system.transpose() if dual.reduced_system is not None else None
-    return ReductionReport(dual.method, "observable", dual.original_dim,
-                           dual.reduced_dim, factorization, reduced, diagnostics,
-                           dual.algebra, dual.basis)
+    F, reduced = dual.factorization, dual.reduced_system
+    return replace(
+        dual, space="observable",
+        factorization=Factorization(F.Jdag.T, F.J.T, F.pivot_rows) if F is not None else None,
+        reduced_system=reduced.transpose() if reduced is not None else None,
+        diagnostics=[*dual.diagnostics,
+                     "observable search with identity weighting: sufficient test only"])
 
 
 def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,

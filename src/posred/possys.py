@@ -129,12 +129,14 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     first and second are (A, B, C) triples of matrices, or of stacks of
     matrices along a leading batch axis (broadcast against each other); the
     verdict is a bool for matrices and a boolean array with one entry per
-    item for stacks. B1 and B2 of an item are first divided by one power
-    of two that brings their larger peak below one, and C1 and C2 by
-    another; such a division is exact above the underflow range. The two
-    impulse responses are then walked side by side, and after every step
-    both states of an item, and its running peak with them, are divided
-    by the largest entry of either state. A common positive factor leaves
+    item for stacks. A triple that is not conformal, or two triples with
+    different input or output counts, raise DimensionMismatchError. B1
+    and B2 of an item are first divided by one power of two that brings
+    their larger peak below one, and C1 and C2 by another; such a
+    division is exact above the underflow range. The two impulse
+    responses are then walked side by side, and after every step both
+    states of an item, and its running peak with them, are divided by
+    the largest entry of either state. A common positive factor leaves
     each comparison unchanged, so the verdict is that of the raw
     coefficients without their overflow, for any finite B and C.
     Coefficients that still overflow (only A can cause it) never match.
@@ -144,6 +146,10 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     A1, B1, C1, A2, B2, C2 = matrices = [np.asarray(M, dtype=float) for M in (*first, *second)]
     for M, name in zip(matrices, "ABCABC"):
         as_matrix(M.reshape(M.shape[0] * M.shape[1], M.shape[2]) if M.ndim == 3 else M, name)
+    for A, B, C in ((A1, B1, C1), (A2, B2, C2)):
+        if not A.shape[-2] == A.shape[-1] == B.shape[-2] == C.shape[-1]:
+            raise DimensionMismatchError(f"triple is not conformal: A {A.shape}, "
+                                         f"B {B.shape}, C {C.shape}")
     if B1.shape[-1] != B2.shape[-1] or C1.shape[-2] != C2.shape[-2]:
         raise DimensionMismatchError("input/output dimensions differ")
 

@@ -289,6 +289,14 @@ class TestVerify:
                               posred.generate_system(posred.GeneratorSpec(4, seed=1)))
         assert_input_error(run(capsys, "verify", first, second, "--tol", "inf"))
 
+    def test_wrong_row_count_of_reduced_b_is_an_input_error(self, tmp_path, capsys):
+        original = write_system(tmp_path / "orig.json", swap_system(1.0))
+        code, out, _ = run(capsys, "reduce", "--input", original)
+        payload = json.loads(out)["reduced_system"]
+        payload["B"].append(payload["B"][0])
+        reduced = write_json(tmp_path / "red.json", payload)
+        assert_input_error(run(capsys, "verify", original, reduced))
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -324,6 +332,45 @@ class TestGen:
         payload = json.loads(out)
         A, B, C, time_domain = _raw_system(payload)
         assert _system_payload(PositiveLtiSystem(A, B, C, time_domain)) == payload
+
+    def test_tolerance_flags_are_usage_errors(self, capsys):
+        # A generated system is non-negative by construction; gen reads no tolerance.
+        for flag in ("--tol", "--rank-tol", "--nonneg-tol"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["gen", "--n", "2", flag, "1e-6"])
+            assert exit_info.value.code == 2
+
+
+class TestMalformedInput:
+    """Unreadable or malformed input, and an unwritable --output, give one
+    error line and exit 1."""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"A": [[1.0]], "B": [[1.0]], "time_domain": "\xe9"}')
+        assert_input_error(run(capsys, "reduce", "--input", str(path)))
+
+    def test_deeply_nested_array(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        assert_input_error(run(capsys, "factorize", "--input", str(path)))
+        path.write_text('{"A": ' + "[" * 3000 + "]" * 3000 + ', "B": [[1.0]]}')
+        assert_input_error(run(capsys, "reduce", "--input", str(path)))
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        system = tmp_path / "s.json"
+        system.write_text('{"A": [[' + huge + ']], "B": [[1.0]]}')
+        assert_input_error(run(capsys, "reduce", "--input", str(system)))
+        matrix = tmp_path / "m.json"
+        matrix.write_text("[[" + huge + ", 0.0]]")
+        assert_input_error(run(capsys, "factorize", "--input", str(matrix)))
+
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "out.json")
+        assert_input_error(run(capsys, "gen", "--n", "2", "--output", missing))
+        path = write_system(tmp_path / "s.json", cascade_system())
+        assert_input_error(run(capsys, "reduce", "--input", path, "--output", missing))
 
 
 def assert_input_error(outcome):

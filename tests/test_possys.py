@@ -644,6 +644,17 @@ class TestMarkovMatchBatch:
         with pytest.raises(DimensionMismatchError):
             markov_match(first, (second[0], second[1], second[2][:, :1]), self.HORIZON)
 
+    def test_non_conformal_triple_raises(self):
+        # A not square, B with a row too few, C with a column too few; on
+        # either side, for single triples and for stacks.
+        first, second, firsts, seconds = self.stacks(self.pairs())
+        for good, other in ((firsts[0], seconds[0]), (first, second)):
+            A, B, C = good
+            for bad in ((A[..., :-1], B, C), (A, B[..., :-1, :], C), (A, B, C[..., :-1])):
+                for pair in ((bad, other), (other, bad)):
+                    with pytest.raises(DimensionMismatchError, match="not conformal"):
+                        markov_match(*pair, self.HORIZON)
+
 
 class TestSimulate:
     def test_zero_everything(self):
