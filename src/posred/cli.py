@@ -208,19 +208,15 @@ def cmd_algebra(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    if args.horizon is not None and args.horizon < 0:
-        raise CliError(1, "--horizon must be non-negative")
     original = _raw_system(_load_json(args.original))[:3]
     reduced = _raw_system(_load_json(args.reduced))[:3]
-    horizon = (args.horizon if args.horizon is not None
-               else original[0].shape[0] + reduced[0].shape[0])
-    match = markov_match(original, reduced, horizon, tol)
+    match = markov_match(original, reduced, tol)
     positive = all(is_nonneg(M, tol) for M in reduced)
     _emit(args, {
         "schema_version": SCHEMA_VERSION,
         "markov_match": match,
         "positivity": positive,
-        "horizon": horizon,
+        "horizon": len(original[0]) + len(reduced[0]),  # n1 + n2, as markov_match
     })
     return 0 if match and positive else 3
 
@@ -330,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="original system file")
     p.add_argument("reduced", help="reduced system file")
     _add_io_flags(p, with_input=False)
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded random positive system")

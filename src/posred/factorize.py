@@ -51,9 +51,10 @@ def find_nonneg_factorization(
     When exactly m rows of the basis are nonzero, with no tolerance, the
     pair is the 0/1 selector of those rows: J has a one at (row, k) for
     the k-th nonzero row and Jdag = J.T. Full column rank makes those
-    rows an invertible block, so they span the coordinate subspace and
-    the residual of verify_factorization is exactly zero. Every other
-    basis goes through the search below.
+    rows an invertible block, so they span the coordinate subspace;
+    Jdag @ J = I and J @ Jdag fixes every basis column exactly, so the
+    pair is returned without a recheck (possys.reduce still certifies
+    it). Every other basis goes through the search below.
 
     The basis is first divided by the power of two that brings its
     largest entry into [1/2, 1), so its row norms are finite and nonzero
@@ -90,8 +91,7 @@ def find_nonneg_factorization(
     if support.size == m:
         J = np.zeros((n, m))
         J[support, np.arange(m)] = 1.0
-        F = Factorization(J, np.ascontiguousarray(J.T), support.tolist())
-        return F if verify_factorization(F, V, tol) else None
+        return Factorization(J, np.ascontiguousarray(J.T), support.tolist())
     B = np.ldexp(V.basis, -np.frexp(abs(V.basis).max())[1])
     norms = np.linalg.norm(B, axis=1)
     nonzero = norms > tol.rank_tol * np.abs(B).max()

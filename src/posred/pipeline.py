@@ -196,6 +196,6 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     naive_positive, robust_positive = (
         np.min([M.min(axis=(-2, -1), initial=0.0) for M in triple], axis=0) >= -tol.nonneg_tol
         for triple in reduced)
-    match = possys.markov_match((A, B, C), reduced[1], S.dim + reduced[1][0].shape[-1], tol)
+    match = possys.markov_match((A, B, C), reduced[1], tol)
     return [PerturbationRecord(bool(a), bool(b), bool(c))
             for a, b, c in zip(naive_positive, robust_positive, match)]

@@ -118,8 +118,11 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     return column_space_basis(_raw_stack(S), tol)
 
 
-def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
-    """Compare C1 A1^k B1 with C2 A2^k B2 for k = 0..horizon, each pair at
+def markov_match(first, second, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
+    """Markov equivalence: compare C1 A1^k B1 with C2 A2^k B2 for
+    k = 0..n1 + n2, with n1 and n2 the state counts of the two triples (for
+    stacks, the padded counts). By the Cayley-Hamilton theorem agreement
+    up to n1 + n2 implies agreement at every k. Each pair is compared at
     its own scale: max|M1_k - M2_k| <= eq_tol * s_k with
     s_k = max(max|M1_k|, max|M2_k|), so a mode that decays beside one that
     grows is still seen. Where one side is exactly zero the other carries
@@ -138,11 +141,12 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
     states of an item, and its running peak with them, are divided by
     the largest entry of either state. A common positive factor leaves
     each comparison unchanged, so the verdict is that of the raw
-    coefficients without their overflow, for any finite B and C.
-    Coefficients that still overflow (only A can cause it) never match.
+    coefficients without their overflow, for any finite B and C. A
+    running peak that would overflow (the states decay fast) is held at
+    the largest finite double, where rank_tol times it already passes
+    every later coefficient. Coefficients that still overflow (only A
+    can cause it) never match, without a floating-point warning.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
     A1, B1, C1, A2, B2, C2 = matrices = [np.asarray(M, dtype=float) for M in (*first, *second)]
     for M, name in zip(matrices, "ABCABC"):
         as_matrix(M.reshape(M.shape[0] * M.shape[1], M.shape[2]) if M.ndim == 3 else M, name)
@@ -162,18 +166,20 @@ def markov_match(first, second, horizon: int, tol: Tolerances = DEFAULT_TOL) -> 
 
     (B1, B2), (C1, C2) = exactly_scaled(B1, B2), exactly_scaled(C1, C2)
     P1, P2, peak, match = B1, B2, 0.0, True
-    for _ in range(horizon + 1):
-        Y1, Y2 = C1 @ P1, C2 @ P2
-        scale = np.maximum(peak_of(Y1), peak_of(Y2))
-        peak = np.maximum(peak, scale)
-        allowed = np.maximum(tol.eq_tol * scale, tol.rank_tol * peak)
-        match = match & np.isfinite(scale) & (peak_of(Y1 - Y2) <= allowed)
-        if not match.any():
-            break
-        P1, P2 = A1 @ P1, A2 @ P2
-        factor = np.maximum(peak_of(P1), peak_of(P2))
-        factor[factor == 0.0] = 1.0
-        P1, P2, peak = P1 / factor, P2 / factor, peak / factor
+    largest = np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(A1.shape[-1] + A2.shape[-1] + 1):
+            Y1, Y2 = C1 @ P1, C2 @ P2
+            scale = np.maximum(peak_of(Y1), peak_of(Y2))
+            peak = np.maximum(peak, scale)
+            allowed = np.maximum(tol.eq_tol * scale, tol.rank_tol * peak)
+            match = match & np.isfinite(scale) & (peak_of(Y1 - Y2) <= allowed)
+            if not match.any():
+                break
+            P1, P2 = A1 @ P1, A2 @ P2
+            factor = np.maximum(peak_of(P1), peak_of(P2))
+            factor[factor == 0.0] = 1.0
+            P1, P2, peak = P1 / factor, P2 / factor, np.minimum(peak / factor, largest)
     match = match[..., 0, 0]
     return bool(match) if match.ndim == 0 else match
 
@@ -247,10 +253,6 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,
                tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Zero-state equivalence via Markov coefficients.
-
-    Agreement for k = 0..(n1 + n2) implies agreement for every k by the
-    Cayley-Hamilton theorem, so the comparison horizon is finite.
-    """
-    return markov_match((S1.A, S1.B, S1.C), (S2.A, S2.B, S2.C), S1.dim + S2.dim, tol)
+    """Zero-state equivalence: markov_match on the two triples."""
+    return markov_match((S1.A, S1.B, S1.C), (S2.A, S2.B, S2.C), tol)
 

@@ -92,6 +92,10 @@ class TestReduce:
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--input", path, flag, "1"])
             assert exit_info.value.code == 2
+        # verify compares up to n1 + n2 itself and takes no --horizon.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", path, path, "--horizon", "3"])
+        assert exit_info.value.code == 2
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -278,10 +282,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", original, reduced)
         assert code == 3
         assert json.loads(out)["positivity"] is False
-
-    def test_negative_horizon_is_an_input_error(self, tmp_path, capsys):
-        original = write_system(tmp_path / "orig.json", cascade_system())
-        assert_input_error(run(capsys, "verify", original, original, "--horizon", "-1"))
 
     def test_infinite_tolerance_is_an_input_error(self, tmp_path, capsys):
         first = write_system(tmp_path / "a.json", posred.generate_system(posred.GeneratorSpec(4)))
@@ -551,10 +551,10 @@ def test_console_entry_point(tmp_path):
     package_root = str(Path(posred.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "posred", "reduce",
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "posred", "reduce",
                            "--input", str(path)],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["method"] == "minimal"
 
 
@@ -580,6 +580,7 @@ def test_benchmark_selftest_passes():
     package_root = str(Path(posred.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(repo_root / "perfbench" / "selftest.py")],
+    proc = subprocess.run([sys.executable, "-W", "error",
+                           str(repo_root / "perfbench" / "selftest.py")],
                           capture_output=True, text=True, env=env, cwd=repo_root)
     assert proc.returncode == 0, proc.stdout + proc.stderr

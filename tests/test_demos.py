@@ -13,10 +13,11 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    # The child must import the posred under test, installed or not.
+    # The child must import the posred under test, installed or not, and
+    # fails on a warning as the suite does in-process.
     package_root = str(Path(posred.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -246,15 +246,15 @@ def test_search_matches_exhaustive_scan(raw, scale_seed):
 
 @st.composite
 def coordinate_bases(draw):
-    """Raw reachable bases of generated systems with n <= 10 that are
-    exactly zero outside as many rows as they have columns: the
-    coordinate subspace of the reachable support."""
+    """Raw reachable or observable bases of generated systems with n <= 10
+    that are exactly zero outside as many rows as they have columns: the
+    coordinate subspace of the reachable or observable support."""
     n = draw(st.integers(2, 10))
     S = generate_system(GeneratorSpec(n, draw(st.integers(1, 2)), 1, draw(st.integers(1, n)),
                                       draw(st.sampled_from([0.3, 0.6, 1.0])),
                                       draw(st.integers(0, 2**32 - 1))))
     try:
-        basis = reachable_subspace(S)
+        basis = reachable_subspace(S.transpose() if draw(st.booleans()) else S)
     except ZeroMatrixError:
         assume(False)
     assume(np.count_nonzero(basis.basis.any(axis=1)) == basis.dimension)
@@ -271,6 +271,8 @@ def test_coordinate_basis_factors_by_its_selector(basis):
     assert np.array_equal(F.J, selector) and np.array_equal(F.Jdag, selector.T)
     assert F.Jdag.flags.c_contiguous
     assert exhaustive_first_hit(basis.basis) == support.tolist()
+    # Returned without a recheck, the selector passes it anyway.
+    assert verify_factorization(F, basis)
 
 
 @st.composite

@@ -489,7 +489,7 @@ class TestPerturbationExperiment:
             for P in perturbations:
                 naive = project(P, F_naive.J, F_naive.Jdag)
                 robust = project(P, F_robust.J, F_robust.Jdag)
-                match = markov_match((P.A, P.B, P.C), robust, P.dim + robust[0].shape[0])
+                match = markov_match((P.A, P.B, P.C), robust)
                 records.append(PerturbationRecord(all(is_nonneg(M) for M in naive),
                                                   all(is_nonneg(M) for M in robust), match))
             return records

@@ -542,9 +542,8 @@ class TestEquivalent:
                 r = int(rng.integers(1, 9))
                 second = (rng.uniform(0, 1, (r, r)) * 10**rng.uniform(-2, 1),
                           rng.uniform(0, 1, (r, m)), rng.uniform(0, 1, (p, r)))
-            horizon = n + second[0].shape[0]
-            verdicts.append(markov_match(first, second, horizon))
-            assert verdicts[-1] == raw_match(first, second, horizon)
+            verdicts.append(markov_match(first, second))
+            assert verdicts[-1] == raw_match(first, second, n + second[0].shape[0])
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_rounding_noise_on_zero_coefficients(self):
@@ -555,6 +554,32 @@ class TestEquivalent:
         assert equivalent(S, noisy)
         assert not equivalent(S, PositiveLtiSystem([[0.0, 1.0], [1e-6, 0.0]],
                                                    [[0.0], [1.0]], [[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("tol", [TOL, Tolerances(rank_tol=0.0)], ids=["default", "rank0"])
+    def test_fast_decay_saturates_the_running_peak(self, tol):
+        # The state shrinks 100-fold per step, so the running peak grows
+        # 100-fold relative to it; by k = n1 + n2 = 160 it would pass the
+        # largest double. Held there, it neither warns nor turns the
+        # rank_tol floor into 0 * inf = NaN.
+        n = 80
+        C = np.ones((1, n))
+        S = PositiveLtiSystem(0.01 * np.eye(n), np.eye(n)[:, :1], C)
+        C[0, 0] += 1e-6
+        bumped = PositiveLtiSystem(S.A, S.B, C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert equivalent(S, S, tol)
+            assert not equivalent(S, bumped, tol)
+
+    def test_overflowing_coefficients_never_match_without_a_warning(self):
+        # A B overflows; in a stack, only that item fails.
+        huge = (np.full((2, 2), 1e308), np.ones((2, 1)), np.ones((1, 2)))
+        small = (np.eye(2), *huge[1:])
+        stack = tuple(np.stack(Ms) for Ms in zip(huge, small))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert markov_match(huge, huge) is False
+            assert markov_match(stack, stack).tolist() == [False, True]
 
 
 def padded(triple, n, inputs, outputs):
@@ -568,7 +593,7 @@ def padded(triple, n, inputs, outputs):
 
 
 class TestMarkovMatchBatch:
-    HORIZON = 20  # n1 + n2 of the padded triples
+    HORIZON = 20  # n1 + n2 of the padded triples, where markov_match stops
 
     def pairs(self):
         """An exact reduction, a spurious decaying mode, a nilpotent pair
@@ -601,9 +626,9 @@ class TestMarkovMatchBatch:
     def test_batch_verdicts_equal_single_verdicts(self):
         pairs = self.pairs()
         first, second, firsts, seconds = self.stacks(pairs)
-        batch = markov_match(first, second, self.HORIZON)
-        single = [markov_match(f, s, self.HORIZON) for f, s in zip(firsts, seconds)]
-        unpadded = [markov_match(f, s, self.HORIZON) for f, s in pairs]
+        batch = markov_match(first, second)
+        single = [markov_match(f, s) for f, s in zip(firsts, seconds)]
+        unpadded = [markov_match(f, s) for f, s in pairs]
         assert isinstance(batch, np.ndarray) and batch.dtype == bool and batch.shape == (6,)
         assert all(isinstance(v, bool) for v in single)
         assert batch.tolist() == single == unpadded == [True, False, True, True, False, False]
@@ -621,28 +646,27 @@ class TestMarkovMatchBatch:
         def huge(pair):
             return tuple((A, 1e200 * np.asarray(B), 1e200 * np.asarray(C)) for A, B, C in pair)
 
-        assert markov_match(*huge(exact), self.HORIZON) is True
-        assert markov_match(*huge(spurious), self.HORIZON) is False
+        assert markov_match(*huge(exact)) is True
+        assert markov_match(*huge(spurious)) is False
         first, second, _, _ = self.stacks([huge(exact), huge(spurious), exact])
-        assert markov_match(first, second, self.HORIZON).tolist() == [True, False, True]
+        assert markov_match(first, second).tolist() == [True, False, True]
 
     def test_non_finite_entry_raises(self):
         first, second, firsts, seconds = self.stacks(self.pairs())
         bad = firsts[0][2].copy()
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
-            markov_match((firsts[0][0], firsts[0][1], bad), seconds[0], self.HORIZON)
+            markov_match((firsts[0][0], firsts[0][1], bad), seconds[0])
         first[2][3, 1, 0] = np.inf
         with pytest.raises(NonFiniteError):
-            markov_match(first, second, self.HORIZON)
+            markov_match(first, second)
 
     def test_input_output_mismatch_raises(self):
         first, second, firsts, seconds = self.stacks(self.pairs())
         with pytest.raises(DimensionMismatchError):
-            markov_match(firsts[0], (seconds[0][0], seconds[0][1][:, :1], seconds[0][2]),
-                         self.HORIZON)
+            markov_match(firsts[0], (seconds[0][0], seconds[0][1][:, :1], seconds[0][2]))
         with pytest.raises(DimensionMismatchError):
-            markov_match(first, (second[0], second[1], second[2][:, :1]), self.HORIZON)
+            markov_match(first, (second[0], second[1], second[2][:, :1]))
 
     def test_non_conformal_triple_raises(self):
         # A not square, B with a row too few, C with a column too few; on
@@ -653,7 +677,7 @@ class TestMarkovMatchBatch:
             for bad in ((A[..., :-1], B, C), (A, B[..., :-1, :], C), (A, B, C[..., :-1])):
                 for pair in ((bad, other), (other, bad)):
                     with pytest.raises(DimensionMismatchError, match="not conformal"):
-                        markov_match(*pair, self.HORIZON)
+                        markov_match(*pair)
 
 
 class TestSimulate:
