@@ -64,12 +64,14 @@ def _load_matrix(path: Optional[str]) -> np.ndarray:
     return _matrix_from(_load_json(path), "matrix")
 
 
-def _raw_system(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """The CLI's own rules for a system file; the library checks shapes and signs."""
+def _raw_system(payload, inputs: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The CLI's own rules for a system file; the library checks shapes and signs.
+    JSON cannot carry the column count of a matrix with no rows, so an
+    empty A is 0 x 0 and an empty B is 0 x inputs (an order-0 system)."""
     if not isinstance(payload, dict) or "A" not in payload or "B" not in payload:
         raise CliError(1, "system file must be a JSON object with keys A and B")
-    A = _matrix_from(payload["A"], "A")
-    B = _matrix_from(payload["B"], "B")
+    A = np.zeros((0, 0)) if payload["A"] == [] else _matrix_from(payload["A"], "A")
+    B = np.zeros((0, inputs)) if payload["B"] == [] else _matrix_from(payload["B"], "B")
     C = np.eye(len(A)) if payload.get("C") is None else _matrix_from(payload["C"], "C")
     time_domain = payload.get("time_domain", "discrete")
     if time_domain not in TIME_DOMAINS:
@@ -88,6 +90,7 @@ def _system_payload(S: PositiveLtiSystem) -> dict:
 
 
 def _to_text(value, indent: int = 0) -> str:
+    """A dict, or a non-empty list from one, as indented text lines."""
     pad = "  " * indent
     if isinstance(value, dict):
         lines = []
@@ -98,11 +101,9 @@ def _to_text(value, indent: int = 0) -> str:
             else:
                 lines.append(f"{pad}{key}: {json.dumps(item)}")
         return "\n".join(lines)
-    if isinstance(value, list):
-        if value and all(isinstance(row, list) for row in value):
-            return "\n".join(f"{pad}[{', '.join(f'{x:g}' for x in row)}]" for row in value)
-        return "\n".join(f"{pad}- {json.dumps(item)}" for item in value)
-    return f"{pad}{json.dumps(value)}"
+    if all(isinstance(row, list) for row in value):
+        return "\n".join(f"{pad}[{', '.join(f'{x:g}' for x in row)}]" for row in value)
+    return "\n".join(f"{pad}- {json.dumps(item)}" for item in value)
 
 
 def _emit(args, payload: dict) -> None:
@@ -209,7 +210,7 @@ def cmd_algebra(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     original = _raw_system(_load_json(args.original))[:3]
-    reduced = _raw_system(_load_json(args.reduced))[:3]
+    reduced = _raw_system(_load_json(args.reduced), original[1].shape[1])[:3]
     match = markov_match(original, reduced, tol)
     positive = all(is_nonneg(M, tol) for M in reduced)
     _emit(args, {

@@ -19,7 +19,7 @@ from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError
                      SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
 from .monotone import positive_combination
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, unit_peak
 
 
 class ReferenceVector:
@@ -152,11 +152,8 @@ def closure(V: SubspaceBasis, p: ReferenceVector,
     if off.any() and np.abs(B[off, :]).max(initial=0.0) > tol.nonneg_tol:
         raise UnsupportedCoordinateError("subspace has weight outside supp(p)")
 
-    levels = B[s, :] / p.p[s][:, None]
-    peaks = np.abs(levels).max(axis=0)
-    # A column that vanishes on the support separates no coordinates.
-    peaks[peaks == 0.0] = 1.0
-    levels /= peaks
+    # A column that vanishes on the support separates no coordinates; it stays 0.
+    levels = unit_peak(B[s, :] / p.p[s][:, None])
     marks, first = _level_sets(levels, tol)
     # Singleton blocks span everything; otherwise check the span.
     if marks.shape[1] < s.size and not _indicators_span(levels, first, tol):

@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .monotone import positive_combination
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, is_nonneg, rank
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is_nonneg,
+                       rank, unit_peak)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,8 @@ def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = D
     """Independent recheck of the factorization invariants.
 
     Both factors non-negative, Jdag @ J = I within eq_tol, and J @ Jdag
-    fixing each basis column, scaled to unit peak, within eq_tol (the
-    exactness test of possys.reduce); the two give Im(J) = span of V.
+    fixing each unit-peak basis column within eq_tol (fixes_columns, as in
+    possys.reduce); the two give Im(J) = span of V.
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):
@@ -157,5 +158,4 @@ def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = D
         return False
     if np.abs(F.Jdag @ F.J - np.eye(m)).max() > tol.eq_tol:
         return False
-    P = V.basis / np.abs(V.basis).max(axis=0)
-    return np.abs(P - F.J @ (F.Jdag @ P)).max() <= tol.eq_tol
+    return fixes_columns(F.J, F.Jdag, unit_peak(V.basis), tol)

@@ -3,7 +3,8 @@
 All operations are pure functions over float64 arrays: rank by Gaussian
 elimination with a relative pivot threshold fixed once per matrix, greedy
 column bases by one elimination pass whose threshold follows the columns
-kept so far, Moore-Penrose left inverses and entrywise sign tests.
+kept so far, Moore-Penrose left inverses, sign tests, unit-peak columns
+and the projector residual that certifies exactness.
 """
 from __future__ import annotations
 
@@ -198,3 +199,14 @@ def is_nonneg(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when every entry is >= -nonneg_tol."""
     A = as_matrix(M)
     return bool(A.size == 0 or A.min() >= -tol.nonneg_tol)
+
+
+def unit_peak(M: np.ndarray) -> np.ndarray:
+    """M with each column divided by its peak |entry|; zero columns stay zero."""
+    peaks = np.abs(M).max(axis=0, initial=0.0)
+    return M / np.where(peaks > 0.0, peaks, 1.0)
+
+
+def fixes_columns(J, Jdag, P, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether J @ Jdag fixes P's columns, max|P - J (Jdag P)| <= eq_tol; NaN fails."""
+    return bool(np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol)

@@ -187,10 +187,8 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     A, B, C = (np.asarray(M, dtype=float) for M in perturbations)
     if [M.shape for M in (A, B, C)] != [A.shape[:1] + M.shape for M in (S.A, S.B, S.C)]:
         raise DimensionMismatchError("perturbation dimensions differ from the base system")
-    reduced = []
-    for F in (F_naive, F_robust):
-        J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
-        reduced.append((Jdag @ A @ J, Jdag @ B, C @ J))
+    reduced = [possys._restrict((A, B, C), as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag"))
+               for F in (F_naive, F_robust)]
     if not all(np.isfinite(M).all() for M in (A, B, C, *reduced[0], *reduced[1])):
         raise NonFiniteError("a perturbed system or one of its projections is not finite")
     naive_positive, robust_positive = (

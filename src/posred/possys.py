@@ -7,7 +7,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
 from .factorize import Factorization
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
-                       column_space_basis)
+                       column_space_basis, fixes_columns, unit_peak)
 
 TIME_DOMAINS = ("discrete", "continuous")
 
@@ -79,15 +79,18 @@ class PositiveLtiSystem:
                 f"outputs={self.num_outputs}, {self.time_domain})")
 
 
-def _krylov_powers(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False) -> np.ndarray:
     """[B, AB, ..., A^(n-1) B], each block A times the one before it in one
-    buffer; a power that overflows holds inf, silently."""
+    buffer; a power that overflows holds inf, silently. When scaled, each
+    block is scaled to unit peak before the next is formed from it."""
     n, m = B.shape
     powers = np.empty((max(n, 1), n, m))  # B alone when n = 0
-    powers[0] = B
+    powers[0] = unit_peak(B) if scaled else B
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n):
             np.matmul(A, powers[k - 1], out=powers[k])
+            if scaled:
+                powers[k] = unit_peak(powers[k])
     return powers.transpose(1, 0, 2).reshape(n, len(powers) * m)
 
 
@@ -190,12 +193,13 @@ def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.n
     Used for comparison experiments where the factors may have mixed signs
     or the image may fail to be invariant; reduce() is the checked path.
     """
-    return _restrict(S, as_matrix(J, "J"), as_matrix(Jdag, "Jdag"))
+    return _restrict((S.A, S.B, S.C), as_matrix(J, "J"), as_matrix(Jdag, "Jdag"))
 
 
-def _restrict(S: PositiveLtiSystem, J: np.ndarray,
-              Jdag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return Jdag @ S.A @ J, Jdag @ S.B, S.C @ J
+def _restrict(system, J: np.ndarray, Jdag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jdag A J, Jdag B, C J) of an (A, B, C) triple of matrices or of stacks."""
+    A, B, C = system
+    return Jdag @ A @ J, Jdag @ B, C @ J
 
 
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
@@ -205,19 +209,19 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     Cayley-Hamilton it then fixes every A^k B, and by induction
     (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov coefficient matches.
     Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
-    scale-free: each column of each block is scaled to unit peak, and the
-    residual max|P - J (Jdag P)| over all n blocks is held to eq_tol.
-    Scaling a column commutes with multiplying by A, so the blocks are the
-    raw stack [B, AB, ...] divided by its column peaks once (the stack S
-    keeps, which reachable_subspace has usually built already),
-    when every peak lies in [2^-500, 2^500] and no product term
-    B[j] A[i1, j] ... of the stack can fall below 2^-1022 (the smallest
-    nonzero |B| times min(1, smallest nonzero |A|)^(n-1)). Otherwise (a
-    power overflows, a column is zero or tiny, or small entries of a
-    column may underflow and be amplified again by later powers) each
-    block is formed from the scaled one before it. In exact arithmetic
-    the blocks k <= m (m the column count of J) would decide, since a Krylov chain
-    inside an m-dimensional Im(J) stops growing within m steps; under
+    scale-free: each column of each block is scaled to unit peak (zero
+    columns stay zero), and numerics.fixes_columns holds the residual
+    max|P - J (Jdag P)| over all n blocks to eq_tol. Scaling a column
+    commutes with multiplying by A, so the blocks are the raw stack S
+    keeps, divided by its column peaks once, when that stack is finite
+    and no product term B[j] A[i1, j] ... of it can fall below 2^-1022
+    (the smallest nonzero |B| times min(1, smallest nonzero |A|)^(n-1)):
+    then no entry underflows and the division rounds only relatively.
+    Otherwise (a power overflows, or small entries may underflow and be
+    amplified again by later powers) _krylov_powers forms each block from
+    the scaled one before it. In exact arithmetic the blocks k <= m (m
+    the column count of J) would decide, since a Krylov chain inside an
+    m-dimensional Im(J) stops growing within m steps; under
     eq_tol they do not: blocks within eq_tol of Im(J) can still drift out
     of it at later powers. The reduced triple must come out non-negative;
     the PositiveLtiSystem constructor raises NotPositiveError otherwise
@@ -227,10 +231,6 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
         raise DimensionMismatchError("factor shapes do not match the system dimension")
 
-    def unit_peak(P):
-        peaks = abs(P).max(axis=0, initial=0.0)
-        return P / np.where(peaks > 0.0, peaks, 1.0)
-
     def smallest(M):
         return float(abs(M).min(initial=np.inf, where=M != 0.0))
 
@@ -238,17 +238,11 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     # this large in magnitude, so no entry of the raw stack underflows.
     floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
     P = _raw_stack(S)
-    peaks = abs(P).max(axis=0, initial=0.0)
-    if floor >= 2.0 ** -1022 and ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all():
-        P = P / peaks
-    else:
-        blocks = [unit_peak(S.B)]
-        for _ in range(S.dim - 1):
-            blocks.append(unit_peak(S.A @ blocks[-1]))
-        P = np.hstack(blocks)
-    if not abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
+    raw = floor >= 2.0 ** -1022 and np.isfinite(P).all()
+    P = unit_peak(P) if raw else _krylov_powers(S.A, S.B, scaled=True)
+    if not fixes_columns(J, Jdag, P, tol):
         raise NotInvariantError("J @ Jdag does not fix the reachable space")
-    return PositiveLtiSystem(*_restrict(S, J, Jdag), S.time_domain, tol)
+    return PositiveLtiSystem(*_restrict((S.A, S.B, S.C), J, Jdag), S.time_domain, tol)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

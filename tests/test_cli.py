@@ -111,6 +111,16 @@ class TestReduce:
         assert code == 0
         assert "method" in out_path.read_text()
 
+    def test_text_format_lists_diagnostics(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", swap_system(1.0))
+        code, out, _ = run(capsys, "reduce", "--input", path, "--force-algebraic",
+                           "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[lines.index("diagnostics:") + 1:] == [
+            '  - "minimal route disabled by flag"',
+            '  - "algebra enlargement: 2 -> 3 dimensions"']
+
 
 class TestMonotone:
     def test_identity(self, tmp_path, capsys):
@@ -289,6 +299,30 @@ class TestVerify:
                               posred.generate_system(posred.GeneratorSpec(4, seed=1)))
         assert_input_error(run(capsys, "verify", first, second, "--tol", "inf"))
 
+    @pytest.mark.parametrize("space", ["reachable", "observable"])
+    def test_order_zero_reduction_reads_back(self, tmp_path, capsys, space):
+        # A zero input map (reachable) or output map (observable) reduces
+        # to order 0, written as A = [], B = [] and C = [[]]; the reader
+        # takes the missing column counts from the shapes they must have.
+        B, C = (np.zeros((2, 2)), np.ones((1, 2))) if space == "reachable" else \
+            (np.ones((2, 2)), np.zeros((1, 2)))
+        original = write_json(tmp_path / "z.json", {"A": [[1.0, 0.5], [0.0, 1.0]],
+                                                    "B": B.tolist(), "C": C.tolist()})
+        code, out, _ = run(capsys, "reduce", "--input", original, "--space", space)
+        assert code == 0
+        payload = json.loads(out)["reduced_system"]
+        assert payload["A"] == payload["B"] == [] and payload["C"] == [[]]
+        reduced = write_json(tmp_path / "red.json", payload)
+        code, out, err = run(capsys, "verify", original, reduced)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["markov_match"] is True
+        # The order-0 file is a system too: reduce reports, perturb refuses.
+        for other_space in ("reachable", "observable"):
+            code, out, _ = run(capsys, "reduce", "--input", reduced, "--space", other_space)
+            assert code == 0 and json.loads(out)["reduced_dim"] == 0
+        code, out, err = run(capsys, "perturb", "--input", reduced)
+        assert code == 3 and out == "" and err.count("\n") == 1 and err.startswith("error:")
+
     def test_wrong_row_count_of_reduced_b_is_an_input_error(self, tmp_path, capsys):
         original = write_system(tmp_path / "orig.json", swap_system(1.0))
         code, out, _ = run(capsys, "reduce", "--input", original)
@@ -366,6 +400,20 @@ class TestMalformedInput:
         matrix.write_text("[[" + huge + ", 0.0]]")
         assert_input_error(run(capsys, "factorize", "--input", str(matrix)))
 
+    @pytest.mark.parametrize("payload", [[[1.0]], {"A": [[1.0]]}, {"B": [[1.0]]}])
+    def test_system_file_needs_an_object_with_keys_a_and_b(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "s.json", payload)
+        outcome = run(capsys, "reduce", "--input", path)
+        assert_input_error(outcome)
+        assert "keys A and B" in outcome[2]
+
+    def test_unknown_time_domain(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json",
+                          {"A": [[1.0]], "B": [[1.0]], "time_domain": "hybrid"})
+        outcome = run(capsys, "reduce", "--input", path)
+        assert_input_error(outcome)
+        assert "time_domain must be one of" in outcome[2]
+
     def test_output_into_a_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "out.json")
         assert_input_error(run(capsys, "gen", "--n", "2", "--output", missing))
@@ -389,6 +437,13 @@ class TestPerturb:
         path = write_system(tmp_path / "s.json", cascade_system())
         for delta in ("-2", "nan", "inf"):
             assert_input_error(run(capsys, "perturb", "--input", path, "--delta", delta))
+
+    def test_zero_input_map_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.5], [0.0, 1.0]],
+                                                "B": [[0.0], [0.0]]})
+        code, out, err = run(capsys, "perturb", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == "error: input map is zero; nothing to reduce or perturb\n"
 
     def test_cascade_rates(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", cascade_system())

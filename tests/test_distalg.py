@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (DimensionMismatchError, ReferenceVector, SubspaceBasis,
+from posred import (DimensionMismatchError, NonFiniteError, ReferenceVector, SubspaceBasis,
                     SupportFailureError, Tolerances, UnsupportedCoordinateError,
                     algebra_factorization, choose_p, closure, column_space_basis,
                     is_monotone_nonneg_rect, rank, reachable_subspace)
@@ -64,6 +64,15 @@ class TestReferenceVector:
     def test_rejects_negative(self):
         with pytest.raises(Exception):
             ReferenceVector([1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(NonFiniteError):
+            ReferenceVector([1.0, bad])
+
+    def test_closure_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatchError, match="ambient dimension"):
+            closure(SubspaceBasis(np.eye(3)[:, :2]), ReferenceVector([1.0, 1.0]))
 
 
 class TestChooseP:

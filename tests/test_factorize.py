@@ -381,3 +381,18 @@ class TestVerify:
         F = find_nonneg_factorization(self.V)
         other = SubspaceBasis(np.eye(4)[:, :2])
         assert not verify_factorization(F, other)
+
+    def test_verdicts_are_python_bools(self):
+        F = find_nonneg_factorization(self.V)
+        assert verify_factorization(F, self.V) is True
+        assert verify_factorization(F, SubspaceBasis(np.eye(4)[:, :2])) is False
+
+    def test_rejects_factors_of_the_wrong_shape(self):
+        F = find_nonneg_factorization(self.V)
+        for J, Jdag in ((F.J[:, :1], F.Jdag[:1]), (F.J, F.J), (F.J[:3], F.Jdag[:, :3])):
+            assert verify_factorization(Factorization(J, Jdag, F.pivot_rows), self.V) is False
+
+    def test_rejects_a_pair_whose_jdag_j_is_not_the_identity(self):
+        F = find_nonneg_factorization(self.V)
+        doubled = Factorization(F.J, 2.0 * F.Jdag, F.pivot_rows)
+        assert verify_factorization(doubled, self.V) is False

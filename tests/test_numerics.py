@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
                     ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
                     rank, reachability_matrix)
-from posred import numerics
+from posred import as_matrix, numerics
+from posred.numerics import fixes_columns, unit_peak
 from conftest import greedy_column_selection, per_column_selection
 
 TOL = Tolerances()
@@ -207,6 +208,31 @@ def test_direct_basis_construction_checks_rank():
         SubspaceBasis(RANK_TWO_BLOCK)
 
 
+def test_basis_needs_a_column():
+    with pytest.raises(ValueError, match="at least one column"):
+        SubspaceBasis(np.zeros((3, 0)))
+
+
+def test_as_matrix_rejects_input_that_is_not_2d():
+    for M in ([1.0, 2.0], [[[1.0]]], 3.0):
+        with pytest.raises(ValueError, match="M must be 2-D"):
+            as_matrix(M, "M")
+
+
+class TestExactnessResidual:
+    def test_unit_peak_leaves_zero_columns_zero(self):
+        M = np.array([[2.0, 0.0, -4.0], [1.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(unit_peak(M), [[1.0, 0.0, -1.0], [0.5, 0.0, 0.25]])
+
+    def test_fixes_columns_gives_a_bool_and_nan_fails(self):
+        J = np.eye(3)[:, :2]
+        P = np.array([[1.0], [0.5], [0.0]])
+        assert fixes_columns(J, J.T, P) is True
+        assert fixes_columns(J, J.T, P + [[0.0], [0.0], [1e-6]]) is False
+        assert fixes_columns(J, J.T, P * np.nan) is False
+        assert fixes_columns(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))) is True
+
+
 class TestLeftInverse:
     def test_rank_two_block_basis(self):
         L = left_inverse(RANK_TWO_BLOCK[:, :2])
@@ -245,6 +271,12 @@ class TestLeftInverse:
         # overflowed to a NaN inverse that passed the accuracy check.
         M = np.random.default_rng(3).random((6, 3))
         np.testing.assert_array_equal(left_inverse(np.ldexp(M, k)), np.ldexp(left_inverse(M), -k))
+
+    def test_nearly_parallel_columns_give_an_inaccurate_inverse(self):
+        # Both pivots beat the rank threshold, but M^T M has condition
+        # about 1e13, so L @ M misses the identity by far more than eq_tol.
+        with pytest.raises(RankDeficientError, match="inaccurate"):
+            left_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]))
 
     def test_singular_gram_matrix_is_rank_deficient(self):
         # With rank_tol = 0 the rank test keeps a column at 2^-600 of the

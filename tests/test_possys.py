@@ -110,6 +110,24 @@ def test_krylov_stack_matches_the_list_of_blocks(n, inputs, reachable, density, 
         assert stack.tobytes() == expected.tobytes()
 
 
+@given(st.integers(1, 12), st.integers(1, 3), st.sampled_from([0.3, 0.6, 1.0]),
+       st.integers(-700, 700), st.integers(0, 2**32 - 1))
+def test_scaled_krylov_stack_matches_the_reference_blocks(n, inputs, density, e, seed):
+    # Bit for bit: each block is the one before it times A, scaled to unit
+    # peak as the reference loop scales it, zero columns staying zero.
+    S = generate_system(GeneratorSpec(n=n, inputs=inputs, density=density, seed=seed))
+    A = np.ldexp(S.A, e)
+    blocks = [S.B]
+    for _ in range(n):
+        peaks = np.abs(blocks[-1]).max(axis=0, initial=0.0)
+        blocks[-1] = blocks[-1] / np.where(peaks > 0.0, peaks, 1.0)
+        blocks.append(A @ blocks[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = _krylov_powers(A, S.B, scaled=True)
+    assert stack.tobytes() == np.hstack(blocks[:n]).tobytes()
+
+
 def test_overflowing_krylov_powers_hold_inf_without_a_warning():
     A = np.full((4, 4), 1e200)
     B = np.ones((4, 2))
@@ -367,15 +385,15 @@ def test_drifting_chains_reach_both_verdicts_after_block_m():
 
 def takes_raw_stack(S: PositiveLtiSystem) -> bool:
     """Whether reduce scales the raw stack [B, AB, ...] instead of forming
-    each block from the scaled one before it: every column peak lies in
-    [2^-500, 2^500] and no product term of the stack can underflow."""
+    each block from the scaled one before it: the stack is finite (zero
+    columns included) and no product term of it can underflow."""
     def smallest(M):
         return np.abs(M)[M != 0.0].min(initial=np.inf)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        peaks = np.abs(reachability_matrix(S)).max(axis=0)
+        finite = np.isfinite(reachability_matrix(S)).all()
     floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
-    return bool(floor >= 2.0 ** -1022 and ((peaks >= 2.0 ** -500) & (peaks <= 2.0 ** 500)).all())
+    return bool(finite and floor >= 2.0 ** -1022)
 
 
 def overflowing_chain() -> PositiveLtiSystem:
@@ -389,9 +407,9 @@ def overflowing_chain() -> PositiveLtiSystem:
 
 
 def tiny_input_cascade() -> PositiveLtiSystem:
-    """The cascade with B scaled by 2^-600: every raw power stays far
-    below 2^-500, while its unit-peak blocks are the cascade's. The
-    reachable space is the plane of states {0, 1}."""
+    """The cascade with B scaled by 2^-600: every raw power is tiny but
+    normal, and no product term underflows, while its unit-peak blocks are
+    the cascade's. The reachable space is the plane of states {0, 1}."""
     S = cascade_system()
     return PositiveLtiSystem(S.A, np.ldexp(S.B, -600), S.C)
 
@@ -408,18 +426,28 @@ def amplifying_chain(b=-499, down=(299, 299), up=(299, 299)) -> PositiveLtiSyste
     return PositiveLtiSystem(A, np.ldexp(np.eye(5)[:, :1], b), np.ones((1, 5)))
 
 
+def nilpotent_chain() -> PositiveLtiSystem:
+    """States 0 -> 1 -> 2 with unit weights and B = e0 in R^4: A^3 B = 0,
+    so the last column of the raw stack is zero. State 3 is unreachable."""
+    A = np.zeros((4, 4))
+    A[[1, 2], [0, 1]] = 1.0
+    return PositiveLtiSystem(A, np.eye(4)[:, :1], np.ones((1, 4)))
+
+
 class TestReduceFallback:
-    """Systems whose raw powers overflow, sit near underflow, or lose small
-    entries to underflow take the block-by-block path; its verdict must
-    be the reference loop's, with no floating-point warning."""
+    """Systems whose raw powers overflow or lose small entries to
+    underflow take the block-by-block path; tiny but normal powers and
+    zero Krylov columns take the raw stack. Either way the verdict must be
+    the reference loop's, with no floating-point warning."""
 
     @pytest.mark.parametrize("system, reached, accepted", [
         (overflowing_chain, 4, True), (overflowing_chain, 3, False),
         (tiny_input_cascade, 2, True), (tiny_input_cascade, 1, False),
-        (amplifying_chain, 5, True), (amplifying_chain, 1, False)])
+        (amplifying_chain, 5, True), (amplifying_chain, 1, False),
+        (nilpotent_chain, 3, True), (nilpotent_chain, 2, False)])
     def test_verdict_matches_the_reference_loop(self, system, reached, accepted):
         S = system()
-        assert not takes_raw_stack(S)
+        assert takes_raw_stack(S) == (system in (tiny_input_cascade, nilpotent_chain))
         J = np.eye(S.dim)[:, :reached]
         assert fixes_every_krylov_block(S, J, J.T) == accepted
         F = Factorization(J, J.T, list(range(reached)))
@@ -447,7 +475,8 @@ class TestReduceFallback:
 @given(selector_reductions(), st.integers(-700, 700))
 def test_reduce_verdict_matches_the_reference_loop_at_any_input_scale(case, e):
     # Scaling B by 2^e is exact, so the reference verdict does not move;
-    # e beyond about +-500 sends reduce down the block-by-block path.
+    # where 2^e breaks the product-term floor or overflows a raw power,
+    # reduce takes the block-by-block path.
     S, F, _, _ = case
     scaled = PositiveLtiSystem(S.A, np.ldexp(S.B, e), S.C)
     try:
@@ -738,3 +767,15 @@ def test_exact_reduction_on_planted_systems():
         assert equivalent(S, reduce(S, F))
         reduced_count += 1
     assert reduced_count > 5
+
+
+class TestGeneratorSpec:
+    @pytest.mark.parametrize("field", ["n", "inputs", "outputs"])
+    def test_counts_below_one_are_rejected(self, field):
+        with pytest.raises(ValueError, match="at least 1"):
+            GeneratorSpec(**{"n": 3, field: 0})
+
+    @pytest.mark.parametrize("density", [0.0, -0.5, 1.5])
+    def test_density_outside_the_unit_interval_is_rejected(self, density):
+        with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
+            GeneratorSpec(n=3, density=density)
