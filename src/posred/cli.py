@@ -235,7 +235,8 @@ def cmd_gen(args) -> int:
 
 def cmd_perturb(args) -> int:
     tol = _tolerances(args)
-    for flag, value in (("--delta", args.delta), ("--count", args.count)):
+    for flag, value in (("--delta", args.delta), ("--count", args.count),
+                        ("--seed", args.seed)):
         if not 0 <= value < np.inf:
             raise CliError(1, f"{flag} must be finite and non-negative")
     S = _load_system(args.input, tol)
@@ -277,7 +278,7 @@ def cmd_perturb(args) -> int:
         "naive_positive_rate": sum(r.naive_positive for r in records) / count,
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
-        "records": [dict(vars(r)) for r in records],
+        "records": [r._asdict() for r in records],
     })
     return 0
 

@@ -11,7 +11,7 @@ idempotent generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class ReferenceVector:
         return f"ReferenceVector({self.p.tolist()})"
 
 
-@dataclass(frozen=True)
-class DistortedAlgebra:
+class DistortedAlgebra(NamedTuple):
     """Reference vector, idempotent generator columns, and the support
     partition they indicate: generator k equals p on blocks[k], 0 elsewhere."""
 

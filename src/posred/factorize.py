@@ -18,8 +18,7 @@ subspace of the states reachable in the influence digraph (Lin,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is
                        rank, unit_peak)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Projector factors J (n x m) and Jdag (m x n) with Jdag @ J = I.
 
     pivot_rows lists the rows of J that form the identity block; the pure

@@ -6,18 +6,15 @@ reachable space of the generated system has dimension at most q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .numerics import _Checked
 from .possys import PositiveLtiSystem
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Shape, sparsity, planted reachable dimension, and seed."""
-
+class _GeneratorSpec(NamedTuple):
     n: int
     inputs: int = 1
     outputs: int = 1
@@ -25,13 +22,23 @@ class GeneratorSpec:
     density: float = 1.0
     seed: int = 0
 
-    def __post_init__(self):
-        if self.n < 1 or self.inputs < 1 or self.outputs < 1:
+
+class GeneratorSpec(_Checked, _GeneratorSpec):
+    """Shape, sparsity, planted reachable dimension, and a non-negative seed."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _checked(spec):
+        if spec.n < 1 or spec.inputs < 1 or spec.outputs < 1:
             raise ValueError("n, inputs, and outputs must be at least 1")
-        if not 0.0 < self.density <= 1.0:
+        if not 0.0 < spec.density <= 1.0:
             raise ValueError("density must lie in (0, 1]")
-        if self.reachable_dim is not None and not 1 <= self.reachable_dim <= self.n:
+        if spec.reachable_dim is not None and not 1 <= spec.reachable_dim <= spec.n:
             raise ValueError("reachable_dim must lie in [1, n]")
+        if spec.seed < 0:
+            raise ValueError("seed must be non-negative")
+        return spec
 
 
 def _dense(rng: np.random.Generator, shape, density: float) -> np.ndarray:

@@ -11,8 +11,7 @@ are disjoint.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .errors import NotNonnegativeError, RankDeficientError
 from .numerics import DEFAULT_TOL, Tolerances, as_matrix, rank
 
 
-@dataclass(frozen=True)
-class MonotoneCertificate:
+class MonotoneCertificate(NamedTuple):
     """Verdict plus evidence: a non-negative left inverse when monotone,
     and the orthogonal row indices when the structural shortcut found them."""
 

@@ -8,15 +8,35 @@ and the projector residual that certifies exactness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteError, RankDeficientError, ZeroMatrixError
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Checked:
+    """Mixin for an immutable named-tuple record whose _checked(record)
+    validates it, or returns a corrected copy, on every construction path.
+    The stock _make, and so _replace, builds the tuple without __new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._checked(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls._checked(super()._make(iterable))
+
+
+class _Tolerances(NamedTuple):
+    rank_tol: float = 1e-10
+    nonneg_tol: float = 1e-9
+    eq_tol: float = 1e-8
+
+
+class Tolerances(_Checked, _Tolerances):
     """Numerical thresholds used throughout the package.
 
     rank_tol is relative: a pivot counts only if it exceeds rank_tol times
@@ -29,13 +49,13 @@ class Tolerances:
     non-negative.
     """
 
-    rank_tol: float = 1e-10
-    nonneg_tol: float = 1e-9
-    eq_tol: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(0 <= t < np.inf for t in (self.rank_tol, self.nonneg_tol, self.eq_tol)):
+    @staticmethod
+    def _checked(tol):
+        if not all(0 <= t < np.inf for t in tol):
             raise ValueError("tolerances must be finite and non-negative")
+        return tol
 
 
 DEFAULT_TOL = Tolerances()

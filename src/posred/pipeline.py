@@ -8,8 +8,7 @@ observable complement might admit a reduction when this one does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -18,12 +17,23 @@ from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      SupportFailureError, ZeroMatrixError)
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, _Checked, as_matrix
 from .possys import PositiveLtiSystem
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class _ReductionReport(NamedTuple):
+    method: str
+    space: str
+    original_dim: int
+    reduced_dim: int
+    factorization: Optional[Factorization] = None
+    reduced_system: Optional[PositiveLtiSystem] = None
+    diagnostics: Optional[list[str]] = None
+    algebra: Optional[DistortedAlgebra] = None
+    basis: Optional[SubspaceBasis] = None
+
+
+class ReductionReport(_Checked, _ReductionReport):
     """What was done to a system and the evidence that it is sound.
 
     method is "minimal" (projector onto the target space itself),
@@ -33,22 +43,18 @@ class ReductionReport:
     presence is the verification. The algebra field keeps the enlargement
     that was computed on the algebraic route, and basis the target-space
     basis (for the observable space, the reachable basis of the transposed
-    system), or None when that space is trivial.
+    system), or None when that space is trivial. A report given no
+    diagnostics gets an empty list of its own.
     """
 
-    method: str
-    space: str
-    original_dim: int
-    reduced_dim: int
-    factorization: Optional[Factorization] = None
-    reduced_system: Optional[PositiveLtiSystem] = None
-    diagnostics: list[str] = field(default_factory=list)
-    algebra: Optional[DistortedAlgebra] = None
-    basis: Optional[SubspaceBasis] = None
+    __slots__ = ()
+
+    @staticmethod
+    def _checked(report):
+        return report if report.diagnostics is not None else report._replace(diagnostics=[])
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
+class PerturbationRecord(NamedTuple):
     """Per-perturbation outcome of the naive-versus-robust comparison."""
 
     naive_positive: bool
@@ -160,8 +166,8 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     """
     dual = _rpmr_core(S.transpose(), tol, force_algebraic, "observable")
     F, reduced = dual.factorization, dual.reduced_system
-    return replace(
-        dual, space="observable",
+    return dual._replace(
+        space="observable",
         factorization=Factorization(F.Jdag.T, F.J.T, F.pivot_rows) if F is not None else None,
         reduced_system=reduced.transpose() if reduced is not None else None,
         diagnostics=[*dual.diagnostics,

@@ -358,6 +358,10 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--n", "3", "--reachable-dim", "5")
         assert code == 1
 
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "gen", "--n", "4", "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+
     def test_round_trip_bit_exact(self, capsys):
         # Parse then re-serialize: every float must survive bit-exactly.
         from posred import PositiveLtiSystem
@@ -437,6 +441,12 @@ class TestPerturb:
         path = write_system(tmp_path / "s.json", cascade_system())
         for delta in ("-2", "nan", "inf"):
             assert_input_error(run(capsys, "perturb", "--input", path, "--delta", delta))
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        path = write_system(tmp_path / "s.json", cascade_system())
+        code, out, err = run(capsys, "perturb", "--input", path, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --seed must be finite and non-negative\n"
 
     def test_zero_input_map_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.5], [0.0, 1.0]],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
                     ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
                     rank, reachability_matrix)
-from posred import as_matrix, numerics
+from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
 from conftest import greedy_column_selection, per_column_selection
 
@@ -304,3 +304,17 @@ def test_tolerances_must_be_nonnegative():
         for name in ("rank_tol", "nonneg_tol", "eq_tol"):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 Tolerances(**{name: value})
+
+
+@pytest.mark.parametrize("build", [
+    lambda eq: Tolerances(eq_tol=eq),
+    lambda eq: Tolerances(1e-10, 1e-9, eq),
+    lambda eq: DEFAULT_TOL._replace(eq_tol=eq),
+    lambda eq: Tolerances._make([1e-10, 1e-9, eq]),
+], ids=["keyword", "positional", "_replace", "_make"])
+def test_every_construction_path_checks_tolerances(build):
+    # The stock named-tuple _make, which _replace calls, skips __new__.
+    assert build(1e-6).eq_tol == 1e-6
+    for value in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^tolerances must be finite and non-negative$"):
+            build(value)

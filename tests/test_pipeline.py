@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import posred.monotone
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
-                    PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
+                    PerturbationRecord, PositiveLtiSystem, ReductionReport, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
@@ -404,6 +404,14 @@ class TestReportBasis:
         S = PositiveLtiSystem(np.eye(3), np.zeros((3, 2)), np.ones((1, 3)))
         assert rpmr_reachable(S).basis is None
         assert rpmr_observable(S.transpose()).basis is None
+
+
+def test_reports_given_no_diagnostics_do_not_share_a_list():
+    first, second = (ReductionReport("none", "reachable", 3, 3) for _ in range(2))
+    assert first.diagnostics == second.diagnostics == []
+    assert first.diagnostics is not second.diagnostics
+    assert first._replace(diagnostics=None).diagnostics is not first.diagnostics
+    assert ReductionReport._make([*first[:6], None, *first[7:]]).diagnostics == []
 
 
 def short_basis_system() -> PositiveLtiSystem:

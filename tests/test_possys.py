@@ -779,3 +779,20 @@ class TestGeneratorSpec:
     def test_density_outside_the_unit_interval_is_rejected(self, density):
         with pytest.raises(ValueError, match=r"density must lie in \(0, 1\]"):
             GeneratorSpec(n=3, density=density)
+
+    @pytest.mark.parametrize("build", [
+        lambda **change: GeneratorSpec(**{"n": 3, **change}),
+        lambda **change: GeneratorSpec(*(GeneratorSpec(3)._asdict() | change).values()),
+        lambda **change: GeneratorSpec(3)._replace(**change),
+        lambda **change: GeneratorSpec._make((GeneratorSpec(3)._asdict() | change).values()),
+    ], ids=["keyword", "positional", "_replace", "_make"])
+    @pytest.mark.parametrize("change, message", [
+        ({"n": 0}, "n, inputs, and outputs must be at least 1"),
+        ({"outputs": 0}, "n, inputs, and outputs must be at least 1"),
+        ({"density": 0.0}, r"density must lie in \(0, 1\]"),
+        ({"reachable_dim": 4}, r"reachable_dim must lie in \[1, n\]"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ], ids=["n", "outputs", "density", "reachable_dim", "seed"])
+    def test_every_construction_path_checks_the_spec(self, build, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(**change)
