@@ -184,9 +184,15 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
         j += 1 + int(live[0])
     if not selected:
         raise ZeroMatrixError("matrix has rank 0; no column-space basis")
+    return _full_rank_basis(A[:, selected])
+
+
+def _full_rank_basis(M: np.ndarray) -> SubspaceBasis:
+    """The SubspaceBasis of a fresh matrix M whose full column rank the
+    caller has shown; M is made read-only, not checked again."""
     result = object.__new__(SubspaceBasis)
-    result.basis = A[:, selected]  # a fresh copy, full rank by construction
-    result.basis.setflags(write=False)
+    result.basis = M
+    M.setflags(write=False)
     return result
 
 

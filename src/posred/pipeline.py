@@ -36,7 +36,8 @@ class _ReductionReport(NamedTuple):
 class ReductionReport(_Checked, _ReductionReport):
     """What was done to a system and the evidence that it is sound.
 
-    method is "minimal" (projector onto the target space itself),
+    method is "minimal" (projector onto the target space itself, also
+    when it comes from an algebra enlargement that adds no dimension),
     "algebraic" (projector onto its algebra enlargement), or "none".
     A reduced system is present exactly when method is not "none"; it was
     built by possys.reduce, which checked exactness and positivity, so its
@@ -120,12 +121,19 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
         return none("RPMR could not be performed: the algebra enlargement has full dimension",
                     algebra)
 
-    # The enlargement need not be A-invariant; reduce() only needs its
-    # projector to fix the target space.
-    diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
+    # The enlargement need not be A-invariant: reduce() falls back to
+    # checking that its projector fixes the target space. An algebra of
+    # dimension q is the target space itself, so its factors are a minimal
+    # pair that the search missed: drop the claim that none exists.
+    minimal = algebra.dimension == q and not force_algebraic
+    if minimal and F is None:
+        diagnostics.pop()
+    diagnostics.append(f"the algebra enlargement equals the {space} space ({q} dimensions); "
+                       f"its factors are a non-negative minimal pair" if minimal else
+                       f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
     try:
-        return _reduced("algebraic", space, S, algebra_factorization(algebra), tol,
-                        diagnostics, basis, algebra)
+        return _reduced("minimal" if minimal else "algebraic", space, S,
+                        algebra_factorization(algebra), tol, diagnostics, basis, algebra)
     except NotInvariantError:
         return none(f"RPMR could not be performed: the projector of the algebra "
                     f"enlargement fails the exactness check (it does not fix the "
@@ -142,14 +150,22 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     the reachable space is enlarged to the smallest product algebra
     containing it, which always factors non-negatively; its unit p is the
     sum of the non-negative reachable generators, so the report depends on
-    S and tol alone. Every reported reduction comes from possys.reduce, which checks
-    that J @ Jdag fixes the reachable space (so every Markov coefficient
-    matches) and that the reduced triple is non-negative. When the
-    algebraic route fails too (choose_p finds no reference vector, or the
-    algebra's projector fails that check), the report is "none" at full
-    order and its last diagnostic names the check. force_algebraic
-    skips the minimal route so the two answers can be compared on the
-    same system.
+    S and tol alone. An algebra of the basis's own dimension is the
+    reachable space itself, so its factors are a minimal pair that the
+    search missed, and the report says "minimal". On a coordinate
+    reachable space (a planted system) neither the basis nor the
+    exactness check forms the full Krylov stack: reachable_subspace
+    certifies the first blocks on the structural support, and the
+    selector passes reduce's invariance test. Every reported reduction
+    comes from possys.reduce, which checks that Im(J) is A-invariant and
+    contains B, entrywise, or else that J @ Jdag fixes the reachable space
+    (either way every Markov coefficient matches), and that the reduced
+    triple is non-negative. When the algebraic route fails too (choose_p
+    finds no reference vector, or the algebra's projector fails that
+    check), the report is "none" at full order and its last diagnostic
+    names the check. force_algebraic skips the minimal route so the two
+    answers can be compared on the same system; its reports say
+    "algebraic" even when the algebra adds no dimension.
     """
     return _rpmr_core(S, tol, force_algebraic, "reachable")
 

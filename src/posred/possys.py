@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
 from .factorize import Factorization
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
+from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
                        column_space_basis, fixes_columns, unit_peak)
 
 TIME_DOMAINS = ("discrete", "continuous")
@@ -24,8 +24,11 @@ class PositiveLtiSystem:
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
     identical for both. The matrices are read-only, so the raw Krylov
-    stack that reachable_subspace and reduce both read is built once, on
-    first use, and kept read-only beside them.
+    stack [B, AB, ..., A^(n-1) B] is built at most once, on first use, and
+    kept read-only beside them. Only the fallbacks read it: the column
+    selection of reachable_subspace when its support certificate fails,
+    and the Krylov check of reduce when its invariance test fails. A
+    coordinate reduction never builds it.
     """
 
     _stack = None  # [B, AB, ..., A^(n-1) B], see _raw_stack
@@ -79,15 +82,17 @@ class PositiveLtiSystem:
                 f"outputs={self.num_outputs}, {self.time_domain})")
 
 
-def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """[B, AB, ..., A^(n-1) B], each block A times the one before it in one
-    buffer; a power that overflows holds inf, silently. When scaled, each
-    block is scaled to unit peak before the next is formed from it."""
+def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False,
+                   blocks: int | None = None) -> np.ndarray:
+    """[B, AB, ..., A^(k-1) B] with k = blocks (n by default), each block A
+    times the one before it in one buffer; a power that overflows holds
+    inf, silently. When scaled, each block is scaled to unit peak before
+    the next is formed from it."""
     n, m = B.shape
-    powers = np.empty((max(n, 1), n, m))  # B alone when n = 0
+    powers = np.empty((max(blocks or n, 1), n, m))  # B alone when n = 0
     powers[0] = unit_peak(B) if scaled else B
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n):
+        for k in range(1, len(powers)):
             np.matmul(A, powers[k - 1], out=powers[k])
             if scaled:
                 powers[k] = unit_peak(powers[k])
@@ -107,17 +112,43 @@ def _raw_stack(S: PositiveLtiSystem) -> np.ndarray:
 def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
     """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B].
 
-    A fresh, writable copy of the stack that S keeps for reachable_subspace
-    and reduce, so changing it changes neither. Powers that overflow are
-    inf, without a floating-point warning.
+    A fresh, writable copy of the stack that S keeps for the fallbacks of
+    reachable_subspace and reduce, so changing it changes neither. Powers
+    that overflow are inf, without a floating-point warning.
     """
     return _raw_stack(S).copy()
 
 
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Truncated reachability matrix: independent columns of [B, AB, ...],
-    selected by column_space_basis from the stack S keeps. A power that
-    overflows raises NonFiniteError."""
+    """Truncated reachability matrix: the independent columns of
+    [B, AB, ...] that column_space_basis selects from the full stack.
+
+    Every A^k B vanishes, exactly, outside the structural support s: the
+    nonzero rows of B, grown through the digraph A != 0 until the set
+    stops changing. When 0 < q = |s| < n, only the first ceil(q / m)
+    blocks X are built (m inputs), and the first q columns of X are the
+    answer, with no rank recheck, when every diagonal entry of the R of
+    X[s] exceeds 2 sqrt(q) max(rank_tol, q eps) max|X| (eps the machine
+    epsilon). Each elimination pivot of those columns is at least
+    |r_jj| / sqrt(q), so the greedy pass on the full stack would keep
+    exactly them, and the full stack is never formed: a later power that
+    would overflow no longer matters. Otherwise (the test fails, X is not
+    finite, or s is empty or everything) the full stack that S keeps is
+    handed to column_space_basis, where a power that overflows raises
+    NonFiniteError.
+    """
+    # Grow s until it stops changing (q then stays) or holds every state.
+    s, q, G = S.B.any(axis=1), -1, S.A != 0
+    while q < (q := np.count_nonzero(s)) < S.dim:
+        s = G @ s | s
+    if 0 < q < S.dim:
+        X = _krylov_powers(S.A, S.B, blocks=-(-q // S.num_inputs))
+        peak = abs(X).max()
+        # The diagonal of qr's raw output is that of R, which it does not form.
+        if peak < np.inf and (abs(np.linalg.qr(X[s], mode="raw")[0].diagonal())
+                              > 2 * q ** 0.5 * max(tol.rank_tol, q * 2.0 ** -52) * peak).all():
+            # Column-major, the layout of column_space_basis's selection.
+            return _full_rank_basis(np.asfortranarray(X[:, :q]))
     return column_space_basis(_raw_stack(S), tol)
 
 
@@ -205,27 +236,40 @@ def _restrict(system, J: np.ndarray, Jdag: np.ndarray) -> tuple[np.ndarray, np.n
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
-    The reduction is exact when J @ Jdag fixes A^k B for k < n: by
-    Cayley-Hamilton it then fixes every A^k B, and by induction
-    (Jdag A J)^k Jdag B = Jdag A^k B, so every Markov coefficient matches.
-    Neither A-invariance of Im(J) nor Jdag @ J = I is needed. The test is
-    scale-free: each column of each block is scaled to unit peak (zero
-    columns stay zero), and numerics.fixes_columns holds the residual
-    max|P - J (Jdag P)| over all n blocks to eq_tol. Scaling a column
-    commutes with multiplying by A, so the blocks are the raw stack S
-    keeps, divided by its column peaks once, when that stack is finite
+    Invariance is tested first. When A, B, J and Jdag have no negative
+    entry, write A_r = Jdag A J and B_r = Jdag B, and let
+    |A J - J A_r| <= e max(|A J|, |J A_r|) and |B - J B_r| <=
+    e max(|B|, |J B_r|) hold entrywise, with e = eq_tol / (n + m + 1) (m
+    the column count of J). Then, by induction and monotonicity
+    (non-negative maps preserve entrywise bounds), each entry of
+    J A_r^k B_r lies within a factor (1 +- e)^(k+1) of that of A^k B, at
+    every k and under any diagonal scaling; with C >= 0 so does each
+    Markov coefficient, which up to markov_match's horizon n + m is within
+    eq_tol. This costs O(n^2 m) and needs no Krylov power. It also asks
+    that no product term of A J can underflow (every nonzero entry of A
+    and of J is at least 2^-511), so that no entry of A J that is nonzero
+    in exact arithmetic reads 0.
+
+    A pair that fails that test gets the Krylov check: the reduction is
+    exact when J @ Jdag fixes A^k B for k < n, for by Cayley-Hamilton it
+    then fixes every A^k B, and by induction (Jdag A J)^k Jdag B =
+    Jdag A^k B. Neither A-invariance of Im(J) nor Jdag @ J = I is needed.
+    The test is scale-free: each column of each block is scaled to unit
+    peak (zero columns stay zero), and numerics.fixes_columns holds the
+    residual max|P - J (Jdag P)| over all n blocks to eq_tol. Scaling a
+    column commutes with multiplying by A, so the blocks are the raw stack
+    S keeps, divided by its column peaks once, when that stack is finite
     and no product term B[j] A[i1, j] ... of it can fall below 2^-1022
     (the smallest nonzero |B| times min(1, smallest nonzero |A|)^(n-1)):
     then no entry underflows and the division rounds only relatively.
     Otherwise (a power overflows, or small entries may underflow and be
     amplified again by later powers) _krylov_powers forms each block from
-    the scaled one before it. In exact arithmetic the blocks k <= m (m
-    the column count of J) would decide, since a Krylov chain inside an
-    m-dimensional Im(J) stops growing within m steps; under
-    eq_tol they do not: blocks within eq_tol of Im(J) can still drift out
-    of it at later powers. The reduced triple must come out non-negative;
-    the PositiveLtiSystem constructor raises NotPositiveError otherwise
-    (possible only with mixed-sign factors).
+    the scaled one before it. In exact arithmetic the blocks k <= m would
+    decide, since a Krylov chain inside an m-dimensional Im(J) stops
+    growing within m steps; under eq_tol they do not: blocks within eq_tol
+    of Im(J) can still drift out of it at later powers. The reduced triple
+    must come out non-negative; the PositiveLtiSystem constructor raises
+    NotPositiveError otherwise (possible only with mixed-sign factors).
     """
     J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
@@ -234,15 +278,28 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     def smallest(M):
         return float(abs(M).min(initial=np.inf, where=M != 0.0))
 
-    # Every product term of an entry of A^k B (k < n) is 0 or at least
-    # this large in magnitude, so no entry of the raw stack underflows.
-    floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
-    P = _raw_stack(S)
-    raw = floor >= 2.0 ** -1022 and np.isfinite(P).all()
-    P = unit_peak(P) if raw else _krylov_powers(S.A, S.B, scaled=True)
-    if not fixes_columns(J, Jdag, P, tol):
-        raise NotInvariantError("J @ Jdag does not fix the reachable space")
-    return PositiveLtiSystem(*_restrict((S.A, S.B, S.C), J, Jdag), S.time_domain, tol)
+    eps = tol.eq_tol / (S.dim + J.shape[1] + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = _restrict((S.A, S.B, S.C), J, Jdag)
+        # No entry of B or Jdag is negative, and none of A or J is negative
+        # or in (0, 2^-511), so no product term of A J underflows.
+        invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
+                     and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
+                     and not ((J < 2.0 ** -511) & (J != 0.0)).any())
+        if invariant:  # [A J, B] against J [A_r, B_r], both non-negative
+            X = np.concatenate((S.A @ J, S.B), axis=1)
+            Y = J @ np.concatenate(reduced[:2], axis=1)
+            invariant = bool((abs(X - Y) <= eps * np.maximum(X, Y)).all())
+    if not invariant:
+        # Every product term of an entry of A^k B (k < n) is 0 or at least
+        # this large in magnitude, so no entry of the raw stack underflows.
+        floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
+        P = _raw_stack(S)
+        raw = floor >= 2.0 ** -1022 and np.isfinite(P).all()
+        P = unit_peak(P) if raw else _krylov_powers(S.A, S.B, scaled=True)
+        if not fixes_columns(J, Jdag, P, tol):
+            raise NotInvariantError("J @ Jdag does not fix the reachable space")
+    return PositiveLtiSystem(*reduced, S.time_domain, tol)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

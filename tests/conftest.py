@@ -1,15 +1,15 @@
-"""Shared fixtures: the reference systems used across the suite, the
-exhaustive subset scan and the per-row cone walk that serve as the
-minimal-route oracles, the per-column rank loop and the per-column
-elimination loop that serve as the column-selection oracles, the block
-Arnoldi basis that serves as the reachable-space oracle, the list of
-Krylov blocks that serves as the raw-stack oracle, the n-step Krylov
-loop that serves as the exactness oracle, the per-group row loop and the
-rank test that serve as the closure's grouping and span oracles, the
-per-block mask closure that serves as its block-building oracle, the raw
-Markov coefficients, the observability matrix, a simulator and the wedge
-product that serve as reference definitions, and the hypothesis
-profile."""
+"""Shared fixtures: the reference systems used across the suite, the R600
+systems and their D3 and D5 scalings, the exhaustive subset scan and the
+per-row cone walk that serve as the minimal-route oracles, the
+per-column rank loop and the per-column elimination loop that serve as
+the column-selection oracles, the block Arnoldi basis that serves as the
+reachable-space oracle, the list of Krylov blocks that serves as the
+raw-stack oracle, the n-step Krylov loop that serves as the exactness
+oracle, the per-group row loop and the rank test that serve as the
+closure's grouping and span oracles, the per-block mask closure that
+serves as its block-building oracle, the raw Markov coefficients, the
+observability matrix, a simulator and the wedge product that serve as
+reference definitions, and the hypothesis profile."""
 import itertools
 
 import numpy as np
@@ -107,6 +107,30 @@ def spurious_mode_pair(n: int = 12) -> tuple[PositiveLtiSystem, PositiveLtiSyste
     weight = 1e-3 * np.abs(S.C @ S.B).max()
     C = np.hstack([R.C, np.full((R.num_outputs, 1), weight)])
     return S, PositiveLtiSystem(A, B, C)
+
+
+def r600_system(seed: int) -> PositiveLtiSystem:
+    """System `seed` of the R600 set (seeds 0..599): from default_rng(seed)
+    draw n in [3, 16), q in [1, n], inputs and outputs in {1, 2} and a
+    density in U(0.3, 1), in that order, and generate the system of
+    GeneratorSpec(n, inputs, outputs, q, density, seed)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    q = int(rng.integers(1, n + 1))
+    inputs, outputs = (int(rng.integers(1, 3)) for _ in range(2))
+    density = float(rng.uniform(0.3, 1.0))
+    return generate_system(GeneratorSpec(n, inputs, outputs, q, density, seed))
+
+
+def d3_scaled(S: PositiveLtiSystem, seed: int, decades: int = 3) -> PositiveLtiSystem:
+    """S under a random diagonal scaling of its states, inputs and outputs
+    (D3 at 3 decades, D5 at 5): from default_rng(10000 + seed) draw
+    d = 10^U(-decades, decades) per state, then g per input, then h per
+    output, and return (d A / d^T, d B g, h C / d^T)."""
+    rng = np.random.default_rng(10000 + seed)
+    d, g, h = (10.0 ** rng.uniform(-decades, decades, k)
+               for k in (S.dim, S.num_inputs, S.num_outputs))
+    return PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B * g, h[:, None] * S.C / d)
 
 
 def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:

@@ -14,8 +14,8 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
-from conftest import (arnoldi_reachable_basis, cascade_system, lumped_system,
-                      observability_matrix, stubborn_span, swap_system)
+from conftest import (arnoldi_reachable_basis, cascade_system, d3_scaled, lumped_system,
+                      observability_matrix, r600_system, stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -376,6 +376,30 @@ class TestObservable:
         np.testing.assert_allclose(Cr, report.reduced_system.C, atol=1e-12)
 
 
+@pytest.mark.parametrize("system, order", [
+    (lambda: r600_system(22), 12), (lambda: r600_system(156), 14),
+    (lambda: r600_system(361), 11), (lambda: d3_scaled(r600_system(586), 586), 11)],
+    ids=["R600-22", "R600-156", "R600-361", "D3-586"])
+def test_algebra_equal_to_the_observable_space_is_a_minimal_reduction(system, order):
+    # The search misses these spaces: its sign test sees entries just past
+    # -nonneg_tol. Their algebra enlargement is the space itself, so its
+    # factors are a non-negative minimal pair, and no diagnostic may claim
+    # that none exists. Forced onto the algebraic route, they stay algebraic.
+    S = system()
+    assert find_nonneg_factorization(reachable_subspace(S.transpose())) is None
+    report = rpmr_observable(S)
+    assert (report.method, report.reduced_dim) == ("minimal", order)
+    assert report.algebra.dimension == report.basis.dimension == order
+    assert report.diagnostics[0] == (f"the algebra enlargement equals the observable space "
+                                     f"({order} dimensions); its factors are a non-negative "
+                                     f"minimal pair")
+    assert not any("admits non-negative factors" in line for line in report.diagnostics)
+    assert is_nonneg(report.factorization.J) and is_nonneg(report.factorization.Jdag)
+    assert equivalent(S, report.reduced_system)
+    forced = rpmr_observable(S, force_algebraic=True)
+    assert (forced.method, forced.reduced_dim) == ("algebraic", order)
+
+
 class TestReportBasis:
     """The report carries the target-space basis that the pipeline built."""
 
@@ -422,15 +446,22 @@ def short_basis_system() -> PositiveLtiSystem:
     return PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
 
 
-@pytest.mark.parametrize("rpmr, system, reduce_calls", [
-    (rpmr_reachable, cascade_system, 1),
-    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), 1),
-    (rpmr_observable, lambda: cascade_system().transpose(), 1),
-    (rpmr_reachable, short_basis_system, 2)])
-def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls):
-    # The basis layer and the exactness check share the raw stack that
-    # the (possibly transposed) system builds on first use. Both layers
-    # stay public functions of possys that the pipeline calls.
+@pytest.mark.parametrize("rpmr, system, reduce_calls, full_stacks", [
+    (rpmr_reachable, cascade_system, 1, 0),
+    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), 1, 1),
+    (rpmr_observable, lambda: cascade_system().transpose(), 1, 0),
+    (rpmr_reachable, short_basis_system, 2, 1)],
+    ids=["rpmr_reachable-cascade_system-1", "rpmr_reachable-<lambda>-1",
+         "rpmr_observable-<lambda>-1", "rpmr_reachable-short_basis_system-2"])
+def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls, full_stacks):
+    # The full stack [B, AB, ..., A^(n-1) B] is built at most once, and only
+    # for a fallback. The cascade's support certificate holds and its
+    # selector passes reduce's invariance test, so it builds none. The
+    # lumped system's support is every state, so its basis takes the full
+    # stack. The short basis fails the certificate after ceil(q / m)
+    # blocks, and both of its factor pairs fail the invariance test; all
+    # three read the one stack that the (possibly transposed) system keeps.
+    # Both layers stay public functions of possys that the pipeline calls.
     S = system()
     calls = Counter()
 
@@ -439,13 +470,17 @@ def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            if name == "_krylov_powers" and out.shape[1] == args[0].shape[0] * args[1].shape[1]:
+                calls["full stack"] += 1
+            return out
         return wrapper
 
     for name in ("_krylov_powers", "reachable_subspace", "reduce"):
         monkeypatch.setattr(posred.possys, name, counted(name))
     rpmr(S)
-    assert calls == {"_krylov_powers": 1, "reachable_subspace": 1, "reduce": reduce_calls}
+    assert calls["full stack"] == full_stacks
+    assert calls["reachable_subspace"] == 1 and calls["reduce"] == reduce_calls
 
 
 class TestPerturbationExperiment:

@@ -1,22 +1,24 @@
 """Positive-system objects: reachability, Markov parameters, reduction,
 equivalence, simulation."""
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import posred.possys
 from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
-                    Tolerances, equivalent, find_nonneg_factorization,
-                    left_inverse, markov_match, project, rank, reachability_matrix,
-                    reachable_subspace, reduce, rpmr_reachable)
+                    Tolerances, algebra_factorization, column_space_basis, equivalent,
+                    find_nonneg_factorization, left_inverse, markov_match, project, rank,
+                    reachability_matrix, reachable_subspace, reduce, rpmr_reachable)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from posred.possys import _krylov_powers
-from conftest import (cascade_system, fixes_every_krylov_block, markov_parameters,
-                      observability_matrix, simulate, spurious_mode_pair,
-                      stacked_krylov_blocks, swap_system)
+from conftest import (cascade_system, d3_scaled, fixes_every_krylov_block, lumped_system,
+                      markov_parameters, observability_matrix, r600_system, simulate,
+                      spurious_mode_pair, stacked_krylov_blocks, swap_system)
 
 TOL = Tolerances()
 
@@ -84,8 +86,8 @@ class TestReachability:
         np.testing.assert_allclose(reachability_matrix(S), [[1.0, 1.0], [0.0, 0.0]])
 
     def test_changing_the_returned_matrix_changes_no_later_result(self):
-        # The system keeps one stack for reachable_subspace and reduce;
-        # reachability_matrix hands out a copy of it.
+        # The system keeps one stack for the fallbacks of reachable_subspace
+        # and reduce; reachability_matrix hands out a copy of it.
         S = cascade_system()
         R = reachability_matrix(S)
         R[2:] = 1.0
@@ -168,6 +170,128 @@ class TestReachableSubspace:
             assert rank(np.hstack([basis.basis, S.A @ basis.basis])) == q
             assert rank(np.hstack([basis.basis, S.B])) == q
             assert is_nonneg(basis.basis)
+
+
+def full_stack_basis(S: PositiveLtiSystem) -> np.ndarray:
+    """Reference reachable basis: the greedy column selection on the full
+    stack [B, AB, ..., A^(n-1) B], built afresh."""
+    return column_space_basis(reachability_matrix(S)).basis
+
+
+def assert_same_basis(S: PositiveLtiSystem) -> None:
+    """reachable_subspace(S) has the bits and the memory layout of the
+    reference basis, or raises what the reference raises."""
+    try:
+        expected = full_stack_basis(PositiveLtiSystem(S.A, S.B, S.C))
+    except (ZeroMatrixError, NonFiniteError) as exc:
+        with pytest.raises(type(exc)):
+            reachable_subspace(S)
+        return
+    basis = reachable_subspace(S).basis
+    assert basis.shape == expected.shape and basis.tobytes() == expected.tobytes()
+    assert (basis.flags.c_contiguous, basis.flags.f_contiguous) == \
+        (expected.flags.c_contiguous, expected.flags.f_contiguous)
+
+
+@st.composite
+def basis_systems(draw):
+    """A generated system (planted at n // 2, or at a drawn reachable
+    dimension or none), possibly under a D3 scaling, or a lumped system
+    (reachable space inside an r-block lumpable space), or the transpose
+    of one of them."""
+    kind = draw(st.sampled_from(["planted", "generated", "lumped"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "lumped":
+        n = draw(st.integers(4, 16))
+        r = draw(st.integers(3, n))
+        S = lumped_system(n, r, draw(st.integers(2, r - 1)), seed)
+    else:
+        n = draw(st.integers(1, 16))
+        q = max(1, n // 2) if kind == "planted" else draw(st.one_of(st.none(), st.integers(1, n)))
+        S = generate_system(GeneratorSpec(n, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                                          q, draw(st.sampled_from([0.3, 0.6, 1.0])), seed))
+        if draw(st.booleans()):
+            S = d3_scaled(S, seed)
+    return S.transpose() if draw(st.booleans()) else S
+
+
+@given(basis_systems())
+def test_reachable_basis_is_the_greedy_selection_on_the_full_stack(S):
+    # Bit for bit, whether the support certificate holds (only the first
+    # ceil(q / m) blocks are built) or the full stack is selected from.
+    assert_same_basis(S)
+
+
+def overflowing_chain() -> PositiveLtiSystem:
+    """States 0 -> 1 -> 2 -> 3 with weight 1e200 and a self-loop on 3:
+    A^2 B is 1e400 e2, which overflows, while each unit-peak block is a
+    unit vector. States 4 and 5 are unreachable."""
+    A = np.zeros((6, 6))
+    A[[1, 2, 3], [0, 1, 2]] = 1e200
+    A[3, 3], A[5, 4] = 0.5, 1.0
+    return PositiveLtiSystem(A, np.eye(6)[:, :1], np.ones((1, 6)))
+
+
+def nilpotent_chain() -> PositiveLtiSystem:
+    """States 0 -> 1 -> 2 with unit weights and B = e0 in R^4: A^3 B = 0,
+    so the last column of the raw stack is zero. State 3 is unreachable."""
+    A = np.zeros((4, 4))
+    A[[1, 2], [0, 1]] = 1.0
+    return PositiveLtiSystem(A, np.eye(4)[:, :1], np.ones((1, 4)))
+
+
+def reachable_support(S: PositiveLtiSystem) -> np.ndarray:
+    """Mask of the states reached from the nonzero rows of B in the
+    digraph A != 0."""
+    reached = (S.B != 0).any(axis=1)
+    for _ in range(S.dim):
+        reached = reached | (S.A[:, reached] != 0).any(axis=1)
+    return reached
+
+
+def tiny_negative_entries(outside: bool) -> PositiveLtiSystem:
+    """A planted system with -1e-12, inside the sign tolerance, in place of
+    the zeros of A among its reachable states, or (outside) in place of
+    every zero of A. Inside, the support and the certificate stand; outside,
+    the support grows to every state and the full stack is selected from."""
+    S = generate_system(GeneratorSpec(10, 2, 2, 5, 0.6, 3))
+    states = np.ones(10, dtype=bool) if outside else reachable_support(S)
+    block = np.ix_(states, states)
+    A = S.A.copy()
+    A[block] = np.where(A[block] == 0.0, -1e-12, A[block])
+    return PositiveLtiSystem(A, S.B, S.C)
+
+
+@pytest.mark.parametrize("system, certified", [
+    (lambda: PositiveLtiSystem(np.eye(3), np.zeros((3, 2))), False),
+    (nilpotent_chain, True),
+    (overflowing_chain, False),  # its first blocks overflow already
+    (lambda: tiny_negative_entries(outside=False), True),
+    (lambda: tiny_negative_entries(outside=True), False)],
+    ids=["zero-B", "nilpotent", "overflowing", "tiny-negative-inside", "tiny-negative-outside"])
+def test_reachable_basis_edge_cases(system, certified):
+    S = system()
+    assert_same_basis(S)
+    assert (S._stack is None) == certified
+
+
+def test_planted_reductions_never_build_the_full_stack():
+    # The support certificate gives the basis and the selector passes
+    # reduce's invariance test, so neither layer forms [B, ..., A^(n-1) B].
+    # A zero column of B puts a zero column among the first q stack
+    # columns, so those systems take the column selection instead.
+    checked = 0
+    for n in range(12, 17):
+        for seed in range(6):
+            S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
+            if not S.B.any(axis=0).all():
+                continue
+            report = rpmr_reachable(S)
+            assert report.method == "minimal" and S._stack is None
+            assert report.basis.basis.tobytes() == full_stack_basis(S).tobytes()
+            assert equivalent(S, report.reduced_system)
+            checked += 1
+    assert checked >= 20
 
 
 class TestObservability:
@@ -340,9 +464,7 @@ def selector_reductions(draw):
             return np.where(rng.random(shape) < density, rng.uniform(0.5, 2.0, shape), 0.0)
 
         S = PositiveLtiSystem(sparse((n, n)), sparse((n, draw(st.integers(1, 2)))))
-    support = (S.B != 0).any(axis=1)
-    for _ in range(n):
-        support = support | (S.A[:, support] != 0).any(axis=1)
+    support = reachable_support(S)
     if kind == "random":
         states = rng.random(n) < 0.5
     elif kind == "superset":
@@ -396,16 +518,6 @@ def takes_raw_stack(S: PositiveLtiSystem) -> bool:
     return bool(finite and floor >= 2.0 ** -1022)
 
 
-def overflowing_chain() -> PositiveLtiSystem:
-    """States 0 -> 1 -> 2 -> 3 with weight 1e200 and a self-loop on 3:
-    A^2 B is 1e400 e2, which overflows, while each unit-peak block is a
-    unit vector. States 4 and 5 are unreachable."""
-    A = np.zeros((6, 6))
-    A[[1, 2, 3], [0, 1, 2]] = 1e200
-    A[3, 3], A[5, 4] = 0.5, 1.0
-    return PositiveLtiSystem(A, np.eye(6)[:, :1], np.ones((1, 6)))
-
-
 def tiny_input_cascade() -> PositiveLtiSystem:
     """The cascade with B scaled by 2^-600: every raw power is tiny but
     normal, and no product term underflows, while its unit-peak blocks are
@@ -424,14 +536,6 @@ def amplifying_chain(b=-499, down=(299, 299), up=(299, 299)) -> PositiveLtiSyste
     A = np.diag(np.ldexp(1.0, [-down[0], -down[1], up[0], up[1]]), -1)
     A[0, 0] = 1.0
     return PositiveLtiSystem(A, np.ldexp(np.eye(5)[:, :1], b), np.ones((1, 5)))
-
-
-def nilpotent_chain() -> PositiveLtiSystem:
-    """States 0 -> 1 -> 2 with unit weights and B = e0 in R^4: A^3 B = 0,
-    so the last column of the raw stack is zero. State 3 is unreachable."""
-    A = np.zeros((4, 4))
-    A[[1, 2], [0, 1]] = 1.0
-    return PositiveLtiSystem(A, np.eye(4)[:, :1], np.ones((1, 4)))
 
 
 class TestReduceFallback:
@@ -470,6 +574,76 @@ class TestReduceFallback:
             assert report.reduced_dim == S.dim
         else:
             assert equivalent(S, report.reduced_system)
+
+
+def non_invariant_algebra_system() -> PositiveLtiSystem:
+    """Draw 7440 of 20000 from default_rng(1), each draw n in [3, 7), then
+    A from integers in {0, 1, 2}, each kept with probability 1/2, then B
+    from integers in {0, 1}: one of the 28 whose forced algebra is not
+    A-invariant. The reachable space is span{e1 + e2 + e3, e0 + e1 + e2};
+    A maps the algebra's generator e1 + e2 to e0 + e2, outside it."""
+    A = [[0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0]]
+    return PositiveLtiSystem(A, [[0], [1], [1], [1]])
+
+
+def test_non_invariant_algebra_is_accepted_by_the_krylov_fallback():
+    report = rpmr_reachable(non_invariant_algebra_system(), force_algebraic=True)
+    assert (report.method, report.reduced_dim) == ("algebraic", 3)
+    assert report.algebra.blocks == ((0,), (1, 2), (3,))
+    F = report.factorization
+    S = non_invariant_algebra_system()
+    Ar, _, _ = project(S, F.J, F.Jdag)
+    assert not np.allclose(S.A @ F.J, F.J @ Ar)
+    assert S._stack is None
+    assert reduce(S, F).dim == 3
+    assert S._stack is not None  # the fallback read the raw stack
+    assert fixes_every_krylov_block(S, F.J, F.Jdag)
+    assert equivalent(S, report.reduced_system)
+
+
+class KrylovFallback(Exception):
+    """Raised in place of building a Krylov stack."""
+
+
+@st.composite
+def factor_pairs(draw):
+    """A system, or its transpose, with a factor pair: a selector from
+    selector_reductions; or the pipeline's factors, or its algebra's, on
+    a system of the non-invariant-algebra recipe or of R600 or D3."""
+    kind = draw(st.sampled_from(["selector", "recipe", "R600", "D3"]))
+    if kind == "selector":
+        return draw(selector_reductions())[:2]
+    if kind == "recipe":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = int(rng.integers(3, 7))
+        S = PositiveLtiSystem(rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.5),
+                              rng.integers(0, 2, (n, 1)))
+    else:
+        seed = draw(st.integers(0, 599))
+        S = r600_system(seed) if kind == "R600" else d3_scaled(r600_system(seed), seed)
+    S = S.transpose() if draw(st.booleans()) else S
+    report = rpmr_reachable(S, force_algebraic=draw(st.booleans()))
+    F = report.factorization
+    if F is None and report.algebra is not None:
+        F = algebra_factorization(report.algebra)
+    assume(F is not None)
+    return S, F
+
+
+@given(factor_pairs())
+def test_pairs_that_pass_the_invariance_test_pass_the_krylov_reference(case):
+    # With the Krylov builders disabled, reduce returns only for pairs that
+    # its invariance test accepts; every such pair must fix each Krylov
+    # block and keep every Markov coefficient.
+    S, F = case
+    with mock.patch.object(posred.possys, "_raw_stack", side_effect=KrylovFallback), \
+            mock.patch.object(posred.possys, "_krylov_powers", side_effect=KrylovFallback):
+        try:
+            R = reduce(S, F)
+        except KrylovFallback:
+            return
+    assert fixes_every_krylov_block(S, F.J, F.Jdag)
+    assert markov_match((S.A, S.B, S.C), (R.A, R.B, R.C))
 
 
 @given(selector_reductions(), st.integers(-700, 700))
