@@ -75,11 +75,14 @@ def find_nonneg_factorization(
     test; a singular block or a non-finite entry fails it, silently), and
     then the rank test, rank(U[pivots]) = m; neither depends on positive
     row scaling. Then J = basis @ inv(V0), with its rows at the pivots set
-    to the identity and the negative entries the sign test forgave set to
-    zero, and Jdag is the 0/1 selector of the pivots; the pair is returned
-    only if verify_factorization accepts it, so zeroing those entries must
-    leave each basis column fixed within eq_tol of its peak. Returns None
-    otherwise.
+    to the identity and every entry whose unit-row value is within
+    nonneg_tol of zero, of either sign, set to zero: the negative entries
+    the sign test forgave, and the rounding of inv(V0) where the exact
+    entry is 0, which would fail the componentwise invariance test of
+    possys.reduce. Jdag is the 0/1 selector of the pivots; the pair is
+    returned only if verify_factorization accepts it, so zeroing those
+    entries must leave each basis column fixed within eq_tol of its peak.
+    Returns None otherwise.
     The proposal is the lexicographically first qualifying row subset up
     to the eq_tol ray grouping: a row within eq_tol of a lower-index
     row's ray is represented by that row, so near such a boundary the
@@ -129,11 +132,12 @@ def find_nonneg_factorization(
         # norms[pivots[j]] / norms[i].
         scale = np.ones_like(J)
         scale[nonzero] = norms[pivots] / norms[nonzero][:, None]
-        if not (J * scale).min() >= -tol.nonneg_tol:  # a NaN fails too
+        unit = J * scale
+        if not unit.min() >= -tol.nonneg_tol:  # a NaN fails too
             return None
     if rank(U[kept], tol) < m:
         return None
-    np.maximum(J, 0.0, out=J)
+    J[abs(unit) <= tol.nonneg_tol] = 0.0  # the forgiven signs and the rounding of inv(V0)
     Jdag = np.zeros((m, n))
     Jdag[np.arange(m), pivots] = 1.0
     F = Factorization(J, Jdag, pivots.tolist())

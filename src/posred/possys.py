@@ -23,15 +23,8 @@ class PositiveLtiSystem:
 
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
-    identical for both. The matrices are read-only, so the raw Krylov
-    stack [B, AB, ..., A^(n-1) B] is built at most once, on first use, and
-    kept read-only beside them. Only the fallbacks read it: the column
-    selection of reachable_subspace when its support certificate fails,
-    and the Krylov check of reduce when its invariance test fails. A
-    coordinate reduction never builds it.
+    identical for both. The matrices are read-only.
     """
-
-    _stack = None  # [B, AB, ..., A^(n-1) B], see _raw_stack
 
     def __init__(self, A, B, C=None, time_domain: str = "discrete",
                  tol: Tolerances = DEFAULT_TOL):
@@ -99,24 +92,12 @@ def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False,
     return powers.transpose(1, 0, 2).reshape(n, len(powers) * m)
 
 
-def _raw_stack(S: PositiveLtiSystem) -> np.ndarray:
-    """S's read-only raw Krylov stack, built on the first call. Two threads
-    that race here build equal stacks, and either may be kept."""
-    if S._stack is None:
-        stack = _krylov_powers(S.A, S.B)
-        stack.setflags(write=False)
-        S._stack = stack
-    return S._stack
-
-
 def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
-    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B].
-
-    A fresh, writable copy of the stack that S keeps for the fallbacks of
-    reachable_subspace and reduce, so changing it changes neither. Powers
-    that overflow are inf, without a floating-point warning.
+    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B], built
+    afresh on each call. Powers that overflow are inf, without a
+    floating-point warning.
     """
-    return _raw_stack(S).copy()
+    return _krylov_powers(S.A, S.B)
 
 
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -126,14 +107,16 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     Every A^k B vanishes, exactly, outside the structural support s: the
     nonzero rows of B, grown through the digraph A != 0 until the set
     stops changing. When 0 < q = |s| < n, only the first ceil(q / m)
-    blocks X are built (m inputs), and the first q columns of X are the
-    answer, with no rank recheck, when every diagonal entry of the R of
-    X[s] exceeds 2 sqrt(q) max(rank_tol, q eps) max|X| (eps the machine
-    epsilon). Each elimination pivot of those columns is at least
+    blocks are built, m the number of nonzero columns of B, and X keeps
+    their columns save those of the zero columns of B, which stay zero at
+    every power and which the greedy pass refuses. The first q columns of
+    X are the answer, with no rank recheck, when every diagonal entry of
+    the R of X[s] exceeds 2 sqrt(q) max(rank_tol, q eps) max|X| (eps the
+    machine epsilon). Each elimination pivot of those columns is at least
     |r_jj| / sqrt(q), so the greedy pass on the full stack would keep
     exactly them, and the full stack is never formed: a later power that
     would overflow no longer matters. Otherwise (the test fails, X is not
-    finite, or s is empty or everything) the full stack that S keeps is
+    finite, or s is empty or everything) the full stack is built and
     handed to column_space_basis, where a power that overflows raises
     NonFiniteError.
     """
@@ -142,14 +125,16 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     while q < (q := np.count_nonzero(s)) < S.dim:
         s = G @ s | s
     if 0 < q < S.dim:
-        X = _krylov_powers(S.A, S.B, blocks=-(-q // S.num_inputs))
+        live = S.B.any(axis=0)
+        k = -(-q // np.count_nonzero(live))
+        X = _krylov_powers(S.A, S.B, blocks=k)[:, np.concatenate((live,) * k)]
         peak = abs(X).max()
         # The diagonal of qr's raw output is that of R, which it does not form.
         if peak < np.inf and (abs(np.linalg.qr(X[s], mode="raw")[0].diagonal())
                               > 2 * q ** 0.5 * max(tol.rank_tol, q * 2.0 ** -52) * peak).all():
             # Column-major, the layout of column_space_basis's selection.
             return _full_rank_basis(np.asfortranarray(X[:, :q]))
-    return column_space_basis(_raw_stack(S), tol)
+    return column_space_basis(_krylov_powers(S.A, S.B), tol)
 
 
 def markov_match(first, second, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:
@@ -254,17 +239,11 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     exact when J @ Jdag fixes A^k B for k < n, for by Cayley-Hamilton it
     then fixes every A^k B, and by induction (Jdag A J)^k Jdag B =
     Jdag A^k B. Neither A-invariance of Im(J) nor Jdag @ J = I is needed.
-    The test is scale-free: each column of each block is scaled to unit
-    peak (zero columns stay zero), and numerics.fixes_columns holds the
-    residual max|P - J (Jdag P)| over all n blocks to eq_tol. Scaling a
-    column commutes with multiplying by A, so the blocks are the raw stack
-    S keeps, divided by its column peaks once, when that stack is finite
-    and no product term B[j] A[i1, j] ... of it can fall below 2^-1022
-    (the smallest nonzero |B| times min(1, smallest nonzero |A|)^(n-1)):
-    then no entry underflows and the division rounds only relatively.
-    Otherwise (a power overflows, or small entries may underflow and be
-    amplified again by later powers) _krylov_powers forms each block from
-    the scaled one before it. In exact arithmetic the blocks k <= m would
+    The test is scale-free: _krylov_powers in its scaled mode scales each
+    block to unit peak (zero columns stay zero) before forming the next
+    from it, so it is blind to how fast the powers grow or decay, and
+    numerics.fixes_columns holds the residual max|P - J (Jdag P)| over all
+    n blocks to eq_tol. In exact arithmetic the blocks k <= m would
     decide, since a Krylov chain inside an m-dimensional Im(J) stops
     growing within m steps; under eq_tol they do not: blocks within eq_tol
     of Im(J) can still drift out of it at later powers. The reduced triple
@@ -274,9 +253,6 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
     if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
         raise DimensionMismatchError("factor shapes do not match the system dimension")
-
-    def smallest(M):
-        return float(abs(M).min(initial=np.inf, where=M != 0.0))
 
     eps = tol.eq_tol / (S.dim + J.shape[1] + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,15 +266,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
             X = np.concatenate((S.A @ J, S.B), axis=1)
             Y = J @ np.concatenate(reduced[:2], axis=1)
             invariant = bool((abs(X - Y) <= eps * np.maximum(X, Y)).all())
-    if not invariant:
-        # Every product term of an entry of A^k B (k < n) is 0 or at least
-        # this large in magnitude, so no entry of the raw stack underflows.
-        floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
-        P = _raw_stack(S)
-        raw = floor >= 2.0 ** -1022 and np.isfinite(P).all()
-        P = unit_peak(P) if raw else _krylov_powers(S.A, S.B, scaled=True)
-        if not fixes_columns(J, Jdag, P, tol):
-            raise NotInvariantError("J @ Jdag does not fix the reachable space")
+    if not invariant and not fixes_columns(J, Jdag, _krylov_powers(S.A, S.B, scaled=True), tol):
+        raise NotInvariantError("J @ Jdag does not fix the reachable space")
     return PositiveLtiSystem(*reduced, S.time_domain, tol)
 
 

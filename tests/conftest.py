@@ -5,16 +5,20 @@ per-column rank loop and the per-column elimination loop that serve as
 the column-selection oracles, the block Arnoldi basis that serves as the
 reachable-space oracle, the list of Krylov blocks that serves as the
 raw-stack oracle, the n-step Krylov loop that serves as the exactness
-oracle, the per-group row loop and the rank test that serve as the
+oracle, a counter of the Krylov stacks built by mode, the per-group row loop and the rank test that serve as the
 closure's grouping and span oracles, the per-block mask closure that
 serves as its block-building oracle, the raw Markov coefficients, the
 observability matrix, a simulator and the wedge product that serve as
 reference definitions, and the hypothesis profile."""
+import contextlib
 import itertools
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import settings
 
+import posred.possys
 from posred import (DimensionMismatchError, GeneratorSpec, NonFiniteError,
                     PositiveLtiSystem, ReferenceVector, Tolerances,
                     UnsupportedCoordinateError, as_matrix,
@@ -196,6 +200,26 @@ def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = To
             return False
         P = S.A @ P
     return True
+
+
+@contextlib.contextmanager
+def krylov_stacks_built():
+    """Count the Krylov stacks that posred.possys builds inside the block.
+
+    Yields a Counter of the _krylov_powers calls by mode, raw or scaled,
+    and by size, all n blocks [B, ..., A^(n-1) B] or fewer: its keys are
+    "raw full", "raw short", "scaled full" and "scaled short"."""
+    built = Counter()
+    original = posred.possys._krylov_powers
+
+    def counted(A, B, scaled=False, blocks=None):
+        stack = original(A, B, scaled, blocks)
+        size = "full" if stack.shape[1] == A.shape[0] * B.shape[1] else "short"
+        built[f"{'scaled' if scaled else 'raw'} {size}"] += 1
+        return stack
+
+    with mock.patch.object(posred.possys, "_krylov_powers", counted):
+        yield built
 
 
 def greedy_level_sets(rows, tol: Tolerances = Tolerances()) -> np.ndarray:

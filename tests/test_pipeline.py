@@ -14,8 +14,9 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, rpmr_observable, rpmr_reachable)
-from conftest import (arnoldi_reachable_basis, cascade_system, d3_scaled, lumped_system,
-                      observability_matrix, r600_system, stubborn_span, swap_system)
+from conftest import (arnoldi_reachable_basis, cascade_system, d3_scaled, krylov_stacks_built,
+                      lumped_system, observability_matrix, r600_system, stubborn_span,
+                      swap_system)
 
 TOL = Tolerances()
 
@@ -400,6 +401,20 @@ def test_algebra_equal_to_the_observable_space_is_a_minimal_reduction(system, or
     assert (forced.method, forced.reduced_dim) == ("algebraic", order)
 
 
+def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():
+    # D3 seed 26, observable side: the search's J = V inv(V0) carries the
+    # rounding of inv(V0) where the exact entry is 0. With those entries
+    # left in, reduce's Krylov fallback accepted a pair whose reduced
+    # system is not equivalent; zeroed in unit-row terms, the pair passes
+    # the invariance test, and no scaled stack is built.
+    S = d3_scaled(r600_system(26), 26)
+    with krylov_stacks_built() as built:
+        report = rpmr_observable(S)
+    assert (report.method, report.reduced_dim) == ("minimal", 11)
+    assert built["scaled full"] == 0
+    assert equivalent(S, report.reduced_system)
+
+
 class TestReportBasis:
     """The report carries the target-space basis that the pipeline built."""
 
@@ -446,21 +461,21 @@ def short_basis_system() -> PositiveLtiSystem:
     return PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
 
 
-@pytest.mark.parametrize("rpmr, system, reduce_calls, full_stacks", [
-    (rpmr_reachable, cascade_system, 1, 0),
-    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), 1, 1),
-    (rpmr_observable, lambda: cascade_system().transpose(), 1, 0),
-    (rpmr_reachable, short_basis_system, 2, 1)],
+@pytest.mark.parametrize("rpmr, system, reduce_calls, stacks", [
+    (rpmr_reachable, cascade_system, 1, {"raw short": 1}),
+    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), 1, {"raw full": 1}),
+    (rpmr_observable, lambda: cascade_system().transpose(), 1, {"raw short": 1}),
+    (rpmr_reachable, short_basis_system, 2, {"raw short": 1, "raw full": 1, "scaled full": 2})],
     ids=["rpmr_reachable-cascade_system-1", "rpmr_reachable-<lambda>-1",
          "rpmr_observable-<lambda>-1", "rpmr_reachable-short_basis_system-2"])
-def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls, full_stacks):
-    # The full stack [B, AB, ..., A^(n-1) B] is built at most once, and only
-    # for a fallback. The cascade's support certificate holds and its
-    # selector passes reduce's invariance test, so it builds none. The
-    # lumped system's support is every state, so its basis takes the full
-    # stack. The short basis fails the certificate after ceil(q / m)
-    # blocks, and both of its factor pairs fail the invariance test; all
-    # three read the one stack that the (possibly transposed) system keeps.
+def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls, stacks):
+    # A full stack [B, AB, ..., A^(n-1) B] is built only for a fallback,
+    # once per fallback. The cascade's support certificate holds on its
+    # first blocks and its selector passes reduce's invariance test, so it
+    # builds no full stack. The lumped system's support is every state, so
+    # its basis takes the raw full stack. The short basis fails the
+    # certificate after ceil(q / m) blocks, and both of its factor pairs
+    # fail the invariance test, so each of them builds a scaled stack.
     # Both layers stay public functions of possys that the pipeline calls.
     S = system()
     calls = Counter()
@@ -470,16 +485,14 @@ def test_one_krylov_stack_per_reduction(monkeypatch, rpmr, system, reduce_calls,
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            out = original(*args, **kwargs)
-            if name == "_krylov_powers" and out.shape[1] == args[0].shape[0] * args[1].shape[1]:
-                calls["full stack"] += 1
-            return out
+            return original(*args, **kwargs)
         return wrapper
 
-    for name in ("_krylov_powers", "reachable_subspace", "reduce"):
+    for name in ("reachable_subspace", "reduce"):
         monkeypatch.setattr(posred.possys, name, counted(name))
-    rpmr(S)
-    assert calls["full stack"] == full_stacks
+    with krylov_stacks_built() as built:
+        rpmr(S)
+    assert built == stacks
     assert calls["reachable_subspace"] == 1 and calls["reduce"] == reduce_calls
 
 

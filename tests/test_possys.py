@@ -1,5 +1,6 @@
 """Positive-system objects: reachability, Markov parameters, reduction,
 equivalence, simulation."""
+import contextlib
 import warnings
 from unittest import mock
 
@@ -16,9 +17,9 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     reachability_matrix, reachable_subspace, reduce, rpmr_reachable)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from posred.possys import _krylov_powers
-from conftest import (cascade_system, d3_scaled, fixes_every_krylov_block, lumped_system,
-                      markov_parameters, observability_matrix, r600_system, simulate,
-                      spurious_mode_pair, stacked_krylov_blocks, swap_system)
+from conftest import (cascade_system, d3_scaled, fixes_every_krylov_block, krylov_stacks_built,
+                      lumped_system, markov_parameters, observability_matrix, r600_system,
+                      simulate, spurious_mode_pair, stacked_krylov_blocks, swap_system)
 
 TOL = Tolerances()
 
@@ -86,8 +87,8 @@ class TestReachability:
         np.testing.assert_allclose(reachability_matrix(S), [[1.0, 1.0], [0.0, 0.0]])
 
     def test_changing_the_returned_matrix_changes_no_later_result(self):
-        # The system keeps one stack for the fallbacks of reachable_subspace
-        # and reduce; reachability_matrix hands out a copy of it.
+        # reachability_matrix builds a fresh stack on each call, and
+        # reachable_subspace and reduce build their own when they need one.
         S = cascade_system()
         R = reachability_matrix(S)
         R[2:] = 1.0
@@ -272,26 +273,25 @@ def tiny_negative_entries(outside: bool) -> PositiveLtiSystem:
 def test_reachable_basis_edge_cases(system, certified):
     S = system()
     assert_same_basis(S)
-    assert (S._stack is None) == certified
+    with krylov_stacks_built() as built, contextlib.suppress(ZeroMatrixError, NonFiniteError):
+        reachable_subspace(S)
+    assert built["raw full"] == (0 if certified else 1)
 
 
 def test_planted_reductions_never_build_the_full_stack():
     # The support certificate gives the basis and the selector passes
-    # reduce's invariance test, so neither layer forms [B, ..., A^(n-1) B].
-    # A zero column of B puts a zero column among the first q stack
-    # columns, so those systems take the column selection instead.
-    checked = 0
+    # reduce's invariance test, so neither layer forms [B, ..., A^(n-1) B],
+    # raw or scaled. A zero column of B (GeneratorSpec(12, 2, 2, 6, 0.6, 2))
+    # is left out of the certificate's columns.
     for n in range(12, 17):
         for seed in range(6):
             S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
-            if not S.B.any(axis=0).all():
-                continue
-            report = rpmr_reachable(S)
-            assert report.method == "minimal" and S._stack is None
+            with krylov_stacks_built() as built:
+                report = rpmr_reachable(S)
+            assert report.method == "minimal"
+            assert built["raw full"] == built["scaled full"] == 0
             assert report.basis.basis.tobytes() == full_stack_basis(S).tobytes()
             assert equivalent(S, report.reduced_system)
-            checked += 1
-    assert checked >= 20
 
 
 class TestObservability:
@@ -505,23 +505,10 @@ def test_drifting_chains_reach_both_verdicts_after_block_m():
     assert 0 < sum(later) < len(later)
 
 
-def takes_raw_stack(S: PositiveLtiSystem) -> bool:
-    """Whether reduce scales the raw stack [B, AB, ...] instead of forming
-    each block from the scaled one before it: the stack is finite (zero
-    columns included) and no product term of it can underflow."""
-    def smallest(M):
-        return np.abs(M)[M != 0.0].min(initial=np.inf)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(reachability_matrix(S)).all()
-    floor = smallest(S.B) * min(1.0, smallest(S.A)) ** (S.dim - 1)
-    return bool(finite and floor >= 2.0 ** -1022)
-
-
 def tiny_input_cascade() -> PositiveLtiSystem:
-    """The cascade with B scaled by 2^-600: every raw power is tiny but
-    normal, and no product term underflows, while its unit-peak blocks are
-    the cascade's. The reachable space is the plane of states {0, 1}."""
+    """The cascade with B scaled by 2^-600: every raw power is tiny, while
+    its unit-peak blocks are the cascade's. The reachable space is the
+    plane of states {0, 1}."""
     S = cascade_system()
     return PositiveLtiSystem(S.A, np.ldexp(S.B, -600), S.C)
 
@@ -539,10 +526,11 @@ def amplifying_chain(b=-499, down=(299, 299), up=(299, 299)) -> PositiveLtiSyste
 
 
 class TestReduceFallback:
-    """Systems whose raw powers overflow or lose small entries to
-    underflow take the block-by-block path; tiny but normal powers and
-    zero Krylov columns take the raw stack. Either way the verdict must be
-    the reference loop's, with no floating-point warning."""
+    """Systems whose raw powers overflow, lose small entries to
+    underflow, are tiny, or end in a zero Krylov column: reduce's Krylov
+    fallback forms each block from the scaled one before it, and its
+    verdict must be the reference loop's, with no floating-point
+    warning."""
 
     @pytest.mark.parametrize("system, reached, accepted", [
         (overflowing_chain, 4, True), (overflowing_chain, 3, False),
@@ -551,7 +539,6 @@ class TestReduceFallback:
         (nilpotent_chain, 3, True), (nilpotent_chain, 2, False)])
     def test_verdict_matches_the_reference_loop(self, system, reached, accepted):
         S = system()
-        assert takes_raw_stack(S) == (system in (tiny_input_cascade, nilpotent_chain))
         J = np.eye(S.dim)[:, :reached]
         assert fixes_every_krylov_block(S, J, J.T) == accepted
         F = Factorization(J, J.T, list(range(reached)))
@@ -594,9 +581,9 @@ def test_non_invariant_algebra_is_accepted_by_the_krylov_fallback():
     S = non_invariant_algebra_system()
     Ar, _, _ = project(S, F.J, F.Jdag)
     assert not np.allclose(S.A @ F.J, F.J @ Ar)
-    assert S._stack is None
-    assert reduce(S, F).dim == 3
-    assert S._stack is not None  # the fallback read the raw stack
+    with krylov_stacks_built() as built:
+        assert reduce(S, F).dim == 3
+    assert built == {"scaled full": 1}  # the fallback's own scaled stack
     assert fixes_every_krylov_block(S, F.J, F.Jdag)
     assert equivalent(S, report.reduced_system)
 
@@ -636,8 +623,7 @@ def test_pairs_that_pass_the_invariance_test_pass_the_krylov_reference(case):
     # its invariance test accepts; every such pair must fix each Krylov
     # block and keep every Markov coefficient.
     S, F = case
-    with mock.patch.object(posred.possys, "_raw_stack", side_effect=KrylovFallback), \
-            mock.patch.object(posred.possys, "_krylov_powers", side_effect=KrylovFallback):
+    with mock.patch.object(posred.possys, "_krylov_powers", side_effect=KrylovFallback):
         try:
             R = reduce(S, F)
         except KrylovFallback:
@@ -648,9 +634,9 @@ def test_pairs_that_pass_the_invariance_test_pass_the_krylov_reference(case):
 
 @given(selector_reductions(), st.integers(-700, 700))
 def test_reduce_verdict_matches_the_reference_loop_at_any_input_scale(case, e):
-    # Scaling B by 2^e is exact, so the reference verdict does not move;
-    # where 2^e breaks the product-term floor or overflows a raw power,
-    # reduce takes the block-by-block path.
+    # Scaling B by 2^e is exact, so the reference verdict does not move,
+    # and neither may reduce's, whose Krylov fallback scales each block to
+    # unit peak before forming the next.
     S, F, _, _ = case
     scaled = PositiveLtiSystem(S.A, np.ldexp(S.B, e), S.C)
     try:
