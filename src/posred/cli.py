@@ -34,11 +34,8 @@ class CliError(Exception):
 
 
 def _tolerances(args) -> Tolerances:
-    eq = args.tol if args.tol is not None else 1e-8
-    rank_tol = args.rank_tol if args.rank_tol is not None else eq / 100.0
-    nonneg = args.nonneg_tol if args.nonneg_tol is not None else eq / 10.0
     try:
-        return Tolerances(rank_tol=rank_tol, nonneg_tol=nonneg, eq_tol=eq)
+        return Tolerances(args.tol)
     except ValueError as exc:
         raise CliError(1, str(exc))
 
@@ -288,11 +285,9 @@ def _add_io_flags(parser, with_input=True, with_tolerances=True):
         parser.add_argument("--input", help="input file path (default: stdin)")
     parser.add_argument("--output", help="output file path (default: stdout)")
     if with_tolerances:
-        parser.add_argument("--tol", type=float, default=None,
-                            help="equality tolerance; rank tolerance defaults to tol/100 "
-                                 "and sign tolerance to tol/10")
-        parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-        parser.add_argument("--nonneg-tol", dest="nonneg_tol", type=float, default=None)
+        parser.add_argument("--tol", type=float, default=1e-8,
+                            help="equality tolerance (default %(default)g); the relative rank "
+                                 "tolerance is tol/100 and the sign tolerance tol/10")
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 

@@ -31,29 +31,30 @@ class _Checked:
 
 
 class _Tolerances(NamedTuple):
-    rank_tol: float = 1e-10
-    nonneg_tol: float = 1e-9
     eq_tol: float = 1e-8
 
 
 class Tolerances(_Checked, _Tolerances):
-    """Numerical thresholds used throughout the package.
+    """The numerical tolerance used throughout the package.
 
-    rank_tol is relative: a pivot counts only if it exceeds rank_tol times
-    the largest absolute entry of the matrix under test; for column
+    eq_tol is the entrywise equality tolerance, which also decides when
+    two rows are equal in the algebra closure; it must be finite and
+    non-negative, and it fixes the other two thresholds. rank_tol =
+    eq_tol/100 is relative: a pivot counts only if it exceeds rank_tol
+    times the largest absolute entry of the matrix under test; for column
     selection that matrix is the columns kept so far plus the candidate,
-    so every kept pivot is held to the threshold too. nonneg_tol is the
-    sign-test floor (entries >= -nonneg_tol count as non-negative) and
-    eq_tol the entrywise equality tolerance, which also decides when two
-    rows are equal in the algebra closure. Each must be finite and
-    non-negative.
+    so every kept pivot is held to the threshold too. nonneg_tol =
+    eq_tol/10 is the sign-test floor (entries >= -nonneg_tol count as
+    non-negative).
     """
 
     __slots__ = ()
+    rank_tol = property(lambda tol: tol.eq_tol / 100.0)
+    nonneg_tol = property(lambda tol: tol.eq_tol / 10.0)
 
     @staticmethod
     def _checked(tol):
-        if not all(0 <= t < np.inf for t in tol):
+        if not 0 <= tol.eq_tol < np.inf:
             raise ValueError("tolerances must be finite and non-negative")
         return tol
 

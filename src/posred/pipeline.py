@@ -122,22 +122,26 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
                     algebra)
 
     # The enlargement need not be A-invariant: reduce() falls back to
-    # checking that its projector fixes the target space. An algebra of
-    # dimension q is the target space itself, so its factors are a minimal
-    # pair that the search missed: drop the claim that none exists.
+    # checking that its projector fixes the target space.
     minimal = algebra.dimension == q and not force_algebraic
-    if minimal and F is None:
-        diagnostics.pop()
-    diagnostics.append(f"the algebra enlargement equals the {space} space ({q} dimensions); "
-                       f"its factors are a non-negative minimal pair" if minimal else
-                       f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
+    diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
     try:
-        return _reduced("minimal" if minimal else "algebraic", space, S,
-                        algebra_factorization(algebra), tol, diagnostics, basis, algebra)
+        report = _reduced("minimal" if minimal else "algebraic", space, S,
+                          algebra_factorization(algebra), tol, diagnostics, basis, algebra)
     except NotInvariantError:
         return none(f"RPMR could not be performed: the projector of the algebra "
                     f"enlargement fails the exactness check (it does not fix the "
                     f"{space} space)", algebra)
+    if minimal:
+        # An algebra of dimension q is the target space itself: once reduce()
+        # accepts its factors, they are a minimal pair that the search missed,
+        # and that replaces the enlargement line and any claim that none exists.
+        diagnostics.pop()
+        if F is None:
+            diagnostics.pop()
+        diagnostics.append(f"the algebra enlargement equals the {space} space "
+                           f"({q} dimensions); its factors are a non-negative minimal pair")
+    return report
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,

@@ -36,8 +36,7 @@ def test_public_names_are_pinned_and_resolve():
 # Each record with distinct field values in field order, and the values of
 # the fields it may leave out.
 RECORDS = [
-    (posred.Tolerances, {"rank_tol": 1e-3, "nonneg_tol": 1e-2, "eq_tol": 1e-1},
-     {"rank_tol": 1e-10, "nonneg_tol": 1e-9, "eq_tol": 1e-8}),
+    (posred.Tolerances, {"eq_tol": 1e-1}, {"eq_tol": 1e-8}),
     (posred.Factorization, {"J": "J", "Jdag": "Jdag", "pivot_rows": [0]}, {}),
     (posred.MonotoneCertificate,
      {"monotone": True, "nonneg_left_inverse": "L", "orthogonal_row_set": [1]},

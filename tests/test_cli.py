@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, JSON schemas, determinism."""
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import posred
 from posred import PositiveLtiSystem, reachable_subspace
-from posred.cli import main
+from posred.cli import _build_parser, main
 from conftest import (cascade_system, lumped_system, spurious_mode_pair, stubborn_span,
                       swap_system)
 
@@ -66,7 +67,7 @@ class TestReduce:
         path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.0], [-5e-7, 1.0]],
                                                 "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]})
         code, out, _ = run(capsys, "reduce", "--input", path, "--space", "observable",
-                           "--nonneg-tol", "1e-6")
+                           "--tol", "1e-5")  # sign tolerance 1e-6
         assert code == 0
         assert json.loads(out)["reduced_dim"] == 1
 
@@ -96,6 +97,34 @@ class TestReduce:
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", path, path, "--horizon", "3"])
         assert exit_info.value.code == 2
+        # --tol is the one tolerance; the rank and sign tolerances follow it.
+        for command in ("reduce", "monotone", "factorize", "algebra", "verify", "perturb"):
+            inputs = [path, path] if command == "verify" else ["--input", path]
+            for flag in ("--rank-tol", "--nonneg-tol"):
+                with pytest.raises(SystemExit) as exit_info:
+                    main([command, *inputs, flag, "1e-9"])
+                assert exit_info.value.code == 2
+
+    def test_option_set_of_every_subcommand(self):
+        # Positional arguments by name, options by flag; --help aside.
+        subcommands = next(action.choices for action in _build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        options = {name: {action.option_strings[-1] if action.option_strings else action.dest
+                          for action in parser._actions
+                          if not isinstance(action, argparse._HelpAction)}
+                   for name, parser in subcommands.items()}
+        io = {"--input", "--output", "--tol", "--format"}
+        assert options == {
+            "reduce": io | {"--space", "--force-algebraic"},
+            "monotone": io,
+            "factorize": io,
+            "algebra": io,
+            "verify": {"original", "reduced", "--output", "--tol", "--format"},
+            "gen": {"--output", "--format", "--n", "--inputs", "--outputs", "--reachable-dim",
+                    "--density", "--seed"},
+            "perturb": io | {"--delta", "--count", "--seed"},
+        }
+        assert sum(map(len, options.values())) == 38
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

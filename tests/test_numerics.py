@@ -281,8 +281,8 @@ class TestLeftInverse:
     def test_singular_gram_matrix_is_rank_deficient(self):
         # With rank_tol = 0 the rank test keeps a column at 2^-600 of the
         # peak, whose square underflows to an exactly singular M^T M.
-        with pytest.raises(RankDeficientError):
-            left_inverse(np.diag([1.0, 2.0 ** -600]), Tolerances(rank_tol=0.0))
+        with pytest.raises(RankDeficientError, match="singular Gram"):
+            left_inverse(np.diag([1.0, 2.0 ** -600]), Tolerances(0.0))
 
 
 class TestIsNonneg:
@@ -293,24 +293,35 @@ class TestIsNonneg:
         assert not is_nonneg(np.array([[-1.0, 2.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]))
 
     def test_tolerance_floor(self):
-        assert is_nonneg(np.array([[-1e-12]]), Tolerances(nonneg_tol=1e-9))
-        assert not is_nonneg(np.array([[-1e-6]]), Tolerances(nonneg_tol=1e-9))
+        tol = Tolerances(1e-8)  # nonneg_tol = 1e-9
+        assert is_nonneg(np.array([[-1e-12]]), tol)
+        assert not is_nonneg(np.array([[-1e-6]]), tol)
 
 
 def test_tolerances_must_be_nonnegative():
     with pytest.raises(ValueError):
-        Tolerances(rank_tol=-1.0)
+        Tolerances(-1.0)
     for value in (np.inf, np.nan):
-        for name in ("rank_tol", "nonneg_tol", "eq_tol"):
-            with pytest.raises(ValueError, match="finite and non-negative"):
-                Tolerances(**{name: value})
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            Tolerances(eq_tol=value)
+
+
+def test_one_tolerance_fixes_the_rank_and_sign_thresholds():
+    assert Tolerances._fields == ("eq_tol",)
+    assert (DEFAULT_TOL.rank_tol, DEFAULT_TOL.nonneg_tol) == (1e-10, 1e-9)
+    assert (Tolerances(1e-5).rank_tol, Tolerances(1e-5).nonneg_tol) == (1e-5 / 100, 1e-5 / 10)
+    for name in ("rank_tol", "nonneg_tol"):
+        with pytest.raises(TypeError):
+            Tolerances(**{name: 1e-9})
+        with pytest.raises(AttributeError):
+            setattr(DEFAULT_TOL, name, 1e-9)
 
 
 @pytest.mark.parametrize("build", [
     lambda eq: Tolerances(eq_tol=eq),
-    lambda eq: Tolerances(1e-10, 1e-9, eq),
+    lambda eq: Tolerances(eq),
     lambda eq: DEFAULT_TOL._replace(eq_tol=eq),
-    lambda eq: Tolerances._make([1e-10, 1e-9, eq]),
+    lambda eq: Tolerances._make([eq]),
 ], ids=["keyword", "positional", "_replace", "_make"])
 def test_every_construction_path_checks_tolerances(build):
     # The stock named-tuple _make, which _replace calls, skips __new__.

@@ -318,9 +318,9 @@ class TestObservable:
         assert any("already observable" in note for note in report.diagnostics)
 
     def test_dual_keeps_the_callers_sign_tolerance(self):
-        # -5e-7 passes nonneg_tol = 1e-6; the dual must not be checked
-        # again under the default tolerance.
-        tol = Tolerances(nonneg_tol=1e-6)
+        # -5e-7 passes nonneg_tol = eq_tol/10 = 1e-6; the dual must not be
+        # checked again under the default tolerance.
+        tol = Tolerances(1e-5)
         S = PositiveLtiSystem([[1.0, -5e-7], [0.0, 1.0]], [[1.0], [0.0]], [[1.0, 1.0]],
                               tol=tol)
         assert rpmr_reachable(S, tol).reduced_dim == 1
@@ -399,6 +399,51 @@ def test_algebra_equal_to_the_observable_space_is_a_minimal_reduction(system, or
     assert equivalent(S, report.reduced_system)
     forced = rpmr_observable(S, force_algebraic=True)
     assert (forced.method, forced.reduced_dim) == ("algebraic", order)
+
+
+def rank_one_chain_system() -> PositiveLtiSystem:
+    """B = (1, 0, 1e4)^T and A = u w^T with u = (1e-9, 1, 5e-6), w = (0, 0, 1e-4),
+    C = (0, 0, 1): its 2-dimensional algebra enlargement fails reduce."""
+    A = np.outer([1e-9, 1.0, 5e-6], [0.0, 0.0, 1e-4])
+    return PositiveLtiSystem(A, [[1.0], [0.0], [1e4]], [[0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("rpmr, system, refusal", [
+    (rpmr_reachable, rank_one_chain_system, "no projector"),
+    *((rpmr_reachable, lambda s=s: d3_scaled(r600_system(s), s, 5), "do not fix")
+      for s in (281, 426)),
+    *((rpmr_observable, lambda s=s: d3_scaled(r600_system(s), s, 5), refusal)
+      for s, refusal in ((155, "do not fix"), (195, "no projector"), (273, "do not fix"),
+                         (524, "no projector"), (564, "do not fix")))],
+    ids=["rank-one-chain", "D5-281", "D5-426", "D5-155-observable", "D5-195-observable",
+         "D5-273-observable", "D5-524-observable", "D5-564-observable"])
+def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system, refusal):
+    # The algebra enlargement equals the target space, but reduce rejects
+    # its factors: the report is "none", keeps the search's refusal, and
+    # does not claim that the factors are a minimal pair.
+    report = rpmr(system())
+    q = report.basis.dimension
+    assert (report.method, report.reduced_dim) == ("none", report.original_dim)
+    assert refusal in report.diagnostics[0]
+    assert report.diagnostics[1:3] == [
+        f"algebra enlargement: {q} -> {q} dimensions",
+        f"RPMR could not be performed: the projector of the algebra enlargement fails the "
+        f"exactness check (it does not fix the {report.space} space)"]
+    assert not any("minimal pair" in line for line in report.diagnostics)
+
+
+@pytest.mark.xfail(strict=True, reason="reduce certifies a reduced system that is not "
+                                       "Markov-equivalent at five decades of scaling")
+@pytest.mark.parametrize("rpmr, seed", [
+    (rpmr_reachable, 277), (rpmr_observable, 380), (rpmr_observable, 586)],
+    ids=["D5-277", "D5-380-observable", "D5-586-observable"])
+def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed):
+    # The reports are minimal of order 2 of 4, algebraic 9 of 10 and minimal
+    # 10 of 13, and equivalent rejects each reduced system. A sound report
+    # either reproduces the Markov sequence or reduces nothing.
+    S = d3_scaled(r600_system(seed), seed, 5)
+    report = rpmr(S)
+    assert report.reduced_system is None or equivalent(S, report.reduced_system)
 
 
 def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():

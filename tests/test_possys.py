@@ -744,7 +744,7 @@ class TestEquivalent:
         assert not equivalent(S, PositiveLtiSystem([[0.0, 1.0], [1e-6, 0.0]],
                                                    [[0.0], [1.0]], [[1.0, 1.0]]))
 
-    @pytest.mark.parametrize("tol", [TOL, Tolerances(rank_tol=0.0)], ids=["default", "rank0"])
+    @pytest.mark.parametrize("tol", [TOL, Tolerances(0.0)], ids=["default", "rank0"])
     def test_fast_decay_saturates_the_running_peak(self, tol):
         # The state shrinks 100-fold per step, so the running peak grows
         # 100-fold relative to it; by k = n1 + n2 = 160 it would pass the
