@@ -20,7 +20,7 @@ from .monotone import (MonotoneCertificate, is_monotone_general,
 from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
 from .possys import (PositiveLtiSystem, equivalent, markov_match, project,
-                     reachability_matrix, reachable_subspace, reduce)
+                     reachable_subspace, reduce)
 from .distalg import (DistortedAlgebra, ReferenceVector, algebra_factorization,
                       choose_p, closure)
 from .pipeline import (PerturbationRecord, ReductionReport, perturbation_experiment,
@@ -39,7 +39,7 @@ __all__ = [
     "nonneg_lstsq",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
     "PositiveLtiSystem", "equivalent", "markov_match", "project",
-    "reachability_matrix", "reachable_subspace", "reduce",
+    "reachable_subspace", "reduce",
     "DistortedAlgebra", "ReferenceVector", "algebra_factorization", "choose_p",
     "closure",
     "PerturbationRecord", "ReductionReport", "perturbation_experiment",

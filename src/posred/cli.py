@@ -86,28 +86,8 @@ def _system_payload(S: PositiveLtiSystem) -> dict:
             "time_domain": S.time_domain}
 
 
-def _to_text(value, indent: int = 0) -> str:
-    """A dict, or a non-empty list from one, as indented text lines."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        lines = []
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.append(_to_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
-        return "\n".join(lines)
-    if all(isinstance(row, list) for row in value):
-        return "\n".join(f"{pad}[{', '.join(f'{x:g}' for x in row)}]" for row in value)
-    return "\n".join(f"{pad}- {json.dumps(item)}" for item in value)
-
-
 def _emit(args, payload: dict) -> None:
-    if args.format == "text":
-        text = _to_text(payload) + "\n"
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -141,7 +121,7 @@ def cmd_reduce(args) -> int:
     tol = _tolerances(args)
     system = _load_system(args.input, tol)
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
-    report = runner(system, tol, force_algebraic=args.force_algebraic)
+    report = runner(system, tol)
     _emit(args, report_to_dict(report))
     return 0 if report.method != "none" else 3
 
@@ -288,7 +268,6 @@ def _add_io_flags(parser, with_input=True, with_tolerances=True):
         parser.add_argument("--tol", type=float, default=1e-8,
                             help="equality tolerance (default %(default)g); the relative rank "
                                  "tolerance is tol/100 and the sign tolerance tol/10")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a positive system file")
     _add_io_flags(p)
     p.add_argument("--space", choices=("reachable", "observable"), default="reachable")
-    p.add_argument("--force-algebraic", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("monotone", help="test a matrix for monotonicity")

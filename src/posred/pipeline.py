@@ -17,7 +17,7 @@ from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      SupportFailureError, ZeroMatrixError)
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, _Checked, as_matrix
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, _Checked
 from .possys import PositiveLtiSystem
 
 
@@ -120,6 +120,10 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
     if algebra.dimension >= n:
         return none("RPMR could not be performed: the algebra enlargement has full dimension",
                     algebra)
+    if algebra.dimension < q:
+        return none(f"RPMR could not be performed: the algebra closure is smaller than the "
+                    f"{space} basis ({algebra.dimension} < {q} dimensions), so it cannot "
+                    f"contain the {space} space", algebra)
 
     # The enlargement need not be A-invariant: reduce() falls back to
     # checking that its projector fixes the target space.
@@ -166,10 +170,12 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     (either way every Markov coefficient matches), and that the reduced
     triple is non-negative. When the algebraic route fails too (choose_p
     finds no reference vector, or the algebra's projector fails that
-    check), the report is "none" at full order and its last diagnostic
-    names the check. force_algebraic skips the minimal route so the two
-    answers can be compared on the same system; its reports say
-    "algebraic" even when the algebra adds no dimension.
+    check, or the closure, under strong scaling, has fewer dimensions
+    than the basis and so cannot contain the space), the report is "none"
+    at full order and its last diagnostic names the check.
+    force_algebraic skips the minimal route so the two answers can be
+    compared on the same system; its reports say "algebraic" even when
+    the algebra adds no dimension.
     """
     return _rpmr_core(S, tol, force_algebraic, "reachable")
 
@@ -206,14 +212,15 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     sequence (it cannot once a perturbation pushes the reachable space
     outside Im(F_robust.J); that is recorded, not raised). Each factor
     pair projects the whole stack in one broadcast product, and one
-    markov_match call compares every item. Raises NonFiniteError when a
-    perturbed matrix or one of its projections is not finite (overflow),
-    rather than recording NaN comparisons.
+    markov_match call compares every item. Each factor pair must have J
+    n x r and Jdag r x n, as for possys.reduce. Raises NonFiniteError
+    when a perturbed matrix or one of its projections is not finite
+    (overflow), rather than recording NaN comparisons.
     """
     A, B, C = (np.asarray(M, dtype=float) for M in perturbations)
     if [M.shape for M in (A, B, C)] != [A.shape[:1] + M.shape for M in (S.A, S.B, S.C)]:
         raise DimensionMismatchError("perturbation dimensions differ from the base system")
-    reduced = [possys._restrict((A, B, C), as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag"))
+    reduced = [possys._restrict((A, B, C), *possys._factor_pair(F, S.dim))
                for F in (F_naive, F_robust)]
     if not all(np.isfinite(M).all() for M in (A, B, C, *reduced[0], *reduced[1])):
         raise NonFiniteError("a perturbed system or one of its projections is not finite")

@@ -92,14 +92,6 @@ def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False,
     return powers.transpose(1, 0, 2).reshape(n, len(powers) * m)
 
 
-def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
-    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B], built
-    afresh on each call. Powers that overflow are inf, without a
-    floating-point warning.
-    """
-    return _krylov_powers(S.A, S.B)
-
-
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Truncated reachability matrix: the independent columns of
     [B, AB, ...] that column_space_basis selects from the full stack.
@@ -203,6 +195,16 @@ def markov_match(first, second, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndar
     return bool(match) if match.ndim == 0 else match
 
 
+def _factor_pair(F: Factorization, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """F.J and F.Jdag as matrices, checked to be n x r and r x n for one r;
+    DimensionMismatchError otherwise."""
+    J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
+    if J.shape[0] != n or Jdag.shape != J.shape[::-1]:
+        raise DimensionMismatchError(f"factors must be {n} x r and r x {n}, "
+                                     f"got J {J.shape} and Jdag {Jdag.shape}")
+    return J, Jdag
+
+
 def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw restriction (Jdag A J, Jdag B, C J) with no validity checks.
 
@@ -250,9 +252,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     must come out non-negative; the PositiveLtiSystem constructor raises
     NotPositiveError otherwise (possible only with mixed-sign factors).
     """
-    J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
-    if J.shape[0] != S.dim or Jdag.shape[1] != S.dim:
-        raise DimensionMismatchError("factor shapes do not match the system dimension")
+    J, Jdag = _factor_pair(F, S.dim)
 
     eps = tol.eq_tol / (S.dim + J.shape[1] + 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,9 +3,10 @@ systems and their D3 and D5 scalings, the exhaustive subset scan and the
 per-row cone walk that serve as the minimal-route oracles, the
 per-column rank loop and the per-column elimination loop that serve as
 the column-selection oracles, the block Arnoldi basis that serves as the
-reachable-space oracle, the list of Krylov blocks that serves as the
-raw-stack oracle, the n-step Krylov loop that serves as the exactness
-oracle, a counter of the Krylov stacks built by mode, the per-group row loop and the rank test that serve as the
+reachable-space oracle, the raw reachability matrix, the list of Krylov
+blocks that serves as the raw-stack oracle, the n-step Krylov loop that
+serves as the exactness oracle, a counter of the Krylov stacks built by
+mode, the per-group row loop and the rank test that serve as the
 closure's grouping and span oracles, the per-block mask closure that
 serves as its block-building oracle, the raw Markov coefficients, the
 observability matrix, a simulator and the wedge product that serve as
@@ -172,6 +173,14 @@ def arnoldi_reachable_basis(A, B, tol: float = 1e-9) -> np.ndarray:
     embedded = np.zeros((A.shape[0], Q.shape[1]))
     embedded[reached] = Q
     return embedded
+
+
+def reachability_matrix(S: PositiveLtiSystem) -> np.ndarray:
+    """The n x (n * inputs) block matrix [B, AB, ..., A^(n-1) B], built
+    afresh on each call by possys._krylov_powers, which the reduction
+    path uses for its own stacks. Powers that overflow are inf, without a
+    floating-point warning."""
+    return posred.possys._krylov_powers(S.A, S.B)
 
 
 def stacked_krylov_blocks(A, B) -> np.ndarray:

@@ -14,9 +14,10 @@ from posred import (Factorization, GeneratorSpec,
                     Tolerances, choose_p, closure, equivalent,
                     find_nonneg_factorization, generate_system,
                     is_monotone_general, is_monotone_nonneg_rect, left_inverse,
-                    project, rank, reachability_matrix, reachable_subspace, reduce,
+                    project, rank, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable)
-from conftest import cascade_system, markov_parameters, swap_system, wedge
+from conftest import (cascade_system, markov_parameters, reachability_matrix, swap_system,
+                      wedge)
 
 TOL = Tolerances()
 

@@ -21,13 +21,13 @@ PUBLIC_NAMES = sorted([
     "find_nonneg_factorization", "generate_system", "is_monotone_general",
     "is_monotone_nonneg_rect", "is_nonneg", "left_inverse", "markov_match",
     "nonneg_lstsq", "perturbation_experiment", "project", "rank",
-    "reachability_matrix", "reachable_subspace", "reduce", "rpmr_observable",
+    "reachable_subspace", "reduce", "rpmr_observable",
     "rpmr_reachable", "verify_factorization",
 ])
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name

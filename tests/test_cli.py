@@ -46,16 +46,6 @@ class TestReduce:
         np.testing.assert_allclose(report["reduced_system"]["A"],
                                    [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
-    def test_swap_forced_algebraic(self, tmp_path, capsys):
-        path = write_system(tmp_path / "s.json", swap_system(1.0))
-        code, out, _ = run(capsys, "reduce", "--input", path, "--force-algebraic")
-        assert code == 0
-        report = json.loads(out)
-        assert report["method"] == "algebraic"
-        assert report["reduced_dim"] == 3
-        np.testing.assert_allclose(report["reduced_system"]["B"],
-                                   [[0.0], [1.0], [1.0]], atol=1e-12)
-
     def test_observable_space_flag(self, tmp_path, capsys):
         S = swap_system(1.0).transpose()
         path = write_system(tmp_path / "s.json", S)
@@ -93,6 +83,17 @@ class TestReduce:
             with pytest.raises(SystemExit) as exit_info:
                 main([command, "--input", path, flag, "1"])
             assert exit_info.value.code == 2
+        # Output is JSON only, and the algebraic route has no flag of its own.
+        for command in ("reduce", "monotone", "factorize", "algebra", "perturb"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--input", path, "--format", "json"])
+            assert exit_info.value.code == 2
+        for argv in (["verify", path, path, "--format", "json"],
+                     ["gen", "--n", "3", "--format", "json"],
+                     ["reduce", "--input", path, "--force-algebraic"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
         # verify compares up to n1 + n2 itself and takes no --horizon.
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", path, path, "--horizon", "3"])
@@ -113,18 +114,18 @@ class TestReduce:
                           for action in parser._actions
                           if not isinstance(action, argparse._HelpAction)}
                    for name, parser in subcommands.items()}
-        io = {"--input", "--output", "--tol", "--format"}
+        io = {"--input", "--output", "--tol"}
         assert options == {
-            "reduce": io | {"--space", "--force-algebraic"},
+            "reduce": io | {"--space"},
             "monotone": io,
             "factorize": io,
             "algebra": io,
-            "verify": {"original", "reduced", "--output", "--tol", "--format"},
-            "gen": {"--output", "--format", "--n", "--inputs", "--outputs", "--reachable-dim",
+            "verify": {"original", "reduced", "--output", "--tol"},
+            "gen": {"--output", "--n", "--inputs", "--outputs", "--reachable-dim",
                     "--density", "--seed"},
             "perturb": io | {"--delta", "--count", "--seed"},
         }
-        assert sum(map(len, options.values())) == 38
+        assert sum(map(len, options.values())) == 30
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -132,23 +133,14 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--input", str(path))
         assert code == 1
 
-    def test_output_file_and_text_format(self, tmp_path, capsys):
+    def test_output_file(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", cascade_system())
-        out_path = tmp_path / "report.txt"
-        code, _, _ = run(capsys, "reduce", "--input", path,
-                         "--output", str(out_path), "--format", "text")
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "reduce", "--input", path, "--output", str(out_path))
         assert code == 0
-        assert "method" in out_path.read_text()
-
-    def test_text_format_lists_diagnostics(self, tmp_path, capsys):
-        path = write_system(tmp_path / "s.json", swap_system(1.0))
-        code, out, _ = run(capsys, "reduce", "--input", path, "--force-algebraic",
-                           "--format", "text")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[lines.index("diagnostics:") + 1:] == [
-            '  - "minimal route disabled by flag"',
-            '  - "algebra enlargement: 2 -> 3 dimensions"']
+        assert out == ""
+        report = json.loads(out_path.read_text())
+        assert (report["method"], report["reduced_dim"]) == ("minimal", 2)
 
 
 class TestMonotone:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
                     ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
-                    rank, reachability_matrix)
+                    rank)
 from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
-from conftest import greedy_column_selection, per_column_selection
+from conftest import greedy_column_selection, per_column_selection, reachability_matrix
 
 TOL = Tolerances()
 

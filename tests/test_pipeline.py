@@ -13,7 +13,7 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     PerturbationRecord, PositiveLtiSystem, ReductionReport, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
-                    reachable_subspace, rpmr_observable, rpmr_reachable)
+                    reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
 from conftest import (arnoldi_reachable_basis, cascade_system, d3_scaled, krylov_stacks_built,
                       lumped_system, observability_matrix, r600_system, stubborn_span,
                       swap_system)
@@ -73,7 +73,8 @@ class TestReachableRoutes:
         np.testing.assert_allclose(report.reduced_system.B, [[0.0], [1.0], [1.0]],
                                    atol=1e-12)
         assert report.algebra is not None
-        assert any("flag" in note for note in report.diagnostics)
+        assert report.diagnostics == ["minimal route disabled by flag",
+                                      "algebra enlargement: 2 -> 3 dimensions"]
         # Both reductions realize the same impulse response.
         minimal = rpmr_reachable(swap_system(1.0))
         assert equivalent(minimal.reduced_system, report.reduced_system)
@@ -432,18 +433,48 @@ def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system
     assert not any("minimal pair" in line for line in report.diagnostics)
 
 
-@pytest.mark.xfail(strict=True, reason="reduce certifies a reduced system that is not "
-                                       "Markov-equivalent at five decades of scaling")
-@pytest.mark.parametrize("rpmr, seed", [
-    (rpmr_reachable, 277), (rpmr_observable, 380), (rpmr_observable, 586)],
-    ids=["D5-277", "D5-380-observable", "D5-586-observable"])
-def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed):
-    # The reports are minimal of order 2 of 4, algebraic 9 of 10 and minimal
-    # 10 of 13, and equivalent rejects each reduced system. A sound report
-    # either reproduces the Markov sequence or reduces nothing.
+D5_WRONG = pytest.mark.xfail(strict=True, reason="reduce certifies a reduced system that is "
+                                                "not Markov-equivalent at five decades of scaling")
+
+
+@pytest.mark.parametrize("rpmr, seed, force_algebraic", [
+    pytest.param(rpmr_reachable, 277, False, marks=D5_WRONG, id="D5-277"),
+    pytest.param(rpmr_observable, 380, False, marks=D5_WRONG, id="D5-380-observable"),
+    pytest.param(rpmr_observable, 586, False, marks=D5_WRONG, id="D5-586-observable"),
+    pytest.param(rpmr_reachable, 277, True, marks=D5_WRONG, id="D5-277-forced"),
+    pytest.param(rpmr_observable, 380, True, marks=D5_WRONG, id="D5-380-observable-forced"),
+    pytest.param(rpmr_observable, 586, True, marks=D5_WRONG, id="D5-586-observable-forced"),
+    pytest.param(rpmr_reachable, 37, True, id="D5-37-forced")])
+def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, force_algebraic):
+    # The wrong reports are minimal of order 2 of 4, algebraic 9 of 10 and
+    # minimal 10 of 13, and algebraic at the same orders when forced;
+    # equivalent rejects each reduced system. A sound report either
+    # reproduces the Markov sequence or reduces nothing. Forced D5 seed 37
+    # has a 3-dimensional algebra closure of its 4-dimensional basis, which
+    # cannot contain the space; its report is "none".
     S = d3_scaled(r600_system(seed), seed, 5)
-    report = rpmr(S)
+    report = rpmr(S, force_algebraic=force_algebraic)
     assert report.reduced_system is None or equivalent(S, report.reduced_system)
+
+
+@pytest.mark.parametrize("rpmr, seed", [
+    (rpmr_reachable, 37), (rpmr_reachable, 43), (rpmr_observable, 43), (rpmr_reachable, 92),
+    (rpmr_reachable, 251)],
+    ids=["D5-37", "D5-43", "D5-43-observable", "D5-92", "D5-251"])
+def test_forced_closure_smaller_than_the_basis_is_refused(rpmr, seed):
+    # At five decades of scaling the closure of these bases loses
+    # dimensions. An algebra smaller than the basis cannot contain the
+    # space, so the report is "none" before reduce sees its factors (seed
+    # 37 was a wrong algebraic report of order 3).
+    S = d3_scaled(r600_system(seed), seed, 5)
+    report = rpmr(S, force_algebraic=True)
+    q, dim = report.basis.dimension, report.algebra.dimension
+    assert dim < q
+    assert (report.method, report.reduced_dim) == ("none", report.original_dim)
+    assert (f"RPMR could not be performed: the algebra closure is smaller than the "
+            f"{report.space} basis ({dim} < {q} dimensions), so it cannot contain the "
+            f"{report.space} space") in report.diagnostics
+    assert not any("algebra enlargement" in line for line in report.diagnostics)
 
 
 def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():
@@ -614,6 +645,19 @@ class TestPerturbationExperiment:
         S = cascade_system()
         empty = tuple(M[np.newaxis][:0] for M in (S.A, S.B, S.C))
         assert perturbation_experiment(S, naive, robust, empty) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda S, F: reduce(S, F),
+    lambda S, F: perturbation_experiment(S, F, rpmr_reachable(S).factorization, stacked([S]))],
+    ids=["reduce", "perturbation_experiment"])
+def test_factors_must_be_n_by_r_and_r_by_n(call):
+    # J is 4 x 2 but Jdag is 3 x 4: each shape alone fits the 4-state
+    # system, yet the pair has no common r. reduce raised numpy's matmul
+    # error on it, and perturbation_experiment took it as naive factors.
+    F = Factorization(np.eye(4)[:, :2], np.eye(4)[:3], [])
+    with pytest.raises(DimensionMismatchError, match=r"J \(4, 2\) and Jdag \(3, 4\)"):
+        call(cascade_system(), F)
 
 
 def test_soundness_on_planted_systems():

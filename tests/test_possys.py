@@ -14,12 +14,13 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
                     Tolerances, algebra_factorization, column_space_basis, equivalent,
                     find_nonneg_factorization, left_inverse, markov_match, project, rank,
-                    reachability_matrix, reachable_subspace, reduce, rpmr_reachable)
+                    reachable_subspace, reduce, rpmr_reachable)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from posred.possys import _krylov_powers
 from conftest import (cascade_system, d3_scaled, fixes_every_krylov_block, krylov_stacks_built,
                       lumped_system, markov_parameters, observability_matrix, r600_system,
-                      simulate, spurious_mode_pair, stacked_krylov_blocks, swap_system)
+                      reachability_matrix, simulate, spurious_mode_pair, stacked_krylov_blocks,
+                      swap_system)
 
 TOL = Tolerances()
 
