@@ -150,8 +150,8 @@ def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = D
     """Independent recheck of the factorization invariants.
 
     Both factors non-negative, Jdag @ J = I within eq_tol, and J @ Jdag
-    fixing each unit-peak basis column within eq_tol (fixes_columns, as in
-    possys.reduce); the two give Im(J) = span of V.
+    fixing each unit-peak basis column within eq_tol, an absolute residual
+    (fixes_columns); the two give Im(J) = span of V.
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):

@@ -73,8 +73,7 @@ def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
                            algebra, basis)
 
 
-def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
-               space: str) -> ReductionReport:
+def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionReport:
     n = S.dim
     diagnostics: list[str] = []
     try:
@@ -96,20 +95,17 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
     if q == n:
         return none(f"already {space}: the {space} space has full dimension")
 
-    if force_algebraic:
-        diagnostics.append("minimal route disabled by flag")
+    F = find_nonneg_factorization(basis, tol)
+    if F is None:
+        diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
     else:
-        F = find_nonneg_factorization(basis, tol)
-        if F is None:
-            diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
-        else:
-            # Factors of a basis that column selection left short of the
-            # space (raw powers under scaling) fail reduce's Krylov check.
-            try:
-                return _reduced("minimal", space, S, F, tol, diagnostics, basis)
-            except NotInvariantError:
-                diagnostics.append(f"non-negative factors of the {space} basis do not fix "
-                                   f"the {space} space")
+        # Factors of a basis that column selection left short of the
+        # space (raw powers under scaling) fail reduce's Krylov check.
+        try:
+            return _reduced("minimal", space, S, F, tol, diagnostics, basis)
+        except NotInvariantError:
+            diagnostics.append(f"non-negative factors of the {space} basis do not fix "
+                               f"the {space} space")
 
     try:
         p = choose_p(basis, tol)
@@ -120,14 +116,12 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
     if algebra.dimension >= n:
         return none("RPMR could not be performed: the algebra enlargement has full dimension",
                     algebra)
-    if algebra.dimension < q:
-        return none(f"RPMR could not be performed: the algebra closure is smaller than the "
-                    f"{space} basis ({algebra.dimension} < {q} dimensions), so it cannot "
-                    f"contain the {space} space", algebra)
 
     # The enlargement need not be A-invariant: reduce() falls back to
-    # checking that its projector fixes the target space.
-    minimal = algebra.dimension == q and not force_algebraic
+    # checking that its projector fixes the target space. A closure that
+    # lost dimensions under strong scaling cannot contain the space, and
+    # that check refuses it.
+    minimal = algebra.dimension == q
     diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
     try:
         report = _reduced("minimal" if minimal else "algebraic", space, S,
@@ -148,8 +142,7 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, force_algebraic: bool,
     return report
 
 
-def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                   force_algebraic: bool = False) -> ReductionReport:
+def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionReport:
     """Robust positive reduction onto the reachable space.
 
     Tries the minimal factorization first; when none exists, or its
@@ -165,32 +158,29 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
     exactness check forms the full Krylov stack: reachable_subspace
     certifies the first blocks on the structural support, and the
     selector passes reduce's invariance test. Every reported reduction
-    comes from possys.reduce, which checks that Im(J) is A-invariant and
-    contains B, entrywise, or else that J @ Jdag fixes the reachable space
-    (either way every Markov coefficient matches), and that the reduced
-    triple is non-negative. When the algebraic route fails too (choose_p
-    finds no reference vector, or the algebra's projector fails that
-    check, or the closure, under strong scaling, has fewer dimensions
-    than the basis and so cannot contain the space), the report is "none"
-    at full order and its last diagnostic names the check.
-    force_algebraic skips the minimal route so the two answers can be
-    compared on the same system; its reports say "algebraic" even when
-    the algebra adds no dimension.
+    comes from possys.reduce, whose entrywise checks make every Markov
+    coefficient match. When the algebraic route fails too (choose_p finds
+    no reference vector, or reduce refuses the algebra's projector, as it
+    does a closure that lost dimensions under strong scaling), the report
+    is "none" at full order and its last diagnostic names the check. The
+    algebraic reduction alone, to compare with the minimal one, is
+    reduce(S, algebra_factorization(closure(V, choose_p(V)))) for V the
+    reachable_subspace of S.
     """
-    return _rpmr_core(S, tol, force_algebraic, "reachable")
+    return _rpmr_core(S, tol, "reachable")
 
 
-def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL,
-                    force_algebraic: bool = False) -> ReductionReport:
+def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionReport:
     """Robust positive reduction of the observable direction, by duality.
 
     Runs the reachable pipeline on the transposed system and transposes
     the outcome back; the factor pair is swapped and transposed so that
     (Jdag A J, Jdag B, C J) reproduces the reported reduced system. Only
     the identity-weighted observable complement is searched, so a negative
-    outcome is not conclusive. No step draws random numbers.
+    outcome is not conclusive. No step draws random numbers. The algebraic
+    reduction alone is that of S.transpose(), transposed back.
     """
-    dual = _rpmr_core(S.transpose(), tol, force_algebraic, "observable")
+    dual = _rpmr_core(S.transpose(), tol, "observable")
     F, reduced = dual.factorization, dual.reduced_system
     return dual._replace(
         space="observable",

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
 from .factorize import Factorization
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
-                       column_space_basis, fixes_columns, unit_peak)
+                       column_space_basis, unit_peak)
 
 TIME_DOMAINS = ("discrete", "continuous")
 
@@ -220,6 +220,11 @@ def _restrict(system, J: np.ndarray, Jdag: np.ndarray) -> tuple[np.ndarray, np.n
     return Jdag @ A @ J, Jdag @ B, C @ J
 
 
+def _entrywise_close(X: np.ndarray, Y: np.ndarray, e: float) -> bool:
+    """Whether |X - Y| <= e max(|X|, |Y|) holds entrywise; NaN fails."""
+    return bool((abs(X - Y) <= e * np.maximum(abs(X), abs(Y))).all())
+
+
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
@@ -241,16 +246,19 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     exact when J @ Jdag fixes A^k B for k < n, for by Cayley-Hamilton it
     then fixes every A^k B, and by induction (Jdag A J)^k Jdag B =
     Jdag A^k B. Neither A-invariance of Im(J) nor Jdag @ J = I is needed.
-    The test is scale-free: _krylov_powers in its scaled mode scales each
-    block to unit peak (zero columns stay zero) before forming the next
-    from it, so it is blind to how fast the powers grow or decay, and
-    numerics.fixes_columns holds the residual max|P - J (Jdag P)| over all
-    n blocks to eq_tol. In exact arithmetic the blocks k <= m would
-    decide, since a Krylov chain inside an m-dimensional Im(J) stops
-    growing within m steps; under eq_tol they do not: blocks within eq_tol
-    of Im(J) can still drift out of it at later powers. The reduced triple
-    must come out non-negative; the PositiveLtiSystem constructor raises
-    NotPositiveError otherwise (possible only with mixed-sign factors).
+    The test is scale-free and componentwise: _krylov_powers in its
+    scaled mode scales each block to unit peak (zero columns stay zero)
+    before forming the next from it, so it is blind to how fast the
+    powers grow or decay, and with Q = J (Jdag P) over all n blocks P,
+    |P - Q| <= eq_tol max(|P|, |Q|) must hold entrywise, the bound of the
+    invariance test. A state far below its column's peak is thus held to
+    its own scale, which C may weigh heavily. In exact arithmetic the
+    blocks k <= m would decide, since a Krylov chain inside an
+    m-dimensional Im(J) stops growing within m steps; under eq_tol they
+    need not: blocks within eq_tol of Im(J) can still drift out of it at
+    later powers. The reduced triple must come out non-negative; the
+    PositiveLtiSystem constructor raises NotPositiveError otherwise
+    (possible only with mixed-sign factors).
     """
     J, Jdag = _factor_pair(F, S.dim)
 
@@ -262,12 +270,13 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
                      and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
                      and not ((J < 2.0 ** -511) & (J != 0.0)).any())
-        if invariant:  # [A J, B] against J [A_r, B_r], both non-negative
-            X = np.concatenate((S.A @ J, S.B), axis=1)
-            Y = J @ np.concatenate(reduced[:2], axis=1)
-            invariant = bool((abs(X - Y) <= eps * np.maximum(X, Y)).all())
-    if not invariant and not fixes_columns(J, Jdag, _krylov_powers(S.A, S.B, scaled=True), tol):
-        raise NotInvariantError("J @ Jdag does not fix the reachable space")
+        if invariant:  # [A J, B] against J [A_r, B_r]
+            invariant = _entrywise_close(np.concatenate((S.A @ J, S.B), axis=1),
+                                         J @ np.concatenate(reduced[:2], axis=1), eps)
+        if not invariant:
+            P = _krylov_powers(S.A, S.B, scaled=True)
+            if not _entrywise_close(P, J @ (Jdag @ P), tol.eq_tol):
+                raise NotInvariantError("J @ Jdag does not fix the reachable space")
     return PositiveLtiSystem(*reduced, S.time_domain, tol)
 
 

@@ -5,25 +5,29 @@ per-column rank loop and the per-column elimination loop that serve as
 the column-selection oracles, the block Arnoldi basis that serves as the
 reachable-space oracle, the raw reachability matrix, the list of Krylov
 blocks that serves as the raw-stack oracle, the n-step Krylov loop that
-serves as the exactness oracle, a counter of the Krylov stacks built by
-mode, the per-group row loop and the rank test that serve as the
-closure's grouping and span oracles, the per-block mask closure that
-serves as its block-building oracle, the raw Markov coefficients, the
-observability matrix, a simulator and the wedge product that serve as
-reference definitions, and the hypothesis profile."""
+serves as the exactness oracle, the algebraic reduction alone, a
+counter of the Krylov stacks built by mode, the per-group row loop and
+the rank test that serve as the closure's grouping and span oracles, the
+per-block mask closure that serves as its block-building oracle, the raw
+and the exact rational Markov coefficients, the observability matrix, a
+simulator and the wedge product that serve as reference definitions, and
+the hypothesis profile."""
 import contextlib
 import itertools
 from collections import Counter
+from fractions import Fraction
+from typing import Optional
 from unittest import mock
 
 import numpy as np
 from hypothesis import settings
 
 import posred.possys
-from posred import (DimensionMismatchError, GeneratorSpec, NonFiniteError,
-                    PositiveLtiSystem, ReferenceVector, Tolerances,
-                    UnsupportedCoordinateError, as_matrix,
-                    generate_system, is_nonneg, rank, rpmr_reachable)
+from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, NonFiniteError,
+                    NotInvariantError, PositiveLtiSystem, ReferenceVector, Tolerances,
+                    UnsupportedCoordinateError, algebra_factorization, as_matrix, choose_p,
+                    closure, generate_system, is_nonneg, rank, reachable_subspace, reduce,
+                    rpmr_reachable)
 from posred.monotone import cone_coefficients
 
 # Derandomized, bounded and without an example database, so the property
@@ -199,16 +203,33 @@ def fixes_every_krylov_block(S: PositiveLtiSystem, J, Jdag, tol: Tolerances = To
     """Reference exactness test: J @ Jdag fixes the unit-peak columns of
     A^k B for every k < n, one block at a time (the Cayley-Hamilton
     bound), each block formed from the scaled one before it and tested
-    on its own. reduce, which tests all n blocks in one stacked residual,
-    must accept exactly when this does."""
+    on its own, entrywise: with Q = J (Jdag P), every entry must satisfy
+    |P - Q| <= eq_tol max(|P|, |Q|). reduce, which tests all n blocks in
+    one stacked comparison, must accept exactly when this does."""
     P = S.B
     for _ in range(S.dim):
         peaks = np.abs(P).max(axis=0, initial=0.0)
         P = P / np.where(peaks > 0.0, peaks, 1.0)
-        if not np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol:
+        Q = J @ (Jdag @ P)
+        if not (np.abs(P - Q) <= tol.eq_tol * np.maximum(np.abs(P), np.abs(Q))).all():
             return False
         P = S.A @ P
     return True
+
+
+def algebraic_reduction(S: PositiveLtiSystem, tol: Tolerances = Tolerances()
+                        ) -> tuple[DistortedAlgebra, Optional[PositiveLtiSystem]]:
+    """The algebraic reduction alone, by the four public steps:
+    reduce(S, algebra_factorization(closure(V, choose_p(V)))) with V the
+    reachable_subspace of S. Returns the algebra and the reduced system,
+    or None in its place when reduce refuses the algebra's factors; for
+    the observable side, pass S.transpose()."""
+    V = reachable_subspace(S, tol)
+    algebra = closure(V, choose_p(V, tol), tol)
+    try:
+        return algebra, reduce(S, algebra_factorization(algebra), tol)
+    except NotInvariantError:
+        return algebra, None
 
 
 @contextlib.contextmanager
@@ -397,6 +418,28 @@ def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
     P = B
     for _ in range(horizon + 1):
         coefficients.append(C @ P)
+        P = A @ P
+    return coefficients
+
+
+def exact_markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
+    """Coefficients C A^k B for k = 0..horizon in exact rational
+    arithmetic, as object arrays of Fraction. Every double is a dyadic
+    rational, so each matrix is an array of Python integers over one
+    power of two, and the products run on the integers, which neither
+    round nor overflow; only each coefficient is reduced to lowest terms."""
+    def integers(M, name):
+        ratios = [x.as_integer_ratio() for x in as_matrix(M, name).ravel().tolist()]
+        d = max((den.bit_length() - 1 for _, den in ratios), default=0)
+        N = [num << (d + 1 - den.bit_length()) for num, den in ratios]
+        return np.array(N, dtype=object).reshape(np.shape(M)), d
+
+    (A, a), (B, b), (C, c) = integers(A, "A"), integers(B, "B"), integers(C, "C")
+    coefficients = []
+    P = B
+    for k in range(horizon + 1):
+        denominator = 2 ** (c + k * a + b)
+        coefficients.append(np.frompyfunc(lambda x: Fraction(x, denominator), 1, 1)(C @ P))
         P = A @ P
     return coefficients
 

@@ -16,8 +16,8 @@ from posred import (Factorization, GeneratorSpec,
                     is_monotone_general, is_monotone_nonneg_rect, left_inverse,
                     project, rank, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable)
-from conftest import (cascade_system, markov_parameters, reachability_matrix, swap_system,
-                      wedge)
+from conftest import (algebraic_reduction, cascade_system, markov_parameters,
+                      reachability_matrix, swap_system, wedge)
 
 TOL = Tolerances()
 
@@ -67,18 +67,19 @@ def suite6_specs():
 
 @pytest.fixture(scope="module")
 def planted_suite():
-    """(system, report, forced_report) for 500 planted systems, plus the
-    wall time the sweep took. forced_report is present only when the plain
-    run took the minimal route on a non-trivial space."""
+    """(system, report, algebraic) for 500 planted systems, plus the wall
+    time the sweep took. algebraic is the (algebra, reduced system) pair
+    of the algebraic reduction alone, present only when the report took
+    the minimal route on a non-trivial space."""
     entries = []
     start = time.perf_counter()
     for spec in suite6_specs():
         S = generate_system(spec)
         report = rpmr_reachable(S)
-        forced = None
+        algebraic = None
         if report.method == "minimal" and report.reduced_dim > 0:
-            forced = rpmr_reachable(S, force_algebraic=True)
-        entries.append((S, report, forced))
+            algebraic = algebraic_reduction(S)
+        entries.append((S, report, algebraic))
     elapsed = time.perf_counter() - start
     return entries, elapsed
 
@@ -131,7 +132,7 @@ def test_criterion_2_cascade_robustness():
         assert max(max_err(M1, M2) for M1, M2 in zip(full, small)) <= 1e-8
 
 
-@criterion(3, "swap system at eps=1: minimal route, forced algebraic route, closure span")
+@criterion(3, "swap system at eps=1: minimal route, algebraic reduction, closure span")
 def test_criterion_3_swap_eps1():
     S = swap_system(1.0)
     basis = reachable_subspace(S)
@@ -144,15 +145,14 @@ def test_criterion_3_swap_eps1():
     assert max_err(minimal.reduced_system.A, [[0.0, 1.0], [1.0, 0.0]]) <= 1e-9
     assert max_err(minimal.reduced_system.B, [[0.0], [1.0]]) <= 1e-9
 
-    forced = rpmr_reachable(S, force_algebraic=True)
-    assert forced.method == "algebraic" and forced.reduced_dim == 3
-    assert max_err(forced.reduced_system.A,
-                   [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]) <= 1e-9
-    assert max_err(forced.reduced_system.B, [[0.0], [1.0], [1.0]]) <= 1e-9
+    algebra, reduced = algebraic_reduction(S)
+    assert reduced.dim == 3
+    assert max_err(reduced.A, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]) <= 1e-9
+    assert max_err(reduced.B, [[0.0], [1.0], [1.0]]) <= 1e-9
 
     towers = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                        [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    assert spans_equal(np.asarray(forced.algebra.generators), towers)
+    assert spans_equal(np.asarray(algebra.generators), towers)
 
 
 @criterion(4, "swap system at eps=2: three-dimensional factorization and algebra agree")
@@ -170,8 +170,7 @@ def test_criterion_4_swap_eps2():
     assert F.Jdag.min() >= 0.0
     assert max_err(F.Jdag @ F.J, np.eye(3)) <= 1e-9
 
-    forced = rpmr_reachable(S, force_algebraic=True)
-    assert forced.method == "algebraic" and forced.reduced_dim == 3
+    assert algebraic_reduction(S)[1].dim == 3
 
 
 @criterion(5, "1000 random non-negative matrices: structural test equals cone oracle")
@@ -210,13 +209,12 @@ def test_criterion_6_soundness(planted_suite):
     entries, elapsed = planted_suite
     produced = 0
     compared = 0
-    for S, report, forced in entries:
+    for S, report, algebraic in entries:
         assert report.method != "none"
         produced += 1
         assert equivalent(S, report.reduced_system)
-        if forced is not None:
-            assert forced.method == "algebraic"
-            assert report.reduced_dim <= forced.reduced_dim
+        if algebraic is not None:
+            assert report.reduced_dim <= algebraic[1].dim
             compared += 1
     assert produced == 500
     assert compared > 100
@@ -230,10 +228,11 @@ def test_criterion_7_algebra_invariants(planted_suite):
     for eps in (1.0, 2.0):
         basis = reachable_subspace(swap_system(eps))
         algebras.append(closure(basis, choose_p(basis)))
-    for _, report, forced in entries:
-        for rpt in (report, forced):
-            if rpt is not None and rpt.algebra is not None:
-                algebras.append(rpt.algebra)
+    for _, report, algebraic in entries:
+        if report.algebra is not None:
+            algebras.append(report.algebra)
+        if algebraic is not None:
+            algebras.append(algebraic[0])
     assert len(algebras) > 100
     from posred import SubspaceBasis
     for algebra in algebras:

@@ -1,6 +1,7 @@
 """The public API: the exported names are pinned, so adding or dropping
 one is a deliberate change to this list, and so are the records' fields."""
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -69,6 +70,15 @@ def test_records_are_immutable_named_tuples(record, values, defaults):
     for name in [*values, "extra"]:
         with pytest.raises(AttributeError):
             setattr(by_position, name, None)
+
+
+@pytest.mark.parametrize("rpmr", [posred.rpmr_reachable, posred.rpmr_observable],
+                         ids=["rpmr_reachable", "rpmr_observable"])
+def test_rpmr_takes_the_system_and_the_tolerance_alone(rpmr):
+    # One route: nothing selects or skips the minimal search.
+    parameters = inspect.signature(rpmr).parameters
+    assert list(parameters) == ["S", "tol"]
+    assert parameters["tol"].default is posred.DEFAULT_TOL
 
 
 def test_no_public_name_is_a_dataclass():

@@ -1,10 +1,11 @@
 """End-to-end reduction pipeline: route selection, verification, duality,
 and the perturbation experiment."""
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import posred.monotone
@@ -14,9 +15,9 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
-from conftest import (arnoldi_reachable_basis, cascade_system, d3_scaled, krylov_stacks_built,
-                      lumped_system, observability_matrix, r600_system, stubborn_span,
-                      swap_system)
+from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
+                      exact_markov_parameters, krylov_stacks_built, lumped_system,
+                      observability_matrix, r600_system, stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -64,20 +65,15 @@ class TestReachableRoutes:
                                    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
     def test_swap_forced_algebraic(self):
-        report = rpmr_reachable(swap_system(1.0), force_algebraic=True)
-        assert report.method == "algebraic"
-        assert report.reduced_dim == 3
-        np.testing.assert_allclose(report.reduced_system.A,
+        algebra, reduced = algebraic_reduction(swap_system(1.0))
+        assert algebra.dimension == reduced.dim == 3
+        np.testing.assert_allclose(reduced.A,
                                    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                                    atol=1e-12)
-        np.testing.assert_allclose(report.reduced_system.B, [[0.0], [1.0], [1.0]],
-                                   atol=1e-12)
-        assert report.algebra is not None
-        assert report.diagnostics == ["minimal route disabled by flag",
-                                      "algebra enlargement: 2 -> 3 dimensions"]
+        np.testing.assert_allclose(reduced.B, [[0.0], [1.0], [1.0]], atol=1e-12)
         # Both reductions realize the same impulse response.
         minimal = rpmr_reachable(swap_system(1.0))
-        assert equivalent(minimal.reduced_system, report.reduced_system)
+        assert equivalent(minimal.reduced_system, reduced)
 
     def test_swap_eps2_minimal_three(self):
         report = rpmr_reachable(swap_system(2.0))
@@ -114,8 +110,8 @@ class TestReachableRoutes:
         report = rpmr_reachable(cycling_full_closure_system())
         assert report.method == "minimal"
         assert report.reduced_dim == 2
-        forced = rpmr_reachable(cycling_full_closure_system(), force_algebraic=True)
-        assert forced.method == "none"
+        algebra, reduced = algebraic_reduction(cycling_full_closure_system())
+        assert algebra.dimension == reduced.dim == 3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_minimal_route_past_the_subset_count(self, seed):
@@ -232,11 +228,13 @@ class TestReachableRoutes:
         basis = reachable_subspace(T)
         assert basis.dimension == 1
         assert find_nonneg_factorization(basis) is not None
-        for report in (rpmr_reachable(T, force_algebraic=True), rpmr_reachable(T)):
-            assert (report.method, report.reduced_dim) == ("none", 3)
-            assert report.reduced_system is None and report.factorization is None
-            assert report.algebra.dimension == 1
-            assert "exactness check" in report.diagnostics[-1]
+        report = rpmr_reachable(T)
+        assert (report.method, report.reduced_dim) == ("none", 3)
+        assert report.reduced_system is None and report.factorization is None
+        assert report.algebra.dimension == 1
+        assert "exactness check" in report.diagnostics[-1]
+        algebra, reduced = algebraic_reduction(T)
+        assert algebra.dimension == 1 and reduced is None
 
     @pytest.mark.parametrize("n, r, q, seed", [(12, 6, 4, 0), (8, 5, 3, 1)])
     @pytest.mark.parametrize("scale", [1e-9, 1e-12])
@@ -297,8 +295,7 @@ class TestReachableRoutes:
     def test_minimal_never_beaten_by_algebraic(self):
         for eps in (1.0, 2.0):
             minimal = rpmr_reachable(swap_system(eps))
-            forced = rpmr_reachable(swap_system(eps), force_algebraic=True)
-            assert minimal.reduced_dim <= forced.reduced_dim
+            assert minimal.reduced_dim <= algebraic_reduction(swap_system(eps))[1].dim
 
 
 class TestObservable:
@@ -386,7 +383,7 @@ def test_algebra_equal_to_the_observable_space_is_a_minimal_reduction(system, or
     # The search misses these spaces: its sign test sees entries just past
     # -nonneg_tol. Their algebra enlargement is the space itself, so its
     # factors are a non-negative minimal pair, and no diagnostic may claim
-    # that none exists. Forced onto the algebraic route, they stay algebraic.
+    # that none exists. The algebraic reduction alone has the same order.
     S = system()
     assert find_nonneg_factorization(reachable_subspace(S.transpose())) is None
     report = rpmr_observable(S)
@@ -398,8 +395,7 @@ def test_algebra_equal_to_the_observable_space_is_a_minimal_reduction(system, or
     assert not any("admits non-negative factors" in line for line in report.diagnostics)
     assert is_nonneg(report.factorization.J) and is_nonneg(report.factorization.Jdag)
     assert equivalent(S, report.reduced_system)
-    forced = rpmr_observable(S, force_algebraic=True)
-    assert (forced.method, forced.reduced_dim) == ("algebraic", order)
+    assert algebraic_reduction(S.transpose())[1].dim == order
 
 
 def rank_one_chain_system() -> PositiveLtiSystem:
@@ -433,28 +429,29 @@ def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system
     assert not any("minimal pair" in line for line in report.diagnostics)
 
 
-D5_WRONG = pytest.mark.xfail(strict=True, reason="reduce certifies a reduced system that is "
-                                                "not Markov-equivalent at five decades of scaling")
-
-
-@pytest.mark.parametrize("rpmr, seed, force_algebraic", [
-    pytest.param(rpmr_reachable, 277, False, marks=D5_WRONG, id="D5-277"),
-    pytest.param(rpmr_observable, 380, False, marks=D5_WRONG, id="D5-380-observable"),
-    pytest.param(rpmr_observable, 586, False, marks=D5_WRONG, id="D5-586-observable"),
-    pytest.param(rpmr_reachable, 277, True, marks=D5_WRONG, id="D5-277-forced"),
-    pytest.param(rpmr_observable, 380, True, marks=D5_WRONG, id="D5-380-observable-forced"),
-    pytest.param(rpmr_observable, 586, True, marks=D5_WRONG, id="D5-586-observable-forced"),
+@pytest.mark.parametrize("rpmr, seed, forced", [
+    pytest.param(rpmr_reachable, 277, False, id="D5-277"),
+    pytest.param(rpmr_observable, 380, False, id="D5-380-observable"),
+    pytest.param(rpmr_observable, 586, False, id="D5-586-observable"),
+    pytest.param(rpmr_reachable, 277, True, id="D5-277-forced"),
+    pytest.param(rpmr_observable, 380, True, id="D5-380-observable-forced"),
+    pytest.param(rpmr_observable, 586, True, id="D5-586-observable-forced"),
     pytest.param(rpmr_reachable, 37, True, id="D5-37-forced")])
-def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, force_algebraic):
-    # The wrong reports are minimal of order 2 of 4, algebraic 9 of 10 and
-    # minimal 10 of 13, and algebraic at the same orders when forced;
-    # equivalent rejects each reduced system. A sound report either
-    # reproduces the Markov sequence or reduces nothing. Forced D5 seed 37
-    # has a 3-dimensional algebra closure of its 4-dimensional basis, which
-    # cannot contain the space; its report is "none".
+def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, forced):
+    # An absolute Krylov residual certified the reports of the first three,
+    # minimal of order 2 of 4, algebraic 9 of 10 and minimal 10 of 13, and
+    # their algebraic reductions at the same orders; equivalent rejects
+    # each reduced system. The componentwise check refuses every one of
+    # these algebras' projectors, so the reports reduce nothing. Seed 37's
+    # algebra closure has 3 dimensions, its basis 4 (see below).
     S = d3_scaled(r600_system(seed), seed, 5)
-    report = rpmr(S, force_algebraic=force_algebraic)
-    assert report.reduced_system is None or equivalent(S, report.reduced_system)
+    if forced:
+        T = S.transpose() if rpmr is rpmr_observable else S
+        assert algebraic_reduction(T)[1] is None
+    else:
+        report = rpmr(S)
+        assert (report.method, report.reduced_dim) == ("none", report.original_dim)
+        assert "fails the exactness check" in report.diagnostics[2]
 
 
 @pytest.mark.parametrize("rpmr, seed", [
@@ -464,17 +461,39 @@ def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, force_algebraic):
 def test_forced_closure_smaller_than_the_basis_is_refused(rpmr, seed):
     # At five decades of scaling the closure of these bases loses
     # dimensions. An algebra smaller than the basis cannot contain the
-    # space, so the report is "none" before reduce sees its factors (seed
-    # 37 was a wrong algebraic report of order 3).
+    # space, and reduce refuses its projector by itself, so no guard on
+    # the dimensions is needed (an absolute Krylov residual accepted seed
+    # 37's at order 3). Each report stays sound.
     S = d3_scaled(r600_system(seed), seed, 5)
-    report = rpmr(S, force_algebraic=True)
-    q, dim = report.basis.dimension, report.algebra.dimension
-    assert dim < q
-    assert (report.method, report.reduced_dim) == ("none", report.original_dim)
-    assert (f"RPMR could not be performed: the algebra closure is smaller than the "
-            f"{report.space} basis ({dim} < {q} dimensions), so it cannot contain the "
-            f"{report.space} space") in report.diagnostics
-    assert not any("algebra enlargement" in line for line in report.diagnostics)
+    T = S.transpose() if rpmr is rpmr_observable else S
+    algebra, reduced = algebraic_reduction(T)
+    assert algebra.dimension < reachable_subspace(T).dimension
+    assert reduced is None
+    report = rpmr(S)
+    assert report.reduced_system is None or equivalent(S, report.reduced_system)
+
+
+@given(st.integers(0, 599), st.sampled_from([3, 5]), st.booleans())
+@example(277, 5, False)
+@example(380, 5, True)
+def test_scaled_reports_keep_every_exact_markov_coefficient(seed, decades, observable):
+    # On D3 and D5 systems with n <= 12, every reduction reported matches
+    # each coefficient C A^k B with k <= n + r entrywise within eq_tol, in
+    # exact rational arithmetic on the stored doubles. An absolute Krylov
+    # residual certified D5 seeds 277 and 380 (observable), whose reports
+    # missed by 0.42 and 1.0 of an entry.
+    S = d3_scaled(r600_system(seed), seed, decades)
+    assume(S.dim <= 12)
+    report = (rpmr_observable if observable else rpmr_reachable)(S)
+    if report.method == "none":
+        return
+    R = report.reduced_system
+    horizon = S.dim + R.dim
+    eq_tol = Fraction(TOL.eq_tol)
+    for M, N in zip(exact_markov_parameters(S.A, S.B, S.C, horizon),
+                    exact_markov_parameters(R.A, R.B, R.C, horizon)):
+        for x, y in zip(M.ravel(), N.ravel()):
+            assert abs(x - y) <= eq_tol * max(abs(x), abs(y))
 
 
 def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():
@@ -494,17 +513,20 @@ def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():
 class TestReportBasis:
     """The report carries the target-space basis that the pipeline built."""
 
-    @pytest.mark.parametrize("S, force_algebraic, method", [
+    @pytest.mark.parametrize("S, observable, method", [
         (cascade_system(), False, "minimal"),
-        (swap_system(1.0), True, "algebraic"),
+        (PositiveLtiSystem(np.zeros((5, 5)),
+                           np.vstack([stubborn_span(), stubborn_span()[-1:]])),
+         True, "algebraic"),
         (PositiveLtiSystem(np.zeros((5, 5)),
                            np.vstack([stubborn_span(), stubborn_span()[-1:]])),
          False, "algebraic"),
         (stubborn_system(), False, "none"),
         (PositiveLtiSystem([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.0]]), False, "none"),
     ])
-    def test_reachable_basis(self, S, force_algebraic, method):
-        report = rpmr_reachable(S, force_algebraic=force_algebraic)
+    def test_reachable_basis(self, S, observable, method):
+        # On the observable side of S^T the basis is that of S.
+        report = rpmr_observable(S.transpose()) if observable else rpmr_reachable(S)
         assert report.method == method
         np.testing.assert_array_equal(report.basis.basis, reachable_subspace(S).basis)
 
@@ -677,9 +699,7 @@ def test_soundness_on_planted_systems():
         produced += 1
         assert equivalent(S, report.reduced_system)
         if report.method == "minimal" and report.reduced_dim > 0:
-            forced = rpmr_reachable(S, force_algebraic=True)
-            assert forced.method == "algebraic"
-            assert report.reduced_dim <= forced.reduced_dim
+            assert report.reduced_dim <= algebraic_reduction(S)[1].dim
     assert produced > 25
 
 
@@ -689,18 +709,20 @@ def test_order_never_exceeds_the_forced_algebraic_order(n, inputs, outputs, q, d
                                                         seed, observable):
     # The minimal route reduces to the dimension of the target space, which
     # every algebra enlargement of it contains; when it fails, the report
-    # takes the forced route itself.
+    # takes the algebraic route itself. Forced onto that route (a refused
+    # algebra keeps order n), no system does better than its report.
     S = generate_system(GeneratorSpec(n, inputs, outputs, min(q, n), density, seed))
-    rpmr = rpmr_observable if observable else rpmr_reachable
-    assert rpmr(S).reduced_dim <= rpmr(S, force_algebraic=True).reduced_dim
+    order = (rpmr_observable if observable else rpmr_reachable)(S).reduced_dim
+    if order:  # else the target space is trivial
+        reduced = algebraic_reduction(S.transpose() if observable else S)[1]
+        assert order <= (n if reduced is None else reduced.dim)
 
 
 @st.composite
 def reductions(draw):
-    """A system and the report of one route on it: planted generated
-    systems with n <= 10 or lumped systems, reduced on the reachable or
-    the observable side (then transposed, so that the planted block is
-    unobservable), with or without the minimal route."""
+    """A system and its report: planted generated systems with n <= 10 or
+    lumped systems, reduced on the reachable or the observable side (then
+    transposed, so that the planted block is unobservable)."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 10))
         S = generate_system(GeneratorSpec(
@@ -712,11 +734,10 @@ def reductions(draw):
         n = draw(st.integers(4, 10))
         r = draw(st.integers(3, n - 1))
         S = lumped_system(n, r, draw(st.integers(2, r - 1)), draw(st.integers(0, 2**31 - 1)))
-    force_algebraic = draw(st.booleans())
     if draw(st.booleans()):
         S = S.transpose()
-        return S, rpmr_observable(S, force_algebraic=force_algebraic)
-    return S, rpmr_reachable(S, force_algebraic=force_algebraic)
+        return S, rpmr_observable(S)
+    return S, rpmr_reachable(S)
 
 
 def test_reachable_oracle_is_exact_on_a_planted_system():

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
-                    Tolerances, algebra_factorization, column_space_basis, equivalent,
+                    Tolerances, algebra_factorization, choose_p, closure,
+                    column_space_basis, equivalent,
                     find_nonneg_factorization, left_inverse, markov_match, project, rank,
-                    reachable_subspace, reduce, rpmr_reachable)
+                    reachable_subspace, reduce, rpmr_reachable, verify_factorization)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from posred.possys import _krylov_powers
-from conftest import (cascade_system, d3_scaled, fixes_every_krylov_block, krylov_stacks_built,
+from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive_first_hit,
+                      fixes_every_krylov_block, krylov_stacks_built,
                       lumped_system, markov_parameters, observability_matrix, r600_system,
                       reachability_matrix, simulate, spurious_mode_pair, stacked_krylov_blocks,
                       swap_system)
@@ -406,10 +408,11 @@ class TestReduce:
 
     def test_blocks_within_eq_tol_that_drift_out_later_are_rejected(self):
         # The selector of states {0, 1} fixes the unit-peak blocks e0, e1
-        # and e1 + 1e-9 e2 within eq_tol, so the blocks k <= m = 2 pass.
-        # State 2 doubles at every step: block k carries 1e-9 (2^(k-1) - 1)
-        # of e2, 1.5e-8 at k = 5, and C A^k B would miss by about 2 at
-        # k = 32.
+        # and e1 + 1e-9 e2 within eq_tol of their peak, so an absolute
+        # residual passed the blocks k <= m = 2; entrywise, block 2 misses
+        # its whole e2 entry. State 2 doubles at every step: block k
+        # carries 1e-9 (2^(k-1) - 1) of e2, 1.5e-8 at k = 5, and C A^k B
+        # would miss by about 2 at k = 32.
         n = 40
         A = np.zeros((n, n))
         A[1, 0] = A[1, 1] = 1.0
@@ -427,8 +430,9 @@ def drifting_chain(rng, n, m):
     """A chain 0 -> ... -> m-1 with a self-loop on m-1, B = e0, and a
     faint edge, of weight 1e-10 to 1e-8 (around eq_tol), from state m-1
     into state m, which grows by up to 4 a step among the states m..n-1.
-    The selector of states 0..m-1 fixes the first blocks within eq_tol,
-    and the faint state can drift out of tolerance at any later power."""
+    The selector of states 0..m-1 fixes the first blocks within eq_tol
+    of their peak, and the faint state can drift out of that at any later
+    power; entrywise, it misses block m by its whole faint entry."""
     A = np.zeros((n, n))
     A[np.arange(1, m), np.arange(m - 1)] = rng.uniform(0.5, 2.0, m - 1)
     A[m - 1, m - 1] = rng.uniform(0.5, 2.0)
@@ -441,15 +445,15 @@ def drifting_chain(rng, n, m):
 
 @st.composite
 def selector_reductions(draw):
-    """A positive system with n <= 8 and the selector J of a set of
-    states, with Jdag = J^T, and whether J @ Jdag is known to fix the
-    reachable space exactly when the set contains the reachable support
-    (the states reached from the nonzero rows of B in the graph of A).
-    Random systems have n <= 6 and nonzero entries in [0.5, 2], so every
-    reached state's first nonzero entry in the unit-peak blocks exceeds
-    3e-8 > eq_tol and it is known; the set is random, or the support with
-    random states added, or with one removed. Drifting chains (see
-    drifting_chain) select their first m states; for them it is not."""
+    """A positive system with n <= 8, the selector J of a set of states,
+    with Jdag = J^T, and the reachable support (the states reached from
+    the nonzero rows of B in the graph of A). J @ Jdag fixes every Krylov
+    block entrywise exactly when the set contains the support: a reached
+    state outside it has a nonzero entry in some block, which J @ Jdag
+    maps to 0. Random systems have n <= 6 and nonzero entries in
+    [0.5, 2], and the set is random, or the support with random states
+    added, or with one removed. Drifting chains (see drifting_chain)
+    select their first m states, which leave out the faint one."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", "superset", "short", "drift"]))
     if kind == "drift":
@@ -475,35 +479,37 @@ def selector_reductions(draw):
         if support.any():
             states[rng.choice(np.flatnonzero(support))] = False
     J = np.eye(n)[:, states]
-    return S, Factorization(J, J.T, np.flatnonzero(states).tolist()), support, kind != "drift"
+    return S, Factorization(J, J.T, np.flatnonzero(states).tolist()), support
 
 
 @given(selector_reductions())
 def test_reduce_accepts_exactly_when_every_krylov_block_is_fixed(case):
-    S, F, support, support_decides = case
+    S, F, support = case
     try:
         reduce(S, F)
         accepted = True
     except NotInvariantError:
         accepted = False
     assert accepted == fixes_every_krylov_block(S, F.J, F.Jdag)
-    if support_decides:
-        assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
+    assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
 
 
-def test_drifting_chains_reach_both_verdicts_after_block_m():
-    # The property above is only as strong as its cases. With m = 2 the
-    # blocks k <= m touch states 0..2 only, so they are the blocks of the
-    # 3-state truncation, and those pass; yet some of the full chains are
-    # rejected at a later block, and some are not.
+def test_drifting_chains_are_rejected_at_block_m():
+    # With m = 2 the blocks k <= m touch states 0..2 only, so they are the
+    # blocks of the 3-state truncation. Block m carries the faint edge's
+    # 1e-10 to 1e-8 of state 2, within eq_tol of the block's peak, which
+    # the selector of states 0 and 1 maps to 0: an entrywise miss of the
+    # whole entry. So every chain is rejected, truncated or full. (An
+    # absolute residual passed every truncation and 8 of the 40 chains.)
     rng = np.random.default_rng(7)
-    later = []
+    J = np.eye(8)[:, :2]
     for _ in range(40):
         S = drifting_chain(rng, 8, 2)
-        J = np.eye(8)[:, :2]
-        assert fixes_every_krylov_block(PositiveLtiSystem(S.A[:3, :3], S.B[:3]), J[:3], J[:3].T)
-        later.append(fixes_every_krylov_block(S, J, J.T))
-    assert 0 < sum(later) < len(later)
+        assert not fixes_every_krylov_block(PositiveLtiSystem(S.A[:3, :3], S.B[:3]),
+                                            J[:3], J[:3].T)
+        assert not fixes_every_krylov_block(S, J, J.T)
+        with pytest.raises(NotInvariantError):
+            reduce(S, Factorization(J, J.T, [0, 1]))
 
 
 def tiny_input_cascade() -> PositiveLtiSystem:
@@ -564,10 +570,33 @@ class TestReduceFallback:
             assert equivalent(S, report.reduced_system)
 
 
+@pytest.mark.parametrize("seed, pivots", [(22, list(range(12))),
+                                          (361, [0, 1, 2, 3, *range(5, 12)])],
+                         ids=["R600-22", "R600-361"])
+def test_clipped_scan_pair_is_refused(seed, pivots):
+    # Observable side (the reachable side of S^T): the exhaustive scan's
+    # J = V inv(V[pivots]) has entries of -1.15e-9 (seed 22) and -4.7e-9
+    # (seed 361). Clipped at 0, the pair still fixes every unit-peak
+    # Krylov column within eq_tol of its peak, and verify_factorization
+    # accepts it, but it fixes the faint states only roughly: its
+    # coefficients miss C A^k B by up to 35 times the coefficient's peak
+    # (seed 22). reduce refuses it entrywise.
+    T = r600_system(seed).transpose()
+    V = reachable_subspace(T)
+    assert exhaustive_first_hit(V.basis) == pivots
+    J = V.basis @ np.linalg.inv(V.basis[pivots])
+    assert J.min() < -TOL.nonneg_tol
+    F = Factorization(np.maximum(J, 0.0), np.eye(T.dim)[pivots], pivots)
+    assert verify_factorization(F, V)
+    assert not equivalent(T, PositiveLtiSystem(*project(T, F.J, F.Jdag)))
+    with pytest.raises(NotInvariantError):
+        reduce(T, F)
+
+
 def non_invariant_algebra_system() -> PositiveLtiSystem:
     """Draw 7440 of 20000 from default_rng(1), each draw n in [3, 7), then
     A from integers in {0, 1, 2}, each kept with probability 1/2, then B
-    from integers in {0, 1}: one of the 28 whose forced algebra is not
+    from integers in {0, 1}: one of the 28 whose algebra is not
     A-invariant. The reachable space is span{e1 + e2 + e3, e0 + e1 + e2};
     A maps the algebra's generator e1 + e2 to e0 + e2, outside it."""
     A = [[0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0]]
@@ -575,18 +604,18 @@ def non_invariant_algebra_system() -> PositiveLtiSystem:
 
 
 def test_non_invariant_algebra_is_accepted_by_the_krylov_fallback():
-    report = rpmr_reachable(non_invariant_algebra_system(), force_algebraic=True)
-    assert (report.method, report.reduced_dim) == ("algebraic", 3)
-    assert report.algebra.blocks == ((0,), (1, 2), (3,))
-    F = report.factorization
     S = non_invariant_algebra_system()
+    algebra, reduced = algebraic_reduction(S)
+    assert algebra.blocks == ((0,), (1, 2), (3,))
+    assert reduced.dim == 3
+    F = algebra_factorization(algebra)
     Ar, _, _ = project(S, F.J, F.Jdag)
     assert not np.allclose(S.A @ F.J, F.J @ Ar)
     with krylov_stacks_built() as built:
         assert reduce(S, F).dim == 3
     assert built == {"scaled full": 1}  # the fallback's own scaled stack
     assert fixes_every_krylov_block(S, F.J, F.Jdag)
-    assert equivalent(S, report.reduced_system)
+    assert equivalent(S, reduced)
 
 
 class KrylovFallback(Exception):
@@ -596,8 +625,9 @@ class KrylovFallback(Exception):
 @st.composite
 def factor_pairs(draw):
     """A system, or its transpose, with a factor pair: a selector from
-    selector_reductions; or the pipeline's factors, or its algebra's, on
-    a system of the non-invariant-algebra recipe or of R600 or D3."""
+    selector_reductions; or the pipeline's factors, or the factors of the
+    algebra of its basis, on a system of the non-invariant-algebra recipe
+    or of R600 or D3."""
     kind = draw(st.sampled_from(["selector", "recipe", "R600", "D3"]))
     if kind == "selector":
         return draw(selector_reductions())[:2]
@@ -610,10 +640,10 @@ def factor_pairs(draw):
         seed = draw(st.integers(0, 599))
         S = r600_system(seed) if kind == "R600" else d3_scaled(r600_system(seed), seed)
     S = S.transpose() if draw(st.booleans()) else S
-    report = rpmr_reachable(S, force_algebraic=draw(st.booleans()))
+    report = rpmr_reachable(S)
     F = report.factorization
-    if F is None and report.algebra is not None:
-        F = algebra_factorization(report.algebra)
+    if report.basis is not None and (F is None or draw(st.booleans())):
+        F = algebra_factorization(closure(report.basis, choose_p(report.basis)))
     assume(F is not None)
     return S, F
 
@@ -638,7 +668,7 @@ def test_reduce_verdict_matches_the_reference_loop_at_any_input_scale(case, e):
     # Scaling B by 2^e is exact, so the reference verdict does not move,
     # and neither may reduce's, whose Krylov fallback scales each block to
     # unit peak before forming the next.
-    S, F, _, _ = case
+    S, F, _ = case
     scaled = PositiveLtiSystem(S.A, np.ldexp(S.B, e), S.C)
     try:
         reduce(scaled, F)
