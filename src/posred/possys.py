@@ -65,14 +65,20 @@ class PositiveLtiSystem:
 
         The matrices were checked at construction, under the caller's
         tolerances, so the dual is not checked again."""
-        dual = object.__new__(PositiveLtiSystem)
-        dual.A, dual.B, dual.C = _frozen(self.A.T), _frozen(self.C.T), _frozen(self.B.T)
-        dual.time_domain = self.time_domain
-        return dual
+        return _unchecked(_frozen(self.A.T), _frozen(self.C.T), _frozen(self.B.T),
+                          self.time_domain)
 
     def __repr__(self) -> str:
         return (f"PositiveLtiSystem(n={self.dim}, inputs={self.num_inputs}, "
                 f"outputs={self.num_outputs}, {self.time_domain})")
+
+
+def _unchecked(A: np.ndarray, B: np.ndarray, C: np.ndarray, time_domain: str) -> PositiveLtiSystem:
+    """A system of read-only matrices that already passed the constructor's
+    checks, built without repeating them."""
+    S = object.__new__(PositiveLtiSystem)
+    S.A, S.B, S.C, S.time_domain = A, B, C, time_domain
+    return S
 
 
 def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False,
@@ -97,30 +103,38 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     [B, AB, ...] that column_space_basis selects from the full stack.
 
     Every A^k B vanishes, exactly, outside the structural support s: the
-    nonzero rows of B, grown through the digraph A != 0 until the set
-    stops changing. When 0 < q = |s| < n, only the first ceil(q / m)
-    blocks are built, m the number of nonzero columns of B, and X keeps
-    their columns save those of the zero columns of B, which stay zero at
-    every power and which the greedy pass refuses. The first q columns of
-    X are the answer, with no rank recheck, when every diagonal entry of
-    the R of X[s] exceeds 2 sqrt(q) max(rank_tol, q eps) max|X| (eps the
-    machine epsilon). Each elimination pivot of those columns is at least
-    |r_jj| / sqrt(q), so the greedy pass on the full stack would keep
-    exactly them, and the full stack is never formed: a later power that
-    would overflow no longer matters. Otherwise (the test fails, X is not
-    finite, or s is empty or everything) the full stack is built and
-    handed to column_space_basis, where a power that overflows raises
-    NonFiniteError.
+    nonzero rows of B, grown through the digraph A != 0 (not built when
+    those rows are every state) until the set stops changing. When
+    0 < q = |s| < n, only the first ceil(q / m) blocks are built, m the
+    number of nonzero columns of B, and X keeps their columns save those
+    of the zero columns of B, which stay zero at every power and which the
+    greedy pass refuses (with none, X is the stack as built). The first q
+    columns of X are the answer, with no rank recheck, when every
+    diagonal entry of the R of X[s] exceeds 2 sqrt(q) max(rank_tol, q eps)
+    max|X| (eps the machine epsilon). Each elimination pivot of those
+    columns is at least |r_jj| / sqrt(q), so the greedy pass on the full
+    stack would keep exactly them, and the full stack is never formed: a
+    later power that would overflow no longer matters. Otherwise (the test
+    fails, X is not finite, or s is empty or everything) the full stack is
+    built and handed to column_space_basis, where a power that overflows
+    raises NonFiniteError.
     """
-    # Grow s until it stops changing (q then stays) or holds every state.
-    s, q, G = S.B.any(axis=1), -1, S.A != 0
-    while q < (q := np.count_nonzero(s)) < S.dim:
-        s = G @ s | s
+    # q, m and peak are Python numbers: numpy scalar arithmetic costs more
+    # here than the matrix products.
+    s = S.B.any(axis=1)
+    q = int(np.count_nonzero(s))
+    if q < S.dim:
+        # Grow s until it stops changing (q then stays) or holds every state.
+        G, q = S.A != 0, -1
+        while q < (q := int(np.count_nonzero(s))) < S.dim:
+            s = G @ s | s
     if 0 < q < S.dim:
         live = S.B.any(axis=0)
-        k = -(-q // np.count_nonzero(live))
-        X = _krylov_powers(S.A, S.B, blocks=k)[:, np.concatenate((live,) * k)]
-        peak = abs(X).max()
+        k = -(-q // (m := int(np.count_nonzero(live))))
+        X = _krylov_powers(S.A, S.B, blocks=k)
+        if m < S.num_inputs:
+            X = X[:, np.concatenate((live,) * k)]
+        peak = float(abs(X).max())
         # The diagonal of qr's raw output is that of R, which it does not form.
         if peak < np.inf and (abs(np.linalg.qr(X[s], mode="raw")[0].diagonal())
                               > 2 * q ** 0.5 * max(tol.rank_tol, q * 2.0 ** -52) * peak).all():
@@ -228,11 +242,13 @@ def _entrywise_close(X: np.ndarray, Y: np.ndarray, e: float) -> bool:
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
-    Invariance is tested first. When A, B, J and Jdag have no negative
-    entry, write A_r = Jdag A J and B_r = Jdag B, and let
+    The reduced triple is read off one product: M = [A J, B] is formed
+    once, [A_r, B_r] = Jdag M, and C_r = C J. Invariance is tested first.
+    When A, B, J and Jdag have no negative entry, let |M - J [A_r, B_r]|
+    <= e max(|M|, |J [A_r, B_r]|) hold entrywise, that is
     |A J - J A_r| <= e max(|A J|, |J A_r|) and |B - J B_r| <=
-    e max(|B|, |J B_r|) hold entrywise, with e = eq_tol / (n + m + 1) (m
-    the column count of J). Then, by induction and monotonicity
+    e max(|B|, |J B_r|), with e = eq_tol / (n + m + 1) (m the column
+    count of J). Then, by induction and monotonicity
     (non-negative maps preserve entrywise bounds), each entry of
     J A_r^k B_r lies within a factor (1 +- e)^(k+1) of that of A^k B, at
     every k and under any diagonal scaling; with C >= 0 so does each
@@ -256,28 +272,44 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     blocks k <= m would decide, since a Krylov chain inside an
     m-dimensional Im(J) stops growing within m steps; under eq_tol they
     need not: blocks within eq_tol of Im(J) can still drift out of it at
-    later powers. The reduced triple must come out non-negative; the
-    PositiveLtiSystem constructor raises NotPositiveError otherwise
-    (possible only with mixed-sign factors).
+    later powers.
+
+    The output is checked in one pass: the minimum and maximum over
+    [A_r, B_r] and C_r must be finite and at least -nonneg_tol. The
+    checked products are then frozen and returned as they are, A_r and
+    B_r as read-only views of [A_r, B_r]. A triple that fails goes to the
+    PositiveLtiSystem constructor, which names the fault: NonFiniteError
+    for an overflow, NotPositiveError for a negative entry (possible only
+    with mixed-sign factors).
     """
     J, Jdag = _factor_pair(F, S.dim)
+    r = J.shape[1]
 
-    eps = tol.eq_tol / (S.dim + J.shape[1] + 1)
+    eps = tol.eq_tol / (S.dim + r + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        reduced = _restrict((S.A, S.B, S.C), J, Jdag)
+        M = np.concatenate((S.A @ J, S.B), axis=1)  # [A J, B]
+        R = Jdag @ M  # [A_r, B_r]
+        C_r = S.C @ J
         # No entry of B or Jdag is negative, and none of A or J is negative
         # or in (0, 2^-511), so no product term of A J underflows.
         invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
                      and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
                      and not ((J < 2.0 ** -511) & (J != 0.0)).any())
-        if invariant:  # [A J, B] against J [A_r, B_r]
-            invariant = _entrywise_close(np.concatenate((S.A @ J, S.B), axis=1),
-                                         J @ np.concatenate(reduced[:2], axis=1), eps)
+        if invariant:
+            invariant = _entrywise_close(M, J @ R, eps)
         if not invariant:
             P = _krylov_powers(S.A, S.B, scaled=True)
             if not _entrywise_close(P, J @ (Jdag @ P), tol.eq_tol):
                 raise NotInvariantError("J @ Jdag does not fix the reachable space")
-    return PositiveLtiSystem(*reduced, S.time_domain, tol)
+    # A NaN fails every comparison, and an infinity one of the two bounds.
+    floor = -tol.nonneg_tol
+    if not (R.min(initial=0.0) >= floor and C_r.min(initial=0.0) >= floor
+            and R.max(initial=0.0) < np.inf and C_r.max(initial=0.0) < np.inf):
+        # The constructor raises the error that names the faulty matrix.
+        return PositiveLtiSystem(R[:, :r], R[:, r:], C_r, S.time_domain, tol)
+    R.setflags(write=False)
+    C_r.setflags(write=False)
+    return _unchecked(R[:, :r], R[:, r:], C_r, S.time_domain)
 
 
 def equivalent(S1: PositiveLtiSystem, S2: PositiveLtiSystem,

@@ -11,9 +11,10 @@ the rank test that serve as the closure's grouping and span oracles, the
 per-block mask closure that serves as its block-building oracle, the raw
 and the exact rational Markov coefficients, the observability matrix, a
 simulator and the wedge product that serve as reference definitions, and
-the hypothesis profile."""
+the hypothesis profile and its temporary storage directory."""
 import contextlib
 import itertools
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +22,7 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import posred.possys
 from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, NonFiniteError,
@@ -31,11 +33,22 @@ from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, Non
 from posred.monotone import cone_coefficients
 
 # Derandomized, bounded and without an example database, so the property
-# suites are deterministic, cheap and write no files; no deadline, because
-# timings on shared machines vary.
+# suites are deterministic and cheap; no deadline, because timings on
+# shared machines vary.
 settings.register_profile("posred", derandomize=True, database=None, deadline=None,
                           max_examples=150)
 settings.load_profile("posred")
+# Hypothesis still writes to its storage directory without a database: the
+# constants it collects from the code under test, and a patch for every
+# failing property. That directory is a temporary one, removed when the
+# session ends, so a test run writes nothing into the working tree.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="posred-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    # After the terminal summary, where the failing properties' patch is saved.
+    _HYPOTHESIS_HOME.cleanup()
 
 
 def cascade_system(eps: float = 0.0, C=None) -> PositiveLtiSystem:

@@ -15,7 +15,8 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     Tolerances, algebra_factorization, choose_p, closure,
                     column_space_basis, equivalent,
                     find_nonneg_factorization, left_inverse, markov_match, project, rank,
-                    reachable_subspace, reduce, rpmr_reachable, verify_factorization)
+                    reachable_subspace, reduce, rpmr_observable, rpmr_reachable,
+                    verify_factorization)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system, is_nonneg
 from posred.possys import _krylov_powers
 from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive_first_hit,
@@ -359,8 +360,36 @@ class TestReduce:
         Ar, Br, _ = project(S, F.J, F.Jdag)
         np.testing.assert_allclose(Ar, [[-0.1, 0.9], [1.1, 1.1]], atol=1e-12)
         np.testing.assert_allclose(Br, [[1.2], [-0.1]], atol=1e-12)
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(NotPositiveError,
+                           match="^system is not positive: A has negative entries$"):
             reduce(S, F)
+
+    def test_overflowing_output_map_is_named(self):
+        # [A J, B] = [0, 1; 0, 1] is invariant and J R selects it exactly;
+        # only C J = 1e308 + 1e308 overflows.
+        S = PositiveLtiSystem(np.zeros((2, 2)), np.ones((2, 1)), np.full((1, 2), 1e308))
+        F = Factorization(np.ones((2, 1)), np.full((1, 2), 0.5), [0])
+        with pytest.raises(NonFiniteError, match="^C contains non-finite entries$"):
+            reduce(S, F)
+
+    def test_product_that_overflows_outside_the_pivots_is_refused(self):
+        # A J = [2, inf]: row 1 cannot be J A_r for any finite A_r, and
+        # A B overflows there too, so no finite reduction is exact.
+        S = PositiveLtiSystem([[1.0, 1.0], [1e308, 1e308]], np.ones((2, 1)), np.ones((1, 2)))
+        F = Factorization(np.ones((2, 1)), np.array([[1.0, 0.0]]), [0])
+        with pytest.raises(NotInvariantError):
+            reduce(S, F)
+
+    def test_reduced_matrices_are_read_only(self):
+        zero_input = PositiveLtiSystem(np.eye(2), np.zeros((2, 1)), np.ones((1, 2)))
+        reports = [rpmr_reachable(cascade_system()), rpmr_reachable(zero_input),
+                   rpmr_observable(swap_system(1.0).transpose())]
+        for report in reports:
+            assert report.method == "minimal"
+            for M in (report.reduced_system.A, report.reduced_system.B,
+                      report.reduced_system.C):
+                assert not M.flags.writeable
+                assert M.base is None or not M.base.flags.writeable
 
     def test_nonneg_pair_is_robust(self):
         F = find_nonneg_factorization(reachable_subspace(cascade_system()))
@@ -492,6 +521,33 @@ def test_reduce_accepts_exactly_when_every_krylov_block_is_fixed(case):
         accepted = False
     assert accepted == fixes_every_krylov_block(S, F.J, F.Jdag)
     assert accepted == (set(np.flatnonzero(support)) <= set(F.pivot_rows))
+
+
+def assert_principal_subsystem(S: PositiveLtiSystem, F: Factorization) -> None:
+    # Each entry of A J, Jdag [A J, B] and C J is one product by 1 plus
+    # exact zeros, so a selector reduction is exact on any BLAS.
+    s = F.pivot_rows
+    reduced = reduce(S, F)
+    np.testing.assert_array_equal(reduced.A, S.A[np.ix_(s, s)])
+    np.testing.assert_array_equal(reduced.B, S.B[s])
+    np.testing.assert_array_equal(reduced.C, S.C[:, s])
+
+
+@given(selector_reductions())
+def test_selector_reductions_are_the_principal_subsystem(case):
+    S, F, support = case
+    if set(np.flatnonzero(support)) <= set(F.pivot_rows):
+        assert_principal_subsystem(S, F)
+
+
+def test_planted_selector_reductions_are_the_principal_subsystem():
+    # The systems of the planted benchmark size, n = 12..16 with q = n / 2.
+    for n in range(12, 17):
+        for seed in range(6):
+            S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
+            F = rpmr_reachable(S).factorization
+            np.testing.assert_array_equal(F.J, np.eye(n)[:, F.pivot_rows])
+            assert_principal_subsystem(S, F)
 
 
 def test_drifting_chains_are_rejected_at_block_m():
