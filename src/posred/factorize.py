@@ -41,6 +41,21 @@ class Factorization(NamedTuple):
     pivot_rows: list[int]
 
 
+class _Selector(Factorization):
+    """The 0/1 selector pair J = I[:, s], Jdag = I[s, :] of a coordinate
+    basis, read-only, which possys.reduce reads off the principal
+    subsystem; a copy made by _make or _replace is a plain Factorization."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return Factorization._make(iterable)
+
+    def __repr__(self):
+        return repr(Factorization._make(self))
+
+
 def find_nonneg_factorization(
     V: SubspaceBasis,
     tol: Tolerances = DEFAULT_TOL,
@@ -52,8 +67,10 @@ def find_nonneg_factorization(
     the k-th nonzero row and Jdag = J.T. Full column rank makes those
     rows an invertible block, so they span the coordinate subspace;
     Jdag @ J = I and J @ Jdag fixes every basis column exactly, so the
-    pair is returned without a recheck (possys.reduce still certifies
-    it). Every other basis goes through the search below.
+    pair is returned without a recheck, as read-only arrays in a private
+    Factorization subclass: possys.reduce certifies it on the principal
+    subsystem, with no product. Every other basis goes through the search
+    below.
 
     The basis is first divided by the power of two that brings its
     largest entry into [1/2, 1), so its row norms are finite and nonzero
@@ -93,7 +110,10 @@ def find_nonneg_factorization(
     if support.size == m:
         J = np.zeros((n, m))
         J[support, np.arange(m)] = 1.0
-        return Factorization(J, np.ascontiguousarray(J.T), support.tolist())
+        Jdag = np.ascontiguousarray(J.T)
+        J.setflags(write=False)
+        Jdag.setflags(write=False)
+        return _Selector(J, Jdag, support.tolist())
     B = np.ldexp(V.basis, -np.frexp(abs(V.basis).max())[1])
     norms = np.linalg.norm(B, axis=1)
     nonzero = norms > tol.rank_tol * np.abs(B).max()

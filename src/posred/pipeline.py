@@ -156,10 +156,10 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> Reduc
     search missed, and the report says "minimal". On a coordinate
     reachable space (a planted system) neither the basis nor the
     exactness check forms the full Krylov stack: reachable_subspace
-    certifies the first blocks on the structural support, and the
-    selector passes reduce's invariance test. Every reported reduction
-    comes from possys.reduce, whose entrywise checks make every Markov
-    coefficient match. When the algebraic route fails too (choose_p finds
+    certifies the first blocks on the structural support, and reduce
+    reads the selector's reduction off the principal subsystem. Every
+    reported reduction comes from possys.reduce, whose entrywise checks
+    make every Markov coefficient match. When the algebraic route fails too (choose_p finds
     no reference vector, or reduce refuses the algebra's projector, as it
     does a closure that lost dimensions under strong scaling), the report
     is "none" at full order and its last diagnostic names the check. The

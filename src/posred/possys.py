@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
-from .factorize import Factorization
+from .factorize import Factorization, _Selector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
                        column_space_basis, unit_peak)
 
@@ -235,15 +235,55 @@ def _restrict(system, J: np.ndarray, Jdag: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _entrywise_close(X: np.ndarray, Y: np.ndarray, e: float) -> bool:
-    """Whether |X - Y| <= e max(|X|, |Y|) holds entrywise; NaN fails."""
-    return bool((abs(X - Y) <= e * np.maximum(abs(X), abs(Y))).all())
+    """Whether |X - Y| <= e max(|X|, |Y|) holds entrywise with |X - Y|
+    finite; NaN and infinities fail."""
+    d = abs(X - Y)
+    return bool(((d <= e * np.maximum(abs(X), abs(Y))) & (d < np.inf)).all())
+
+
+def _principal_subsystem(S: PositiveLtiSystem, F: _Selector,
+                         tol: Tolerances) -> PositiveLtiSystem | None:
+    """(A[s, s], B[s], C[:, s]) for the selector of the states s, or None
+    for reduce's general pass to decide.
+
+    With M = [A[:, s], B] (that is [A J, B]), count_nonzero(M) =
+    count_nonzero(M[s]) says that no state outside s is fed from s or by
+    the input, so Im(J) is exactly invariant and holds B. The output gets
+    reduce's sign floor, with the peak of [A_r, B_r] held below
+    2^1023 / (r + 1) so that the Krylov check, had it run, sees finite
+    blocks. The general pass would return the same bytes: its products
+    turn -0.0 into 0.0, and so does adding 0.0 here.
+    """
+    s = F.Jdag.argmax(axis=1)
+    r = s.size
+    M = np.concatenate((S.A.take(s, axis=1), S.B), axis=1)
+    R = M.take(s, axis=0)
+    R += 0.0
+    C_r = S.C.take(s, axis=1) + 0.0
+    floor = -tol.nonneg_tol
+    if not (np.count_nonzero(M) == np.count_nonzero(R)
+            and R.min(initial=0.0) >= floor and C_r.min(initial=0.0) >= floor
+            and R.max(initial=0.0) < 2.0 ** 1023 / (r + 1) and C_r.max(initial=0.0) < np.inf):
+        return None
+    R.setflags(write=False)
+    C_r.setflags(write=False)
+    return _unchecked(R[:, :r], R[:, r:], C_r, S.time_domain)
 
 
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
-    The reduced triple is read off one product: M = [A J, B] is formed
-    once, [A_r, B_r] = Jdag M, and C_r = C J. Invariance is tested first.
+    The read-only selector that find_nonneg_factorization returns for a
+    coordinate basis of the states s is first tried without a product:
+    when no state outside s is fed from s or by the input, the reduction
+    is (A[s, s], B[s], C[:, s]), under the output check below (see
+    _principal_subsystem). Every other pair, and a selector that fails
+    that test, takes the general pass, which returns the same bytes and
+    raises the same errors for a selector.
+
+    The general pass reads the reduced triple off one product: M =
+    [A J, B] is formed once, [A_r, B_r] = Jdag M, and C_r = C J.
+    Invariance is tested first.
     When A, B, J and Jdag have no negative entry, let |M - J [A_r, B_r]|
     <= e max(|M|, |J [A_r, B_r]|) hold entrywise, that is
     |A J - J A_r| <= e max(|A J|, |J A_r|) and |B - J B_r| <=
@@ -266,8 +306,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     scaled mode scales each block to unit peak (zero columns stay zero)
     before forming the next from it, so it is blind to how fast the
     powers grow or decay, and with Q = J (Jdag P) over all n blocks P,
-    |P - Q| <= eq_tol max(|P|, |Q|) must hold entrywise, the bound of the
-    invariance test. A state far below its column's peak is thus held to
+    |P - Q| <= eq_tol max(|P|, |Q|) must hold entrywise with |P - Q|
+    finite, as in the invariance test: an entry of Q that overflows fails. A state far below its column's peak is thus held to
     its own scale, which C may weigh heavily. In exact arithmetic the
     blocks k <= m would decide, since a Krylov chain inside an
     m-dimensional Im(J) stops growing within m steps; under eq_tol they
@@ -282,6 +322,11 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     for an overflow, NotPositiveError for a negative entry (possible only
     with mixed-sign factors).
     """
+    if (type(F) is _Selector and F.J.shape[0] == S.dim
+            and not (F.J.flags.writeable or F.Jdag.flags.writeable)):
+        reduced = _principal_subsystem(S, F, tol)
+        if reduced is not None:
+            return reduced
     J, Jdag = _factor_pair(F, S.dim)
     r = J.shape[1]
 

@@ -1,6 +1,8 @@
 """Positive-system objects: reachability, Markov parameters, reduction,
 equivalence, simulation."""
 import contextlib
+import copy
+import pickle
 import warnings
 from unittest import mock
 
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
-                    Tolerances, algebra_factorization, choose_p, closure,
-                    column_space_basis, equivalent,
+                    PosredError, SubspaceBasis, Tolerances, algebra_factorization,
+                    choose_p, closure, column_space_basis, equivalent,
                     find_nonneg_factorization, left_inverse, markov_match, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable,
                     verify_factorization)
@@ -283,8 +285,9 @@ def test_reachable_basis_edge_cases(system, certified):
 
 
 def test_planted_reductions_never_build_the_full_stack():
-    # The support certificate gives the basis and the selector passes
-    # reduce's invariance test, so neither layer forms [B, ..., A^(n-1) B],
+    # The support certificate gives the basis and reduce reads the
+    # selector's reduction off the principal subsystem, so neither layer
+    # forms [B, ..., A^(n-1) B],
     # raw or scaled. A zero column of B (GeneratorSpec(12, 2, 2, 6, 0.6, 2))
     # is left out of the certificate's columns.
     for n in range(12, 17):
@@ -378,6 +381,24 @@ class TestReduce:
         S = PositiveLtiSystem([[1.0, 1.0], [1e308, 1e308]], np.ones((2, 1)), np.ones((1, 2)))
         F = Factorization(np.ones((2, 1)), np.array([[1.0, 0.0]]), [0])
         with pytest.raises(NotInvariantError):
+            reduce(S, F)
+
+    def test_entrywise_close_fails_on_infinities(self):
+        # |inf - x| <= e inf holds, so the difference must be finite too.
+        # reduce calls the helper with floating-point warnings off.
+        close = posred.possys._entrywise_close
+        with np.errstate(invalid="ignore"):
+            assert not close(np.array([np.inf]), np.array([1.0]), 1e-9)
+            assert not close(np.array([np.inf]), np.array([np.inf]), 1e-9)
+        assert close(np.array([1.0]), np.array([1.0 + 1e-12]), 1e-9)
+
+    def test_krylov_product_that_overflows_is_refused(self):
+        # An entry of A below 2^-511 sends the pair to the Krylov check,
+        # where J (Jdag P) = 1e308 * 1e308 overflows against the block e0;
+        # the reduction (0, 1e308, 1e308) would answer C B = inf for 1.
+        S = PositiveLtiSystem([[0.0, 0.0], [0.0, 1e-320]], [[1.0], [0.0]], [[1.0, 0.0]])
+        F = Factorization(np.array([[1e308], [0.0]]), np.array([[1e308, 0.0]]), [0])
+        with pytest.raises(NotInvariantError, match="does not fix"):
             reduce(S, F)
 
     def test_reduced_matrices_are_read_only(self):
@@ -548,6 +569,91 @@ def test_planted_selector_reductions_are_the_principal_subsystem():
             F = rpmr_reachable(S).factorization
             np.testing.assert_array_equal(F.J, np.eye(n)[:, F.pivot_rows])
             assert_principal_subsystem(S, F)
+
+
+def reduce_outcome(S: PositiveLtiSystem, F: Factorization):
+    """reduce's error type and message, or the shapes and bytes of the
+    reduced matrices, each checked to be read-only with no writeable base."""
+    try:
+        reduced = reduce(S, F)
+    except PosredError as exc:
+        return type(exc), str(exc)
+    for M in (reduced.A, reduced.B, reduced.C):
+        assert not M.flags.writeable
+        assert M.base is None or not M.base.flags.writeable
+    return [(M.shape, M.tobytes()) for M in (reduced.A, reduced.B, reduced.C)]
+
+
+def counting_factor_pair():
+    """Counts the calls of reduce's general pass, which starts with _factor_pair."""
+    return mock.patch.object(posred.possys, "_factor_pair", wraps=posred.possys._factor_pair)
+
+
+@given(selector_reductions(), st.booleans())
+def test_selector_path_agrees_with_the_general_pass(case, negative_zeros):
+    # The products of the general pass turn -0.0 into 0.0; indexing must too.
+    S, F, _ = case
+    assume(F.pivot_rows)
+    if negative_zeros:
+        S = PositiveLtiSystem(*(np.where(M == 0.0, -0.0, M) for M in (S.A, S.B, S.C)))
+    trusted = find_nonneg_factorization(SubspaceBasis(np.eye(S.dim)[:, F.pivot_rows]))
+    assert type(trusted) is posred.factorize._Selector
+    assert reduce_outcome(S, trusted) == reduce_outcome(S, Factorization(*trusted))
+
+
+def test_edited_or_copied_selectors_take_the_general_pass():
+    S = cascade_system()
+    trusted = find_nonneg_factorization(reachable_subspace(S))
+    assert type(trusted) is posred.factorize._Selector
+    edited = [trusted._replace(pivot_rows=trusted.pivot_rows), trusted._make(trusted)]
+    assert [type(G) for G in edited] == [Factorization] * 2
+    # Copies keep the class, but their arrays are writeable.
+    copies = [copy.deepcopy(trusted), pickle.loads(pickle.dumps(trusted))]
+    expected = reduce_outcome(S, trusted)
+    for G, general in [(trusted, 0), *((G, 1) for G in edited + copies)]:
+        with counting_factor_pair() as factor_pair:
+            assert reduce_outcome(S, G) == expected
+        assert factor_pair.call_count == general
+
+
+@pytest.mark.parametrize("states, accepted", [([0, 1, 2], True), ([0], False)])
+def test_selectors_of_other_sets_get_the_general_verdict(states, accepted):
+    # The reachable support is {0, 1}. State 2 feeds state 3, so the
+    # superset {0, 1, 2} is not invariant, yet it fixes every Krylov block;
+    # the short {0} misses state 1.
+    A = np.zeros((4, 4))
+    A[1, 0] = A[1, 1] = A[3, 2] = 1.0
+    S = PositiveLtiSystem(A, np.eye(4)[:, :1], np.ones((1, 4)))
+    F = find_nonneg_factorization(SubspaceBasis(np.eye(4)[:, states]))
+    with counting_factor_pair() as factor_pair:
+        outcome = reduce_outcome(S, F)
+    assert factor_pair.call_count == 1
+    if accepted:
+        assert_principal_subsystem(S, F)
+    else:
+        assert outcome == (NotInvariantError, "J @ Jdag does not fix the reachable space")
+
+
+def test_selector_whose_krylov_blocks_overflow_gets_the_general_verdict():
+    # Span(e0, e1) is invariant, but the entry 1e-320 of A sends the
+    # general pass to the Krylov check, where A [1, 1, 0] overflows.
+    A = [[1e308, 1e308, 0.0], [1e308, 1e-320, 0.0], [0.0, 0.0, 0.0]]
+    S = PositiveLtiSystem(A, np.eye(3)[:, :1], np.ones((1, 3)))
+    F = find_nonneg_factorization(SubspaceBasis(np.eye(3)[:, :2]))
+    refusal = (NotInvariantError, "J @ Jdag does not fix the reachable space")
+    assert reduce_outcome(S, F) == reduce_outcome(S, Factorization(*F)) == refusal
+
+
+def test_planted_reports_stay_on_the_selector_path():
+    # The systems of the planted benchmark size, and their duals on the
+    # observable side.
+    for n in range(12, 17):
+        for seed in range(6):
+            S = generate_system(GeneratorSpec(n, 2, 2, n // 2, 0.6, seed))
+            with counting_factor_pair() as factor_pair:
+                reports = [rpmr_reachable(S), rpmr_observable(S.transpose())]
+            assert factor_pair.call_count == 0
+            assert [report.method for report in reports] == ["minimal"] * 2
 
 
 def test_drifting_chains_are_rejected_at_block_m():
