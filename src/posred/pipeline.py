@@ -2,9 +2,11 @@
 space, fall back to the algebra enlargement, reduce, and report.
 
 The observable direction is handled by duality: reduce the transposed
-system and transpose the result back. With the identity weighting this is
-a sufficient test only; other positive-definite weightings of the
-observable complement might admit a reduction when this one does not.
+system and transpose the result back. Non-negative factors with
+Jdag J = I reduce S exactly on the observable side iff O J Jdag = O, O
+the observability matrix, that is iff (Jdag^T, J^T) fixes the reachable
+space of the transpose; the map between the pairs is a bijection, so the
+dual search is as complete as the reachable one.
 """
 from __future__ import annotations
 
@@ -175,19 +177,18 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> Redu
 
     Runs the reachable pipeline on the transposed system and transposes
     the outcome back; the factor pair is swapped and transposed so that
-    (Jdag A J, Jdag B, C J) reproduces the reported reduced system. Only
-    the identity-weighted observable complement is searched, so a negative
-    outcome is not conclusive. No step draws random numbers. The algebraic
-    reduction alone is that of S.transpose(), transposed back.
+    (Jdag A J, Jdag B, C J) reproduces the reported reduced system. A pair
+    fixes the observable space of S exactly when its swapped transpose
+    fixes the reachable space of S.transpose(), so the outcome is as
+    conclusive as rpmr_reachable's. No step draws random numbers. The
+    algebraic reduction alone is that of S.transpose(), transposed back.
     """
     dual = _rpmr_core(S.transpose(), tol, "observable")
     F, reduced = dual.factorization, dual.reduced_system
     return dual._replace(
         space="observable",
         factorization=Factorization(F.Jdag.T, F.J.T, F.pivot_rows) if F is not None else None,
-        reduced_system=reduced.transpose() if reduced is not None else None,
-        diagnostics=[*dual.diagnostics,
-                     "observable search with identity weighting: sufficient test only"])
+        reduced_system=reduced.transpose() if reduced is not None else None)
 
 
 def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,

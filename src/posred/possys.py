@@ -84,18 +84,22 @@ def _unchecked(A: np.ndarray, B: np.ndarray, C: np.ndarray, time_domain: str) ->
 def _krylov_powers(A: np.ndarray, B: np.ndarray, scaled: bool = False,
                    blocks: int | None = None) -> np.ndarray:
     """[B, AB, ..., A^(k-1) B] with k = blocks (n by default), each block A
-    times the one before it in one buffer; a power that overflows holds
-    inf, silently. When scaled, each block is scaled to unit peak before
-    the next is formed from it."""
+    times the one before it, written into its column slice of one n x km
+    array; a power that overflows holds inf, silently. When scaled, each
+    block is scaled to unit peak before the next is formed from it."""
     n, m = B.shape
-    powers = np.empty((max(blocks or n, 1), n, m))  # B alone when n = 0
-    powers[0] = unit_peak(B) if scaled else B
+    X = np.empty((n, max(blocks or n, 1) * m))  # B alone when n = 0
+    P = unit_peak(B) if scaled else B
+    X[:, :m] = P
+    # Each block is formed from the contiguous one before it: a product
+    # into a strided column slice of X costs more than the copy into it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(powers)):
-            np.matmul(A, powers[k - 1], out=powers[k])
+        for j in range(m, X.shape[1], m or 1):  # no block to form when m = 0
+            P = A @ P
             if scaled:
-                powers[k] = unit_peak(powers[k])
-    return powers.transpose(1, 0, 2).reshape(n, len(powers) * m)
+                P = unit_peak(P)
+            X[:, j:j + m] = P
+    return X
 
 
 def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -241,45 +245,20 @@ def _entrywise_close(X: np.ndarray, Y: np.ndarray, e: float) -> bool:
     return bool(((d <= e * np.maximum(abs(X), abs(Y))) & (d < np.inf)).all())
 
 
-def _principal_subsystem(S: PositiveLtiSystem, F: _Selector,
-                         tol: Tolerances) -> PositiveLtiSystem | None:
-    """(A[s, s], B[s], C[:, s]) for the selector of the states s, or None
-    for reduce's general pass to decide.
-
-    With M = [A[:, s], B] (that is [A J, B]), count_nonzero(M) =
-    count_nonzero(M[s]) says that no state outside s is fed from s or by
-    the input, so Im(J) is exactly invariant and holds B. The output gets
-    reduce's sign floor, with the peak of [A_r, B_r] held below
-    2^1023 / (r + 1) so that the Krylov check, had it run, sees finite
-    blocks. The general pass would return the same bytes: its products
-    turn -0.0 into 0.0, and so does adding 0.0 here.
-    """
-    s = F.Jdag.argmax(axis=1)
-    r = s.size
-    M = np.concatenate((S.A.take(s, axis=1), S.B), axis=1)
-    R = M.take(s, axis=0)
-    R += 0.0
-    C_r = S.C.take(s, axis=1) + 0.0
-    floor = -tol.nonneg_tol
-    if not (np.count_nonzero(M) == np.count_nonzero(R)
-            and R.min(initial=0.0) >= floor and C_r.min(initial=0.0) >= floor
-            and R.max(initial=0.0) < 2.0 ** 1023 / (r + 1) and C_r.max(initial=0.0) < np.inf):
-        return None
-    R.setflags(write=False)
-    C_r.setflags(write=False)
-    return _unchecked(R[:, :r], R[:, r:], C_r, S.time_domain)
-
-
 def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL) -> PositiveLtiSystem:
     """Restrict S to Im(F.J), returning (Jdag A J, Jdag B, C J).
 
     The read-only selector that find_nonneg_factorization returns for a
-    coordinate basis of the states s is first tried without a product:
-    when no state outside s is fed from s or by the input, the reduction
-    is (A[s, s], B[s], C[:, s]), under the output check below (see
-    _principal_subsystem). Every other pair, and a selector that fails
-    that test, takes the general pass, which returns the same bytes and
-    raises the same errors for a selector.
+    coordinate basis of the states s is read by indexing, with no product:
+    M = [A[:, s], B] (that is [A J, B]), [A_r, B_r] = M[s] and C_r =
+    C[:, s], each plus 0.0, which turns -0.0 into 0.0 as the products
+    below do. It is kept when count_nonzero(M) = count_nonzero(M[s]), so
+    that no state outside s is fed from s or by the input (Im(J) is
+    exactly invariant and holds B), and the peak |entry| of [A_r, B_r] is
+    below 2^1023 / (r + 1), so that the Krylov check below, had it run,
+    would see finite blocks. The general pass would then accept the same
+    bytes. Every other pair, and a selector that fails that test, takes
+    the general pass.
 
     The general pass reads the reduced triple off one product: M =
     [A J, B] is formed once, [A_r, B_r] = Jdag M, and C_r = C J.
@@ -307,49 +286,59 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     before forming the next from it, so it is blind to how fast the
     powers grow or decay, and with Q = J (Jdag P) over all n blocks P,
     |P - Q| <= eq_tol max(|P|, |Q|) must hold entrywise with |P - Q|
-    finite, as in the invariance test: an entry of Q that overflows fails. A state far below its column's peak is thus held to
+    finite, as in the invariance test: an entry of Q that overflows
+    fails. A state far below its column's peak is thus held to
     its own scale, which C may weigh heavily. In exact arithmetic the
     blocks k <= m would decide, since a Krylov chain inside an
     m-dimensional Im(J) stops growing within m steps; under eq_tol they
     need not: blocks within eq_tol of Im(J) can still drift out of it at
     later powers.
 
-    The output is checked in one pass: the minimum and maximum over
-    [A_r, B_r] and C_r must be finite and at least -nonneg_tol. The
-    checked products are then frozen and returned as they are, A_r and
+    Either pass's output is checked in one pass: the minimum and maximum
+    over [A_r, B_r] and C_r must be finite and at least -nonneg_tol. The
+    checked matrices are then frozen and returned as they are, A_r and
     B_r as read-only views of [A_r, B_r]. A triple that fails goes to the
     PositiveLtiSystem constructor, which names the fault: NonFiniteError
     for an overflow, NotPositiveError for a negative entry (possible only
-    with mixed-sign factors).
+    with mixed-sign factors, or with a system checked under a looser
+    tolerance than tol).
     """
-    if (type(F) is _Selector and F.J.shape[0] == S.dim
-            and not (F.J.flags.writeable or F.Jdag.flags.writeable)):
-        reduced = _principal_subsystem(S, F, tol)
-        if reduced is not None:
-            return reduced
-    J, Jdag = _factor_pair(F, S.dim)
-    r = J.shape[1]
-
-    eps = tol.eq_tol / (S.dim + r + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = np.concatenate((S.A @ J, S.B), axis=1)  # [A J, B]
-        R = Jdag @ M  # [A_r, B_r]
-        C_r = S.C @ J
-        # No entry of B or Jdag is negative, and none of A or J is negative
-        # or in (0, 2^-511), so no product term of A J underflows.
-        invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
-                     and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
-                     and not ((J < 2.0 ** -511) & (J != 0.0)).any())
-        if invariant:
-            invariant = _entrywise_close(M, J @ R, eps)
-        if not invariant:
-            P = _krylov_powers(S.A, S.B, scaled=True)
-            if not _entrywise_close(P, J @ (Jdag @ P), tol.eq_tol):
-                raise NotInvariantError("J @ Jdag does not fix the reachable space")
+    indexed = (type(F) is _Selector and F.J.shape[0] == S.dim
+               and not (F.J.flags.writeable or F.Jdag.flags.writeable))
+    if indexed:
+        s = F.Jdag.argmax(axis=1)
+        r = s.size
+        M = np.concatenate((S.A.take(s, axis=1), S.B), axis=1)
+        R = M.take(s, axis=0)
+        R += 0.0
+        C_r = S.C.take(s, axis=1) + 0.0
+        low, high = R.min(initial=0.0), R.max(initial=0.0)
+        indexed = (np.count_nonzero(M) == np.count_nonzero(R)
+                   and max(-low, high) < 2.0 ** 1023 / (r + 1))
+    if not indexed:
+        J, Jdag = _factor_pair(F, S.dim)
+        r = J.shape[1]
+        eps = tol.eq_tol / (S.dim + r + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.concatenate((S.A @ J, S.B), axis=1)  # [A J, B]
+            R = Jdag @ M  # [A_r, B_r]
+            C_r = S.C @ J
+            # No entry of B or Jdag is negative, and none of A or J is negative
+            # or in (0, 2^-511), so no product term of A J underflows.
+            invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
+                         and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
+                         and not ((J < 2.0 ** -511) & (J != 0.0)).any())
+            if invariant:
+                invariant = _entrywise_close(M, J @ R, eps)
+            if not invariant:
+                P = _krylov_powers(S.A, S.B, scaled=True)
+                if not _entrywise_close(P, J @ (Jdag @ P), tol.eq_tol):
+                    raise NotInvariantError("J @ Jdag does not fix the reachable space")
+        low, high = R.min(initial=0.0), R.max(initial=0.0)
     # A NaN fails every comparison, and an infinity one of the two bounds.
     floor = -tol.nonneg_tol
-    if not (R.min(initial=0.0) >= floor and C_r.min(initial=0.0) >= floor
-            and R.max(initial=0.0) < np.inf and C_r.max(initial=0.0) < np.inf):
+    if not (low >= floor and C_r.min(initial=0.0) >= floor
+            and high < np.inf and C_r.max(initial=0.0) < np.inf):
         # The constructor raises the error that names the faulty matrix.
         return PositiveLtiSystem(R[:, :r], R[:, r:], C_r, S.time_domain, tol)
     R.setflags(write=False)

@@ -16,8 +16,9 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
-                      exact_markov_parameters, krylov_stacks_built, lumped_system,
-                      observability_matrix, r600_system, stubborn_span, swap_system)
+                      exact_markov_parameters, exhaustive_first_hit, krylov_stacks_built,
+                      lumped_system, observability_matrix, r600_system, stubborn_span,
+                      swap_system)
 
 TOL = Tolerances()
 
@@ -282,6 +283,11 @@ class TestReachableRoutes:
         for n, r, q in ((12, 6, 4), (14, 8, 5), (16, 8, 6)):
             report = rpmr_reachable(lumped_system(n, r, q, seed))
             assert (report.method, report.reduced_dim) == ("algebraic", r)
+        # R600 seeds 0-99 under D5, a third of them per id, on both spaces.
+        for s in range(seed, 100, 3):
+            S = d3_scaled(r600_system(s), s, 5)
+            rpmr_reachable(S)
+            rpmr_observable(S)
 
     @pytest.mark.parametrize("n, r, q, seed", [(10, 5, 3, 2), (7, 6, 3, 5), (9, 8, 7, 1)])
     def test_lumped_system_reduces_to_its_block_count(self, n, r, q, seed):
@@ -373,6 +379,48 @@ class TestObservable:
         np.testing.assert_allclose(Ar, report.reduced_system.A, atol=1e-12)
         np.testing.assert_allclose(Br, report.reduced_system.B, atol=1e-12)
         np.testing.assert_allclose(Cr, report.reduced_system.C, atol=1e-12)
+
+
+@st.composite
+def observable_side_systems(draw):
+    """Systems with n <= 8 and a proper observable space: the duals
+    (A^T, C^T, B^T) of generated, planted (reachable dimension n/2, two
+    inputs and outputs, density 0.6) and lumped systems."""
+    kind = draw(st.sampled_from(["generated", "planted", "lumped"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "lumped":
+        n = draw(st.integers(4, 8))
+        r = draw(st.integers(3, n))
+        T = lumped_system(n, r, draw(st.integers(2, r - 1)), seed)
+    else:
+        n = draw(st.integers(2, 8))
+        T = generate_system(
+            GeneratorSpec(n, 2, 2, max(1, n // 2), 0.6, seed) if kind == "planted" else
+            GeneratorSpec(n, draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                          draw(st.integers(1, n)), draw(st.sampled_from([0.3, 0.6, 1.0])), seed))
+    S = PositiveLtiSystem(T.A.T, T.C.T, T.B.T)
+    O = observability_matrix(S)
+    assume(O.any() and rank(O) < n)
+    return S, O
+
+
+@given(observable_side_systems())
+def test_observable_reports_match_the_exhaustive_scan_of_the_observability_matrix(case):
+    # The oracle works on S alone. Non-negative factors with Jdag J = I
+    # reduce S exactly on the observable side iff O J Jdag = O, that is iff
+    # the non-negative pair (Jdag^T, J^T) fixes the row space of O. So the
+    # first row subset that the exhaustive scan accepts on a basis of that
+    # space gives the report's pivots, at the order rank(O), and no subset
+    # means no minimal report: the observable search is complete.
+    S, O = case
+    q = rank(O)
+    hit = exhaustive_first_hit(np.linalg.svd(O.T)[0][:, :q])
+    report = rpmr_observable(S)
+    assert (report.method == "minimal") == (hit is not None)
+    if hit is not None:
+        F = report.factorization
+        assert (report.reduced_dim, F.pivot_rows) == (q, hit)
+        assert (abs(O @ F.J @ F.Jdag - O) <= 1e-8 * abs(O).max(axis=1, keepdims=True)).all()
 
 
 @pytest.mark.parametrize("system, order", [

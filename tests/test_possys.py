@@ -644,6 +644,19 @@ def test_selector_whose_krylov_blocks_overflow_gets_the_general_verdict():
     assert reduce_outcome(S, F) == reduce_outcome(S, Factorization(*F)) == refusal
 
 
+def test_selector_of_huge_negative_entries_gets_the_general_verdict():
+    # A system checked under eq_tol = 1e308 keeps entries of -1e307. The
+    # selector's bound is on the peak |entry|, so this pair takes the
+    # general pass, whose Krylov blocks overflow, rather than the
+    # constructor's sign error.
+    A = np.zeros((19, 19))
+    A[:18, :18] = -1e307
+    S = PositiveLtiSystem(A, np.eye(19)[:, :1], np.ones((1, 19)), tol=Tolerances(1e308))
+    F = find_nonneg_factorization(SubspaceBasis(np.eye(19)[:, :18]))
+    refusal = (NotInvariantError, "J @ Jdag does not fix the reachable space")
+    assert reduce_outcome(S, F) == reduce_outcome(S, Factorization(*F)) == refusal
+
+
 def test_planted_reports_stay_on_the_selector_path():
     # The systems of the planted benchmark size, and their duals on the
     # observable side.
