@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (reduction found, property holds), 1 input or
 validation error, 2 usage error (reported by argparse), 3 negative result
-(no reduction, not monotone, no factorization, verification failed).
+(no reduction, not monotone, no factorization, no reference vector for
+the algebra closure, verification failed).
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NonFiniteError, NotNonnegativeError, PosredError, RankDeficientError
+from .errors import (NonFiniteError, NotNonnegativeError, PosredError, RankDeficientError,
+                     SupportFailureError)
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
@@ -166,8 +168,12 @@ def cmd_factorize(args) -> int:
 def cmd_algebra(args) -> int:
     tol = _tolerances(args)
     basis = column_space_basis(_load_matrix(args.input), tol)
-    p = choose_p(basis, tol)
-    algebra = closure(basis, p, tol)
+    try:
+        p = choose_p(basis, tol)
+        algebra = closure(basis, p, tol)
+    except SupportFailureError as exc:
+        # A span with no reference vector is a negative result, as for factorize.
+        raise CliError(3, str(exc))
     factorization = algebra_factorization(algebra)
     _emit(args, {
         "schema_version": SCHEMA_VERSION,

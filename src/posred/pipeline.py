@@ -19,23 +19,11 @@ from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      SupportFailureError, ZeroMatrixError)
 from .factorize import Factorization, find_nonneg_factorization
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, _Checked
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
 from .possys import PositiveLtiSystem
 
 
-class _ReductionReport(NamedTuple):
-    method: str
-    space: str
-    original_dim: int
-    reduced_dim: int
-    factorization: Optional[Factorization] = None
-    reduced_system: Optional[PositiveLtiSystem] = None
-    diagnostics: Optional[list[str]] = None
-    algebra: Optional[DistortedAlgebra] = None
-    basis: Optional[SubspaceBasis] = None
-
-
-class ReductionReport(_Checked, _ReductionReport):
+class ReductionReport(NamedTuple):
     """What was done to a system and the evidence that it is sound.
 
     method is "minimal" (projector onto the target space itself, also
@@ -46,15 +34,20 @@ class ReductionReport(_Checked, _ReductionReport):
     presence is the verification. The algebra field keeps the enlargement
     that was computed on the algebraic route, and basis the target-space
     basis (for the observable space, the reachable basis of the transposed
-    system), or None when that space is trivial. A report given no
-    diagnostics gets an empty list of its own.
+    system), or None when that space is trivial. diagnostics is a tuple of
+    lines in the order the pipeline wrote them: the pipeline builds each
+    report once, with all of its lines.
     """
 
-    __slots__ = ()
-
-    @staticmethod
-    def _checked(report):
-        return report if report.diagnostics is not None else report._replace(diagnostics=[])
+    method: str
+    space: str
+    original_dim: int
+    reduced_dim: int
+    factorization: Optional[Factorization] = None
+    reduced_system: Optional[PositiveLtiSystem] = None
+    diagnostics: tuple[str, ...] = ()
+    algebra: Optional[DistortedAlgebra] = None
+    basis: Optional[SubspaceBasis] = None
 
 
 class PerturbationRecord(NamedTuple):
@@ -65,83 +58,75 @@ class PerturbationRecord(NamedTuple):
     equivalent: bool
 
 
-def _reduced(method: str, space: str, S: PositiveLtiSystem, F: Factorization,
-             tol: Tolerances, diagnostics: list[str], basis: Optional[SubspaceBasis],
-             algebra: Optional[DistortedAlgebra] = None) -> ReductionReport:
-    """Report of the reduction by F; possys.reduce raises unless it is exact
-    and positive."""
-    reduced = possys.reduce(S, F, tol)
-    return ReductionReport(method, space, S.dim, reduced.dim, F, reduced, diagnostics,
-                           algebra, basis)
-
-
 def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionReport:
     n = S.dim
-    diagnostics: list[str] = []
+    notes: list[str] = []
+    basis = algebra = None
+
+    def report(method: str, F: Optional[Factorization] = None, *closing: str,
+               replacing: bool = False) -> ReductionReport:
+        # With F, possys.reduce raises unless the reduction by F is exact and
+        # positive, before the closing lines follow the notes (in place of
+        # the last one when replacing).
+        reduced = None if F is None else possys.reduce(S, F, tol)
+        lines = (*(notes[:-1] if replacing else notes), *closing)
+        return ReductionReport(method, space, n, n if reduced is None else reduced.dim, F,
+                               reduced, lines, algebra, basis)
+
     try:
         basis = possys.reachable_subspace(S, tol)
     except ZeroMatrixError:
         # The target space is trivial and the order-zero reduction is
         # exact with empty factors.
         zero_map = "input" if space == "reachable" else "output"
-        diagnostics.append(f"{space} space is trivial (zero {zero_map} map); reduced to order 0")
-        F = Factorization(np.zeros((n, 0)), np.zeros((0, n)), [])
-        return _reduced("minimal", space, S, F, tol, diagnostics, None)
-
-    def none(reason: str, algebra: Optional[DistortedAlgebra] = None) -> ReductionReport:
-        diagnostics.append(reason)
-        return ReductionReport("none", space, n, n, diagnostics=diagnostics,
-                               algebra=algebra, basis=basis)
+        return report("minimal", Factorization(np.zeros((n, 0)), np.zeros((0, n)), []),
+                      f"{space} space is trivial (zero {zero_map} map); reduced to order 0")
 
     q = basis.dimension
     if q == n:
-        return none(f"already {space}: the {space} space has full dimension")
+        return report("none", None, f"already {space}: the {space} space has full dimension")
 
     F = find_nonneg_factorization(basis, tol)
     if F is None:
-        diagnostics.append(f"no projector onto the {space} space admits non-negative factors")
+        notes.append(f"no projector onto the {space} space admits non-negative factors")
     else:
         # Factors of a basis that column selection left short of the
         # space (raw powers under scaling) fail reduce's Krylov check.
         try:
-            return _reduced("minimal", space, S, F, tol, diagnostics, basis)
+            return report("minimal", F)
         except NotInvariantError:
-            diagnostics.append(f"non-negative factors of the {space} basis do not fix "
-                               f"the {space} space")
+            notes.append(f"non-negative factors of the {space} basis do not fix "
+                         f"the {space} space")
 
     try:
-        p = choose_p(basis, tol)
-        algebra = closure(basis, p, tol)
+        algebra = closure(basis, choose_p(basis, tol), tol)
     except SupportFailureError as exc:
-        return none(f"RPMR could not be performed: the {space} basis has no "
-                    f"reference vector for the algebra closure ({exc})")
+        return report("none", None, f"RPMR could not be performed: the {space} basis has "
+                                    f"no reference vector for the algebra closure ({exc})")
     if algebra.dimension >= n:
-        return none("RPMR could not be performed: the algebra enlargement has full dimension",
-                    algebra)
+        return report("none", None, "RPMR could not be performed: the algebra "
+                                    "enlargement has full dimension")
 
     # The enlargement need not be A-invariant: reduce() falls back to
     # checking that its projector fixes the target space. A closure that
     # lost dimensions under strong scaling cannot contain the space, and
     # that check refuses it.
-    minimal = algebra.dimension == q
-    diagnostics.append(f"algebra enlargement: {q} -> {algebra.dimension} dimensions")
+    G = algebra_factorization(algebra)
+    enlarged = f"algebra enlargement: {q} -> {algebra.dimension} dimensions"
     try:
-        report = _reduced("minimal" if minimal else "algebraic", space, S,
-                          algebra_factorization(algebra), tol, diagnostics, basis, algebra)
-    except NotInvariantError:
-        return none(f"RPMR could not be performed: the projector of the algebra "
-                    f"enlargement fails the exactness check (it does not fix the "
-                    f"{space} space)", algebra)
-    if minimal:
+        if algebra.dimension != q:
+            return report("algebraic", G, enlarged)
         # An algebra of dimension q is the target space itself: once reduce()
         # accepts its factors, they are a minimal pair that the search missed,
-        # and that replaces the enlargement line and any claim that none exists.
-        diagnostics.pop()
-        if F is None:
-            diagnostics.pop()
-        diagnostics.append(f"the algebra enlargement equals the {space} space "
-                           f"({q} dimensions); its factors are a non-negative minimal pair")
-    return report
+        # and that line replaces the enlargement line and, when the search
+        # found none, the note that claims none exists.
+        return report("minimal", G, f"the algebra enlargement equals the {space} space "
+                      f"({q} dimensions); its factors are a non-negative minimal pair",
+                      replacing=F is None)
+    except NotInvariantError:
+        return report("none", None, enlarged, "RPMR could not be performed: the projector "
+                      "of the algebra enlargement fails the exactness check (it does not "
+                      f"fix the {space} space)")
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionReport:
@@ -186,7 +171,6 @@ def rpmr_observable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> Redu
     dual = _rpmr_core(S.transpose(), tol, "observable")
     F, reduced = dual.factorization, dual.reduced_system
     return dual._replace(
-        space="observable",
         factorization=Factorization(F.Jdag.T, F.J.T, F.pivot_rows) if F is not None else None,
         reduced_system=reduced.transpose() if reduced is not None else None)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError
+from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError, ZeroMatrixError
 from .factorize import Factorization, _Selector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
                        column_space_basis, unit_peak)
@@ -119,20 +119,23 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     columns is at least |r_jj| / sqrt(q), so the greedy pass on the full
     stack would keep exactly them, and the full stack is never formed: a
     later power that would overflow no longer matters. Otherwise (the test
-    fails, X is not finite, or s is empty or everything) the full stack is
-    built and handed to column_space_basis, where a power that overflows
-    raises NonFiniteError.
+    fails, X is not finite, or s is everything) the full stack is built and
+    handed to column_space_basis, where a power that overflows raises
+    NonFiniteError. An empty s (B = 0, or n = 0) builds no stack and raises
+    ZeroMatrixError, as column_space_basis would on the zero stack.
     """
     # q, m and peak are Python numbers: numpy scalar arithmetic costs more
     # here than the matrix products.
     s = S.B.any(axis=1)
     q = int(np.count_nonzero(s))
+    if not q:
+        raise ZeroMatrixError("matrix has rank 0; no column-space basis")
     if q < S.dim:
         # Grow s until it stops changing (q then stays) or holds every state.
         G, q = S.A != 0, -1
         while q < (q := int(np.count_nonzero(s))) < S.dim:
             s = G @ s | s
-    if 0 < q < S.dim:
+    if q < S.dim:
         live = S.B.any(axis=0)
         k = -(-q // (m := int(np.count_nonzero(live))))
         X = _krylov_powers(S.A, S.B, blocks=k)

@@ -45,9 +45,9 @@ RECORDS = [
     (posred.DistortedAlgebra, {"p": "p", "generators": "G", "blocks": ((0,),)}, {}),
     (posred.ReductionReport,
      {"method": "minimal", "space": "reachable", "original_dim": 4, "reduced_dim": 2,
-      "factorization": "F", "reduced_system": "S", "diagnostics": ["d"],
+      "factorization": "F", "reduced_system": "S", "diagnostics": ("d",),
       "algebra": "a", "basis": "b"},
-     {"factorization": None, "reduced_system": None, "diagnostics": [],
+     {"factorization": None, "reduced_system": None, "diagnostics": (),
       "algebra": None, "basis": None}),
     (posred.PerturbationRecord,
      {"naive_positive": False, "robust_positive": True, "equivalent": True}, {}),

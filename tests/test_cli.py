@@ -262,6 +262,18 @@ class TestAlgebra:
         assert report["algebra_dim"] == 3
         assert report["blocks"] == [[0], [1], [2]]
 
+    def test_span_with_no_positive_vector_is_a_negative_result(self, tmp_path, capsys):
+        # No vector of span{(1, -1)} is strictly positive on its support:
+        # factorize finds no factors and algebra has no reference vector,
+        # and both exit 3.
+        path = write_json(tmp_path / "m.json", [[1.0], [-1.0]])
+        code, out, err = run(capsys, "factorize", "--input", path)
+        assert (code, err, json.loads(out)["found"]) == (3, "", False)
+        code, out, err = run(capsys, "algebra", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == ("error: no vector of the span is strictly positive on the "
+                       "subspace support\n")
+
 
 class TestVerify:
     def test_reduction_verifies(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import posred.monotone
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
-                    PerturbationRecord, PositiveLtiSystem, ReductionReport, Tolerances, equivalent,
+                    PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
                     find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
@@ -470,10 +470,10 @@ def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system
     q = report.basis.dimension
     assert (report.method, report.reduced_dim) == ("none", report.original_dim)
     assert refusal in report.diagnostics[0]
-    assert report.diagnostics[1:3] == [
+    assert report.diagnostics[1:3] == (
         f"algebra enlargement: {q} -> {q} dimensions",
         f"RPMR could not be performed: the projector of the algebra enlargement fails the "
-        f"exactness check (it does not fix the {report.space} space)"]
+        f"exactness check (it does not fix the {report.space} space)")
     assert not any("minimal pair" in line for line in report.diagnostics)
 
 
@@ -591,12 +591,49 @@ class TestReportBasis:
         assert rpmr_observable(S.transpose()).basis is None
 
 
-def test_reports_given_no_diagnostics_do_not_share_a_list():
-    first, second = (ReductionReport("none", "reachable", 3, 3) for _ in range(2))
-    assert first.diagnostics == second.diagnostics == []
-    assert first.diagnostics is not second.diagnostics
-    assert first._replace(diagnostics=None).diagnostics is not first.diagnostics
-    assert ReductionReport._make([*first[:6], None, *first[7:]]).diagnostics == []
+def scaled_input(S: PositiveLtiSystem, scale: float) -> PositiveLtiSystem:
+    return PositiveLtiSystem(S.A, S.B * scale, S.C)
+
+
+NO_PROJECTOR = "no projector onto the reachable space admits non-negative factors"
+NO_EXACT_ALGEBRA = ("RPMR could not be performed: the projector of the algebra enlargement "
+                    "fails the exactness check (it does not fix the reachable space)")
+
+
+@pytest.mark.parametrize("rpmr, system, method, lines", [
+    (rpmr_reachable, lambda: PositiveLtiSystem(np.eye(3), np.zeros((3, 2)), np.ones((1, 3))),
+     "minimal", ["reachable space is trivial (zero input map); reduced to order 0"]),
+    (rpmr_reachable, lambda: PositiveLtiSystem([[0.0, 1.0], [1.0, 0.0]], [[1.0], [0.0]]),
+     "none", ["already reachable: the reachable space has full dimension"]),
+    (rpmr_reachable, lambda: generate_system(GeneratorSpec(12, 2, 2, 6, 0.6, 0)), "minimal", []),
+    (rpmr_reachable, lambda: r600_system(8), "minimal", []),
+    (rpmr_reachable, lambda: lumped_system(12, 6, 4, 0), "algebraic",
+     [NO_PROJECTOR, "algebra enlargement: 4 -> 6 dimensions"]),
+    (rpmr_observable, lambda: r600_system(22), "minimal",
+     ["the algebra enlargement equals the observable space (12 dimensions); its factors are "
+      "a non-negative minimal pair"]),
+    (rpmr_reachable, lambda: scaled_input(lumped_system(12, 6, 4, 0), 1e-12), "none",
+     [NO_PROJECTOR, "RPMR could not be performed: the reachable basis has no reference "
+      "vector for the algebra closure (reference vector has empty support)"]),
+    (rpmr_reachable, stubborn_system, "none",
+     [NO_PROJECTOR, "RPMR could not be performed: the algebra enlargement has full dimension"]),
+    (rpmr_reachable, rank_one_chain_system, "none",
+     [NO_PROJECTOR, "algebra enlargement: 2 -> 2 dimensions", NO_EXACT_ALGEBRA]),
+    (rpmr_reachable, lambda: d3_scaled(r600_system(281), 281, 5), "none",
+     ["non-negative factors of the reachable basis do not fix the reachable space",
+      "algebra enlargement: 2 -> 2 dimensions", NO_EXACT_ALGEBRA]),
+    (rpmr_observable, lambda: cascade_system().transpose(), "minimal", [])],
+    ids=["trivial", "already-full", "minimal-selector", "minimal-search", "algebraic",
+         "equals-the-space", "none-no-reference-vector", "none-full-algebra",
+         "none-inexact-algebra", "none-inexact-factors-and-algebra", "observable"])
+def test_reports_carry_their_lines_as_a_tuple_of_strings(rpmr, system, method, lines):
+    # Each report is built once, with all of its lines: its diagnostics
+    # are a tuple, which no later step can change.
+    report = rpmr(system())
+    assert report.method == method
+    assert type(report.diagnostics) is tuple
+    assert all(type(line) is str for line in report.diagnostics)
+    assert report.diagnostics == tuple(lines)
 
 
 def short_basis_system() -> PositiveLtiSystem:

@@ -269,19 +269,21 @@ def tiny_negative_entries(outside: bool) -> PositiveLtiSystem:
     return PositiveLtiSystem(A, S.B, S.C)
 
 
-@pytest.mark.parametrize("system, certified", [
-    (lambda: PositiveLtiSystem(np.eye(3), np.zeros((3, 2))), False),
-    (nilpotent_chain, True),
-    (overflowing_chain, False),  # its first blocks overflow already
-    (lambda: tiny_negative_entries(outside=False), True),
-    (lambda: tiny_negative_entries(outside=True), False)],
+# The number of full raw stacks that reachable_subspace builds: none for a
+# zero input map (its support is empty) or when the certificate holds.
+@pytest.mark.parametrize("system, full_stacks", [
+    (lambda: PositiveLtiSystem(np.eye(3), np.zeros((3, 2))), 0),
+    (nilpotent_chain, 0),
+    (overflowing_chain, 1),  # its first blocks overflow already
+    (lambda: tiny_negative_entries(outside=False), 0),
+    (lambda: tiny_negative_entries(outside=True), 1)],
     ids=["zero-B", "nilpotent", "overflowing", "tiny-negative-inside", "tiny-negative-outside"])
-def test_reachable_basis_edge_cases(system, certified):
+def test_reachable_basis_edge_cases(system, full_stacks):
     S = system()
     assert_same_basis(S)
     with krylov_stacks_built() as built, contextlib.suppress(ZeroMatrixError, NonFiniteError):
         reachable_subspace(S)
-    assert built["raw full"] == (0 if certified else 1)
+    assert built["raw full"] == full_stacks
 
 
 def test_planted_reductions_never_build_the_full_stack():
