@@ -235,19 +235,16 @@ def cmd_perturb(args) -> int:
     naive = Factorization(basis, left_inverse(basis, tol), [])
 
     # Multiplicative noise on nonzero entries keeps positivity and the zero
-    # pattern; perturbation k draws its noise for A, then B, then C in one
-    # call to generator k.
-    seeds = np.random.default_rng(args.seed).integers(0, 2**63 - 1, args.count)
-    total = S.A.size + S.B.size + S.C.size
-    noise = np.array([np.random.default_rng(int(s)).uniform(1.0, 1.0 + args.delta, total)
-                      for s in seeds]).reshape(args.count, total)
-    parts = np.split(noise, [S.A.size, S.A.size + S.B.size], axis=1)
+    # pattern; one generator draws A's noise for every perturbation, then
+    # B's, then C's.
+    rng = np.random.default_rng(args.seed)
     # A huge --delta can overflow the perturbed stacks or their projections;
     # the experiment then raises NonFiniteError instead of giving records.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            perturbed = [np.where(M > 0, M * part.reshape(args.count, *M.shape), M)
-                         for M, part in zip((S.A, S.B, S.C), parts)]
+            perturbed = [np.where(M > 0, M * rng.uniform(1.0, 1.0 + args.delta,
+                                                          (args.count, *M.shape)), M)
+                         for M in (S.A, S.B, S.C)]
             records = perturbation_experiment(S, naive, robust.factorization, perturbed, tol)
     except NonFiniteError:
         raise CliError(1, f"--delta {args.delta:g} overflows the perturbed systems "

@@ -67,15 +67,22 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
 
     The column sum is tried first; on an entrywise non-negative basis,
     such as the generators A^k B of a positive system, it cannot cancel
-    and is returned. Otherwise one cone-membership solve on the support
-    rows decides (monotone.positive_combination), and p = B c is then
-    about as large as each row's peak. SupportFailureError means no
-    vector of the span is strictly positive on the support.
+    and is returned. When the sum overflows (columns near the largest
+    double), it is taken of the basis divided by the power of two that
+    brings its peak into [1/2, 1), which is exact and changes no sign;
+    the blocks and J do not depend on the scale of p. Otherwise one
+    cone-membership solve on the support rows decides
+    (monotone.positive_combination), and p = B c is then about as large
+    as each row's peak. SupportFailureError means no vector of the span
+    is strictly positive on the support.
     """
     B = V.basis
     peaks = np.abs(B).max(axis=1)
     support = np.flatnonzero(peaks > tol.nonneg_tol)
-    candidate = B.sum(axis=1)
+    with np.errstate(over="ignore"):
+        candidate = B.sum(axis=1)
+    if not np.isfinite(candidate).all():
+        candidate = np.ldexp(B, -np.frexp(peaks.max())[1]).sum(axis=1)
     if not (candidate[support] > tol.nonneg_tol).all():
         c = positive_combination(B[support], tol)
         if c is not None:

@@ -23,8 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .monotone import positive_combination
-from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is_nonneg,
-                       rank, unit_peak)
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is_nonneg, unit_peak
 
 
 class Factorization(NamedTuple):
@@ -86,14 +85,14 @@ def find_nonneg_factorization(
     is a convex combination of the m extreme ones, so successive
     projection finds them: m times, pick the row of largest norm and
     project it out of all rows. Each pick stands for the lowest-index row
-    on its ray, the first unit row within eq_tol of it. The picks are
-    accepted only if m distinct rows pass the sign test on unit rows,
-    U[rest] @ inv(U[pivots]) >= 0 (rows dropped as zero keep the absolute
-    test; a singular block or a non-finite entry fails it, silently), and
-    then the rank test, rank(U[pivots]) = m; neither depends on positive
-    row scaling. Then J = basis @ inv(V0), with its rows at the pivots set
-    to the identity and every entry whose unit-row value is within
-    nonneg_tol of zero, of either sign, set to zero: the negative entries
+    on its ray, the first unit row within eq_tol of it. The rows the picks
+    stand for are accepted only if they pass the sign test on unit rows,
+    U[rest] @ inv(U[pivots]) >= 0, which does not depend on positive row
+    scaling (rows dropped as zero keep the absolute test; fewer than m
+    rows, a singular block or a non-finite entry fails it, silently).
+    Then J = basis @ inv(V0), with its rows at the pivots set to the
+    identity and every entry whose unit-row value is within nonneg_tol
+    of zero, of either sign, set to zero: the negative entries
     the sign test forgave, and the rounding of inv(V0) where the exact
     entry is 0, which would fail the componentwise invariance test of
     possys.reduce. Jdag is the 0/1 selector of the pivots; the pair is
@@ -138,10 +137,7 @@ def find_nonneg_factorization(
     # Each pick stands for the first unit row within eq_tol of it; not
     # np.unique, whose first call in a process takes ~12 ms.
     on_ray = abs(U - U[picks][:, None]).max(axis=2) <= tol.eq_tol
-    kept = sorted(set(on_ray.argmax(axis=1).tolist()))
-    pivots = rows[kept]
-    if pivots.size != m:
-        return None
+    pivots = rows[sorted(set(on_ray.argmax(axis=1).tolist()))]
     with np.errstate(all="ignore"):
         try:
             J = B @ np.linalg.inv(B[pivots])
@@ -155,8 +151,6 @@ def find_nonneg_factorization(
         unit = J * scale
         if not unit.min() >= -tol.nonneg_tol:  # a NaN fails too
             return None
-    if rank(U[kept], tol) < m:
-        return None
     J[abs(unit) <= tol.nonneg_tol] = 0.0  # the forgiven signs and the rounding of inv(V0)
     Jdag = np.zeros((m, n))
     Jdag[np.arange(m), pivots] = 1.0

@@ -205,7 +205,10 @@ def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     power, so M^T M neither overflows nor underflows; outside the
     subnormal range both steps are exact. Raises RankDeficientError when
     rank(M) is below the column count, when the scaled M^T M is singular,
-    or when L @ M misses the identity by more than eq_tol (a NaN misses).
+    or when L @ M misses the identity by more than eq_tol (a NaN misses),
+    and NonFiniteError, without a warning, when the inverse overflows on
+    scaling back (M in the subnormal range: [[1e-320], [0]] has inverse
+    [[1e320, 0]], which is not a double).
     """
     A = as_matrix(M)
     n, m = A.shape
@@ -219,7 +222,11 @@ def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise RankDeficientError(f"{n}x{m} matrix has a singular Gram matrix") from None
     if not np.abs(L @ A - np.eye(m)).max(initial=0.0) <= tol.eq_tol:
         raise RankDeficientError("left inverse is inaccurate; matrix is numerically rank-deficient")
-    return np.ldexp(L, -exponent)
+    with np.errstate(over="ignore"):
+        L = np.ldexp(L, -exponent)
+    if not np.isfinite(L).all():
+        raise NonFiniteError(f"left inverse of the {n}x{m} matrix overflows")
+    return L
 
 
 def is_nonneg(M, tol: Tolerances = DEFAULT_TOL) -> bool:

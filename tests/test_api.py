@@ -72,6 +72,21 @@ def test_records_are_immutable_named_tuples(record, values, defaults):
             setattr(by_position, name, None)
 
 
+@pytest.mark.parametrize("make, expected", [
+    (lambda: posred.ReferenceVector([1.0, 0.0, 2.0]), "ReferenceVector([1.0, 0.0, 2.0])"),
+    (lambda: posred.SubspaceBasis([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+     "SubspaceBasis(dim 2 in R^3)"),
+    (lambda: posred.PositiveLtiSystem([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]]),
+     "PositiveLtiSystem(n=2, inputs=1, outputs=2, discrete)"),
+    (lambda: posred.find_nonneg_factorization(posred.SubspaceBasis([[1.0], [0.0]])),
+     "Factorization(J=array([[1.],"),
+], ids=["ReferenceVector", "SubspaceBasis", "PositiveLtiSystem", "coordinate-selector"])
+def test_reprs_name_the_public_class(make, expected):
+    # The coordinate selector is a private subclass that shows itself as
+    # the Factorization it is.
+    assert repr(make()).startswith(expected)
+
+
 @pytest.mark.parametrize("rpmr", [posred.rpmr_reachable, posred.rpmr_observable],
                          ids=["rpmr_reachable", "rpmr_observable"])
 def test_rpmr_takes_the_system_and_the_tolerance_alone(rpmr):

@@ -569,6 +569,21 @@ class TestPerturb:
         assert report["robust_method"] == "minimal"
         assert report["robust_positive_rate"] == report["equivalent_rate"] == 1.0
 
+    def test_subnormal_input_map_is_blamed_on_the_left_inverse(self, tmp_path):
+        # The naive left inverse of the basis [[1e-320], [0]] is 1e320,
+        # not a double: the error names it, not --delta, and -W error
+        # gives no traceback from the overflow in scaling it back.
+        path = write_json(tmp_path / "s.json", {"A": [[1, 0], [0, 1]], "B": [[1e-320], [0]]})
+        package_root = str(Path(posred.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "posred", "perturb",
+                               "--input", path], capture_output=True, text=True, env=env)
+        assert_input_error((proc.returncode, proc.stdout, proc.stderr))
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "left inverse" in proc.stderr
+        assert "--delta" not in proc.stderr
+
     def test_algebraic_robust_factors(self, tmp_path, capsys):
         # Five rows in the cone of four extreme rays: no minimal factors,
         # but the repeated last row keeps the algebra at four dimensions.
@@ -615,13 +630,14 @@ class TestPerturb:
 
     @pytest.mark.parametrize("system, seed, method, naive_bits", [
         ("cascade", "5", "minimal",
-         "0010000000010000000010010000100010000010100001001010100000010001"
-         "011110010100001100001000000000001000"),
+         "0010101000101010000100000000000011001100100000100000101100100001"
+         "100000001000000010010100000100001010"),
         ("planted", "5", "minimal", "0" * 200),
     ])
     def test_exact_records(self, tmp_path, capsys, system, seed, method, naive_bits):
-        # Every record is pinned, so each perturbation's noise stream (one
-        # generator per seed drawn from --seed, A then B then C) is too.
+        # Every record is pinned, so the noise stream is too: one generator
+        # seeded with --seed draws A's noise for every perturbation, then
+        # B's, then C's.
         path = str(tmp_path / "s.json")
         if system == "cascade":
             write_system(tmp_path / "s.json", cascade_system())

@@ -321,22 +321,23 @@ def lumped_bases(draw):
                                             draw(st.integers(0, 2**32 - 1))))
 
 
-def counting_rank_calls(basis):
-    """(find_nonneg_factorization(basis), calls to rank it made), with
-    floating-point warnings raised as errors."""
+def counting_rechecks(basis):
+    """(find_nonneg_factorization(basis), calls to verify_factorization it
+    made), with floating-point warnings raised as errors."""
     calls = []
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("error")
-        patch.setattr(factorize, "rank", lambda *args: calls.append(args) or rank(*args))
+        patch.setattr(factorize, "verify_factorization",
+                      lambda *args: calls.append(args) or verify_factorization(*args))
         F = find_nonneg_factorization(basis)
     return F, len(calls)
 
 
 @given(lumped_bases())
 def test_lumped_search_ends_at_the_sign_test(basis):
-    # The sign test runs before the rank test and rejects every lumped
-    # pick, so the search never pays for rank's elimination steps.
-    assert counting_rank_calls(basis) == (None, 0)
+    # The sign test rejects every lumped pick, so the search never builds
+    # a pair for verify_factorization to recheck.
+    assert counting_rechecks(basis) == (None, 0)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-300])
@@ -346,7 +347,7 @@ def test_singular_picked_block_fails_without_a_warning(eps):
     # 0) or singular to working precision: no factorization, no warning.
     V = SubspaceBasis(np.array([[1.0, 1.0, eps], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                 [1.0, 1.0, 5e-9]]))
-    assert counting_rank_calls(V) == (None, 0)
+    assert counting_rechecks(V) == (None, 0)
 
 
 class TestVerify:

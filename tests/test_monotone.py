@@ -5,9 +5,24 @@ import pytest
 
 from posred import (NotNonnegativeError, RankDeficientError, Tolerances,
                     is_monotone_general, is_monotone_nonneg_rect, nonneg_lstsq)
-from posred.monotone import cone_coefficients
+from posred.monotone import cone_coefficients, positive_combination
 
 TOL = Tolerances()
+
+
+@pytest.mark.parametrize("column_scale", [1.0, 1e6])
+def test_positive_combination_is_positive_on_every_row(column_scale):
+    # (1, -1), (1, 0) and (0, 1) all lie in the open half-plane of c = (2, 1);
+    # the solve scales the columns, so a second column 1e6 times larger
+    # still gives one.
+    rows = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) * [1.0, column_scale]
+    c = positive_combination(rows)
+    assert c is not None
+    assert (rows @ c > 0.0).all()
+
+
+def test_positive_combination_of_opposite_rows_is_none():
+    assert positive_combination(np.array([[1.0], [-1.0]])) is None
 
 
 class TestNonnegLstsq:

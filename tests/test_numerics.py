@@ -1,12 +1,14 @@
 """Unit tests for the tolerance-controlled linear algebra layer."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (GeneratorSpec, RankDeficientError, SubspaceBasis, Tolerances,
-                    ZeroMatrixError, column_space_basis, generate_system, is_nonneg, left_inverse,
-                    rank)
+from posred import (GeneratorSpec, NonFiniteError, RankDeficientError, SubspaceBasis,
+                    Tolerances, ZeroMatrixError, column_space_basis, generate_system, is_nonneg,
+                    left_inverse, rank)
 from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
 from conftest import greedy_column_selection, per_column_selection, reachability_matrix
@@ -271,6 +273,14 @@ class TestLeftInverse:
         # overflowed to a NaN inverse that passed the accuracy check.
         M = np.random.default_rng(3).random((6, 3))
         np.testing.assert_array_equal(left_inverse(np.ldexp(M, k)), np.ldexp(left_inverse(M), -k))
+
+    def test_inverse_beyond_the_largest_double_is_non_finite(self):
+        # The true inverse of the subnormal column is 1e320, not a double;
+        # scaling back overflowed, with a warning, to an inverse of inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="left inverse"):
+                left_inverse(np.array([[1e-320], [0.0]]))
 
     def test_nearly_parallel_columns_give_an_inaccurate_inverse(self):
         # Both pivots beat the rank threshold, but M^T M has condition

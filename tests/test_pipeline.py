@@ -1,5 +1,6 @@
 """End-to-end reduction pipeline: route selection, verification, duality,
 and the perturbation experiment."""
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -184,7 +185,8 @@ class TestReachableRoutes:
         # 110), log10 d uniform in [-5, 5] from default_rng(0): the search
         # picks rows [0, 2], and row 2 has norm 1.7e-10 of the largest
         # entry, so the scaled rows B[[0, 2]] have rank 1 under rank_tol.
-        # Their unit rows have rank 2, and the route stays minimal.
+        # The sign test and the recheck do not depend on row scale, and
+        # the route stays minimal.
         rng = np.random.default_rng(0)
         rng.uniform(-5.0, 5.0, 9)
         d = 10.0 ** rng.uniform(-5.0, 5.0, 9)
@@ -872,6 +874,18 @@ def test_input_maps_at_extreme_scales_reduce_as_unscaled(scale):
     report = rpmr_reachable(PositiveLtiSystem(S.A, S.B * scale, S.C))
     assert (report.method, report.reduced_dim) == ("minimal", 3)
     assert report.factorization.pivot_rows == rpmr_reachable(S).factorization.pivot_rows
+
+
+@pytest.mark.parametrize("scale", [1e307, 3e307, 5e307])
+def test_lumped_input_map_near_the_largest_double_reduces_algebraically(scale):
+    # From 3e307 on the column sum of the reachable basis overflowed to
+    # inf, and choose_p's reference vector was refused as non-finite.
+    S = scaled_input(lumped_system(12, 6, 4, 0), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = rpmr_reachable(S)
+        assert (report.method, report.reduced_dim) == ("algebraic", 6)
+        assert equivalent(S, report.reduced_system)
 
 
 @given(st.integers(2, 10), st.integers(1, 2), st.sampled_from([0.6, 0.8, 1.0]),
