@@ -5,8 +5,8 @@ A matrix X is monotone when X x >= 0 forces x >= 0. That is exactly when
 X has an entrywise non-negative left inverse, and again exactly when the
 cone spanned by the rows of X contains the whole non-negative orthant.
 For non-negative matrices there is a purely structural shortcut: a
-non-negative full-column-rank X is monotone iff it contains one row per
-column supported on that column alone.
+non-negative X, of any rank or shape, is monotone iff it contains one
+row per column supported on that column alone.
 """
 import numpy as np
 

@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import (NonFiniteError, NotNonnegativeError, PosredError, RankDeficientError,
-                     SupportFailureError)
+from .errors import NonFiniteError, NotNonnegativeError, PosredError, SupportFailureError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_general, is_monotone_nonneg_rect
@@ -134,7 +133,7 @@ def cmd_monotone(args) -> int:
     try:
         certificate = is_monotone_nonneg_rect(X, tol)
         method = "nonneg-shortcut"
-    except (NotNonnegativeError, RankDeficientError):
+    except NotNonnegativeError:
         certificate = is_monotone_general(X, tol)
         method = "general-oracle"
     L = certificate.nonneg_left_inverse
@@ -227,10 +226,7 @@ def cmd_perturb(args) -> int:
     if robust.reduced_dim == 0:
         raise CliError(3, "input map is zero; nothing to reduce or perturb")
     if robust.method == "none":
-        if robust.basis.dimension == S.dim:
-            raise CliError(3, "system is already reachable; nothing to reduce")
-        reason = robust.diagnostics[-1].removeprefix("RPMR could not be performed: ")
-        raise CliError(3, f"no robust reduction exists: {reason}")
+        raise CliError(3, robust.diagnostics[-1])
     basis = robust.basis.basis
     naive = Factorization(basis, left_inverse(basis, tol), [])
 

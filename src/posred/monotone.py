@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotNonnegativeError, RankDeficientError
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix, rank
+from .errors import NotNonnegativeError
+from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 
 
 class MonotoneCertificate(NamedTuple):
@@ -157,27 +157,29 @@ def is_monotone_general(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate
 
 
 def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate:
-    """Orthogonal-row search for a non-negative full-column-rank matrix.
+    """Monomial-row test for a non-negative matrix of any rank or shape.
 
-    m nonzero rows with pairwise disjoint supports inside m columns must
-    each occupy a single, distinct column, so the scan looks for the first
-    row supported on each column alone. Both the sign test and the
-    support are taken relative to the largest entry of each row: X counts
-    as non-negative when no entry is below -nonneg_tol times its row's
-    peak, and an entry is in the support when it exceeds nonneg_tol times
-    that peak. A pivot row is divided by its own pivot, which is its peak,
-    so L X is within nonneg_tol of I, and the verdict depends neither on
-    the scale of X nor on the scale of any row. On success the left
-    inverse picks those rows, scaled to invert the diagonal block they
-    form.
+    A non-negative n x m matrix has a non-negative left inverse exactly
+    when m of its rows are positive multiples of distinct unit vectors
+    (Berman & Plemmons, ch. 5), so the scan looks for the first row
+    supported on each column alone. Those m rows form an invertible
+    diagonal block, so a True verdict implies full column rank and no
+    rank test is needed: a rank-deficient or wide matrix has fewer such
+    rows and is refused. Both the sign test
+    and the support are taken relative to the largest entry of each row:
+    X counts as non-negative when no entry is below -nonneg_tol times its
+    row's peak, and an entry is in the support when it exceeds nonneg_tol
+    times that peak. A pivot row is divided by its own pivot, which is its
+    peak, so L X is within nonneg_tol of I, and the verdict depends
+    neither on the scale of X nor on the scale of any row. On success the
+    left inverse picks those rows, scaled to invert the diagonal block
+    they form.
     """
     A = as_matrix(X, "X")
     n, m = A.shape
     row_floor = tol.nonneg_tol * abs(A).max(axis=1, initial=0.0, keepdims=True)
     if (A < -row_floor).any():
         raise NotNonnegativeError("matrix has negative entries")
-    if n < m or rank(A, tol) < m:
-        raise RankDeficientError(f"{n}x{m} matrix does not have full column rank")
     support = A > row_floor
     support_sizes = support.sum(axis=1)
     pivot_for_column: dict[int, int] = {}

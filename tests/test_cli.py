@@ -188,6 +188,16 @@ class TestMonotone:
         assert report["orthogonal_rows"] == [0, 1]
         np.testing.assert_allclose(report["left_inverse"], np.diag([1e-3, 2e6]))
 
+    @pytest.mark.parametrize("s", [1e-11, 1e-13, 1e-15])
+    def test_badly_scaled_diagonal_takes_the_shortcut(self, tmp_path, capsys, s):
+        # The monomial rows decide diag(1, s) at any s; the oracle's
+        # absolute gradient floor stops at x = 0 on diag(1, 1e-15).
+        path = write_json(tmp_path / "m.json", [[1.0, 0.0], [0.0, s]])
+        code, out, _ = run(capsys, "monotone", "--input", path)
+        report = json.loads(out)
+        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        np.testing.assert_allclose(report["left_inverse"], np.diag([1.0, 1.0 / s]))
+
     def test_small_negative_block_goes_to_general_oracle(self, tmp_path, capsys):
         X = np.zeros((4, 4))
         X[0, 0] = 1e3
@@ -602,7 +612,7 @@ class TestPerturb:
         code, out, err = run(capsys, "perturb", "--input", path)
         assert code == 3
         assert out == ""
-        assert "no robust reduction exists" in err
+        assert err.startswith("error: RPMR could not be performed: ")
 
     def test_already_reachable_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json",
@@ -626,7 +636,7 @@ class TestPerturb:
         code, out, err = run(capsys, "perturb", "--input", path)
         assert code == 3
         assert out == ""
-        assert err.startswith(f"error: no robust reduction exists: {reason}")
+        assert err.startswith(f"error: RPMR could not be performed: {reason}")
 
     @pytest.mark.parametrize("system, seed, method, naive_bits", [
         ("cascade", "5", "minimal",

@@ -350,6 +350,18 @@ def test_singular_picked_block_fails_without_a_warning(eps):
     assert counting_rechecks(V) == (None, 0)
 
 
+def test_search_stops_when_projection_leaves_no_row():
+    # Row 2 is below the rank threshold of the peak and counts as zero, so
+    # the kept rows lie on one ray: after the first pick every projected
+    # row is exactly zero, the search stops short of m picks and returns
+    # None without a warning, as the cone walk does.
+    V = SubspaceBasis([[2e-10, 1.0], [2e-10, 1.0], [9e-11, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_nonneg_factorization(V) is None
+    assert cone_walk_pivots(V.basis) is None
+
+
 class TestVerify:
     V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
 

@@ -2,9 +2,11 @@
 combinatorial shortcuts against the oracle."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from posred import (NotNonnegativeError, RankDeficientError, Tolerances,
-                    is_monotone_general, is_monotone_nonneg_rect, nonneg_lstsq)
+from posred import (NotNonnegativeError, Tolerances, is_monotone_general,
+                    is_monotone_nonneg_rect, nonneg_lstsq)
 from posred.monotone import cone_coefficients, positive_combination
 
 TOL = Tolerances()
@@ -152,8 +154,6 @@ class TestSquareShortcut:
         for _ in range(40):
             n = int(rng.integers(2, 5))
             X = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.1, 1.0, (n, n)), 0.0)
-            if np.linalg.matrix_rank(X) < n:
-                continue
             one_per_row = (X > 0).sum(axis=1) == 1
             one_per_col = (X > 0).sum(axis=0) == 1
             assert (is_monotone_nonneg_rect(X).monotone
@@ -162,8 +162,9 @@ class TestSquareShortcut:
     def test_rejections(self):
         with pytest.raises(NotNonnegativeError):
             is_monotone_nonneg_rect(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(RankDeficientError):
-            is_monotone_nonneg_rect(np.ones((2, 2)))
+        # A singular non-negative matrix has no monomial rows: a verdict,
+        # not an error.
+        assert not is_monotone_nonneg_rect(np.ones((2, 2))).monotone
 
 
 class TestRectShortcut:
@@ -242,10 +243,10 @@ class TestRectShortcut:
     def test_rejections(self):
         with pytest.raises(NotNonnegativeError):
             is_monotone_nonneg_rect(np.array([[1.0], [-1.0]]))
-        with pytest.raises(RankDeficientError):
-            is_monotone_nonneg_rect(np.array([[1.0, 1.0], [2.0, 2.0]]))
-        with pytest.raises(RankDeficientError):
-            is_monotone_nonneg_rect(np.ones((2, 3)))
+        # Rank-deficient and wide matrices have fewer than m monomial rows:
+        # a verdict, not an error.
+        assert not is_monotone_nonneg_rect(np.array([[1.0, 1.0], [2.0, 2.0]])).monotone
+        assert not is_monotone_nonneg_rect(np.ones((2, 3))).monotone
 
 
 def random_nonneg_full_rank(rng, n, m):
@@ -279,6 +280,34 @@ def test_shortcut_agrees_with_cone_oracle():
             assert L.min() >= -TOL.nonneg_tol
             np.testing.assert_allclose(L @ X, np.eye(m), atol=TOL.eq_tol)
     assert min(verdicts.values()) > 10
+
+
+@st.composite
+def scaled_integer_matrices(draw):
+    """A non-negative integer matrix with entries 0-3, n <= 6 and m <= 5,
+    rank-deficient and wide ones included, and a row scaling 10^k with k
+    in [-6, 6] for each row."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    X = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                               min_size=n, max_size=n)), dtype=float)
+    d = 10.0 ** np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+    return X, d
+
+
+@given(scaled_integer_matrices())
+def test_shortcut_decides_every_nonneg_matrix_as_the_oracle(drawn):
+    # Monomial rows decide monotonicity of any non-negative matrix, so the
+    # shortcut needs no rank test and no row scaling moves its verdict.
+    X, d = drawn
+    fast = is_monotone_nonneg_rect(X)
+    assert fast.monotone == is_monotone_general(X).monotone
+    scaled = is_monotone_nonneg_rect(d[:, None] * X)
+    assert scaled.monotone == fast.monotone
+    if scaled.monotone:
+        L = scaled.nonneg_left_inverse
+        assert L.min() >= 0.0
+        np.testing.assert_allclose(L @ (d[:, None] * X), np.eye(X.shape[1]), atol=TOL.eq_tol)
 
 
 def test_nonneg_orthogonality_is_disjoint_support():

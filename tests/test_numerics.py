@@ -55,6 +55,10 @@ class TestRank:
         assert rank(np.ones((2, 6))) == 1
         assert rank(np.ones((6, 2))) == 1
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix(self, shape):
+        assert rank(np.zeros(shape)) == 0
+
 
 class TestColumnSpaceBasis:
     def test_selects_leading_independent_columns(self):
