@@ -5,9 +5,10 @@ when X has an entrywise non-negative left inverse, or again when the cone
 spanned by its rows contains the whole non-negative orthant. The general
 test here settles cone membership with non-negative least squares, and
 one such solve also finds a combination of columns positive on every
-row; for non-negative matrices a much cheaper structural test applies,
-because non-negative vectors are orthogonal exactly when their supports
-are disjoint.
+row; for non-negative matrices a much cheaper structural test applies:
+a non-negative n x m matrix is monotone exactly when m of its rows are
+positive multiples of distinct unit vectors. Those monomial rows have
+disjoint supports, so they are pairwise orthogonal.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from .numerics import DEFAULT_TOL, Tolerances, as_matrix
 
 class MonotoneCertificate(NamedTuple):
     """Verdict plus evidence: a non-negative left inverse when monotone,
-    and the orthogonal row indices when the structural shortcut found them."""
+    and, when the structural shortcut found them, the indices of the m
+    monomial rows, one per column, which are pairwise orthogonal."""
 
     monotone: bool
     nonneg_left_inverse: Optional[np.ndarray] = None

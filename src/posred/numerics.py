@@ -198,28 +198,23 @@ def _full_rank_basis(M: np.ndarray) -> SubspaceBasis:
 
 
 def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose left inverse (M^T M)^{-1} M^T of a full-column-rank matrix.
+    """Moore-Penrose left inverse of a full-column-rank matrix, by pinv.
 
     M is divided by the power of two that brings its largest entry into
-    [1/2, 1), and the inverse of the scaled matrix multiplied by the same
-    power, so M^T M neither overflows nor underflows; outside the
-    subnormal range both steps are exact. Raises RankDeficientError when
-    rank(M) is below the column count, when the scaled M^T M is singular,
-    or when L @ M misses the identity by more than eq_tol (a NaN misses),
-    and NonFiniteError, without a warning, when the inverse overflows on
-    scaling back (M in the subnormal range: [[1e-320], [0]] has inverse
+    [1/2, 1), and the pseudo-inverse of the scaled matrix multiplied by
+    the same power; outside the subnormal range both steps are exact.
+    pinv drops singular values below its cutoff, so one residual test
+    decides: RankDeficientError when L @ M misses the identity by more
+    than eq_tol (a NaN misses), as for a rank-deficient or too
+    ill-conditioned M. NonFiniteError, without a warning, when the
+    inverse overflows on scaling back ([[1e-320], [0]] has inverse
     [[1e320, 0]], which is not a double).
     """
     A = as_matrix(M)
     n, m = A.shape
     exponent = np.frexp(np.abs(A).max(initial=0.0))[1]
     A = np.ldexp(A, -exponent)
-    if rank(A, tol) < m:
-        raise RankDeficientError(f"{n}x{m} matrix has rank below {m}")
-    try:
-        L = np.linalg.solve(A.T @ A, A.T)
-    except np.linalg.LinAlgError:
-        raise RankDeficientError(f"{n}x{m} matrix has a singular Gram matrix") from None
+    L = np.linalg.pinv(A)
     if not np.abs(L @ A - np.eye(m)).max(initial=0.0) <= tol.eq_tol:
         raise RankDeficientError("left inverse is inaccurate; matrix is numerically rank-deficient")
     with np.errstate(over="ignore"):

@@ -517,6 +517,20 @@ class TestPerturb:
         assert report["naive_positive_rate"] == 1.0
         assert report["robust_positive_rate"] == 1.0
 
+    def test_ill_conditioned_basis_gives_a_naive_pair(self, tmp_path, capsys):
+        # The reachable basis [B, AB] has nearly parallel columns (condition
+        # about 4e6); its pseudo-inverse is accurate, so the naive pair exists.
+        path = write_json(tmp_path / "s.json", {"A": [[1, 0, 0], [0, 1.000001, 0], [0, 0, 1]],
+                                                "B": [[1], [1], [0]], "C": [[1, 1, 1]]})
+        code, out, _ = run(capsys, "reduce", "--input", path)
+        report = json.loads(out)
+        assert (code, report["method"], report["reduced_dim"]) == (0, "minimal", 2)
+        code, out, err = run(capsys, "perturb", "--input", path, "--count", "5", "--seed", "3")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["robust_positive_rate"] == 1.0
+        assert report["naive_positive_rate"] < 1.0
+
     def test_zero_count(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", cascade_system())
         code, out, _ = run(capsys, "perturb", "--input", path, "--count", "0")

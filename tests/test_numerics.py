@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from posred import (GeneratorSpec, NonFiniteError, RankDeficientError, SubspaceBasis,
                     Tolerances, ZeroMatrixError, column_space_basis, generate_system, is_nonneg,
-                    left_inverse, rank)
+                    left_inverse, rank, rpmr_reachable)
 from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
-from conftest import greedy_column_selection, per_column_selection, reachability_matrix
+from conftest import (greedy_column_selection, per_column_selection, r600_system,
+                      reachability_matrix)
 
 TOL = Tolerances()
 
@@ -287,16 +288,38 @@ class TestLeftInverse:
                 left_inverse(np.array([[1e-320], [0.0]]))
 
     def test_nearly_parallel_columns_give_an_inaccurate_inverse(self):
-        # Both pivots beat the rank threshold, but M^T M has condition
-        # about 1e13, so L @ M misses the identity by far more than eq_tol.
+        # Condition about 4e12: pinv keeps both singular values, but
+        # L @ M misses the identity by far more than eq_tol.
         with pytest.raises(RankDeficientError, match="inaccurate"):
-            left_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]]))
+            left_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]))
+
+    def test_condition_four_million_inverts(self):
+        # Condition about 4e6: squared, as in the normal equations, it
+        # would miss eq_tol; the pseudo-inverse never squares it.
+        M = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
+        assert np.abs(left_inverse(M) @ M - np.eye(2)).max() <= TOL.eq_tol
 
     def test_singular_gram_matrix_is_rank_deficient(self):
-        # With rank_tol = 0 the rank test keeps a column at 2^-600 of the
-        # peak, whose square underflows to an exactly singular M^T M.
-        with pytest.raises(RankDeficientError, match="singular Gram"):
+        # pinv drops the singular value at 2^-600 of the peak, so the
+        # residual refuses the inverse even with rank_tol = 0.
+        with pytest.raises(RankDeficientError, match="inaccurate"):
             left_inverse(np.diag([1.0, 2.0 ** -600]), Tolerances(0.0))
+
+    def test_small_diagonal_entry_inverts_exactly(self):
+        # Its inverse is a double, so no threshold relative to the peak may refuse it.
+        np.testing.assert_array_equal(left_inverse(np.diag([1.0, 1e-12])), np.diag([1.0, 1e12]))
+
+    @pytest.mark.parametrize("seed", [56, 125, 163])
+    def test_certified_r600_basis_inverts(self, seed):
+        # Certified raw-power bases with condition 1e5 to 2e7 (n = 7, 8, 8).
+        X = rpmr_reachable(r600_system(seed)).basis.basis
+        assert np.abs(left_inverse(X) @ X - np.eye(X.shape[1])).max() <= TOL.eq_tol
+
+    def test_empty_shapes(self):
+        assert left_inverse(np.zeros((3, 0))).shape == (0, 3)
+        assert left_inverse(np.zeros((0, 0))).shape == (0, 0)
+        with pytest.raises(RankDeficientError):
+            left_inverse(np.zeros((0, 3)))
 
 
 class TestIsNonneg:
