@@ -5,7 +5,6 @@ validation error, 2 usage error (reported by argparse), 3 negative result
 (no reduction, not monotone, no factorization, no reference vector for
 the algebra closure, verification failed).
 """
-from __future__ import annotations
 
 import argparse
 import json
@@ -89,13 +88,16 @@ def _system_payload(S: PositiveLtiSystem) -> dict:
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        try:
+    try:
+        if args.output:
             Path(args.output).write_text(text)
-        except OSError as exc:
-            raise CliError(1, str(exc))
-    else:
-        sys.stdout.write(text)
+        else:
+            # Flushed inside the try, so that a full disk or a closed pipe
+            # under stdout is one error line and exit 1, not a traceback.
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise CliError(1, str(exc))
 
 
 def report_to_dict(report: ReductionReport) -> dict:
@@ -334,7 +336,3 @@ def main(argv=None) -> int:
     except PosredError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

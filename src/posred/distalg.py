@@ -9,7 +9,6 @@ factor with non-negative factors. This module closes a subspace to the
 smallest such algebra containing it (and its unit) and extracts the
 idempotent generators.
 """
-from __future__ import annotations
 
 from typing import NamedTuple
 

@@ -16,7 +16,6 @@ systems, whose reachable space is, for generic weights, the coordinate
 subspace of the states reachable in the influence digraph (Lin,
 "Structural controllability", IEEE TAC 19, 1974).
 """
-from __future__ import annotations
 
 from typing import NamedTuple, Optional
 

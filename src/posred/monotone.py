@@ -10,7 +10,6 @@ a non-negative n x m matrix is monotone exactly when m of its rows are
 positive multiples of distinct unit vectors. Those monomial rows have
 disjoint supports, so they are pairwise orthogonal.
 """
-from __future__ import annotations
 
 from typing import NamedTuple, Optional
 

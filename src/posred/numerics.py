@@ -6,7 +6,6 @@ column bases by one elimination pass whose threshold follows the columns
 kept so far, Moore-Penrose left inverses, sign tests, unit-peak columns
 and the projector residual that certifies exactness.
 """
-from __future__ import annotations
 
 from typing import NamedTuple
 

@@ -8,7 +8,6 @@ the observability matrix, that is iff (Jdag^T, J^T) fixes the reachable
 space of the transpose; the map between the pairs is a bijection, so the
 dual search is as complete as the reachable one.
 """
-from __future__ import annotations
 
 from typing import NamedTuple, Optional
 

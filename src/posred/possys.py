@@ -1,6 +1,5 @@
 """Positive LTI systems: the reachable space, comparison of impulse
 responses, projection-based reduction and equivalence."""
-from __future__ import annotations
 
 import numpy as np
 

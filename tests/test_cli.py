@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON schemas, determinism."""
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -30,6 +31,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child interpreter that must import the posred
+    under test, installed or not."""
+    package_root = str(Path(posred.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 class TestReduce:
@@ -598,11 +607,9 @@ class TestPerturb:
         # not a double: the error names it, not --delta, and -W error
         # gives no traceback from the overflow in scaling it back.
         path = write_json(tmp_path / "s.json", {"A": [[1, 0], [0, 1]], "B": [[1e-320], [0]]})
-        package_root = str(Path(posred.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "posred", "perturb",
-                               "--input", path], capture_output=True, text=True, env=env)
+                               "--input", path], capture_output=True, text=True,
+                              env=child_env())
         assert_input_error((proc.returncode, proc.stdout, proc.stderr))
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "left inverse" in proc.stderr
@@ -685,28 +692,92 @@ def test_console_entry_point(tmp_path):
     path = tmp_path / "s.json"
     S = cascade_system()
     path.write_text(json.dumps({"A": S.A.tolist(), "B": S.B.tolist()}))
-    # The child must import the posred under test, installed or not.
-    package_root = str(Path(posred.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "posred", "reduce",
                            "--input", str(path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["method"] == "minimal"
+
+
+def console_script_target():
+    """The `module:function` that pyproject.toml's `posred` script calls."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    line = next(line for line in pyproject.read_text().splitlines()
+                if line.startswith("posred = "))
+    return line.split("=", 1)[1].strip().strip('"').split(":")
+
+
+@pytest.mark.parametrize("launcher", ["module", "console script"])
+def test_entry_freezes_the_heap(launcher):
+    # Both ways into the command run one entry, which moves what the imports
+    # built into the permanent generation; an atexit hook reads the count.
+    if launcher == "module":
+        start = "import runpy; runpy.run_module('posred', run_name='__main__', alter_sys=True)"
+    else:
+        module, function = console_script_target()
+        start = f"from {module} import {function}; sys.exit({function}())"
+    probe = ("import atexit, gc, sys; atexit.register(lambda: print("
+             "'frozen', gc.get_freeze_count(), file=sys.stderr)); " + start)
+    proc = subprocess.run([sys.executable, "-c", probe, "gen", "--n", "3"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["A"]) == 3
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(tmp_path, capsys):
+    path = write_system(tmp_path / "s.json", cascade_system())
+    before = gc.get_freeze_count()
+    assert run(capsys, "reduce", "--input", path)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["reduce", "--input", "s.json"], 0),
+    (["reduce", "--input", "s.json", "--rank-tol", "1e-9"], 2),
+    (["factorize", "--input", "stubborn.json"], 3),
+])
+def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, argv, code):
+    write_system(tmp_path / "s.json", cascade_system())
+    write_json(tmp_path / "stubborn.json", stubborn_span().tolist())
+    monkeypatch.chdir(tmp_path)
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:
+        in_process = exc.code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "posred", *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, captured.out,
+                                                           captured.err)
+    assert in_process == code
+
+
+@pytest.mark.parametrize("sink", ["full disk", "closed pipe"])
+def test_failed_write_to_stdout_is_one_error_line(sink):
+    if sink == "full disk":
+        stdout = open("/dev/full", "w")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+    with stdout:
+        proc = subprocess.run([sys.executable, "-m", "posred", "gen", "--n", "3"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_import_does_not_load_numpy_random():
     # numpy.random costs about 13 ms of start-up; only perturb and gen use
     # it, and they load it on first use. No module imports logging.
-    package_root = str(Path(posred.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     for module in ("posred", "posred.cli"):
         proc = subprocess.run([sys.executable, "-c",
                                f"import sys, {module}; print(sorted("
                                "{'numpy.random', 'logging'} & set(sys.modules)))"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
 
@@ -715,10 +786,7 @@ def test_benchmark_selftest_passes():
     # perfbench/ wraps the public API (choose_p, the rpmr entry points);
     # its self-test fails when a change to that API breaks the harness.
     repo_root = Path(__file__).resolve().parents[1]
-    package_root = str(Path(posred.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-W", "error",
                            str(repo_root / "perfbench" / "selftest.py")],
-                          capture_output=True, text=True, env=env, cwd=repo_root)
+                          capture_output=True, text=True, env=child_env(), cwd=repo_root)
     assert proc.returncode == 0, proc.stdout + proc.stderr
