@@ -8,6 +8,7 @@ the algebra closure, verification failed).
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -94,8 +95,18 @@ def _emit(args, payload: dict) -> None:
         else:
             # Flushed inside the try, so that a full disk or a closed pipe
             # under stdout is one error line and exit 1, not a traceback.
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                # The buffer keeps the bytes it failed to write, and the
+                # flush at shutdown would fail again ("Exception ignored",
+                # exit 120); point fd 1 at the null device so that it
+                # succeeds, as Python's docs on SIGPIPE recommend.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
     except OSError as exc:
         raise CliError(1, str(exc))
 

@@ -762,10 +762,13 @@ def test_failed_write_to_stdout_is_one_error_line(sink):
         read_end, write_end = os.pipe()
         os.close(read_end)
         stdout = os.fdopen(write_end, "w")
+    # The default, buffered stdout: its shutdown flush retries what failed.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with stdout:
         proc = subprocess.run([sys.executable, "-m", "posred", "gen", "--n", "3"],
-                              stdout=stdout, stderr=subprocess.PIPE, text=True,
-                              env=child_env())
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    assert "Exception ignored" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
