@@ -4,30 +4,34 @@
 A matrix X is monotone when X x >= 0 forces x >= 0. That is exactly when
 X has an entrywise non-negative left inverse, and again exactly when the
 cone spanned by the rows of X contains the whole non-negative orthant.
-For non-negative matrices there is a purely structural shortcut: a
-non-negative X, of any rank or shape, is monotone iff it contains one
-row per column supported on that column alone.
+posred decides non-negative matrices, the ones positive systems produce,
+by a purely structural test: a non-negative X, of any rank or shape, is
+monotone iff it contains one row per column supported on that column
+alone. A matrix with a negative entry is refused, not decided.
 """
 import numpy as np
 
-from posred import is_monotone_general, is_monotone_nonneg_rect
+from posred import NotNonnegativeError, is_monotone_nonneg_rect
 
 np.set_printoptions(precision=3, suppress=True)
 
-print("=== The general cone oracle ===")
+print("=== A shear: no private row for the second column ===")
 X = np.array([[1.0, 0.0],
               [1.0, 1.0]])
 print("X =\n", X)
-cert = is_monotone_general(X)
-print("monotone?", cert.monotone)
+print("monotone?", is_monotone_nonneg_rect(X).monotone)
 print("reason: e2 = c1*(1,0) + c2*(1,1) forces c1 = -1, so e2 is not in the cone\n")
 
+print("=== Negative entries are refused ===")
 Y = np.array([[2.0, -1.0],
               [-1.0, 2.0]])
-cert = is_monotone_general(Y)
 print("Y =\n", Y)
-print("monotone?", cert.monotone, " (mixed signs are fine for the oracle)")
-print("non-negative left inverse:\n", cert.nonneg_left_inverse, "\n")
+try:
+    is_monotone_nonneg_rect(Y)
+except NotNonnegativeError as exc:
+    print("refused:", exc)
+print("(inv(Y) is non-negative, so Y is monotone, but deciding a mixed-sign")
+print(" matrix is a cone-membership problem, which posred does not solve)\n")
 
 print("=== Square non-negative matrices: generalized permutations only ===")
 for M in (np.diag([2.0, 3.0]),

@@ -2,9 +2,11 @@
 """Non-negative full-rank factorization of projectors.
 
 Given a subspace V of R^n, we ask for a projector Pi = J @ Jdag onto V
-with both factors entrywise non-negative. The answer does not depend on
-which basis of V you start from: some m rows of the basis must form an
-invertible block V0 with basis[rest] @ inv(V0) >= 0. Such rows exist
+with both factors entrywise non-negative. The basis must be a
+non-negative generating set of V, as the reachable generators A^k B of a
+positive system are, and the answer does not depend on which one you
+start from: some m rows of the basis must form an invertible block V0
+with basis[rest] @ inv(V0) >= 0. Such rows exist
 exactly when the cone of the basis rows has m extreme rays, each carried
 by a row. With the unit rows put on a hyperplane, successive projection
 finds them in m steps (pick the largest row, project it out of all
@@ -13,7 +15,8 @@ test on unit rows certifies the pick.
 """
 import numpy as np
 
-from posred import SubspaceBasis, find_nonneg_factorization, verify_factorization
+from posred import (NotNonnegativeError, SubspaceBasis, find_nonneg_factorization,
+                    verify_factorization)
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -49,6 +52,11 @@ print("factorization found?", F is not None)
 print("(all four row triples leave a negative entry in basis[rest] @ inv(V0))")
 
 print()
-print("=== A mixed-sign line ===")
+print("=== A mixed-sign line is refused ===")
 V = SubspaceBasis(np.array([[1.0], [1.0], [-1.0]]))
-print("factorization found?", find_nonneg_factorization(V) is not None)
+try:
+    find_nonneg_factorization(V)
+except NotNonnegativeError as exc:
+    print("refused:", exc)
+print("(span{(1, 1, -1)} has no non-negative generating set; it has no such")
+print(" projector either, as J >= 0 would have to span it)")

@@ -15,8 +15,7 @@ from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      UnsupportedCoordinateError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg, left_inverse, rank)
-from .monotone import (MonotoneCertificate, is_monotone_general,
-                       is_monotone_nonneg_rect, nonneg_lstsq)
+from .monotone import MonotoneCertificate, is_monotone_nonneg_rect
 from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
 from .possys import (PositiveLtiSystem, equivalent, markov_match, project,
@@ -35,8 +34,7 @@ __all__ = [
     "SupportFailureError", "UnsupportedCoordinateError", "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
     "column_space_basis", "is_nonneg", "left_inverse", "rank",
-    "MonotoneCertificate", "is_monotone_general", "is_monotone_nonneg_rect",
-    "nonneg_lstsq",
+    "MonotoneCertificate", "is_monotone_nonneg_rect",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
     "PositiveLtiSystem", "equivalent", "markov_match", "project",
     "reachable_subspace", "reduce",

@@ -1,9 +1,11 @@
 """Command-line front end: JSON matrices and systems in, JSON reports out.
 
 Exit codes: 0 success (reduction found, property holds), 1 input or
-validation error, 2 usage error (reported by argparse), 3 negative result
-(no reduction, not monotone, no factorization, no reference vector for
-the algebra closure, verification failed).
+validation error (among them a matrix with negative entries, as monotone,
+factorize and algebra take non-negative generating sets only), 2 usage
+error (reported by argparse), 3 negative result (no reduction, not
+monotone, no factorization, no reference vector for the algebra closure,
+verification failed).
 """
 
 import argparse
@@ -16,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NonFiniteError, NotNonnegativeError, PosredError, SupportFailureError
+from .errors import NonFiniteError, PosredError, SupportFailureError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
-from .monotone import is_monotone_general, is_monotone_nonneg_rect
+from .monotone import is_monotone_nonneg_rect
 from .numerics import Tolerances, as_matrix, column_space_basis, is_nonneg, left_inverse
 from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
 from .possys import TIME_DOMAINS, PositiveLtiSystem, markov_match
@@ -143,17 +145,12 @@ def cmd_reduce(args) -> int:
 def cmd_monotone(args) -> int:
     tol = _tolerances(args)
     X = _load_matrix(args.input)
-    try:
-        certificate = is_monotone_nonneg_rect(X, tol)
-        method = "nonneg-shortcut"
-    except NotNonnegativeError:
-        certificate = is_monotone_general(X, tol)
-        method = "general-oracle"
+    certificate = is_monotone_nonneg_rect(X, tol)
     L = certificate.nonneg_left_inverse
     _emit(args, {
         "schema_version": SCHEMA_VERSION,
         "monotone": certificate.monotone,
-        "method": method,
+        "method": "nonneg-shortcut",
         "left_inverse": L.tolist() if L is not None else None,
         "orthogonal_rows": (list(certificate.orthogonal_row_set)
                             if certificate.orthogonal_row_set is not None else None),

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
                      SupportFailureError, UnsupportedCoordinateError)
 from .factorize import Factorization
-from .monotone import positive_combination
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, unit_peak
 
 
@@ -62,18 +61,18 @@ class DistortedAlgebra(NamedTuple):
 
 
 def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
-    """Vector of span(V), strictly positive on the subspace support.
+    """Vector of span(V), strictly positive on the subspace support: the
+    column sum of the basis.
 
-    The column sum is tried first; on an entrywise non-negative basis,
-    such as the generators A^k B of a positive system, it cannot cancel
-    and is returned. When the sum overflows (columns near the largest
-    double), it is taken of the basis divided by the power of two that
-    brings its peak into [1/2, 1), which is exact and changes no sign;
-    the blocks and J do not depend on the scale of p. Otherwise one
-    cone-membership solve on the support rows decides
-    (monotone.positive_combination), and p = B c is then about as large
-    as each row's peak. SupportFailureError means no vector of the span
-    is strictly positive on the support.
+    On an entrywise non-negative basis, such as the generators A^k B of a
+    positive system, the sum cannot cancel. When it overflows (columns
+    near the largest double), it is taken of the basis divided by the
+    power of two that brings its peak into [1/2, 1), which is exact and
+    changes no sign; the blocks and J do not depend on the scale of p. A
+    sum at or below nonneg_tol on the support raises NotNonnegativeError,
+    as the basis must be a non-negative generating set of the span; after
+    that division this also refuses a non-negative basis with a row below
+    about nonneg_tol * 2^1024.
     """
     B = V.basis
     peaks = np.abs(B).max(axis=1)
@@ -83,12 +82,10 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
     if not np.isfinite(candidate).all():
         candidate = np.ldexp(B, -np.frexp(peaks.max())[1]).sum(axis=1)
     if not (candidate[support] > tol.nonneg_tol).all():
-        c = positive_combination(B[support], tol)
-        if c is not None:
-            candidate = B @ c
-        if c is None or not (candidate[support] > tol.nonneg_tol).all():
-            raise SupportFailureError("no vector of the span is strictly positive "
-                                      "on the subspace support")
+        raise NotNonnegativeError("basis column sum is not above the sign tolerance on the "
+                                  "subspace support (negative entries, or rows underflowing "
+                                  "beside a sum that overflows): choose_p needs a "
+                                  "non-negative generating set of the span")
     p = np.zeros(V.ambient_dim)
     p[support] = candidate[support]
     return ReferenceVector(p, tol)

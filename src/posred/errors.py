@@ -39,6 +39,6 @@ class UnsupportedCoordinateError(PosredError):
 
 
 class SupportFailureError(PosredError):
-    """No vector of the span is strictly positive on the subspace support,
-    so no reference vector exists."""
+    """The reference vector has empty support (the whole span lies below
+    the sign tolerance), so the algebra closure has no unit."""
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .monotone import positive_combination
+from .errors import NotNonnegativeError
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is_nonneg, unit_peak
 
 
@@ -76,15 +76,15 @@ def find_nonneg_factorization(
     every decision and J are those of the unscaled basis.
     Rows whose norm is below the rank threshold are dropped as zero and
     the others scaled to unit rows U, so positive row scaling moves
-    nothing. Each unit row is divided by U @ c for a c positive on every
-    row: c = 1 when the row sums are positive, else the one cone solve of
-    monotone.positive_combination; when that finds none, no factorization
-    exists (it would supply one) and the search returns None. The rows
-    then lie on a hyperplane, and when a factorization exists every row
-    is a convex combination of the m extreme ones, so successive
-    projection finds them: m times, pick the row of largest norm and
-    project it out of all rows. Each pick stands for the lowest-index row
-    on its ray, the first unit row within eq_tol of it. The rows the picks
+    nothing. Each unit row is divided by its sum, which is at least 1 on
+    a non-negative basis; a unit row whose sum is at or below nonneg_tol
+    raises NotNonnegativeError, as the basis must be a non-negative
+    generating set of the span. The rows then lie on a hyperplane, and
+    when a factorization exists every row is a convex combination of the
+    m extreme ones, so successive projection finds them: m times, pick
+    the row of largest norm and project it out of all rows. Each pick
+    stands for the lowest-index row on its ray, the first unit row within
+    eq_tol of it. The rows the picks
     stand for are accepted only if they pass the sign test on unit rows,
     U[rest] @ inv(U[pivots]) >= 0, which does not depend on positive row
     scaling (rows dropped as zero keep the absolute test; fewer than m
@@ -119,10 +119,9 @@ def find_nonneg_factorization(
     U = B[rows] / norms[rows][:, None]
     height = U.sum(axis=1)
     if not (height > tol.nonneg_tol).all():
-        c = positive_combination(U, tol)
-        height = U @ c if c is not None else height
-        if not (height > tol.nonneg_tol).all():
-            return None
+        raise NotNonnegativeError("basis has negative entries: a unit row does not sum above "
+                                  "the sign tolerance, and the factorization search needs a "
+                                  "non-negative generating set of the span")
     R = U / height[:, None]
     picks = []
     for _ in range(m):

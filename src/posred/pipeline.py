@@ -145,8 +145,8 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> Reduc
     certifies the first blocks on the structural support, and reduce
     reads the selector's reduction off the principal subsystem. Every
     reported reduction comes from possys.reduce, whose entrywise checks
-    make every Markov coefficient match. When the algebraic route fails too (choose_p finds
-    no reference vector, or reduce refuses the algebra's projector, as it
+    make every Markov coefficient match. When the algebraic route fails too (the reference
+    vector has empty support, or reduce refuses the algebra's projector, as it
     does a closure that lost dimensions under strong scaling), the report
     is "none" at full order and its last diagnostic names the check. The
     algebraic reduction alone, to compare with the minimal one, is

@@ -1,9 +1,11 @@
 """Shared fixtures: the reference systems used across the suite, the R600
-systems and their D3 and D5 scalings, the exhaustive subset scan and the
-per-row cone walk that serve as the minimal-route oracles, the
-per-column rank loop and the per-column elimination loop that serve as
-the column-selection oracles, the block Arnoldi basis that serves as the
-reachable-space oracle, the raw reachability matrix, the list of Krylov
+systems and their D3 and D5 scalings, the cone-membership solve (on
+scipy.optimize.nnls) and the monotonicity test built on it that serve as
+the cone oracles, the exhaustive subset scan and the per-row cone walk
+that serve as the minimal-route oracles, the per-column rank loop and
+the per-column elimination loop that serve as the column-selection
+oracles, the block Arnoldi basis that serves as the reachable-space
+oracle, the raw reachability matrix, the list of Krylov
 blocks that serves as the raw-stack oracle, the n-step Krylov loop that
 serves as the exactness oracle, the algebraic reduction alone, a
 counter of the Krylov stacks built by mode, the per-group row loop and
@@ -21,16 +23,16 @@ from typing import Optional
 from unittest import mock
 
 import numpy as np
+import scipy.optimize
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import posred.possys
-from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, NonFiniteError,
-                    NotInvariantError, PositiveLtiSystem, ReferenceVector, Tolerances,
-                    UnsupportedCoordinateError, algebra_factorization, as_matrix, choose_p,
-                    closure, generate_system, is_nonneg, rank, reachable_subspace, reduce,
-                    rpmr_reachable)
-from posred.monotone import cone_coefficients
+from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, MonotoneCertificate,
+                    NonFiniteError, NotInvariantError, PositiveLtiSystem, ReferenceVector,
+                    Tolerances, UnsupportedCoordinateError, algebra_factorization, as_matrix,
+                    choose_p, closure, generate_system, is_nonneg, rank, reachable_subspace,
+                    reduce, rpmr_reachable)
 
 # Derandomized, bounded and without an example database, so the property
 # suites are deterministic and cheap; no deadline, because timings on
@@ -378,6 +380,43 @@ def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):
     return None
 
 
+def cone_coefficients(rows, target, tol: Tolerances = Tolerances()) -> Optional[np.ndarray]:
+    """Reference cone membership by one scipy.optimize.nnls solve:
+    non-negative c with rows^T c = target, or None when the residual
+    exceeds eq_tol * (1 + ||target||). An empty set of rows spans the
+    cone {0}."""
+    rows = np.asarray(rows, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if rows.shape[0] == 0:  # nnls does not take a matrix with no columns
+        coeffs, residual = np.zeros(0), float(np.linalg.norm(target))
+    else:
+        coeffs, residual = scipy.optimize.nnls(rows.T, target)
+    return coeffs if residual <= tol.eq_tol * (1.0 + np.linalg.norm(target)) else None
+
+
+def is_monotone_by_cone(X, tol: Tolerances = Tolerances()) -> MonotoneCertificate:
+    """Reference monotonicity test for any real matrix: X is monotone
+    exactly when every standard basis vector e_j lies in the cone of its
+    rows. The rows are scaled to unit norm, which moves no ray, and the
+    cone coefficients of e_j divided by the row norms are row j of a
+    non-negative left inverse. A matrix with fewer rows than columns is
+    never monotone."""
+    X = as_matrix(X, "X")
+    n, m = X.shape
+    if n < m:
+        return MonotoneCertificate(False)
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0.0] = 1.0
+    U = X / norms[:, None]
+    inverse_rows = np.empty((m, n))
+    for j, target in enumerate(np.eye(m)):
+        coeffs = cone_coefficients(U, target, tol)
+        if coeffs is None:
+            return MonotoneCertificate(False)
+        inverse_rows[j] = coeffs / norms
+    return MonotoneCertificate(True, nonneg_left_inverse=inverse_rows)
+
+
 def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     """Reference minimal-route search by one cone-membership solve per row.
 
@@ -390,8 +429,8 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     basis[i] @ inv(basis[rows]) >= 0, and J = basis @ inv(basis[rows]),
     with the identity at the rows and its negative entries zeroed, still
     fixes each basis column within eq_tol of its peak; None otherwise.
-    Makes n non-negative least-squares solves; the search must return the
-    same rows.
+    Makes n scipy.optimize.nnls solves (cone_coefficients); the search
+    must return the same rows.
     """
     B = np.asarray(basis, dtype=float)
     n, m = B.shape

@@ -13,11 +13,11 @@ import pytest
 from posred import (Factorization, GeneratorSpec,
                     Tolerances, choose_p, closure, equivalent,
                     find_nonneg_factorization, generate_system,
-                    is_monotone_general, is_monotone_nonneg_rect, left_inverse,
+                    is_monotone_nonneg_rect, left_inverse,
                     project, rank, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable)
-from conftest import (algebraic_reduction, cascade_system, markov_parameters,
-                      reachability_matrix, swap_system, wedge)
+from conftest import (algebraic_reduction, cascade_system, is_monotone_by_cone,
+                      markov_parameters, reachability_matrix, swap_system, wedge)
 
 TOL = Tolerances()
 
@@ -192,7 +192,7 @@ def test_criterion_5_oracle_equivalence():
             continue
         trials += 1
         fast = is_monotone_nonneg_rect(X)
-        slow = is_monotone_general(X)
+        slow = is_monotone_by_cone(X)
         assert fast.monotone == slow.monotone
         verdicts[fast.monotone] += 1
         if n == m:

@@ -19,16 +19,16 @@ PUBLIC_NAMES = sorted([
     "SubspaceBasis", "SupportFailureError", "Tolerances", "UnsupportedCoordinateError",
     "ZeroMatrixError", "algebra_factorization", "as_matrix",
     "choose_p", "closure", "column_space_basis", "equivalent",
-    "find_nonneg_factorization", "generate_system", "is_monotone_general",
+    "find_nonneg_factorization", "generate_system",
     "is_monotone_nonneg_rect", "is_nonneg", "left_inverse", "markov_match",
-    "nonneg_lstsq", "perturbation_experiment", "project", "rank",
+    "perturbation_experiment", "project", "rank",
     "reachable_subspace", "reduce", "rpmr_observable",
     "rpmr_reachable", "verify_factorization",
 ])
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name

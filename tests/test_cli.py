@@ -207,22 +207,18 @@ class TestMonotone:
         assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
         np.testing.assert_allclose(report["left_inverse"], np.diag([1.0, 1.0 / s]))
 
-    def test_small_negative_block_goes_to_general_oracle(self, tmp_path, capsys):
-        X = np.zeros((4, 4))
-        X[0, 0] = 1e3
-        X[1:, 1:] = -9.9e-7
-        X[[1, 2, 3], [1, 2, 3]] = 1.01e-6
-        path = write_json(tmp_path / "m.json", X.tolist())
-        code, out, _ = run(capsys, "monotone", "--input", path)
-        report = json.loads(out)
-        assert (code, report["monotone"], report["method"]) == (3, False, "general-oracle")
-
-    def test_mixed_sign_uses_general_oracle(self, tmp_path, capsys):
-        path = write_json(tmp_path / "m.json", [[2.0, -1.0], [-1.0, 2.0]])
-        code, out, _ = run(capsys, "monotone", "--input", path)
-        report = json.loads(out)
-        assert report["method"] == "general-oracle"
-        assert code == 0 and report["monotone"] is True  # inverse is non-negative
+    @pytest.mark.parametrize("X", [
+        [[1e3, 0.0, 0.0, 0.0], [0.0, 1.01e-6, -9.9e-7, -9.9e-7],
+         [0.0, -9.9e-7, 1.01e-6, -9.9e-7], [0.0, -9.9e-7, -9.9e-7, 1.01e-6]],
+        [[2.0, -1.0], [-1.0, 2.0]],
+    ], ids=["small-negative-block", "mixed-sign"])
+    def test_negative_entries_are_an_input_error(self, tmp_path, capsys, X):
+        # Only non-negative matrices are decided, whatever the verdict of
+        # a cone solve would be: the small negative block is not monotone
+        # and [[2, -1], [-1, 2]] is (its inverse is non-negative). Both
+        # exit 1 with one error line and nothing on stdout.
+        code, out, err = run(capsys, "monotone", "--input", write_json(tmp_path / "m.json", X))
+        assert (code, out, err) == (1, "", "error: matrix has negative entries\n")
 
 
 class TestFactorize:
@@ -281,17 +277,21 @@ class TestAlgebra:
         assert report["algebra_dim"] == 3
         assert report["blocks"] == [[0], [1], [2]]
 
-    def test_span_with_no_positive_vector_is_a_negative_result(self, tmp_path, capsys):
-        # No vector of span{(1, -1)} is strictly positive on its support:
-        # factorize finds no factors and algebra has no reference vector,
-        # and both exit 3.
+    def test_mixed_sign_span_is_an_input_error(self, tmp_path, capsys):
+        # span{(1, -1)} has no non-negative generating set: factorize and
+        # algebra both exit 1 with one error line and nothing on stdout.
         path = write_json(tmp_path / "m.json", [[1.0], [-1.0]])
         code, out, err = run(capsys, "factorize", "--input", path)
-        assert (code, err, json.loads(out)["found"]) == (3, "", False)
+        assert (code, out) == (1, "")
+        assert err == ("error: basis has negative entries: a unit row does not sum above the "
+                       "sign tolerance, and the factorization search needs a non-negative "
+                       "generating set of the span\n")
         code, out, err = run(capsys, "algebra", "--input", path)
-        assert (code, out) == (3, "")
-        assert err == ("error: no vector of the span is strictly positive on the "
-                       "subspace support\n")
+        assert (code, out) == (1, "")
+        assert err == ("error: basis column sum is not above the sign tolerance on the "
+                       "subspace support (negative entries, or rows underflowing beside a sum "
+                       "that overflows): choose_p needs a non-negative generating set of the "
+                       "span\n")
 
 
 class TestVerify:

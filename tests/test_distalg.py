@@ -3,12 +3,11 @@ reference-vector choice, closure, idempotent generators, and their
 factorization."""
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (DimensionMismatchError, NonFiniteError, ReferenceVector, SubspaceBasis,
-                    SupportFailureError, Tolerances, UnsupportedCoordinateError,
+from posred import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
+                    ReferenceVector, SubspaceBasis, Tolerances, UnsupportedCoordinateError,
                     algebra_factorization, choose_p, closure, column_space_basis,
                     is_monotone_nonneg_rect, rank, reachable_subspace)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
@@ -89,38 +88,48 @@ class TestChooseP:
 
     def test_mixed_sign_line_fails(self):
         V = SubspaceBasis(np.array([[1.0], [-1.0]]))
-        with pytest.raises(SupportFailureError):
+        with pytest.raises(NotNonnegativeError, match="non-negative generating set"):
             choose_p(V)
 
-    def test_cone_solve_rescues_cancellation(self):
-        # Unit weights cancel coordinate 0; the cone solve finds weights
-        # that do not.
+    def test_cancelling_column_sum_is_refused(self):
+        # Weights (2, 1) give (1, 2), positive on the support, but unit
+        # weights cancel coordinate 0: the basis is not a non-negative
+        # generating set, and choose_p searches for no other weights.
         V = SubspaceBasis(np.array([[1.0, -1.0], [1.0, 0.0]]))
-        p = choose_p(V)
-        np.testing.assert_array_equal(p.support, [0, 1])
-        assert p.p.min() > 0
+        with pytest.raises(NotNonnegativeError):
+            choose_p(V)
 
     def test_two_calls_give_the_same_p(self):
-        V = SubspaceBasis(np.array([[1.0, -1.0], [1.0, 0.0]]))
+        V = SubspaceBasis(np.array([[1.0, 0.0], [1.0, 1.0]]))
         p1 = choose_p(V)
         p2 = choose_p(V)
         np.testing.assert_array_equal(p1.p, p2.p)
+        np.testing.assert_array_equal(p1.p, [1.0, 2.0])
 
     def test_weights_outside_one_to_two(self):
         # Columns (1, -2) and (0, 1): c1 (1, -2) + c2 (0, 1) is positive
-        # exactly when c2 > 2 c1 > 0, which no weights in [1, 2] give.
+        # exactly when c2 > 2 c1 > 0, which the unit weights of the column
+        # sum do not give, so choose_p refuses the basis.
         V = SubspaceBasis(np.array([[1.0, 0.0], [-2.0, 1.0]]))
-        p = choose_p(V)
-        np.testing.assert_array_equal(p.support, [0, 1])
-        assert p.p.min() > 0
+        with pytest.raises(NotNonnegativeError):
+            choose_p(V)
+
+    def test_rows_underflowing_beside_an_overflowing_sum_are_refused(self):
+        # Row 0's sum overflows, so the sum is taken of the basis divided
+        # by 2^1024, which leaves row 2 far below the sign floor: a
+        # non-negative basis that choose_p refuses as it would one whose
+        # negative entries cancel the sum.
+        V = SubspaceBasis(np.array([[1.5e308, 1.5e308], [1.5e308, 0.0], [1.0, 0.0]]))
+        with pytest.raises(NotNonnegativeError, match="underflowing"):
+            choose_p(V)
 
     def test_column_below_the_sign_floor_on_the_support(self):
         # The third column is nonzero only in a row below nonneg_tol, so
-        # it vanishes on the support and its scale factor must stay finite.
-        V = SubspaceBasis(np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 5e-10]]))
+        # that row is off the support and p vanishes there.
+        V = SubspaceBasis(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5e-10]]))
         p = choose_p(V)
         np.testing.assert_array_equal(p.support, [0, 1])
-        assert np.isfinite(p.p).all() and p.p[:2].min() > 0
+        np.testing.assert_array_equal(p.p, [2.0, 1.0, 0.0])
 
 
 def spans_same_space(generators: np.ndarray, target: np.ndarray) -> bool:
@@ -351,20 +360,6 @@ def test_blocks_depend_on_the_span_alone(basis):
     assert closure(nearly_parallel, p).blocks == blocks
 
 
-def positive_combination_exists(B: np.ndarray) -> bool:
-    """Independent oracle: some c makes B c strictly positive on the rows
-    above the sign floor. The rows and then the columns are scaled to unit
-    peak, which changes no sign of B c, and B c >= 1 is solved as one
-    linear-programming feasibility problem."""
-    Bs = B[np.abs(B).max(axis=1) > TOL.nonneg_tol]
-    Bs = Bs / np.abs(Bs).max(axis=1)[:, None]
-    Bs = Bs / np.abs(Bs).max(axis=0)
-    result = scipy.optimize.linprog(
-        c=np.zeros(B.shape[1]), A_ub=-Bs, b_ub=-np.ones(Bs.shape[0]),
-        bounds=(None, None), method="highs")
-    return result.status == 0
-
-
 @st.composite
 def mixed_sign_bases(draw):
     """Full-rank bases with n <= 6, small integer entries of both signs,
@@ -383,16 +378,19 @@ def mixed_sign_bases(draw):
 
 
 @given(mixed_sign_bases())
-def test_choose_p_fails_exactly_when_no_positive_combination_exists(V):
+def test_choose_p_refuses_exactly_the_bases_whose_column_sum_cancels(V):
+    # A mixed-sign basis whose column sum stays positive on the support
+    # gets that sum as p; any other is refused, even when some other
+    # combination of its columns is positive.
     B = V.basis
     support = np.flatnonzero(np.abs(B).max(axis=1) > TOL.nonneg_tol)
-    if not positive_combination_exists(B):
-        with pytest.raises(SupportFailureError):
+    if not (B.sum(axis=1)[support] > TOL.nonneg_tol).all():
+        with pytest.raises(NotNonnegativeError):
             choose_p(V)
         return
     p = choose_p(V)
     np.testing.assert_array_equal(p.support, support)
-    assert rank(np.column_stack([B, p.p])) == V.dimension
+    np.testing.assert_array_equal(p.p[support], B.sum(axis=1)[support])
 
 
 @st.composite

@@ -9,8 +9,8 @@ import scipy.optimize
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (Factorization, GeneratorSpec, PositiveLtiSystem, SubspaceBasis,
-                    Tolerances, ZeroMatrixError, find_nonneg_factorization,
+from posred import (Factorization, GeneratorSpec, NotNonnegativeError, PositiveLtiSystem,
+                    SubspaceBasis, Tolerances, ZeroMatrixError, find_nonneg_factorization,
                     generate_system, is_monotone_nonneg_rect, rank, reachable_subspace,
                     verify_factorization)
 from posred import factorize
@@ -34,6 +34,19 @@ def nonneg_projector_exists(basis: np.ndarray) -> bool:
         c=np.zeros(n * m), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=(None, None), method="highs")
     return result.status == 0
+
+
+def refused(basis, tol: Tolerances = TOL) -> bool:
+    """Reference for the bases the search refuses with NotNonnegativeError:
+    more than m nonzero rows, one of which, above the rank threshold and
+    scaled to unit norm, sums to at most nonneg_tol. A non-negative row
+    of unit norm sums to at least 1."""
+    B = np.asarray(basis, dtype=float)
+    if np.count_nonzero(B.any(axis=1)) == B.shape[1]:
+        return False
+    norms = np.linalg.norm(B, axis=1)
+    rows = norms > tol.rank_tol * np.abs(B).max()
+    return bool((B[rows].sum(axis=1) <= tol.nonneg_tol * norms[rows]).any())
 
 
 class TestLpOracleItself:
@@ -79,9 +92,11 @@ class TestFind:
                                          [0.0, 0.0, 1.0]], atol=1e-12)
 
     def test_mixed_sign_line_absent(self):
-        # All three 1x1 pivot choices leave a negative ratio.
+        # All three 1x1 pivot choices leave a negative ratio; the search
+        # refuses the basis at its negative row, whose sum is -1.
         V = SubspaceBasis(np.array([[1.0], [1.0], [-1.0]]))
-        assert find_nonneg_factorization(V) is None
+        with pytest.raises(NotNonnegativeError, match="non-negative generating set"):
+            find_nonneg_factorization(V)
 
     def test_stubborn_span_absent(self):
         assert find_nonneg_factorization(SubspaceBasis(stubborn_span())) is None
@@ -143,21 +158,31 @@ class TestFind:
         assert find_nonneg_factorization(V) is None
 
     def test_basis_change_invariance(self):
+        # A mixing T >= 0 keeps the basis non-negative: a positive diagonal
+        # times a permutation, or a dense T.
         rng = np.random.default_rng(17)
-        for _ in range(30):
+        found = 0
+        for trial in range(30):
             n, m = 5, 2
-            raw = rng.normal(size=(n, m))
+            raw = np.where(rng.random((n, m)) < 0.5, rng.uniform(0.1, 1.0, (n, m)), 0.0)
+            if np.linalg.matrix_rank(raw) < m:
+                continue
             V1 = SubspaceBasis(raw)
-            T = rng.normal(size=(m, m))
-            while abs(np.linalg.det(T)) < 0.1:
-                T = rng.normal(size=(m, m))
+            if trial % 2:
+                T = np.diag(rng.uniform(0.1, 10.0, m))[rng.permutation(m)]
+            else:
+                T = rng.uniform(0.0, 1.0, (m, m))
+                while abs(np.linalg.det(T)) < 0.1:
+                    T = rng.uniform(0.0, 1.0, (m, m))
             V2 = SubspaceBasis(raw @ T)
             F1 = find_nonneg_factorization(V1)
             F2 = find_nonneg_factorization(V2)
             assert (F1 is None) == (F2 is None)
             if F1 is not None:
+                found += 1
                 # Same image, hence the same projector target.
                 assert rank(np.hstack([F1.J, F2.J])) == m
+        assert 0 < found < 30
 
     def test_projector_is_idempotent(self):
         V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0],
@@ -183,18 +208,28 @@ class TestFind:
 
 def test_search_matches_lp_oracle():
     rng = np.random.default_rng(2718)
-    found, absent = 0, 0
+    found, absent, refusals = 0, 0, 0
     for trial in range(120):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(m, 6))
         if trial % 3 == 0:
             raw = rng.normal(size=(n, m))                 # mixed-sign spans
-        else:
+        elif trial % 3 == 1:
             raw = np.where(rng.random((n, m)) < 0.6,
                            rng.uniform(0.1, 1.0, (n, m)), 0.0)
+        else:
+            # Dense non-negative spans of dimension 3; a line or a plane
+            # always has its extreme rays among the rows.
+            m, n = 3, int(rng.integers(4, 8))
+            raw = rng.uniform(0.1, 1.0, (n, m))
         if np.linalg.matrix_rank(raw) < m:
             continue
         V = SubspaceBasis(raw)
+        if refused(raw):
+            with pytest.raises(NotNonnegativeError):
+                find_nonneg_factorization(V)
+            refusals += 1
+            continue
         F = find_nonneg_factorization(V)
         assert (F is not None) == nonneg_projector_exists(raw)
         if F is None:
@@ -202,14 +237,15 @@ def test_search_matches_lp_oracle():
         else:
             found += 1
             assert verify_factorization(F, V)
-    assert found > 15 and absent > 15
+    assert found > 15 and absent > 15 and refusals > 15
 
 
 @st.composite
 def subspaces(draw):
     """Random proper subspaces of R^n, n <= 8, of three kinds: planted J @ T
     (J >= 0 with an identity block, some rows repeating a pivot direction,
-    T mixed-sign and invertible), generic non-negative, and mixed-sign."""
+    T >= 0 and invertible, so that J @ T >= 0), generic non-negative, and
+    mixed-sign."""
     kind = draw(st.sampled_from(["planted", "nonneg", "mixed"]))
     n = draw(st.sampled_from(range(2, 9)))
     m = draw(st.sampled_from(range(1, n)))
@@ -222,7 +258,7 @@ def subspaces(draw):
     raw[rng.choice(n, m, replace=False)] = np.eye(m)
     for i in np.flatnonzero(rng.random(n) < 0.3):
         raw[i] = rng.uniform(0.1, 3.0) * np.eye(m)[rng.integers(m)]
-    T = rng.normal(size=(m, m))
+    T = rng.uniform(0.0, 1.0, (m, m))
     assume(abs(np.linalg.det(T)) > 0.1)
     return raw @ T
 
@@ -230,16 +266,21 @@ def subspaces(draw):
 @given(subspaces(), st.integers(0, 2**32 - 1))
 def test_search_matches_exhaustive_scan(raw, scale_seed):
     assume(rank(raw) == raw.shape[1])
-    F = find_nonneg_factorization(SubspaceBasis(raw))
-    pivots = F.pivot_rows if F is not None else None
-    assert pivots == exhaustive_first_hit(raw)
-    assert (F is not None) == nonneg_projector_exists(raw)
     # Scaling states by a positive diagonal moves no decision: one common
     # factor over 24 decades times a factor per state over 4 decades. The
     # search tests signs on unit rows, which the scaling leaves unchanged
     # up to rounding.
     rng = np.random.default_rng(scale_seed)
     d = 10.0 ** (rng.uniform(-12.0, 12.0) + rng.uniform(-2.0, 2.0, raw.shape[0]))
+    if refused(raw):
+        for basis in (raw, d[:, None] * raw):
+            with pytest.raises(NotNonnegativeError):
+                find_nonneg_factorization(SubspaceBasis(basis))
+        return
+    F = find_nonneg_factorization(SubspaceBasis(raw))
+    pivots = F.pivot_rows if F is not None else None
+    assert pivots == exhaustive_first_hit(raw)
+    assert (F is not None) == nonneg_projector_exists(raw)
     scaled = find_nonneg_factorization(SubspaceBasis(d[:, None] * raw))
     assert (scaled.pivot_rows if scaled is not None else None) == pivots
 

@@ -1,79 +1,15 @@
-"""Monotonicity tests: the cone oracle against hand checks and the
-combinatorial shortcuts against the oracle."""
+"""Monotonicity tests: the cone oracle (a test reference on
+scipy.optimize.nnls) against hand checks, and the monomial-row test
+against the oracle."""
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posred import (NotNonnegativeError, Tolerances, is_monotone_general,
-                    is_monotone_nonneg_rect, nonneg_lstsq)
-from posred.monotone import cone_coefficients, positive_combination
+from posred import NotNonnegativeError, Tolerances, is_monotone_nonneg_rect
+from conftest import cone_coefficients, is_monotone_by_cone
 
 TOL = Tolerances()
-
-
-@pytest.mark.parametrize("column_scale", [1.0, 1e6])
-def test_positive_combination_is_positive_on_every_row(column_scale):
-    # (1, -1), (1, 0) and (0, 1) all lie in the open half-plane of c = (2, 1);
-    # the solve scales the columns, so a second column 1e6 times larger
-    # still gives one.
-    rows = np.array([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) * [1.0, column_scale]
-    c = positive_combination(rows)
-    assert c is not None
-    assert (rows @ c > 0.0).all()
-
-
-def test_positive_combination_of_opposite_rows_is_none():
-    assert positive_combination(np.array([[1.0], [-1.0]])) is None
-
-
-class TestNonnegLstsq:
-    def test_unconstrained_optimum_inside_cone(self):
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        x, resid = nonneg_lstsq(A, np.array([1.0, 2.0, 3.0]))
-        assert resid <= 1e-12
-        np.testing.assert_allclose(A @ x, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_constraint_binds(self):
-        # Unconstrained solution of [[1], [1]] x = (1, -3) is x = -1.
-        x, resid = nonneg_lstsq(np.array([[1.0], [1.0]]), np.array([1.0, -3.0]))
-        assert x[0] == 0.0
-        np.testing.assert_allclose(resid, np.hypot(1.0, 3.0))
-
-    def test_zero_rhs(self):
-        x, resid = nonneg_lstsq(np.ones((3, 2)), np.zeros(3))
-        np.testing.assert_allclose(x, 0.0)
-        assert resid == 0.0
-
-    def test_infeasible_stays_infeasible(self):
-        # Regression: combining rows with positive first coordinates can
-        # never produce (0, 1), so the residual must stay well above zero.
-        rows = np.array([[0.63066428, 0.87710711],
-                         [0.24150897, 0.79118618],
-                         [0.88996684, 0.0],
-                         [0.33586486, 0.92663964]])
-        x, resid = nonneg_lstsq(rows.T, np.array([0.0, 1.0]))
-        assert x.min() >= 0.0
-        assert resid > 0.25
-
-    def test_matches_bounded_least_squares(self):
-        import scipy.optimize
-        rng = np.random.default_rng(88)
-        for trial in range(150):
-            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            A = rng.normal(size=(m, n))
-            b = rng.normal(size=m)
-            if trial % 3 == 0:
-                # Badly scaled wide systems once drove the active set into a
-                # degenerate re-add cycle; keep them covered.
-                A *= 10.0 ** rng.integers(-3, 4)
-                b *= 10.0 ** rng.integers(-2, 3)
-            x, resid = nonneg_lstsq(A, b)
-            assert x.min() >= 0.0
-            reference = scipy.optimize.lsq_linear(A, b, bounds=(0.0, np.inf),
-                                                  method="bvls")
-            ref_resid = np.linalg.norm(A @ reference.x - b)
-            assert resid <= ref_resid * (1 + 1e-9) + 1e-9
 
 
 class TestConeCoefficients:
@@ -101,7 +37,7 @@ def square_cone_oracle(X) -> bool:
 
 class TestGeneralOracle:
     def test_identity(self):
-        cert = is_monotone_general(np.eye(3))
+        cert = is_monotone_by_cone(np.eye(3))
         assert cert.monotone
         np.testing.assert_allclose(cert.nonneg_left_inverse, np.eye(3), atol=1e-12)
 
@@ -109,18 +45,18 @@ class TestGeneralOracle:
         # e2 = c1 (1,0) + c2 (1,1) forces c1 = -1.
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         assert not square_cone_oracle(X)
-        assert not is_monotone_general(X).monotone
+        assert not is_monotone_by_cone(X).monotone
 
     def test_tower_block_is_monotone(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        cert = is_monotone_general(X)
+        cert = is_monotone_by_cone(X)
         assert cert.monotone
         L = cert.nonneg_left_inverse
         assert L.min() >= -TOL.nonneg_tol
         np.testing.assert_allclose(L @ X, np.eye(2), atol=TOL.eq_tol)
 
     def test_wide_matrices_never_monotone(self):
-        assert not is_monotone_general(np.ones((2, 3))).monotone
+        assert not is_monotone_by_cone(np.ones((2, 3))).monotone
 
     def test_matches_square_oracle(self):
         rng = np.random.default_rng(11)
@@ -129,7 +65,7 @@ class TestGeneralOracle:
             X = rng.normal(size=(3, 3))
             if abs(np.linalg.det(X)) < 1e-3:
                 continue
-            assert is_monotone_general(X).monotone == square_cone_oracle(X)
+            assert is_monotone_by_cone(X).monotone == square_cone_oracle(X)
             agreements += 1
         assert agreements > 40
 
@@ -147,7 +83,7 @@ class TestSquareShortcut:
     def test_upper_triangular_is_not(self):
         X = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert not is_monotone_nonneg_rect(X).monotone
-        assert not is_monotone_general(X).monotone
+        assert not is_monotone_by_cone(X).monotone
 
     def test_generalized_permutation_pattern_equivalence(self):
         rng = np.random.default_rng(5)
@@ -193,7 +129,7 @@ class TestRectShortcut:
         # Every pair of rows has strictly positive inner product.
         X = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
         assert not is_monotone_nonneg_rect(X).monotone
-        assert not is_monotone_general(X).monotone
+        assert not is_monotone_by_cone(X).monotone
 
     def test_scaled_pivot_rows(self):
         X = np.array([[0.0, 4.0], [2.0, 0.0], [1.0, 1.0]])
@@ -232,7 +168,7 @@ class TestRectShortcut:
         assert (X @ np.array([0.0, -1.0, -1.0, -1.0]) >= 0.0).all()
         with pytest.raises(NotNonnegativeError):
             is_monotone_nonneg_rect(X)
-        assert not is_monotone_general(X).monotone
+        assert not is_monotone_by_cone(X).monotone
 
     def test_zero_rows_are_skipped(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
@@ -272,7 +208,7 @@ def test_shortcut_agrees_with_cone_oracle():
             if np.linalg.matrix_rank(X) < m:
                 continue
         fast = is_monotone_nonneg_rect(X)
-        slow = is_monotone_general(X)
+        slow = is_monotone_by_cone(X)
         assert fast.monotone == slow.monotone
         verdicts[fast.monotone] += 1
         if fast.monotone:
@@ -301,7 +237,7 @@ def test_shortcut_decides_every_nonneg_matrix_as_the_oracle(drawn):
     # shortcut needs no rank test and no row scaling moves its verdict.
     X, d = drawn
     fast = is_monotone_nonneg_rect(X)
-    assert fast.monotone == is_monotone_general(X).monotone
+    assert fast.monotone == is_monotone_by_cone(X).monotone
     scaled = is_monotone_nonneg_rect(d[:, None] * X)
     assert scaled.monotone == fast.monotone
     if scaled.monotone:
