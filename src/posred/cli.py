@@ -1,11 +1,15 @@
 """Command-line front end: JSON matrices and systems in, JSON reports out.
 
+Every command that takes --tol has it checked before any input is read.
+Each command returns its JSON payload and whether its property holds, and
+main alone writes the payload and maps the verdict to the exit code.
+
 Exit codes: 0 success (reduction found, property holds), 1 input or
-validation error (among them a matrix with negative entries, as monotone,
-factorize and algebra take non-negative generating sets only), 2 usage
-error (reported by argparse), 3 negative result (no reduction, not
-monotone, no factorization, no reference vector for the algebra closure,
-verification failed).
+validation error (among them a bad --tol, or a matrix with negative
+entries, as monotone, factorize and algebra take non-negative generating
+sets only), 2 usage error (reported by argparse), 3 negative result (no
+reduction, not monotone, no factorization, no reference vector for the
+algebra closure, verification failed).
 """
 
 import argparse
@@ -33,14 +37,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
-
-
-def _tolerances(args) -> Tolerances:
-    try:
-        return Tolerances(args.tol)
-    except ValueError as exc:
-        raise CliError(1, str(exc))
 
 
 def _load_json(path: Optional[str]):
@@ -133,49 +129,41 @@ def report_to_dict(report: ReductionReport) -> dict:
     }
 
 
-def cmd_reduce(args) -> int:
-    tol = _tolerances(args)
+def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
     system = _load_system(args.input, tol)
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
     report = runner(system, tol)
-    _emit(args, report_to_dict(report))
-    return 0 if report.method != "none" else 3
+    return report_to_dict(report), report.method != "none"
 
 
-def cmd_monotone(args) -> int:
-    tol = _tolerances(args)
+def cmd_monotone(args, tol: Tolerances) -> tuple[dict, bool]:
     X = _load_matrix(args.input)
     certificate = is_monotone_nonneg_rect(X, tol)
     L = certificate.nonneg_left_inverse
-    _emit(args, {
+    return {
         "schema_version": SCHEMA_VERSION,
         "monotone": certificate.monotone,
         "method": "nonneg-shortcut",
         "left_inverse": L.tolist() if L is not None else None,
         "orthogonal_rows": (list(certificate.orthogonal_row_set)
                             if certificate.orthogonal_row_set is not None else None),
-    })
-    return 0 if certificate.monotone else 3
+    }, certificate.monotone
 
 
-def cmd_factorize(args) -> int:
-    tol = _tolerances(args)
+def cmd_factorize(args, tol: Tolerances) -> tuple[dict, bool]:
     basis = column_space_basis(_load_matrix(args.input), tol)
     factorization = find_nonneg_factorization(basis, tol)
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "found": factorization is not None,
         "subspace_dim": basis.dimension,
         "pivot_rows": list(factorization.pivot_rows) if factorization else None,
         "J": factorization.J.tolist() if factorization else None,
         "Jdag": factorization.Jdag.tolist() if factorization else None,
-    }
-    _emit(args, payload)
-    return 0 if factorization is not None else 3
+    }, factorization is not None
 
 
-def cmd_algebra(args) -> int:
-    tol = _tolerances(args)
+def cmd_algebra(args, tol: Tolerances) -> tuple[dict, bool]:
     basis = column_space_basis(_load_matrix(args.input), tol)
     try:
         p = choose_p(basis, tol)
@@ -184,7 +172,7 @@ def cmd_algebra(args) -> int:
         # A span with no reference vector is a negative result, as for factorize.
         raise CliError(3, str(exc))
     factorization = algebra_factorization(algebra)
-    _emit(args, {
+    return {
         "schema_version": SCHEMA_VERSION,
         "p": p.p.tolist(),
         "support": [int(i) for i in p.support],
@@ -195,38 +183,33 @@ def cmd_algebra(args) -> int:
         "generators": algebra.generators.tolist(),
         "J": factorization.J.tolist(),
         "Jdag": factorization.Jdag.tolist(),
-    })
-    return 0
+    }, True
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerances(args)
+def cmd_verify(args, tol: Tolerances) -> tuple[dict, bool]:
     original = _raw_system(_load_json(args.original))[:3]
     reduced = _raw_system(_load_json(args.reduced), original[1].shape[1])[:3]
     match = markov_match(original, reduced, tol)
     positive = all(is_nonneg(M, tol) for M in reduced)
-    _emit(args, {
+    return {
         "schema_version": SCHEMA_VERSION,
         "markov_match": match,
         "positivity": positive,
         "horizon": len(original[0]) + len(reduced[0]),  # n1 + n2, as markov_match
-    })
-    return 0 if match and positive else 3
+    }, match and positive
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, tol: None) -> tuple[dict, bool]:
     try:
         spec = GeneratorSpec(n=args.n, inputs=args.inputs, outputs=args.outputs,
                              reachable_dim=args.reachable_dim,
                              density=args.density, seed=args.seed)
     except ValueError as exc:
         raise CliError(1, str(exc))
-    _emit(args, _system_payload(generate_system(spec)))
-    return 0
+    return _system_payload(generate_system(spec)), True
 
 
-def cmd_perturb(args) -> int:
-    tol = _tolerances(args)
+def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
     for flag, value in (("--delta", args.delta), ("--count", args.count),
                         ("--seed", args.seed)):
         if not 0 <= value < np.inf:
@@ -257,7 +240,7 @@ def cmd_perturb(args) -> int:
                           "or their projections")
 
     count = max(len(records), 1)
-    _emit(args, {
+    return {
         "schema_version": SCHEMA_VERSION,
         "count": len(records),
         "delta": args.delta,
@@ -266,8 +249,7 @@ def cmd_perturb(args) -> int:
         "robust_positive_rate": sum(r.robust_positive for r in records) / count,
         "equivalent_rate": sum(r.equivalent for r in records) / count,
         "records": [r._asdict() for r in records],
-    })
-    return 0
+    }, True
 
 
 def _add_io_flags(parser, with_input=True, with_tolerances=True):
@@ -337,10 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except PosredError as exc:
+        try:
+            tol = Tolerances(args.tol) if "tol" in args else None
+        except ValueError as exc:
+            raise CliError(1, str(exc))
+        payload, holds = args.func(args, tol)
+        _emit(args, payload)
+        return 0 if holds else 3
+    except (CliError, PosredError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code if isinstance(exc, CliError) else 1

@@ -67,12 +67,14 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
     On an entrywise non-negative basis, such as the generators A^k B of a
     positive system, the sum cannot cancel. When it overflows (columns
     near the largest double), it is taken of the basis divided by the
-    power of two that brings its peak into [1/2, 1), which is exact and
-    changes no sign; the blocks and J do not depend on the scale of p. A
-    sum at or below nonneg_tol on the support raises NotNonnegativeError,
-    as the basis must be a non-negative generating set of the span; after
-    that division this also refuses a non-negative basis with a row below
-    about nonneg_tol * 2^1024.
+    smallest power of two at least its column count m, which is exact,
+    changes no sign, lets no row sum overflow and shrinks no row by more
+    than a factor of 2m; the blocks and J do not depend on the scale of
+    p. A sum at or below nonneg_tol on the support raises
+    NotNonnegativeError, as the basis must be a non-negative generating
+    set of the span; after that division this also refuses a
+    non-negative basis with a support row within a factor 2m of
+    nonneg_tol.
     """
     B = V.basis
     peaks = np.abs(B).max(axis=1)
@@ -80,11 +82,10 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector
     with np.errstate(over="ignore"):
         candidate = B.sum(axis=1)
     if not np.isfinite(candidate).all():
-        candidate = np.ldexp(B, -np.frexp(peaks.max())[1]).sum(axis=1)
+        candidate = np.ldexp(B, -(B.shape[1] - 1).bit_length()).sum(axis=1)
     if not (candidate[support] > tol.nonneg_tol).all():
         raise NotNonnegativeError("basis column sum is not above the sign tolerance on the "
-                                  "subspace support (negative entries, or rows underflowing "
-                                  "beside a sum that overflows): choose_p needs a "
+                                  "subspace support (negative entries): choose_p needs a "
                                   "non-negative generating set of the span")
     p = np.zeros(V.ambient_dim)
     p[support] = candidate[support]

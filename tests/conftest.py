@@ -2,7 +2,8 @@
 systems and their D3 and D5 scalings, the cone-membership solve (on
 scipy.optimize.nnls) and the monotonicity test built on it that serve as
 the cone oracles, the exhaustive subset scan and the per-row cone walk
-that serve as the minimal-route oracles, the per-column rank loop and
+that serve as the minimal-route oracles, the exact verdict of a
+reduction in integer arithmetic and the integer sweep it is checked on, the per-column rank loop and
 the per-column elimination loop that serve as the column-selection
 oracles, the block Arnoldi basis that serves as the reachable-space
 oracle, the raw reachability matrix, the list of Krylov
@@ -16,6 +17,7 @@ simulator and the wedge product that serve as reference definitions, and
 the hypothesis profile and its temporary storage directory."""
 import contextlib
 import itertools
+import math
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -380,6 +382,99 @@ def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):
     return None
 
 
+def _dyadic_integers(M, name: str) -> tuple[np.ndarray, int]:
+    """(N, d) with M = N / 2^d, N an object array of Python integers: every
+    double is a dyadic rational."""
+    ratios = [x.as_integer_ratio() for x in as_matrix(M, name).ravel().tolist()]
+    d = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    N = [num << (d + 1 - den.bit_length()) for num, den in ratios]
+    return np.array(N, dtype=object).reshape(np.shape(M)), d
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries: a positive scale."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _has_nonneg_solution(M: list[list[int]], rhs: list[list[int]]) -> bool:
+    """Whether M is invertible and M^-1 rhs >= 0, by fraction-free
+    Gauss-Jordan elimination: each row ends as d_i x_i = y_i."""
+    q = len(M)
+    W = [M[i] + rhs[i] for i in range(q)]
+    for j in range(q):
+        pivot = next((i for i in range(j, q) if W[i][j]), None)
+        if pivot is None:
+            return False
+        W[j], W[pivot] = W[pivot], W[j]
+        for i in range(q):
+            if i != j and W[i][j]:
+                W[i] = _primitive([W[j][j] * x - W[i][j] * y for x, y in zip(W[i], W[j])])
+    return all(x * W[i][i] >= 0 for i in range(q) for x in W[i][q:])
+
+
+def exact_verdict(A, B) -> tuple[str, int]:
+    """(method, reduced_dim) of the reachable report that an exact
+    reduction of (A, B) gives, in Python integers only; an observable
+    report is that of (A^T, C^T). It rests on the characterisation in
+    find_nonneg_factorization's docstring and on the closure's blocks
+    being the row rays of the basis. A and B are first scaled by powers
+    of two to integers, which scales each Krylov column by a positive
+    number and so changes neither the selection, nor V V0^-1, nor the rays.
+
+    The independent columns of [B, AB, ..., A^(n-1) B], selected greedily
+    from the left, give the basis V of dimension q: q = 0 is minimal 0 and
+    q = n is none n. Otherwise it is minimal q when some q nonzero rows
+    form an invertible V0 with V V0^-1 >= 0 (an exhaustive scan, C(n, q)
+    <= 126 subsets for n < 10). Failing that, with r the number of
+    distinct rays among the nonzero rows of V, it is none n when r = n,
+    minimal q when r = q and algebraic r otherwise."""
+    A, B = _dyadic_integers(A, "A")[0].tolist(), _dyadic_integers(B, "B")[0].tolist()
+    n = len(A)
+    block = [list(column) for column in zip(*B)]
+    kept: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []
+    for _ in range(n):
+        for column in block:
+            rest = column
+            for pivot, row in echelon:
+                if rest[pivot]:
+                    rest = _primitive([row[pivot] * x - rest[pivot] * y
+                                       for x, y in zip(rest, row)])
+            pivot = next((i for i, x in enumerate(rest) if x), None)
+            if pivot is not None:
+                kept.append(column)
+                echelon.append((pivot, rest))
+        block = [[sum(a * x for a, x in zip(row, column)) for row in A] for column in block]
+    q = len(kept)
+    if q in (0, n):
+        return ("minimal", 0) if q == 0 else ("none", n)
+    V = [list(row) for row in zip(*kept)]
+    nonzero = [i for i in range(n) if any(V[i])]
+    # V V0^-1 >= 0 iff V0^-T V^T >= 0.
+    Vt = [list(row) for row in zip(*V)]
+    if any(_has_nonneg_solution([list(row) for row in zip(*(V[i] for i in subset))], Vt)
+           for subset in itertools.combinations(nonzero, q)):
+        return "minimal", q
+    r = len({tuple(_primitive(V[i])) for i in nonzero})
+    return ("none", n) if r == n else ("minimal", q) if r == q else ("algebraic", r)
+
+
+def integer_sweep(count: int):
+    """The first `count` draws (A, B, C) of the integer sweep: from one
+    default_rng(12345), per draw n in [3, 10) and m in {1, 2}; A =
+    integers(0, 4, (n, n)) masked by random((n, n)) < uniform(0.2, 0.7);
+    B = integers(0, 2, (n, m)) masked by random((n, m)) < 0.5; then k in
+    {1, 2} and C = integers(0, 2, (k, n)), in that order."""
+    rng = np.random.default_rng(12345)
+    for _ in range(count):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(1, 3))
+        A = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 0.7))
+        B = rng.integers(0, 2, (n, m)) * (rng.random((n, m)) < 0.5)
+        C = rng.integers(0, 2, (int(rng.integers(1, 3)), n))
+        yield A.astype(float), B.astype(float), C.astype(float)
+
+
 def cone_coefficients(rows, target, tol: Tolerances = Tolerances()) -> Optional[np.ndarray]:
     """Reference cone membership by one scipy.optimize.nnls solve:
     non-negative c with rows^T c = target, or None when the residual
@@ -476,17 +571,12 @@ def markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
 
 def exact_markov_parameters(A, B, C, horizon: int) -> list[np.ndarray]:
     """Coefficients C A^k B for k = 0..horizon in exact rational
-    arithmetic, as object arrays of Fraction. Every double is a dyadic
-    rational, so each matrix is an array of Python integers over one
-    power of two, and the products run on the integers, which neither
-    round nor overflow; only each coefficient is reduced to lowest terms."""
-    def integers(M, name):
-        ratios = [x.as_integer_ratio() for x in as_matrix(M, name).ravel().tolist()]
-        d = max((den.bit_length() - 1 for _, den in ratios), default=0)
-        N = [num << (d + 1 - den.bit_length()) for num, den in ratios]
-        return np.array(N, dtype=object).reshape(np.shape(M)), d
-
-    (A, a), (B, b), (C, c) = integers(A, "A"), integers(B, "B"), integers(C, "C")
+    arithmetic, as object arrays of Fraction. Each matrix is an array of
+    Python integers over one power of two (_dyadic_integers), and the
+    products run on the integers, which neither round nor overflow; only
+    each coefficient is reduced to lowest terms."""
+    (A, a), (B, b), (C, c) = (_dyadic_integers(A, "A"), _dyadic_integers(B, "B"),
+                              _dyadic_integers(C, "C"))
     coefficients = []
     P = B
     for k in range(horizon + 1):

@@ -277,6 +277,16 @@ class TestAlgebra:
         assert report["algebra_dim"] == 3
         assert report["blocks"] == [[0], [1], [2]]
 
+    def test_small_rows_beside_an_overflowing_sum_close(self, tmp_path, capsys):
+        # Row 0's column sum overflows; the rescaled sum keeps row 2 on the
+        # support, so the closure exists and groups rows 1 and 2.
+        path = write_json(tmp_path / "m.json", [[1.5e308, 1.5e308], [1.5e308, 0.0], [1.0, 0.0]])
+        code, out, err = run(capsys, "algebra", "--input", path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["p"] == [1.5e308, 7.5e307, 0.5]
+        assert report["blocks"] == [[0], [1, 2]]
+
     def test_mixed_sign_span_is_an_input_error(self, tmp_path, capsys):
         # span{(1, -1)} has no non-negative generating set: factorize and
         # algebra both exit 1 with one error line and nothing on stdout.
@@ -289,9 +299,8 @@ class TestAlgebra:
         code, out, err = run(capsys, "algebra", "--input", path)
         assert (code, out) == (1, "")
         assert err == ("error: basis column sum is not above the sign tolerance on the "
-                       "subspace support (negative entries, or rows underflowing beside a sum "
-                       "that overflows): choose_p needs a non-negative generating set of the "
-                       "span\n")
+                       "subspace support (negative entries): choose_p needs a non-negative "
+                       "generating set of the span\n")
 
 
 class TestVerify:
@@ -469,6 +478,18 @@ class TestMalformedInput:
         outcome = run(capsys, "reduce", "--input", path)
         assert_input_error(outcome)
         assert "time_domain must be one of" in outcome[2]
+
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["reduce", "monotone", "factorize", "algebra",
+                                         "verify", "perturb"])
+    def test_bad_tolerance_is_refused_before_the_input_is_read(self, tmp_path, capsys,
+                                                               command, tol):
+        # The input file does not exist, so only a check made first can
+        # name the tolerance.
+        missing = str(tmp_path / "missing.json")
+        files = [missing, missing] if command == "verify" else ["--input", missing]
+        assert run(capsys, command, *files, "--tol", tol) == (
+            1, "", "error: tolerances must be finite and non-negative\n")
 
     def test_output_into_a_missing_directory(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "out.json")

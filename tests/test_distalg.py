@@ -114,14 +114,16 @@ class TestChooseP:
         with pytest.raises(NotNonnegativeError):
             choose_p(V)
 
-    def test_rows_underflowing_beside_an_overflowing_sum_are_refused(self):
+    def test_small_rows_beside_an_overflowing_sum_are_kept(self):
         # Row 0's sum overflows, so the sum is taken of the basis divided
-        # by 2^1024, which leaves row 2 far below the sign floor: a
-        # non-negative basis that choose_p refuses as it would one whose
-        # negative entries cancel the sum.
+        # by 2, the smallest power of two at least its 2 columns: no row
+        # sum overflows, row 2 keeps half its weight, and rows 1 and 2
+        # lie on one ray.
         V = SubspaceBasis(np.array([[1.5e308, 1.5e308], [1.5e308, 0.0], [1.0, 0.0]]))
-        with pytest.raises(NotNonnegativeError, match="underflowing"):
-            choose_p(V)
+        p = choose_p(V)
+        assert p.p.tolist() == [1.5e308, 7.5e307, 0.5]
+        np.testing.assert_array_equal(p.support, [0, 1, 2])
+        assert closure(V, p).blocks == ((0,), (1, 2))
 
     def test_column_below_the_sign_floor_on_the_support(self):
         # The third column is nonzero only in a row below nonneg_tol, so

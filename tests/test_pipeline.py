@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import posred.pipeline
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
@@ -16,9 +17,9 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
                     markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
-                      exact_markov_parameters, exhaustive_first_hit, krylov_stacks_built,
-                      lumped_system, observability_matrix, r600_system, stubborn_span,
-                      swap_system)
+                      exact_markov_parameters, exact_verdict, exhaustive_first_hit,
+                      integer_sweep, krylov_stacks_built, lumped_system, observability_matrix,
+                      r600_system, stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -895,3 +896,32 @@ def test_route_and_order_do_not_depend_on_the_scale_of_B(n, inputs, density, see
     plain = rpmr_reachable(S)
     scaled = rpmr_reachable(PositiveLtiSystem(S.A, np.ldexp(S.B, k), S.C))
     assert (scaled.method, scaled.reduced_dim) == (plain.method, plain.reduced_dim)
+
+
+def sweep_disagreements(count: int) -> list[tuple]:
+    """(draw, space, reported, exact) for every report on the first `count`
+    draws of the integer sweep whose (method, reduced_dim) is not
+    exact_verdict's."""
+    found = []
+    for draw, (A, B, C) in enumerate(integer_sweep(count)):
+        S = PositiveLtiSystem(A, B, C)
+        for space, rpmr, pair in (("reachable", rpmr_reachable, (A, B)),
+                                  ("observable", rpmr_observable, (A.T, C.T))):
+            report = rpmr(S)
+            reported, exact = (report.method, report.reduced_dim), exact_verdict(*pair)
+            if reported != exact:
+                found.append((draw, space, reported, exact))
+    return found
+
+
+def test_reports_on_the_integer_sweep_are_the_exact_verdicts():
+    # 4000 reports on integer data, where the oracle's rank and sign tests
+    # are exact: a missed reduction fails here as surely as a wrong one.
+    assert sweep_disagreements(2000) == []
+
+
+def test_a_search_that_finds_nothing_misses_exact_minimal_reductions(monkeypatch):
+    monkeypatch.setattr(posred.pipeline, "find_nonneg_factorization", lambda basis, tol: None)
+    found = sweep_disagreements(200)
+    assert len(found) >= 10
+    assert all(exact[0] == "minimal" for *_, exact in found)
