@@ -31,7 +31,7 @@ basis = reachable_subspace(S)
 print("truncated reachability matrix:\n", basis.basis)
 
 p = choose_p(basis)
-print("\nreference vector p =", p.p, "(sum of the basis columns)")
+print("\nreference vector p =", p, "(sum of the basis columns)")
 algebra = closure(basis, p)
 print("is the reachable space already product-closed?",
       algebra.dimension == basis.dimension)

@@ -11,8 +11,7 @@ positive under any positivity-preserving perturbation of the data.
 """
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      NotNonnegativeError, NotPositiveError, PosredError,
-                     RankDeficientError, SupportFailureError,
-                     UnsupportedCoordinateError, ZeroMatrixError)
+                     RankDeficientError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, is_nonneg, left_inverse, rank)
 from .monotone import MonotoneCertificate, is_monotone_nonneg_rect
@@ -20,8 +19,7 @@ from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
 from .possys import (PositiveLtiSystem, equivalent, markov_match, project,
                      reachable_subspace, reduce)
-from .distalg import (DistortedAlgebra, ReferenceVector, algebra_factorization,
-                      choose_p, closure)
+from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
 from .pipeline import (PerturbationRecord, ReductionReport, perturbation_experiment,
                        rpmr_observable, rpmr_reachable)
 from .gen import GeneratorSpec, generate_system
@@ -31,15 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "DimensionMismatchError", "NonFiniteError", "NotInvariantError",
     "NotNonnegativeError", "NotPositiveError", "PosredError", "RankDeficientError",
-    "SupportFailureError", "UnsupportedCoordinateError", "ZeroMatrixError",
+    "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
     "column_space_basis", "is_nonneg", "left_inverse", "rank",
     "MonotoneCertificate", "is_monotone_nonneg_rect",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
     "PositiveLtiSystem", "equivalent", "markov_match", "project",
     "reachable_subspace", "reduce",
-    "DistortedAlgebra", "ReferenceVector", "algebra_factorization", "choose_p",
-    "closure",
+    "DistortedAlgebra", "algebra_factorization", "choose_p", "closure",
     "PerturbationRecord", "ReductionReport", "perturbation_experiment",
     "rpmr_observable", "rpmr_reachable",
     "GeneratorSpec", "generate_system",

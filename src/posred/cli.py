@@ -8,8 +8,7 @@ Exit codes: 0 success (reduction found, property holds), 1 input or
 validation error (among them a bad --tol, or a matrix with negative
 entries, as monotone, factorize and algebra take non-negative generating
 sets only), 2 usage error (reported by argparse), 3 negative result (no
-reduction, not monotone, no factorization, no reference vector for the
-algebra closure, verification failed).
+reduction, not monotone, no factorization, verification failed).
 """
 
 import argparse
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NonFiniteError, PosredError, SupportFailureError
+from .errors import NonFiniteError, PosredError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_nonneg_rect
@@ -165,17 +164,13 @@ def cmd_factorize(args, tol: Tolerances) -> tuple[dict, bool]:
 
 def cmd_algebra(args, tol: Tolerances) -> tuple[dict, bool]:
     basis = column_space_basis(_load_matrix(args.input), tol)
-    try:
-        p = choose_p(basis, tol)
-        algebra = closure(basis, p, tol)
-    except SupportFailureError as exc:
-        # A span with no reference vector is a negative result, as for factorize.
-        raise CliError(3, str(exc))
+    p = choose_p(basis, tol)
+    algebra = closure(basis, p, tol)
     factorization = algebra_factorization(algebra)
     return {
         "schema_version": SCHEMA_VERSION,
-        "p": p.p.tolist(),
-        "support": [int(i) for i in p.support],
+        "p": p.tolist(),
+        "support": np.flatnonzero(p).tolist(),
         "blocks": [list(block) for block in algebra.blocks],
         "subspace_dim": basis.dimension,
         "algebra_dim": algebra.dimension,

@@ -1,6 +1,7 @@
-"""Coordinate-wise product algebras driven by a reference vector.
+"""Coordinate-wise product algebras with a positive unit.
 
-For a reference vector p, strictly positive on its support, the product
+For a vector p of the subspace, positive on its support (the rows where
+the basis is not identically zero) and zero elsewhere, the product
 ``[x ^ y]_i = x_i y_i / p_i`` makes the supported coordinates a
 commutative algebra with unit p. A subspace closed under it is spanned by
 non-negative idempotents with pairwise disjoint supports summing to p,
@@ -14,44 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
-                     SupportFailureError, UnsupportedCoordinateError)
+from .errors import NotNonnegativeError
 from .factorize import Factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, unit_peak
 
 
-class ReferenceVector:
-    """Non-negative vector, strictly positive exactly on its support.
-
-    Entries at or below the sign tolerance are snapped to exact zeros so
-    that support bookkeeping downstream stays exact.
-    """
-
-    def __init__(self, p, tol: Tolerances = DEFAULT_TOL):
-        p = np.array(p, dtype=float).reshape(-1)
-        if p.size and not np.isfinite(p).all():
-            raise NonFiniteError("reference vector has non-finite entries")
-        if p.size and p.min() < -tol.nonneg_tol:
-            raise NotNonnegativeError("reference vector has negative entries")
-        positive = p > tol.nonneg_tol
-        p[~positive] = 0.0
-        p.setflags(write=False)
-        self.p = p
-        self.support = np.flatnonzero(positive)
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
-
-    def __repr__(self) -> str:
-        return f"ReferenceVector({self.p.tolist()})"
-
-
 class DistortedAlgebra(NamedTuple):
-    """Reference vector, idempotent generator columns, and the support
-    partition they indicate: generator k equals p on blocks[k], 0 elsewhere."""
+    """Unit p, idempotent generator columns, and the support partition
+    they indicate: generator k equals p on blocks[k], 0 elsewhere."""
 
-    p: ReferenceVector
+    p: np.ndarray
     generators: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
 
@@ -60,36 +33,35 @@ class DistortedAlgebra(NamedTuple):
         return self.generators.shape[1]
 
 
-def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> ReferenceVector:
-    """Vector of span(V), strictly positive on the subspace support: the
-    column sum of the basis.
+def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Vector of span(V), positive exactly on the nonzero rows of the
+    basis: the column sum of the basis, as a read-only array.
 
     On an entrywise non-negative basis, such as the generators A^k B of a
     positive system, the sum cannot cancel. When it overflows (columns
     near the largest double), it is taken of the basis divided by the
-    smallest power of two at least its column count m, which is exact,
-    changes no sign, lets no row sum overflow and shrinks no row by more
-    than a factor of 2m; the blocks and J do not depend on the scale of
-    p. A sum at or below nonneg_tol on the support raises
-    NotNonnegativeError, as the basis must be a non-negative generating
-    set of the span; after that division this also refuses a
-    non-negative basis with a support row within a factor 2m of
-    nonneg_tol.
+    smallest power of two at least its column count m, which is exact
+    outside the subnormal range, changes no sign and lets no row sum
+    overflow; the blocks and J do not depend on the scale of p. Each row's
+    sum is judged at that row's own scale, so the answer does not depend
+    on the units of the basis: a nonzero row whose sum is at or below
+    nonneg_tol times its peak |entry| raises NotNonnegativeError, as the
+    basis must be a non-negative generating set of the span. After the
+    division this also refuses a row whose every entry underflows to 0.
     """
     B = V.basis
-    peaks = np.abs(B).max(axis=1)
-    support = np.flatnonzero(peaks > tol.nonneg_tol)
     with np.errstate(over="ignore"):
-        candidate = B.sum(axis=1)
-    if not np.isfinite(candidate).all():
-        candidate = np.ldexp(B, -(B.shape[1] - 1).bit_length()).sum(axis=1)
-    if not (candidate[support] > tol.nonneg_tol).all():
-        raise NotNonnegativeError("basis column sum is not above the sign tolerance on the "
-                                  "subspace support (negative entries): choose_p needs a "
+        p = B.sum(axis=1)
+    if not np.isfinite(p).all():
+        B = np.ldexp(B, -(B.shape[1] - 1).bit_length())
+        p = B.sum(axis=1)
+    nonzero = V.basis.any(axis=1)
+    if not (p[nonzero] > tol.nonneg_tol * abs(B[nonzero]).max(axis=1)).all():
+        raise NotNonnegativeError("basis column sum is not positive, at the scale of its row, "
+                                  "on every nonzero row (negative entries): choose_p needs a "
                                   "non-negative generating set of the span")
-    p = np.zeros(V.ambient_dim)
-    p[support] = candidate[support]
-    return ReferenceVector(p, tol)
+    p.setflags(write=False)
+    return p
 
 
 def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -126,43 +98,42 @@ def _indicators_span(levels: np.ndarray, first: np.ndarray, tol: Tolerances) -> 
     return abs(levels - levels[first]).max() <= tol.rank_tol * max(1.0, abs(levels).max())
 
 
-def closure(V: SubspaceBasis, p: ReferenceVector,
-            tol: Tolerances = DEFAULT_TOL) -> DistortedAlgebra:
+def closure(V: SubspaceBasis, p, tol: Tolerances = DEFAULT_TOL) -> DistortedAlgebra:
     """Smallest p-product algebra containing span(V) and the unit p.
 
-    Dividing by p on its support turns the product into the plain
-    entrywise one. The unital algebra that vectors generate under the
-    entrywise product is the set of functions constant on their joint
-    level sets, so the blocks are the groups of equal rows of
-    levels = basis[s] / p[s], with each column scaled to unit peak and
-    rows within eq_tol counting as equal. Rows that agree in every column
-    can still be told apart by a combination of nearly parallel columns,
-    so the indicators of the blocks must span the levels
-    (_indicators_span); when they do not, the blocks are the groups of
-    rows within eq_tol of an orthonormal basis of the levels, which depend
-    on the span alone. Blocks are read off each row's group leader in
-    order of first appearance; block indicators times p are the
-    idempotent generators.
+    p must be finite, of length n, positive on the nonzero rows of the
+    basis (its support s) and zero on the others; ValueError otherwise.
+    Dividing by p on s turns the product into the plain entrywise one.
+    The unital algebra that vectors generate under the entrywise product
+    is the set of functions constant on their joint level sets, so the
+    blocks are the groups of equal rows of levels = basis[s] / p[s], with
+    each column scaled to unit peak and rows within eq_tol counting as
+    equal. Rows that agree in every column can still be told apart by a
+    combination of nearly parallel columns, so the indicators of the
+    blocks must span the levels (_indicators_span); when they do not, the
+    blocks are the groups of rows within eq_tol of an orthonormal basis
+    of the levels, which depend on the span alone. Blocks are read off
+    each row's group leader in order of first appearance; block
+    indicators times p are the idempotent generators.
     """
-    if p.dim != V.ambient_dim:
-        raise DimensionMismatchError("reference vector length does not match the ambient dimension")
-    s = p.support
-    if s.size == 0:
-        raise SupportFailureError("reference vector has empty support")
-    off = np.ones(V.ambient_dim, dtype=bool)
-    off[s] = False
+    p = np.array(p, dtype=float)
     B = V.basis
-    if off.any() and np.abs(B[off, :]).max(initial=0.0) > tol.nonneg_tol:
-        raise UnsupportedCoordinateError("subspace has weight outside supp(p)")
+    on = B.any(axis=1)
+    if not (p.shape == on.shape and np.isfinite(p).all() and (p[on] > 0).all()
+            and not p[~on].any()):
+        raise ValueError("p must be finite, of length n, positive on the nonzero rows "
+                         "of the basis and zero on its zero rows")
+    p.setflags(write=False)
+    s = np.flatnonzero(on)
 
     # A column that vanishes on the support separates no coordinates; it stays 0.
-    levels = unit_peak(B[s, :] / p.p[s][:, None])
+    levels = unit_peak(B[s, :] / p[s][:, None])
     marks, first = _level_sets(levels, tol)
     # Singleton blocks span everything; otherwise check the span.
     if marks.shape[1] < s.size and not _indicators_span(levels, first, tol):
         marks, first = _level_sets(np.linalg.qr(levels)[0], tol)
     generators = np.zeros((V.ambient_dim, marks.shape[1]))
-    generators[s] = marks * p.p[s][:, None]
+    generators[s] = marks * p[s][:, None]
     blocks: dict[int, list[int]] = {}
     for k, leader in zip(s.tolist(), first.tolist()):
         blocks.setdefault(leader, []).append(k)

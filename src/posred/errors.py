@@ -32,13 +32,3 @@ class NotInvariantError(PosredError):
 
 class NotPositiveError(PosredError):
     """System matrices (original or reduced) have negative entries."""
-
-
-class UnsupportedCoordinateError(PosredError):
-    """A vector carries weight outside the support of the reference vector."""
-
-
-class SupportFailureError(PosredError):
-    """The reference vector has empty support (the whole span lies below
-    the sign tolerance), so the algebra closure has no unit."""
-

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
-                     SupportFailureError, ZeroMatrixError)
+from .errors import DimensionMismatchError, NonFiniteError, NotInvariantError, ZeroMatrixError
 from .factorize import Factorization, find_nonneg_factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
 from .possys import PositiveLtiSystem
@@ -97,19 +96,14 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionRe
             notes.append(f"non-negative factors of the {space} basis do not fix "
                          f"the {space} space")
 
-    try:
-        algebra = closure(basis, choose_p(basis, tol), tol)
-    except SupportFailureError as exc:
-        return report("none", None, f"RPMR could not be performed: the {space} basis has "
-                                    f"no reference vector for the algebra closure ({exc})")
+    algebra = closure(basis, choose_p(basis, tol), tol)
     if algebra.dimension >= n:
         return report("none", None, "RPMR could not be performed: the algebra "
                                     "enlargement has full dimension")
 
     # The enlargement need not be A-invariant: reduce() falls back to
-    # checking that its projector fixes the target space. A closure that
-    # lost dimensions under strong scaling cannot contain the space, and
-    # that check refuses it.
+    # checking that its projector fixes the target space. A closure
+    # smaller than the space cannot contain it, and that check refuses it.
     G = algebra_factorization(algebra)
     enlarged = f"algebra enlargement: {q} -> {algebra.dimension} dimensions"
     try:
@@ -136,20 +130,21 @@ def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> Reduc
     can fall short of the reachable space under strong state scaling),
     the reachable space is enlarged to the smallest product algebra
     containing it, which always factors non-negatively; its unit p is the
-    sum of the non-negative reachable generators, so the report depends on
-    S and tol alone. An algebra of the basis's own dimension is the
-    reachable space itself, so its factors are a minimal pair that the
-    search missed, and the report says "minimal". On a coordinate
-    reachable space (a planted system) neither the basis nor the
-    exactness check forms the full Krylov stack: reachable_subspace
+    sum of the non-negative reachable generators, positive exactly on the
+    rows where they are not all zero, so the report depends on S and tol
+    alone, and not on the units of B. An algebra of the basis's own
+    dimension is the reachable space itself, so its factors are a minimal
+    pair that the search missed, and the report says "minimal". On a
+    coordinate reachable space (a planted system) neither the basis nor
+    the exactness check forms the full Krylov stack: reachable_subspace
     certifies the first blocks on the structural support, and reduce
     reads the selector's reduction off the principal subsystem. Every
     reported reduction comes from possys.reduce, whose entrywise checks
-    make every Markov coefficient match. When the algebraic route fails too (the reference
-    vector has empty support, or reduce refuses the algebra's projector, as it
-    does a closure that lost dimensions under strong scaling), the report
-    is "none" at full order and its last diagnostic names the check. The
-    algebraic reduction alone, to compare with the minimal one, is
+    make every Markov coefficient match. When the algebraic route fails
+    too (the enlargement has full dimension, or reduce refuses the
+    algebra's projector), the report is "none" at full order and its last
+    diagnostic names the check. The algebraic reduction alone, to compare
+    with the minimal one, is
     reduce(S, algebra_factorization(closure(V, choose_p(V)))) for V the
     reachable_subspace of S.
     """

@@ -3,8 +3,9 @@ systems and their D3 and D5 scalings, the cone-membership solve (on
 scipy.optimize.nnls) and the monotonicity test built on it that serve as
 the cone oracles, the exhaustive subset scan and the per-row cone walk
 that serve as the minimal-route oracles, the exact verdict of a
-reduction in integer arithmetic and the integer sweep it is checked on, the per-column rank loop and
-the per-column elimination loop that serve as the column-selection
+reduction in integer arithmetic, the integer sweep it is checked on and
+its exactly scaled corpora, the per-column rank loop and the
+per-column elimination loop that serve as the column-selection
 oracles, the block Arnoldi basis that serves as the reachable-space
 oracle, the raw reachability matrix, the list of Krylov
 blocks that serves as the raw-stack oracle, the n-step Krylov loop that
@@ -31,8 +32,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import posred.possys
 from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, MonotoneCertificate,
-                    NonFiniteError, NotInvariantError, PositiveLtiSystem, ReferenceVector,
-                    Tolerances, UnsupportedCoordinateError, algebra_factorization, as_matrix,
+                    NonFiniteError, NotInvariantError, PositiveLtiSystem,
+                    Tolerances, algebra_factorization, as_matrix,
                     choose_p, closure, generate_system, is_nonneg, rank, reachable_subspace,
                     reduce, rpmr_reachable)
 
@@ -293,17 +294,17 @@ def indicators_span_by_rank(marks, levels, tol: Tolerances = Tolerances()) -> bo
     return rank(np.hstack([marks, levels]), tol) == np.asarray(marks).shape[1]
 
 
-def closure_by_block_masks(basis, p: ReferenceVector,
-                           tol: Tolerances = Tolerances()) -> tuple[np.ndarray, tuple]:
+def closure_by_block_masks(basis, p, tol: Tolerances = Tolerances()) -> tuple[np.ndarray, tuple]:
     """Reference closure blocks, one boolean mask per block: the groups of
-    greedy_level_sets on the unit-peak levels basis[s] / p[s], regrouped
+    greedy_level_sets on the unit-peak levels basis[s] / p[s], s the
+    entries where p is positive, regrouped
     on an orthonormal basis of the levels when indicators_span_by_rank
     says their indicators do not span, numbered by np.unique of each
     row's group leader. Returns (generators, blocks); distalg's closure
     must return the same bytes."""
     B = np.asarray(basis, dtype=float)
-    s = p.support
-    levels = B[s] / p.p[s][:, None]
+    s = np.flatnonzero(p > 0)
+    levels = B[s] / p[s][:, None]
     peaks = np.abs(levels).max(axis=0)
     levels /= np.where(peaks > 0.0, peaks, 1.0)
     marks = greedy_level_sets(levels, tol)
@@ -312,7 +313,7 @@ def closure_by_block_masks(basis, p: ReferenceVector,
     leaders = marks.argmax(axis=0)[marks.argmax(axis=1)]
     marks = (leaders[:, None] == np.unique(leaders)).astype(float)
     generators = np.zeros((B.shape[0], marks.shape[1]))
-    generators[s] = marks * p.p[s][:, None]
+    generators[s] = marks * p[s][:, None]
     return generators, tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)
 
 
@@ -475,6 +476,21 @@ def integer_sweep(count: int):
         yield A.astype(float), B.astype(float), C.astype(float)
 
 
+def exactly_scaled(draws, K: int):
+    """The draws (A, B, C) under an exact diagonal similarity, as P10 (K =
+    10) and P17 (K = 17) apply it to the integer sweep: one
+    default_rng(777) gives, per draw, integer exponents in [-K, K], first
+    one per state (d), then one per input (e), then one per output (f),
+    and the draw becomes (2^d A 2^-d, 2^d B 2^e, 2^f C 2^-d). Every
+    product is by a power of two, so nothing rounds, and each scaled draw
+    has the exact verdict of the draw itself."""
+    rng = np.random.default_rng(777)
+    for A, B, C in draws:
+        d, e, f = (rng.integers(-K, K + 1, size) for size in (len(A), B.shape[1], len(C)))
+        yield (np.ldexp(np.ldexp(A, d[:, None]), -d), np.ldexp(np.ldexp(B, d[:, None]), e),
+               np.ldexp(np.ldexp(C, f[:, None]), -d))
+
+
 def cone_coefficients(rows, target, tol: Tolerances = Tolerances()) -> Optional[np.ndarray]:
     """Reference cone membership by one scipy.optimize.nnls solve:
     non-negative c with rows^T c = target, or None when the residual
@@ -633,20 +649,18 @@ def _vector(x, dim: int, name: str) -> np.ndarray:
     return v
 
 
-def wedge(x, y, p: ReferenceVector, tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Product x_i y_i / p_i on the support of p, zero elsewhere.
+def wedge(x, y, p) -> np.ndarray:
+    """Product x_i y_i / p_i where p_i > 0, zero elsewhere.
 
-    Both vectors must vanish off the support; p itself is the unit.
+    Both vectors must vanish where p does not (ValueError); p itself is
+    the unit.
     """
-    x = _vector(x, p.dim, "x")
-    y = _vector(y, p.dim, "y")
-    off = np.ones(p.dim, dtype=bool)
-    off[p.support] = False
-    if off.any():
-        weight = max(np.abs(x[off]).max(initial=0.0), np.abs(y[off]).max(initial=0.0))
-        if weight > tol.nonneg_tol:
-            raise UnsupportedCoordinateError("vector has weight outside supp(p)")
-    out = np.zeros(p.dim)
-    s = p.support
-    out[s] = x[s] * y[s] / p.p[s]
+    p = np.asarray(p, dtype=float)
+    x = _vector(x, p.size, "x")
+    y = _vector(y, p.size, "y")
+    s = p > 0
+    if x[~s].any() or y[~s].any():
+        raise ValueError("vector has weight where p is not positive")
+    out = np.zeros(p.size)
+    out[s] = x[s] * y[s] / p[s]
     return out

@@ -238,10 +238,10 @@ def test_criterion_7_algebra_invariants(planted_suite):
     for algebra in algebras:
         gens = algebra.generators
         p = algebra.p
-        assert max_err(gens.sum(axis=1), p.p) <= 1e-8
+        assert max_err(gens.sum(axis=1), p) <= 1e-8
         for i in range(algebra.dimension):
             for j in range(algebra.dimension):
-                expected = gens[:, i] if i == j else np.zeros(p.dim)
+                expected = gens[:, i] if i == j else np.zeros(p.size)
                 assert max_err(wedge(gens[:, i], gens[:, j], p), expected) <= 1e-8
         assert is_monotone_nonneg_rect(gens).monotone
         again = closure(SubspaceBasis(gens), p)

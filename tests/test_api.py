@@ -15,9 +15,8 @@ PUBLIC_NAMES = sorted([
     "DEFAULT_TOL", "DimensionMismatchError", "DistortedAlgebra", "Factorization",
     "GeneratorSpec", "MonotoneCertificate", "NonFiniteError", "NotInvariantError",
     "NotNonnegativeError", "NotPositiveError", "PerturbationRecord", "PositiveLtiSystem",
-    "PosredError", "RankDeficientError", "ReductionReport", "ReferenceVector",
-    "SubspaceBasis", "SupportFailureError", "Tolerances", "UnsupportedCoordinateError",
-    "ZeroMatrixError", "algebra_factorization", "as_matrix",
+    "PosredError", "RankDeficientError", "ReductionReport",
+    "SubspaceBasis", "Tolerances", "ZeroMatrixError", "algebra_factorization", "as_matrix",
     "choose_p", "closure", "column_space_basis", "equivalent",
     "find_nonneg_factorization", "generate_system",
     "is_monotone_nonneg_rect", "is_nonneg", "left_inverse", "markov_match",
@@ -28,7 +27,7 @@ PUBLIC_NAMES = sorted([
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name
@@ -73,14 +72,13 @@ def test_records_are_immutable_named_tuples(record, values, defaults):
 
 
 @pytest.mark.parametrize("make, expected", [
-    (lambda: posred.ReferenceVector([1.0, 0.0, 2.0]), "ReferenceVector([1.0, 0.0, 2.0])"),
     (lambda: posred.SubspaceBasis([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
      "SubspaceBasis(dim 2 in R^3)"),
     (lambda: posred.PositiveLtiSystem([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]]),
      "PositiveLtiSystem(n=2, inputs=1, outputs=2, discrete)"),
     (lambda: posred.find_nonneg_factorization(posred.SubspaceBasis([[1.0], [0.0]])),
      "Factorization(J=array([[1.],"),
-], ids=["ReferenceVector", "SubspaceBasis", "PositiveLtiSystem", "coordinate-selector"])
+], ids=["SubspaceBasis", "PositiveLtiSystem", "coordinate-selector"])
 def test_reprs_name_the_public_class(make, expected):
     # The coordinate selector is a private subclass that shows itself as
     # the Factorization it is.

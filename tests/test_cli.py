@@ -13,8 +13,8 @@ import pytest
 import posred
 from posred import PositiveLtiSystem, reachable_subspace
 from posred.cli import _build_parser, main
-from conftest import (cascade_system, lumped_system, spurious_mode_pair, stubborn_span,
-                      swap_system)
+from conftest import (cascade_system, d3_scaled, lumped_system, r600_system, spurious_mode_pair,
+                      stubborn_span, swap_system)
 
 
 def write_json(path, payload):
@@ -298,9 +298,25 @@ class TestAlgebra:
                        "generating set of the span\n")
         code, out, err = run(capsys, "algebra", "--input", path)
         assert (code, out) == (1, "")
-        assert err == ("error: basis column sum is not above the sign tolerance on the "
-                       "subspace support (negative entries): choose_p needs a non-negative "
+        assert err == ("error: basis column sum is not positive, at the scale of its row, on "
+                       "every nonzero row (negative entries): choose_p needs a non-negative "
                        "generating set of the span\n")
+
+    def test_span_below_the_sign_tolerance_closes_as_at_unit_scale(self, tmp_path, capsys):
+        # Every entry is below nonneg_tol, yet every nonzero row is on the
+        # support; the closure is that of the same matrix times 1e12.
+        M = 1e-12 * np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0], [3.0, 1.0], [1.5, 0.5]])
+        tiny = write_json(tmp_path / "tiny.json", M.tolist())
+        unit = write_json(tmp_path / "unit.json", (M * 1e12).tolist())
+        code, out, err = run(capsys, "algebra", "--input", tiny)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["support"] == [0, 1, 3, 4]
+        assert report["blocks"] == [[0, 1], [3, 4]]
+        code, out, err = run(capsys, "algebra", "--input", unit)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["blocks"] == report["blocks"]
+        assert json.loads(out)["support"] == report["support"]
 
 
 class TestVerify:
@@ -663,15 +679,17 @@ class TestPerturb:
         assert code == 3
         assert "already reachable" in err
 
-    @pytest.mark.parametrize("scale, reason", [
-        (1e-9, "the projector of the algebra enlargement fails the exactness check"),
-        (1e-12, "the reachable basis has no reference vector")])
-    def test_failed_algebraic_route_names_its_reason(self, tmp_path, capsys, scale, reason):
-        # The algebraic route fails on this scaled system (see the pipeline
-        # test of the same systems); perturb names the failed check rather
-        # than calling the system reachable.
-        S = lumped_system(12, 6, 4, 0)
-        path = write_system(tmp_path / "s.json", PositiveLtiSystem(S.A, S.B * scale, S.C))
+    @pytest.mark.parametrize("system, reason", [
+        (lambda: d3_scaled(r600_system(277), 277, 5),
+         "the projector of the algebra enlargement fails the exactness check"),
+        (lambda: PositiveLtiSystem(np.zeros((4, 4)), stubborn_span()),
+         "the algebra enlargement has full dimension")],
+        ids=["D5-277", "full-algebra"])
+    def test_failed_algebraic_route_names_its_reason(self, tmp_path, capsys, system, reason):
+        # The algebraic route fails on these systems (see the pipeline tests
+        # of the same systems); perturb names the failed check rather than
+        # calling the system reachable.
+        path = write_system(tmp_path / "s.json", system())
         code, out, err = run(capsys, "reduce", "--input", path)
         assert code == 3
         assert json.loads(out)["method"] == "none"
@@ -679,6 +697,23 @@ class TestPerturb:
         assert code == 3
         assert out == ""
         assert err.startswith(f"error: RPMR could not be performed: {reason}")
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-12])
+    def test_tiny_input_map_reduces_as_at_unit_scale(self, tmp_path, capsys, scale):
+        # The lumped system reduces algebraically to order 6 whatever the
+        # units of B: the closure's support is the basis's nonzero rows,
+        # with no absolute floor.
+        S = lumped_system(12, 6, 4, 0)
+        path = write_system(tmp_path / "s.json", PositiveLtiSystem(S.A, S.B * scale, S.C))
+        code, out, err = run(capsys, "reduce", "--input", path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["method"], report["reduced_dim"]) == ("algebraic", 6)
+        code, out, err = run(capsys, "perturb", "--input", path, "--count", "5")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["robust_method"] == "algebraic"
+        assert report["robust_positive_rate"] == 1.0
 
     @pytest.mark.parametrize("system, seed, method, naive_bits", [
         ("cascade", "5", "minimal",

@@ -1,13 +1,14 @@
-"""Product-algebra machinery: the wedge product (a test oracle),
-reference-vector choice, closure, idempotent generators, and their
-factorization."""
+"""Product-algebra machinery: the wedge product (a test oracle), the
+choice of the reference vector p, closure, idempotent generators, and
+their factorization."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (DimensionMismatchError, NonFiniteError, NotNonnegativeError,
-                    ReferenceVector, SubspaceBasis, Tolerances, UnsupportedCoordinateError,
+from posred import (DimensionMismatchError, NotNonnegativeError, SubspaceBasis, Tolerances,
                     algebra_factorization, choose_p, closure, column_space_basis,
                     is_monotone_nonneg_rect, rank, reachable_subspace)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
@@ -29,62 +30,72 @@ def swap_basis(eps=1.0):
 
 class TestWedge:
     def test_reference_vector_is_the_unit(self):
-        p = ReferenceVector([1.0, 2.0, 0.0, 4.0])
+        p = np.array([1.0, 2.0, 0.0, 4.0])
         x = np.array([3.0, 5.0, 0.0, 1.0])
-        np.testing.assert_allclose(wedge(x, p.p, p), x)
+        np.testing.assert_allclose(wedge(x, p, p), x)
 
     def test_all_ones_gives_plain_product(self):
-        p = ReferenceVector(np.ones(3))
-        np.testing.assert_allclose(wedge([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], p),
+        np.testing.assert_allclose(wedge([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], np.ones(3)),
                                    [4.0, 10.0, 18.0])
 
     def test_frozen_example(self):
-        p = ReferenceVector([1.0, 1.0, 2.0])
-        np.testing.assert_allclose(wedge([2.0, 0.0, 4.0], [3.0, 5.0, 0.0], p),
+        np.testing.assert_allclose(wedge([2.0, 0.0, 4.0], [3.0, 5.0, 0.0], [1.0, 1.0, 2.0]),
                                    [6.0, 0.0, 0.0])
 
     def test_weight_off_support_rejected(self):
-        p = ReferenceVector([1.0, 0.0])
-        with pytest.raises(UnsupportedCoordinateError):
-            wedge([1.0, 1.0], [1.0, 0.0], p)
+        with pytest.raises(ValueError, match="where p is not positive"):
+            wedge([1.0, 1e-300], [1.0, 0.0], [1.0, 0.0])
 
     def test_length_mismatch(self):
-        p = ReferenceVector([1.0, 1.0])
         with pytest.raises(DimensionMismatchError):
-            wedge([1.0], [1.0, 1.0], p)
+            wedge([1.0], [1.0, 1.0], [1.0, 1.0])
 
 
 class TestReferenceVector:
-    def test_snaps_small_entries_to_zero(self):
-        p = ReferenceVector([1.0, 1e-12, 0.0])
-        np.testing.assert_array_equal(p.support, [0])
-        assert p.p[1] == 0.0
+    """closure checks the p it is given: finite, of length n, positive on
+    the nonzero rows of the basis and zero on its zero rows."""
+
+    PLANE = SubspaceBasis(np.eye(3)[:, :2])
+
+    def test_tiny_entries_on_the_support_are_kept(self):
+        # No entry is snapped to zero: p is judged against the basis rows,
+        # not against a floor.
+        algebra = closure(self.PLANE, [1.0, 1e-300, 0.0])
+        assert algebra.p.tolist() == [1.0, 1e-300, 0.0]
+        assert algebra.blocks == ((0,), (1,))
+        assert not algebra.p.flags.writeable
+
+    @pytest.mark.parametrize("p", [[1.0, 0.0, 0.0], [1.0, 1.0, 1e-300]],
+                             ids=["zero-on-a-nonzero-row", "positive-on-a-zero-row"])
+    def test_rejects_a_support_other_than_the_nonzero_rows(self, p):
+        with pytest.raises(ValueError, match="positive on the nonzero rows"):
+            closure(self.PLANE, p)
 
     def test_rejects_negative(self):
-        with pytest.raises(Exception):
-            ReferenceVector([1.0, -0.5])
+        for p in ([1.0, -0.5, 0.0], [1.0, 1.0, -0.5]):
+            with pytest.raises(ValueError):
+                closure(self.PLANE, p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
-        with pytest.raises(NonFiniteError):
-            ReferenceVector([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            closure(self.PLANE, [1.0, bad, 0.0])
 
     def test_closure_rejects_a_vector_of_the_wrong_length(self):
-        with pytest.raises(DimensionMismatchError, match="ambient dimension"):
-            closure(SubspaceBasis(np.eye(3)[:, :2]), ReferenceVector([1.0, 1.0]))
+        with pytest.raises(ValueError, match="length n"):
+            closure(self.PLANE, [1.0, 1.0])
 
 
 class TestChooseP:
     def test_coordinate_plane(self):
         V = SubspaceBasis(np.eye(4)[:, :2])
         p = choose_p(V)
-        np.testing.assert_allclose(p.p, [1.0, 1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(p.support, [0, 1])
+        assert type(p) is np.ndarray and not p.flags.writeable
+        np.testing.assert_allclose(p, [1.0, 1.0, 0.0, 0.0])
 
     def test_swap_reachable_basis(self):
         p = choose_p(swap_basis())
-        np.testing.assert_allclose(p.p, [1.0, 1.0, 2.0, 2.0])
-        np.testing.assert_array_equal(p.support, [0, 1, 2, 3])
+        np.testing.assert_allclose(p, [1.0, 1.0, 2.0, 2.0])
 
     def test_mixed_sign_line_fails(self):
         V = SubspaceBasis(np.array([[1.0], [-1.0]]))
@@ -103,8 +114,8 @@ class TestChooseP:
         V = SubspaceBasis(np.array([[1.0, 0.0], [1.0, 1.0]]))
         p1 = choose_p(V)
         p2 = choose_p(V)
-        np.testing.assert_array_equal(p1.p, p2.p)
-        np.testing.assert_array_equal(p1.p, [1.0, 2.0])
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(p1, [1.0, 2.0])
 
     def test_weights_outside_one_to_two(self):
         # Columns (1, -2) and (0, 1): c1 (1, -2) + c2 (0, 1) is positive
@@ -121,17 +132,33 @@ class TestChooseP:
         # lie on one ray.
         V = SubspaceBasis(np.array([[1.5e308, 1.5e308], [1.5e308, 0.0], [1.0, 0.0]]))
         p = choose_p(V)
-        assert p.p.tolist() == [1.5e308, 7.5e307, 0.5]
-        np.testing.assert_array_equal(p.support, [0, 1, 2])
+        assert p.tolist() == [1.5e308, 7.5e307, 0.5]
         assert closure(V, p).blocks == ((0,), (1, 2))
 
+    def test_row_that_underflows_beside_an_overflowing_sum_is_refused(self):
+        # Halving the basis, as above, takes the subnormal 5e-324 to 0, so
+        # p would vanish on a nonzero row, where closure needs it positive:
+        # choose_p refuses the basis, and no p reaches closure.
+        V = SubspaceBasis(np.array([[1.5e308, 1.5e308], [1.5e308, 0.0], [5e-324, 0.0]]))
+        with pytest.raises(NotNonnegativeError):
+            choose_p(V)
+
     def test_column_below_the_sign_floor_on_the_support(self):
-        # The third column is nonzero only in a row below nonneg_tol, so
-        # that row is off the support and p vanishes there.
+        # The third column is nonzero only in a row below nonneg_tol; that
+        # row is nonzero, so it is on the support and p keeps its weight.
         V = SubspaceBasis(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5e-10]]))
         p = choose_p(V)
-        np.testing.assert_array_equal(p.support, [0, 1])
-        np.testing.assert_array_equal(p.p, [2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(p, [2.0, 1.0, 5e-10])
+        assert closure(V, p).blocks == ((0,), (1,), (2,))
+
+    @pytest.mark.parametrize("k", [-1074, -600, -30, 0, 600, 1023])
+    def test_support_does_not_depend_on_the_scale_of_the_basis(self, k):
+        # Multiplying by 2^k is exact while no entry leaves the normal
+        # range; p scales with the basis and keeps its support.
+        M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        V = SubspaceBasis(np.ldexp(M, k))
+        np.testing.assert_array_equal(np.flatnonzero(choose_p(V)), [0, 1, 3])
+        assert closure(V, choose_p(V)).blocks == ((0,), (1,), (3,))
 
 
 def spans_same_space(generators: np.ndarray, target: np.ndarray) -> bool:
@@ -173,9 +200,11 @@ class TestClosure:
         assert again.blocks == algebra.blocks
 
     def test_weight_off_support_rejected(self):
+        # A basis column with weight where p vanishes: the row is nonzero,
+        # so p must be positive there.
         V = SubspaceBasis(np.eye(3)[:, :2])
-        with pytest.raises(UnsupportedCoordinateError):
-            closure(V, ReferenceVector([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="positive on the nonzero rows"):
+            closure(V, [1.0, 0.0, 0.0])
 
     def test_nearly_parallel_columns_are_told_apart(self):
         # Every column differs between the states by about 1e-9, well
@@ -209,10 +238,10 @@ class TestClosure:
             p = choose_p(basis)
             algebra = closure(basis, p)
             gens = algebra.generators
-            np.testing.assert_allclose(gens.sum(axis=1), p.p, atol=TOL.eq_tol)
+            np.testing.assert_allclose(gens.sum(axis=1), p, atol=TOL.eq_tol)
             for i in range(algebra.dimension):
                 for j in range(algebra.dimension):
-                    expected = gens[:, i] if i == j else np.zeros(p.dim)
+                    expected = gens[:, i] if i == j else np.zeros(p.size)
                     np.testing.assert_allclose(
                         wedge(gens[:, i], gens[:, j], p), expected, atol=TOL.eq_tol)
             assert is_monotone_nonneg_rect(gens).monotone
@@ -224,7 +253,7 @@ class TestAlgebraFactorization:
     def test_tower_generators(self):
         basis = SubspaceBasis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                         [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-        algebra = closure(basis, ReferenceVector([1.0, 1.0, 1.0, 1.0]))
+        algebra = closure(basis, np.ones(4))
         F = algebra_factorization(algebra)
         np.testing.assert_allclose(F.J, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                          [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -237,7 +266,7 @@ class TestAlgebraFactorization:
         # Generators are diag(p); the pivot-normalized factors are plain
         # identities so the projector certificate has unit pivot rows.
         V = SubspaceBasis(np.eye(2))
-        algebra = closure(V, ReferenceVector([2.0, 3.0]))
+        algebra = closure(V, [2.0, 3.0])
         np.testing.assert_allclose(algebra.generators, np.diag([2.0, 3.0]))
         F = algebra_factorization(algebra)
         np.testing.assert_allclose(F.J, np.eye(2))
@@ -270,11 +299,11 @@ class TestIsDistortedAlgebra:
         assert closure(basis, choose_p(basis)).dimension == basis.dimension
 
 
-def direct_wedge_closure_dim(basis: SubspaceBasis, p: ReferenceVector) -> tuple[int, np.ndarray]:
+def direct_wedge_closure_dim(basis: SubspaceBasis, p: np.ndarray) -> tuple[int, np.ndarray]:
     """Brute-force cross-check: close under the wedge product directly in
     the original coordinates, adjoining the unit p, without the divide-by-p
     transform used by closure()."""
-    cols = list(basis.basis.T) + [p.p]
+    cols = list(basis.basis.T) + [p]
     current = column_space_basis(np.column_stack(cols)).basis
     while True:
         dim = current.shape[1]
@@ -330,12 +359,13 @@ def test_blocks_invariant_under_positive_scaling(basis, scale_seed):
     # the rank threshold of SubspaceBasis; raw Krylov bases are too
     # ill-conditioned for that. It is built on the support of p alone, so
     # it stays exactly zero off the support.
+    s = np.flatnonzero(p)
     Q = np.zeros_like(basis.basis)
-    Q[p.support] = np.linalg.qr(basis.basis[p.support])[0]
+    Q[s] = np.linalg.qr(basis.basis[s])[0]
     assert closure(SubspaceBasis(Q), p).blocks == blocks
     rng = np.random.default_rng(scale_seed)
     d = 10.0 ** rng.uniform(-3.0, 3.0, basis.ambient_dim)
-    assert closure(SubspaceBasis(d[:, None] * Q), ReferenceVector(d * p.p)).blocks == blocks
+    assert closure(SubspaceBasis(d[:, None] * Q), d * p).blocks == blocks
     # One common column factor over 24 decades times one per column over 6.
     c = 10.0 ** (rng.uniform(-12.0, 12.0) + rng.uniform(-3.0, 3.0, basis.dimension))
     assert closure(SubspaceBasis(Q * c), p).blocks == blocks
@@ -344,8 +374,9 @@ def test_blocks_invariant_under_positive_scaling(basis, scale_seed):
 @given(generated_bases())
 def test_blocks_depend_on_the_span_alone(basis):
     p = choose_p(basis)
+    s = np.flatnonzero(p)
     Q = np.zeros_like(basis.basis)
-    Q[p.support] = np.linalg.qr(basis.basis[p.support])[0]
+    Q[s] = np.linalg.qr(basis.basis[s])[0]
     blocks = closure(SubspaceBasis(Q), p).blocks
     # The columns p + 3e-9 Q[:, c] span the same space, since p is a
     # combination of the basis, and agree with p and with each other
@@ -354,7 +385,7 @@ def test_blocks_depend_on_the_span_alone(basis):
     # the span keeps equal (about once in 10^4 lumped pairs at 1e-8); only
     # spans that separate every state are compared.
     assume(all(len(block) == 1 for block in blocks))
-    unit = p.p / np.abs(p.p).max()
+    unit = p / np.abs(p).max()
     try:
         nearly_parallel = SubspaceBasis(unit[:, None] + 3e-9 * Q)
     except RankDeficientError:
@@ -381,18 +412,21 @@ def mixed_sign_bases(draw):
 
 @given(mixed_sign_bases())
 def test_choose_p_refuses_exactly_the_bases_whose_column_sum_cancels(V):
-    # A mixed-sign basis whose column sum stays positive on the support
-    # gets that sum as p; any other is refused, even when some other
-    # combination of its columns is positive.
+    # A mixed-sign basis whose column sum, taken exactly on the stored
+    # entries, is positive on every nonzero row gets that sum as p; any
+    # other is refused, even when some other combination of its columns
+    # is positive. A positive exact sum is at least 1/300 of its row's
+    # peak here, far above nonneg_tol at any row scale.
     B = V.basis
-    support = np.flatnonzero(np.abs(B).max(axis=1) > TOL.nonneg_tol)
-    if not (B.sum(axis=1)[support] > TOL.nonneg_tol).all():
+    nonzero = B.any(axis=1)
+    exact = [sum(map(Fraction, row)) for row in B[nonzero].tolist()]
+    if not all(total > 0 for total in exact):
         with pytest.raises(NotNonnegativeError):
             choose_p(V)
         return
     p = choose_p(V)
-    np.testing.assert_array_equal(p.support, support)
-    np.testing.assert_array_equal(p.p[support], B.sum(axis=1)[support])
+    np.testing.assert_array_equal(p > 0, nonzero)
+    np.testing.assert_array_equal(p, B.sum(axis=1))
 
 
 @st.composite
@@ -414,9 +448,8 @@ def test_choose_p_is_the_column_sum_on_nonneg_bases(V):
     B = V.basis
     assert B.min() >= 0.0
     p = choose_p(V)
-    np.testing.assert_array_equal(p.support,
-                                  np.flatnonzero(np.abs(B).max(axis=1) > TOL.nonneg_tol))
-    np.testing.assert_array_equal(p.p[p.support], B.sum(axis=1)[p.support])
+    np.testing.assert_array_equal(p > 0, B.any(axis=1))
+    assert p.tobytes() == B.sum(axis=1).tobytes()
 
 
 @given(st.one_of(generated_bases(), lumped_bases()), st.integers(0, 2**32 - 1))
@@ -424,7 +457,7 @@ def test_blocks_do_not_depend_on_the_choice_of_p(basis, weight_seed):
     # Any p' of the span positive on the support is constant on the level
     # sets of basis / p, so it generates the same algebra.
     w = np.random.default_rng(weight_seed).uniform(0.1, 10.0, basis.dimension)
-    other = ReferenceVector(basis.basis @ w)
+    other = basis.basis @ w
     assert closure(basis, other).blocks == closure(basis, choose_p(basis)).blocks
 
 
@@ -481,10 +514,11 @@ def nearly_parallel_bases(draw):
     fails the span test."""
     basis = draw(generated_bases())
     p = choose_p(basis)
+    s = np.flatnonzero(p)
     Q = np.zeros_like(basis.basis)
-    Q[p.support] = np.linalg.qr(basis.basis[p.support])[0]
+    Q[s] = np.linalg.qr(basis.basis[s])[0]
     try:
-        return SubspaceBasis(p.p[:, None] / np.abs(p.p).max() + 3e-9 * Q)
+        return SubspaceBasis(p[:, None] / np.abs(p).max() + 3e-9 * Q)
     except RankDeficientError:
         assume(False)
 
@@ -492,8 +526,8 @@ def nearly_parallel_bases(draw):
 @given(st.one_of(generated_bases(), lumped_bases(), nearly_parallel_bases()))
 def test_closure_blocks_match_the_reference_loops(basis):
     p = choose_p(basis)
-    s = p.support
-    levels = basis.basis[s] / p.p[s][:, None]
+    s = np.flatnonzero(p)
+    levels = basis.basis[s] / p[s][:, None]
     peaks = np.abs(levels).max(axis=0)
     levels /= np.where(peaks > 0.0, peaks, 1.0)
     marks = greedy_level_sets(levels)
@@ -502,7 +536,7 @@ def test_closure_blocks_match_the_reference_loops(basis):
     algebra = closure(basis, p)
     assert algebra.blocks == tuple(tuple(s[column > 0].tolist()) for column in marks.T)
     expected = np.zeros_like(algebra.generators)
-    expected[s] = marks * p.p[s][:, None]
+    expected[s] = marks * p[s][:, None]
     np.testing.assert_array_equal(algebra.generators, expected)
 
 
@@ -518,4 +552,4 @@ def test_closure_matches_the_block_mask_builder_bytes(basis):
     assert all(type(k) is int for block in algebra.blocks for k in block)
     assert algebra.generators.shape == generators.shape
     assert algebra.generators.tobytes() == generators.tobytes()
-    assert algebra.p.p.tobytes() == p.p.tobytes()
+    assert algebra.p.tobytes() == p.tobytes()

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 import posred.pipeline
 import posred.possys
-from posred import (DimensionMismatchError, Factorization, GeneratorSpec,
-                    PerturbationRecord, PositiveLtiSystem, Tolerances, equivalent,
-                    find_nonneg_factorization, generate_system, is_nonneg, left_inverse,
-                    markov_match, perturbation_experiment, project, rank,
+from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
+                    PerturbationRecord, PositiveLtiSystem, Tolerances, algebra_factorization,
+                    equivalent, find_nonneg_factorization, generate_system, is_nonneg,
+                    left_inverse, markov_match, perturbation_experiment, project, rank,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
-                      exact_markov_parameters, exact_verdict, exhaustive_first_hit,
+                      exact_markov_parameters, exact_verdict, exactly_scaled, exhaustive_first_hit,
                       integer_sweep, krylov_stacks_built, lumped_system, observability_matrix,
                       r600_system, stubborn_span, swap_system)
 
@@ -244,10 +244,10 @@ class TestReachableRoutes:
     def test_failed_algebraic_route_ends_in_a_report(self, n, r, q, seed, scale):
         # With B as given or scaled by 1e-6 these systems reduce
         # algebraically to order r. Scaled by 1e-9 the algebra's projector
-        # fails reduce's check, and by 1e-12 the basis falls below the
-        # absolute sign tolerance, so choose_p finds no reference vector.
-        # Either way the pipeline returns a report; any reduction in it
-        # must be exact.
+        # failed reduce's check, and by 1e-12 the basis fell below the
+        # absolute sign tolerance, while the closure's support was taken
+        # against that floor. Either way the pipeline returns a report;
+        # any reduction in it must be exact.
         S = lumped_system(n, r, q, seed)
         T = PositiveLtiSystem(S.A, S.B * scale, S.C)
         report = rpmr_reachable(T)
@@ -451,27 +451,37 @@ def rank_one_chain_system() -> PositiveLtiSystem:
     return PositiveLtiSystem(A, [[1.0], [0.0], [1e4]], [[0.0, 0.0, 1.0]])
 
 
-@pytest.mark.parametrize("rpmr, system, refusal", [
-    (rpmr_reachable, rank_one_chain_system, "no projector"),
-    *((rpmr_reachable, lambda s=s: d3_scaled(r600_system(s), s, 5), "do not fix")
+FULL_ALGEBRA = "RPMR could not be performed: the algebra enlargement has full dimension"
+
+
+@pytest.mark.parametrize("rpmr, system, refusal, full", [
+    (rpmr_reachable, rank_one_chain_system, "no projector", False),
+    *((rpmr_reachable, lambda s=s: d3_scaled(r600_system(s), s, 5), "do not fix", False)
       for s in (281, 426)),
-    *((rpmr_observable, lambda s=s: d3_scaled(r600_system(s), s, 5), refusal)
+    *((rpmr_observable, lambda s=s: d3_scaled(r600_system(s), s, 5), refusal, s == 195)
       for s, refusal in ((155, "do not fix"), (195, "no projector"), (273, "do not fix"),
                          (524, "no projector"), (564, "do not fix")))],
     ids=["rank-one-chain", "D5-281", "D5-426", "D5-155-observable", "D5-195-observable",
          "D5-273-observable", "D5-524-observable", "D5-564-observable"])
-def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system, refusal):
+def test_rejected_algebra_of_the_space_is_not_called_a_minimal_pair(rpmr, system, refusal, full):
     # The algebra enlargement equals the target space, but reduce rejects
     # its factors: the report is "none", keeps the search's refusal, and
-    # does not claim that the factors are a minimal pair.
+    # does not claim that the factors are a minimal pair. D5-195's
+    # (observable) closure equalled the space only while an absolute floor
+    # kept a row off its support; on every nonzero row it has full
+    # dimension, and the report says so.
     report = rpmr(system())
     q = report.basis.dimension
     assert (report.method, report.reduced_dim) == ("none", report.original_dim)
     assert refusal in report.diagnostics[0]
-    assert report.diagnostics[1:3] == (
-        f"algebra enlargement: {q} -> {q} dimensions",
-        f"RPMR could not be performed: the projector of the algebra enlargement fails the "
-        f"exactness check (it does not fix the {report.space} space)")
+    if full:
+        assert report.algebra.dimension == report.original_dim
+        assert report.diagnostics[1:] == (FULL_ALGEBRA,)
+    else:
+        assert report.diagnostics[1:3] == (
+            f"algebra enlargement: {q} -> {q} dimensions",
+            f"RPMR could not be performed: the projector of the algebra enlargement fails the "
+            f"exactness check (it does not fix the {report.space} space)")
     assert not any("minimal pair" in line for line in report.diagnostics)
 
 
@@ -487,17 +497,27 @@ def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, forced):
     # An absolute Krylov residual certified the reports of the first three,
     # minimal of order 2 of 4, algebraic 9 of 10 and minimal 10 of 13, and
     # their algebraic reductions at the same orders; equivalent rejects
-    # each reduced system. The componentwise check refuses every one of
-    # these algebras' projectors, so the reports reduce nothing. Seed 37's
-    # algebra closure has 3 dimensions, its basis 4 (see below).
+    # each reduced system. The componentwise check refuses the projectors
+    # of seeds 277 and 586, so those reports reduce nothing. Seed 380's
+    # closure (observable) has full dimension once every nonzero row of the
+    # basis is on its support, so it reduces nothing either, and its
+    # forced reduction is the whole system. Seed 37's closure lost a
+    # dimension to an absolute floor; on every nonzero row it has the 4 of
+    # the basis, and reduce accepts it (see below).
     S = d3_scaled(r600_system(seed), seed, 5)
+    T = S.transpose() if rpmr is rpmr_observable else S
     if forced:
-        T = S.transpose() if rpmr is rpmr_observable else S
-        assert algebraic_reduction(T)[1] is None
+        algebra, reduced = algebraic_reduction(T)
+        if seed in (277, 586):
+            assert reduced is None
+        else:
+            assert algebra.dimension == {380: S.dim, 37: 4}[seed]
+            assert reduced.dim == algebra.dimension and equivalent(T, reduced)
     else:
         report = rpmr(S)
         assert (report.method, report.reduced_dim) == ("none", report.original_dim)
-        assert "fails the exactness check" in report.diagnostics[2]
+        closing = FULL_ALGEBRA if seed == 380 else "fails the exactness check"
+        assert closing in report.diagnostics[-1]
 
 
 @pytest.mark.parametrize("rpmr, seed", [
@@ -505,16 +525,22 @@ def test_d5_reports_reproduce_the_markov_sequence(rpmr, seed, forced):
     (rpmr_reachable, 251)],
     ids=["D5-37", "D5-43", "D5-43-observable", "D5-92", "D5-251"])
 def test_forced_closure_smaller_than_the_basis_is_refused(rpmr, seed):
-    # At five decades of scaling the closure of these bases loses
-    # dimensions. An algebra smaller than the basis cannot contain the
-    # space, and reduce refuses its projector by itself, so no guard on
-    # the dimensions is needed (an absolute Krylov residual accepted seed
-    # 37's at order 3). Each report stays sound.
+    # At five decades of scaling the closure of these bases lost
+    # dimensions while an absolute floor kept their small rows off its
+    # support (an absolute Krylov residual accepted seed 37's at order 3).
+    # On every nonzero row the closure has the basis's dimension, and
+    # reduce accepts it. An algebra smaller than the basis cannot contain
+    # the space: with one generator dropped, reduce refuses its projector
+    # by itself, so no guard on the dimensions is needed. Each report
+    # stays sound.
     S = d3_scaled(r600_system(seed), seed, 5)
     T = S.transpose() if rpmr is rpmr_observable else S
     algebra, reduced = algebraic_reduction(T)
-    assert algebra.dimension < reachable_subspace(T).dimension
-    assert reduced is None
+    assert algebra.dimension == reachable_subspace(T).dimension
+    assert reduced is not None and equivalent(T, reduced)
+    F = algebra_factorization(algebra)
+    with pytest.raises(NotInvariantError):
+        reduce(T, Factorization(F.J[:, 1:], F.Jdag[1:], F.pivot_rows[1:]))
     report = rpmr(S)
     assert report.reduced_system is None or equivalent(S, report.reduced_system)
 
@@ -610,11 +636,7 @@ NO_EXACT_ALGEBRA = ("RPMR could not be performed: the projector of the algebra e
     (rpmr_observable, lambda: r600_system(22), "minimal",
      ["the algebra enlargement equals the observable space (12 dimensions); its factors are "
       "a non-negative minimal pair"]),
-    (rpmr_reachable, lambda: scaled_input(lumped_system(12, 6, 4, 0), 1e-12), "none",
-     [NO_PROJECTOR, "RPMR could not be performed: the reachable basis has no reference "
-      "vector for the algebra closure (reference vector has empty support)"]),
-    (rpmr_reachable, stubborn_system, "none",
-     [NO_PROJECTOR, "RPMR could not be performed: the algebra enlargement has full dimension"]),
+    (rpmr_reachable, stubborn_system, "none", [NO_PROJECTOR, FULL_ALGEBRA]),
     (rpmr_reachable, rank_one_chain_system, "none",
      [NO_PROJECTOR, "algebra enlargement: 2 -> 2 dimensions", NO_EXACT_ALGEBRA]),
     (rpmr_reachable, lambda: d3_scaled(r600_system(281), 281, 5), "none",
@@ -622,7 +644,7 @@ NO_EXACT_ALGEBRA = ("RPMR could not be performed: the projector of the algebra e
       "algebra enlargement: 2 -> 2 dimensions", NO_EXACT_ALGEBRA]),
     (rpmr_observable, lambda: cascade_system().transpose(), "minimal", [])],
     ids=["trivial", "already-full", "minimal-selector", "minimal-search", "algebraic",
-         "equals-the-space", "none-no-reference-vector", "none-full-algebra",
+         "equals-the-space", "none-full-algebra",
          "none-inexact-algebra", "none-inexact-factors-and-algebra", "observable"])
 def test_reports_carry_their_lines_as_a_tuple_of_strings(rpmr, system, method, lines):
     # Each report is built once, with all of its lines: its diagnostics
@@ -884,6 +906,18 @@ def test_lumped_input_map_near_the_largest_double_reduces_algebraically(scale):
         assert equivalent(S, report.reduced_system)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-300])
+def test_lumped_input_map_below_the_sign_tolerance_reduces_algebraically(scale):
+    # The closure's support is the basis's nonzero rows, with no floor:
+    # with B scaled by 1e-9 it lost rows to nonneg_tol and reduce refused
+    # the algebra, and from 1e-12 on it had no support at all.
+    S = scaled_input(lumped_system(12, 6, 4, 0), scale)
+    report = rpmr_reachable(S)
+    assert (report.method, report.reduced_dim) == ("algebraic", 6)
+    assert report.algebra.blocks == rpmr_reachable(lumped_system(12, 6, 4, 0)).algebra.blocks
+    assert equivalent(S, report.reduced_system)
+
+
 @given(st.integers(2, 10), st.integers(1, 2), st.sampled_from([0.6, 0.8, 1.0]),
        st.integers(0, 2**31 - 1),
        st.integers(-560, 500) | st.integers(-560, -520) | st.integers(460, 500))
@@ -896,6 +930,39 @@ def test_route_and_order_do_not_depend_on_the_scale_of_B(n, inputs, density, see
     plain = rpmr_reachable(S)
     scaled = rpmr_reachable(PositiveLtiSystem(S.A, np.ldexp(S.B, k), S.C))
     assert (scaled.method, scaled.reduced_dim) == (plain.method, plain.reduced_dim)
+
+
+@given(st.integers(0, 599), st.sampled_from([None, (12, 6, 4), (8, 5, 3), (14, 8, 5)]),
+       st.integers(-600, 600) | st.sampled_from([-600, -100, -30, 600]), st.booleans())
+@example(22, None, -30, True)
+@example(0, (12, 6, 4), -30, False)
+@example(179, None, -100, False)
+def test_reports_do_not_depend_on_the_units_of_the_input_or_output_map(seed, lumped, k,
+                                                                        observable):
+    # R600 system `seed`, or the lumped system of that shape and seed, with
+    # B (reachable side) or C (observable side) multiplied by 2^k, which
+    # is exact and moves no Krylov direction. The route, the order, J, Jdag
+    # and A_r must be the unscaled report's bytes, and B_r (or C_r) exactly
+    # 2^k times its own. An absolute floor on the closure's support moved
+    # R600 seed 22 (observable) and lumped (12, 6, 4) seed 0 at k = -30,
+    # and R600 seed 179 at k = -100.
+    S = r600_system(seed) if lumped is None else lumped_system(*lumped, seed)
+    if observable:
+        rpmr, T = rpmr_observable, PositiveLtiSystem(S.A, S.B, np.ldexp(S.C, k))
+    else:
+        rpmr, T = rpmr_reachable, PositiveLtiSystem(S.A, np.ldexp(S.B, k), S.C)
+    plain, scaled = rpmr(S), rpmr(T)
+    assert (scaled.method, scaled.reduced_dim) == (plain.method, plain.reduced_dim)
+    if plain.reduced_system is None:
+        assert scaled.reduced_system is None
+        return
+    for M, N in zip(scaled.factorization[:2], plain.factorization[:2]):
+        assert M.tobytes() == N.tobytes()
+    R, R0 = scaled.reduced_system, plain.reduced_system
+    assert R.A.tobytes() == R0.A.tobytes()
+    moved, kept = ("C", "B") if observable else ("B", "C")
+    assert getattr(R, moved).tobytes() == np.ldexp(getattr(R0, moved), k).tobytes()
+    assert getattr(R, kept).tobytes() == getattr(R0, kept).tobytes()
 
 
 def sweep_disagreements(count: int) -> list[tuple]:
@@ -918,6 +985,20 @@ def test_reports_on_the_integer_sweep_are_the_exact_verdicts():
     # 4000 reports on integer data, where the oracle's rank and sign tests
     # are exact: a missed reduction fails here as surely as a wrong one.
     assert sweep_disagreements(2000) == []
+
+
+def test_no_report_on_the_exactly_scaled_sweep_claims_a_lower_order_than_the_exact_one():
+    # P17: the first 2000 draws of the integer sweep under exact diagonal
+    # similarities by powers of two up to 2^17 per coordinate, which change
+    # no verdict. Scaled reports may still miss a reduction (their count is
+    # recorded, not pinned here), but none may claim an order below the
+    # exact one.
+    unscaled, scaled = integer_sweep(2000), exactly_scaled(integer_sweep(2000), 17)
+    for draw, ((A, B, C), (A2, B2, C2)) in enumerate(zip(unscaled, scaled)):
+        S = PositiveLtiSystem(A2, B2, C2)
+        for rpmr, pair in ((rpmr_reachable, (A, B)), (rpmr_observable, (A.T, C.T))):
+            report = rpmr(S)
+            assert report.reduced_dim >= exact_verdict(*pair)[1], (draw, rpmr.__name__)
 
 
 def test_a_search_that_finds_nothing_misses_exact_minimal_reductions(monkeypatch):
