@@ -25,7 +25,7 @@ from .errors import NonFiniteError, PosredError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_nonneg_rect
-from .numerics import Tolerances, as_matrix, column_space_basis, is_nonneg, left_inverse
+from .numerics import Tolerances, as_matrix, column_space_basis, left_inverse
 from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
 from .possys import TIME_DOMAINS, PositiveLtiSystem, markov_match
 
@@ -74,9 +74,8 @@ def _raw_system(payload, inputs: int = 0) -> tuple[np.ndarray, np.ndarray, np.nd
     return A, B, C, time_domain
 
 
-def _load_system(path: Optional[str], tol: Tolerances) -> PositiveLtiSystem:
-    A, B, C, time_domain = _raw_system(_load_json(path))
-    return PositiveLtiSystem(A, B, C, time_domain, tol)
+def _load_system(path: Optional[str]) -> PositiveLtiSystem:
+    return PositiveLtiSystem(*_raw_system(_load_json(path)))
 
 
 def _system_payload(S: PositiveLtiSystem) -> dict:
@@ -129,7 +128,7 @@ def report_to_dict(report: ReductionReport) -> dict:
 
 
 def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
-    system = _load_system(args.input, tol)
+    system = _load_system(args.input)
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
     report = runner(system, tol)
     return report_to_dict(report), report.method != "none"
@@ -185,7 +184,7 @@ def cmd_verify(args, tol: Tolerances) -> tuple[dict, bool]:
     original = _raw_system(_load_json(args.original))[:3]
     reduced = _raw_system(_load_json(args.reduced), original[1].shape[1])[:3]
     match = markov_match(original, reduced, tol)
-    positive = all(is_nonneg(M, tol) for M in reduced)
+    positive = all(M.min(initial=0.0) >= 0.0 for M in reduced)
     return {
         "schema_version": SCHEMA_VERSION,
         "markov_match": match,
@@ -209,7 +208,7 @@ def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
                         ("--seed", args.seed)):
         if not 0 <= value < np.inf:
             raise CliError(1, f"{flag} must be finite and non-negative")
-    S = _load_system(args.input, tol)
+    S = _load_system(args.input)
     robust = rpmr_reachable(S, tol)
     if robust.reduced_dim == 0:
         raise CliError(3, "input map is zero; nothing to reduce or perturb")

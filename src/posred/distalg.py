@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotNonnegativeError
+from .errors import NonFiniteError, NotNonnegativeError
 from .factorize import Factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, unit_peak
 
@@ -42,20 +42,23 @@ def choose_p(V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     near the largest double), it is taken of the basis divided by the
     smallest power of two at least its column count m, which is exact
     outside the subnormal range, changes no sign and lets no row sum
-    overflow; the blocks and J do not depend on the scale of p. Each row's
-    sum is judged at that row's own scale, so the answer does not depend
-    on the units of the basis: a nonzero row whose sum is at or below
-    nonneg_tol times its peak |entry| raises NotNonnegativeError, as the
-    basis must be a non-negative generating set of the span. After the
-    division this also refuses a row whose every entry underflows to 0.
+    overflow; the blocks and J do not depend on the scale of p. When the
+    division takes every entry of a nonzero row to 0, NonFiniteError is
+    raised, as p would vanish there. Each row's sum is judged at that
+    row's own scale, so the answer does not depend on the units of the
+    basis: a nonzero row whose sum is at or below nonneg_tol times its
+    peak |entry| raises NotNonnegativeError, as the basis must be a
+    non-negative generating set of the span.
     """
     B = V.basis
+    nonzero = B.any(axis=1)
     with np.errstate(over="ignore"):
         p = B.sum(axis=1)
     if not np.isfinite(p).all():
         B = np.ldexp(B, -(B.shape[1] - 1).bit_length())
+        if not B[nonzero].any(axis=1).all():
+            raise NonFiniteError("basis sum overflows; scaled down, a nonzero row underflows to 0")
         p = B.sum(axis=1)
-    nonzero = V.basis.any(axis=1)
     if not (p[nonzero] > tol.nonneg_tol * abs(B[nonzero]).max(axis=1)).all():
         raise NotNonnegativeError("basis column sum is not positive, at the scale of its row, "
                                   "on every nonzero row (negative entries): choose_p needs a "

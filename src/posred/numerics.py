@@ -43,8 +43,8 @@ class Tolerances(_Checked, _Tolerances):
     times the largest absolute entry of the matrix under test; for column
     selection that matrix is the columns kept so far plus the candidate,
     so every kept pivot is held to the threshold too. nonneg_tol =
-    eq_tol/10 is the sign-test floor (entries >= -nonneg_tol count as
-    non-negative).
+    eq_tol/10 is the sign-test floor of values that carry rounding
+    (entries >= -nonneg_tol count as non-negative); a system has none.
     """
 
     __slots__ = ()

@@ -20,13 +20,14 @@ def _frozen(A: np.ndarray) -> np.ndarray:
 class PositiveLtiSystem:
     """State-space triple (A, B, C) with entrywise non-negative matrices.
 
+    An entry below 0 raises NotPositiveError, with no tolerance (-0.0
+    passes), a verdict that no diagonal scaling can change.
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
     identical for both. The matrices are read-only.
     """
 
-    def __init__(self, A, B, C=None, time_domain: str = "discrete",
-                 tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, A, B, C=None, time_domain: str = "discrete"):
         A = as_matrix(A, "A")
         B = as_matrix(B, "B")
         n = A.shape[0]
@@ -40,7 +41,7 @@ class PositiveLtiSystem:
         if time_domain not in TIME_DOMAINS:
             raise ValueError(f"time_domain must be one of {TIME_DOMAINS}")
         for name, M in (("A", A), ("B", B), ("C", C)):
-            if M.size and not M.min() >= -tol.nonneg_tol:
+            if M.size and not M.min() >= 0.0:
                 raise NotPositiveError(f"system is not positive: {name} has negative entries")
         self.A = _frozen(A)
         self.B = _frozen(B)
@@ -62,8 +63,8 @@ class PositiveLtiSystem:
     def transpose(self) -> "PositiveLtiSystem":
         """The dual system (A^T, C^T, B^T); swaps reachability with observability.
 
-        The matrices were checked at construction, under the caller's
-        tolerances, so the dual is not checked again."""
+        Transposing keeps every entry, so the dual passes the constructor's
+        checks as S did and is not checked again."""
         return _unchecked(_frozen(self.A.T), _frozen(self.C.T), _frozen(self.B.T),
                           self.time_domain)
 
@@ -256,17 +257,17 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     C[:, s], each plus 0.0, which turns -0.0 into 0.0 as the products
     below do. It is kept when count_nonzero(M) = count_nonzero(M[s]), so
     that no state outside s is fed from s or by the input (Im(J) is
-    exactly invariant and holds B), and the peak |entry| of [A_r, B_r] is
-    below 2^1023 / (r + 1), so that the Krylov check below, had it run,
-    would see finite blocks. The general pass would then accept the same
-    bytes. Every other pair, and a selector that fails that test, takes
-    the general pass.
+    exactly invariant and holds B), and the largest entry of [A_r, B_r]
+    (none is negative) is below 2^1023 / (r + 1), so that the Krylov
+    check below, had it run, would see finite blocks. The general pass
+    would then accept the same bytes. Every other pair, and a selector
+    that fails that test, takes the general pass.
 
     The general pass reads the reduced triple off one product: M =
     [A J, B] is formed once, [A_r, B_r] = Jdag M, and C_r = C J.
     Invariance is tested first.
-    When A, B, J and Jdag have no negative entry, let |M - J [A_r, B_r]|
-    <= e max(|M|, |J [A_r, B_r]|) hold entrywise, that is
+    When J and Jdag have no negative entry (A and B have none), let
+    |M - J [A_r, B_r]| <= e max(|M|, |J [A_r, B_r]|) hold entrywise, that is
     |A J - J A_r| <= e max(|A J|, |J A_r|) and |B - J B_r| <=
     e max(|B|, |J B_r|), with e = eq_tol / (n + m + 1) (m the column
     count of J). Then, by induction and monotonicity
@@ -296,14 +297,14 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     need not: blocks within eq_tol of Im(J) can still drift out of it at
     later powers.
 
-    Either pass's output is checked in one pass: the minimum and maximum
-    over [A_r, B_r] and C_r must be finite and at least -nonneg_tol. The
-    checked matrices are then frozen and returned as they are, A_r and
-    B_r as read-only views of [A_r, B_r]. A triple that fails goes to the
-    PositiveLtiSystem constructor, which names the fault: NonFiniteError
-    for an overflow, NotPositiveError for a negative entry (possible only
-    with mixed-sign factors, or with a system checked under a looser
-    tolerance than tol).
+    The general pass's output is checked in one pass, by the constructor's
+    rule: the minimum and maximum over [A_r, B_r] and C_r must be finite
+    and at least 0 (the selector's output, entries of S, passes by
+    construction). A triple that fails goes to the PositiveLtiSystem
+    constructor, which names the fault: NonFiniteError for an overflow,
+    NotPositiveError for a negative entry (possible only with mixed-sign
+    factors). Either pass's matrices are then frozen and returned as they
+    are, A_r and B_r as read-only views of [A_r, B_r].
     """
     indexed = (type(F) is _Selector and F.J.shape[0] == S.dim
                and not (F.J.flags.writeable or F.Jdag.flags.writeable))
@@ -314,9 +315,8 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         R = M.take(s, axis=0)
         R += 0.0
         C_r = S.C.take(s, axis=1) + 0.0
-        low, high = R.min(initial=0.0), R.max(initial=0.0)
         indexed = (np.count_nonzero(M) == np.count_nonzero(R)
-                   and max(-low, high) < 2.0 ** 1023 / (r + 1))
+                   and R.max(initial=0.0) < 2.0 ** 1023 / (r + 1))
     if not indexed:
         J, Jdag = _factor_pair(F, S.dim)
         r = J.shape[1]
@@ -325,9 +325,9 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
             M = np.concatenate((S.A @ J, S.B), axis=1)  # [A J, B]
             R = Jdag @ M  # [A_r, B_r]
             C_r = S.C @ J
-            # No entry of B or Jdag is negative, and none of A or J is negative
-            # or in (0, 2^-511), so no product term of A J underflows.
-            invariant = (min(S.B.min(initial=0.0), Jdag.min(initial=0.0)) >= 0.0
+            # No entry of J or Jdag is negative, and none of A or J is in
+            # (0, 2^-511), so no product term of A J underflows.
+            invariant = (Jdag.min(initial=0.0) >= 0.0
                          and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
                          and not ((J < 2.0 ** -511) & (J != 0.0)).any())
             if invariant:
@@ -336,13 +336,11 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
                 P = _krylov_powers(S.A, S.B, scaled=True)
                 if not _entrywise_close(P, J @ (Jdag @ P), tol.eq_tol):
                     raise NotInvariantError("J @ Jdag does not fix the reachable space")
-        low, high = R.min(initial=0.0), R.max(initial=0.0)
-    # A NaN fails every comparison, and an infinity one of the two bounds.
-    floor = -tol.nonneg_tol
-    if not (low >= floor and C_r.min(initial=0.0) >= floor
-            and high < np.inf and C_r.max(initial=0.0) < np.inf):
-        # The constructor raises the error that names the faulty matrix.
-        return PositiveLtiSystem(R[:, :r], R[:, r:], C_r, S.time_domain, tol)
+        # A NaN fails every comparison, and an infinity one of the two bounds.
+        if not (R.min(initial=0.0) >= 0.0 and C_r.min(initial=0.0) >= 0.0
+                and R.max(initial=0.0) < np.inf and C_r.max(initial=0.0) < np.inf):
+            # The constructor raises the error that names the faulty matrix.
+            return PositiveLtiSystem(R[:, :r], R[:, r:], C_r, S.time_domain)
     R.setflags(write=False)
     C_r.setflags(write=False)
     return _unchecked(R[:, :r], R[:, r:], C_r, S.time_domain)

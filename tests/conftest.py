@@ -4,14 +4,14 @@ scipy.optimize.nnls) and the monotonicity test built on it that serve as
 the cone oracles, the exhaustive subset scan and the per-row cone walk
 that serve as the minimal-route oracles, the exact verdict of a
 reduction in integer arithmetic, the integer sweep it is checked on and
-its exactly scaled corpora, the per-column rank loop and the
-per-column elimination loop that serve as the column-selection
-oracles, the block Arnoldi basis that serves as the reachable-space
-oracle, the raw reachability matrix, the list of Krylov
+its exactly scaled corpora, the draws of the sign probe, the per-column
+rank loop and the per-column elimination loop that serve as the
+column-selection oracles, the block Arnoldi basis that serves as the
+reachable-space oracle, the raw reachability matrix, the list of Krylov
 blocks that serves as the raw-stack oracle, the n-step Krylov loop that
-serves as the exactness oracle, the algebraic reduction alone, a
-counter of the Krylov stacks built by mode, the per-group row loop and
-the rank test that serve as the closure's grouping and span oracles, the
+serves as the exactness oracle, the algebraic reduction alone, a counter
+of the Krylov stacks built by mode, the per-group row loop and the rank
+test that serve as the closure's grouping and span oracles, the
 per-block mask closure that serves as its block-building oracle, the raw
 and the exact rational Markov coefficients, the observability matrix, a
 simulator and the wedge product that serve as reference definitions, and
@@ -474,6 +474,23 @@ def integer_sweep(count: int):
         B = rng.integers(0, 2, (n, m)) * (rng.random((n, m)) < 0.5)
         C = rng.integers(0, 2, (int(rng.integers(1, 3)), n))
         yield A.astype(float), B.astype(float), C.astype(float)
+
+
+def sign_probe_draw(rng: np.random.Generator):
+    """One draw (A, B, C) of the sign probe, whose non-negative integer
+    systems get entries just below 0: from rng, n in [3, 8) and m in
+    [1, 3); A = integers(0, 3, (n, n)) masked by random((n, n)) < 0.4;
+    B = integers(0, 2, (n, m)) masked by random((n, m)) < 0.5; C =
+    ones((1, n)); then the zeros of A where random((n, n)) < 0.15 become
+    one draw of -uniform(0, 1e-9), and the zeros of B where random((n, m))
+    < 0.1 likewise, in that order."""
+    n, m = int(rng.integers(3, 8)), int(rng.integers(1, 3))
+    A = (rng.integers(0, 3, (n, n)) * (rng.random((n, n)) < 0.4)).astype(float)
+    B = (rng.integers(0, 2, (n, m)) * (rng.random((n, m)) < 0.5)).astype(float)
+    for M, share in ((A, 0.15), (B, 0.1)):
+        tiny = (M == 0.0) & (rng.random(M.shape) < share)
+        M[tiny] = -rng.uniform(0.0, 1e-9)
+    return A, B, np.ones((1, n))
 
 
 def exactly_scaled(draws, K: int):

@@ -62,13 +62,27 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["space"] == "observable"
 
-    def test_observable_space_keeps_the_sign_tolerance(self, tmp_path, capsys):
+    def test_tiny_negative_entry_is_refused_at_any_tol(self, tmp_path, capsys):
+        # A system has no sign tolerance: -5e-7 is refused on either space,
+        # however loose --tol is, with one error line and nothing on stdout.
         path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.0], [-5e-7, 1.0]],
                                                 "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]})
-        code, out, _ = run(capsys, "reduce", "--input", path, "--space", "observable",
-                           "--tol", "1e-5")  # sign tolerance 1e-6
-        assert code == 0
-        assert json.loads(out)["reduced_dim"] == 1
+        for space in ("reachable", "observable"):
+            for tol in ("1e-8", "1e-5", "1"):
+                code, out, err = run(capsys, "reduce", "--input", path, "--space", space,
+                                     "--tol", tol)
+                assert (code, out) == (1, "")
+                assert err == "error: system is not positive: A has negative entries\n"
+
+    def test_entry_below_its_row_peak_is_refused(self, tmp_path, capsys):
+        # -1e-9 is 5e-10 of its row's peak: neither an absolute nor a
+        # row-relative floor would refuse it, yet the reachable basis of the
+        # system it would make has a row with no positive entry.
+        path = write_json(tmp_path / "s.json", {"A": [[1, 0, 0], [0, 2, 0], [-1e-9, 0, 2]],
+                                                "B": [[1], [1], [0]], "C": [[1, 1, 1]]})
+        code, out, err = run(capsys, "reduce", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == "error: system is not positive: A has negative entries\n"
 
     def test_negative_entry_exits_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json",
@@ -287,6 +301,17 @@ class TestAlgebra:
         assert report["p"] == [1.5e308, 7.5e307, 0.5]
         assert report["blocks"] == [[0], [1, 2]]
 
+    def test_row_that_underflows_beside_an_overflowing_sum_is_an_input_error(self, tmp_path,
+                                                                              capsys):
+        # The matrix is non-negative; halving it to keep row 0's sum finite
+        # takes row 2's 5e-324 to 0. One error line, which blames no sign.
+        path = write_json(tmp_path / "m.json", [[1.5e308, 1.5e308], [1.5e308, 0.0],
+                                                [5e-324, 0.0]])
+        code, out, err = run(capsys, "algebra", "--input", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "negative" not in err and "underflows" in err
+
     def test_mixed_sign_span_is_an_input_error(self, tmp_path, capsys):
         # span{(1, -1)} has no non-negative generating set: factorize and
         # algebra both exit 1 with one error line and nothing on stdout.
@@ -359,6 +384,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", original, reduced)
         assert code == 3
         assert json.loads(out)["markov_match"] is False
+
+    def test_tiny_negative_entry_fails_positivity(self, tmp_path, capsys):
+        # The reduced system still matches, within eq_tol, but -1e-12 is a
+        # negative entry, which no positive system has.
+        original = write_system(tmp_path / "orig.json", swap_system(1.0))
+        code, out, _ = run(capsys, "reduce", "--input", original)
+        payload = json.loads(out)["reduced_system"]
+        row, column = np.argwhere(np.array(payload["A"]) == 0.0)[0]
+        payload["A"][row][column] = -1e-12
+        reduced = write_json(tmp_path / "red.json", payload)
+        code, out, _ = run(capsys, "verify", original, reduced)
+        assert code == 3
+        report = json.loads(out)
+        assert (report["markov_match"], report["positivity"]) == (True, False)
 
     def test_negative_reduced_file_fails_positivity(self, tmp_path, capsys):
         original = write_system(tmp_path / "orig.json", cascade_system())

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from posred import (DimensionMismatchError, NotNonnegativeError, SubspaceBasis, Tolerances,
-                    algebra_factorization, choose_p, closure, column_space_basis,
-                    is_monotone_nonneg_rect, rank, reachable_subspace)
+from posred import (DimensionMismatchError, NonFiniteError, NotNonnegativeError, PosredError,
+                    SubspaceBasis, Tolerances, algebra_factorization, choose_p, closure,
+                    column_space_basis, is_monotone_nonneg_rect, rank, reachable_subspace)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
 from posred.distalg import _indicators_span, _level_sets
 from conftest import (closure_by_block_masks, greedy_level_sets, indicators_span_by_rank,
@@ -138,10 +138,13 @@ class TestChooseP:
     def test_row_that_underflows_beside_an_overflowing_sum_is_refused(self):
         # Halving the basis, as above, takes the subnormal 5e-324 to 0, so
         # p would vanish on a nonzero row, where closure needs it positive:
-        # choose_p refuses the basis, and no p reaches closure.
+        # choose_p refuses the basis, and no p reaches closure. The basis is
+        # non-negative, so the error names the underflow, not a sign.
         V = SubspaceBasis(np.array([[1.5e308, 1.5e308], [1.5e308, 0.0], [5e-324, 0.0]]))
-        with pytest.raises(NotNonnegativeError):
+        with pytest.raises(NonFiniteError, match="underflows") as refusal:
             choose_p(V)
+        assert isinstance(refusal.value, PosredError)
+        assert "negative" not in str(refusal.value)
 
     def test_column_below_the_sign_floor_on_the_support(self):
         # The third column is nonzero only in a row below nonneg_tol; that

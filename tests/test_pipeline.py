@@ -1,5 +1,6 @@
 """End-to-end reduction pipeline: route selection, verification, duality,
 and the perturbation experiment."""
+import inspect
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -12,14 +13,15 @@ from hypothesis import strategies as st
 import posred.pipeline
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
-                    PerturbationRecord, PositiveLtiSystem, Tolerances, algebra_factorization,
-                    equivalent, find_nonneg_factorization, generate_system, is_nonneg,
-                    left_inverse, markov_match, perturbation_experiment, project, rank,
-                    reachable_subspace, reduce, rpmr_observable, rpmr_reachable)
+                    NotPositiveError, PerturbationRecord, PositiveLtiSystem, Tolerances,
+                    algebra_factorization, equivalent, find_nonneg_factorization,
+                    generate_system, is_nonneg, left_inverse, markov_match,
+                    perturbation_experiment, project, rank, reachable_subspace, reduce,
+                    rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
                       exact_markov_parameters, exact_verdict, exactly_scaled, exhaustive_first_hit,
                       integer_sweep, krylov_stacks_built, lumped_system, observability_matrix,
-                      r600_system, stubborn_span, swap_system)
+                      r600_system, sign_probe_draw, stubborn_span, swap_system)
 
 TOL = Tolerances()
 
@@ -319,17 +321,14 @@ class TestObservable:
         assert report.method == "none"
         assert any("already observable" in note for note in report.diagnostics)
 
-    def test_dual_keeps_the_callers_sign_tolerance(self):
-        # -5e-7 passes nonneg_tol = eq_tol/10 = 1e-6; the dual must not be
-        # checked again under the default tolerance.
-        tol = Tolerances(1e-5)
-        S = PositiveLtiSystem([[1.0, -5e-7], [0.0, 1.0]], [[1.0], [0.0]], [[1.0, 1.0]],
-                              tol=tol)
-        assert rpmr_reachable(S, tol).reduced_dim == 1
-        assert rpmr_observable(S, tol).method == "none"  # fully observable
-        report = rpmr_observable(S.transpose(), tol)
-        assert report.method == "minimal"
-        assert report.reduced_dim == 1
+    def test_tiny_negative_entry_has_no_system_at_any_tolerance(self):
+        # -5e-7 is below 0 at any tolerance: the constructor takes none, so
+        # neither the system nor its dual exists to be reduced.
+        assert "tol" not in inspect.signature(PositiveLtiSystem).parameters
+        for A in ([[1.0, -5e-7], [0.0, 1.0]], [[1.0, 0.0], [-5e-7, 1.0]]):
+            with pytest.raises(NotPositiveError, match="^system is not positive: A has "
+                                                       "negative entries$"):
+                PositiveLtiSystem(A, [[1.0], [0.0]], [[1.0, 1.0]])
 
     def test_planted_unobservable_block(self):
         reduced_count = 0
@@ -963,6 +962,34 @@ def test_reports_do_not_depend_on_the_units_of_the_input_or_output_map(seed, lum
     moved, kept = ("C", "B") if observable else ("B", "C")
     assert getattr(R, moved).tobytes() == np.ldexp(getattr(R0, moved), k).tobytes()
     assert getattr(R, kept).tobytes() == getattr(R0, kept).tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+# Under a sign floor of 1e-9, draw 0 (entries near -9e-10 and -4e-10) is a
+# system whose basis the factorization search refuses, and draw 758 one
+# whose reduced system has a negative entry; draw 6 has no negative entry
+# and reduces minimally, and algebraically on the observable side.
+@example(0)
+@example(758)
+@example(6)
+def test_every_system_the_constructor_accepts_gets_both_reports(seed):
+    # The constructor refuses exactly the draws with an entry below 0; every
+    # other draw reduces on both spaces without raising, and each reduced
+    # system, and the dual, passes the constructor too.
+    A, B, C = sign_probe_draw(np.random.default_rng(seed))
+    negative = min(A.min(), B.min()) < 0.0
+    try:
+        S = PositiveLtiSystem(A, B, C)
+    except NotPositiveError:
+        assert negative
+        return
+    assert not negative
+    for report in (rpmr_reachable(S), rpmr_observable(S)):
+        if report.reduced_system is not None:
+            R = report.reduced_system
+            PositiveLtiSystem(R.A, R.B, R.C)
+    T = S.transpose()
+    PositiveLtiSystem(T.A, T.B, T.C)
 
 
 def sweep_disagreements(count: int) -> list[tuple]:

@@ -35,6 +35,19 @@ class TestConstruction:
         with pytest.raises(NotPositiveError, match="not positive"):
             PositiveLtiSystem([[1.0, -0.5], [0.0, 1.0]], [[1.0], [0.0]])
 
+    @pytest.mark.parametrize("A, B, C", [
+        ([[1e-12, -5e-10], [0.0, 1e-12]], [[1e-12], [1e-12]], None),
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1e-9, 0.0, 2.0]], [[1.0], [1.0], [0.0]],
+         [[1.0, 1.0, 1.0]])],
+        ids=["below-every-entry", "below-its-row-peak"])
+    def test_entry_below_zero_rejected_at_any_scale(self, A, B, C):
+        # No floor: the first negative entry is 500 times the largest entry,
+        # which an absolute floor of 1e-9 accepts; the second is 5e-10 of
+        # its row's peak, which a floor relative to that peak accepts.
+        with pytest.raises(NotPositiveError,
+                           match="^system is not positive: A has negative entries$"):
+            PositiveLtiSystem(A, B, C)
+
     def test_default_output_is_identity(self):
         S = PositiveLtiSystem(np.eye(2), np.ones((2, 1)))
         np.testing.assert_allclose(S.C, np.eye(2))
@@ -256,16 +269,16 @@ def reachable_support(S: PositiveLtiSystem) -> np.ndarray:
     return reached
 
 
-def tiny_negative_entries(outside: bool) -> PositiveLtiSystem:
-    """A planted system with -1e-12, inside the sign tolerance, in place of
-    the zeros of A among its reachable states, or (outside) in place of
-    every zero of A. Inside, the support and the certificate stand; outside,
-    the support grows to every state and the full stack is selected from."""
+def tiny_entries(outside: bool) -> PositiveLtiSystem:
+    """A planted system with 1e-12 in place of the zeros of A among its
+    reachable states, or (outside) in place of every zero of A. Inside, the
+    support and the certificate stand; outside, the support grows to every
+    state and the full stack is selected from."""
     S = generate_system(GeneratorSpec(10, 2, 2, 5, 0.6, 3))
     states = np.ones(10, dtype=bool) if outside else reachable_support(S)
     block = np.ix_(states, states)
     A = S.A.copy()
-    A[block] = np.where(A[block] == 0.0, -1e-12, A[block])
+    A[block] = np.where(A[block] == 0.0, 1e-12, A[block])
     return PositiveLtiSystem(A, S.B, S.C)
 
 
@@ -275,8 +288,8 @@ def tiny_negative_entries(outside: bool) -> PositiveLtiSystem:
     (lambda: PositiveLtiSystem(np.eye(3), np.zeros((3, 2))), 0),
     (nilpotent_chain, 0),
     (overflowing_chain, 1),  # its first blocks overflow already
-    (lambda: tiny_negative_entries(outside=False), 0),
-    (lambda: tiny_negative_entries(outside=True), 1)],
+    (lambda: tiny_entries(outside=False), 0),
+    (lambda: tiny_entries(outside=True), 1)],
     ids=["zero-B", "nilpotent", "overflowing", "tiny-negative-inside", "tiny-negative-outside"])
 def test_reachable_basis_edge_cases(system, full_stacks):
     S = system()
@@ -642,19 +655,6 @@ def test_selector_whose_krylov_blocks_overflow_gets_the_general_verdict():
     A = [[1e308, 1e308, 0.0], [1e308, 1e-320, 0.0], [0.0, 0.0, 0.0]]
     S = PositiveLtiSystem(A, np.eye(3)[:, :1], np.ones((1, 3)))
     F = find_nonneg_factorization(SubspaceBasis(np.eye(3)[:, :2]))
-    refusal = (NotInvariantError, "J @ Jdag does not fix the reachable space")
-    assert reduce_outcome(S, F) == reduce_outcome(S, Factorization(*F)) == refusal
-
-
-def test_selector_of_huge_negative_entries_gets_the_general_verdict():
-    # A system checked under eq_tol = 1e308 keeps entries of -1e307. The
-    # selector's bound is on the peak |entry|, so this pair takes the
-    # general pass, whose Krylov blocks overflow, rather than the
-    # constructor's sign error.
-    A = np.zeros((19, 19))
-    A[:18, :18] = -1e307
-    S = PositiveLtiSystem(A, np.eye(19)[:, :1], np.ones((1, 19)), tol=Tolerances(1e308))
-    F = find_nonneg_factorization(SubspaceBasis(np.eye(19)[:, :18]))
     refusal = (NotInvariantError, "J @ Jdag does not fix the reachable space")
     assert reduce_outcome(S, F) == reduce_outcome(S, Factorization(*F)) == refusal
 
