@@ -2,11 +2,14 @@
 """Non-negative full-rank factorization of projectors.
 
 Given a subspace V of R^n, we ask for a projector Pi = J @ Jdag onto V
-with both factors entrywise non-negative. The basis must be a
-non-negative generating set of V, as the reachable generators A^k B of a
-positive system are, and the answer does not depend on which one you
-start from: some m rows of the basis must form an invertible block V0
-with basis[rest] @ inv(V0) >= 0. Such rows exist
+with both factors entrywise non-negative. The search checks one
+precondition on the basis: each nonzero row, scaled to unit norm, must
+sum above nonneg_tol, as every nonzero row of a non-negative basis does;
+a row that fails raises NotNonnegativeError. A non-negative generating
+set of V, as the reachable generators A^k B of a positive system are,
+always passes, and the answer does not depend on which one you start
+from: some m rows of the basis must form an invertible block V0 with
+basis[rest] @ inv(V0) >= 0. Such rows exist
 exactly when the cone of the basis rows has m extreme rays, each carried
 by a row. With the unit rows put on a hyperplane, successive projection
 finds them in m steps (pick the largest row, project it out of all

@@ -1,13 +1,14 @@
 """Command-line front end: JSON matrices and systems in, JSON reports out.
 
-Every command that takes --tol has it checked before any input is read.
-Each command returns its JSON payload and whether its property holds, and
-main alone writes the payload and maps the verdict to the exit code.
+Every command that takes --tol (all but monotone and gen) has it checked
+before any input is read. A matrix file, the input of monotone, factorize
+and algebra, may have no entry below 0 (-0.0 passes). Each command
+returns its JSON payload and whether its property holds, and main alone
+writes the payload and maps the verdict to the exit code.
 
 Exit codes: 0 success (reduction found, property holds), 1 input or
 validation error (among them a bad --tol, or a matrix with negative
-entries, as monotone, factorize and algebra take non-negative generating
-sets only), 2 usage error (reported by argparse), 3 negative result (no
+entries), 2 usage error (reported by argparse), 3 negative result (no
 reduction, not monotone, no factorization, verification failed).
 """
 
@@ -56,7 +57,10 @@ def _matrix_from(payload, name: str) -> np.ndarray:
 
 
 def _load_matrix(path: Optional[str]) -> np.ndarray:
-    return _matrix_from(_load_json(path), "matrix")
+    M = _matrix_from(_load_json(path), "matrix")
+    if (M < 0.0).any():
+        raise CliError(1, "matrix has negative entries")
+    return M
 
 
 def _raw_system(payload, inputs: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
@@ -134,9 +138,8 @@ def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
     return report_to_dict(report), report.method != "none"
 
 
-def cmd_monotone(args, tol: Tolerances) -> tuple[dict, bool]:
-    X = _load_matrix(args.input)
-    certificate = is_monotone_nonneg_rect(X, tol)
+def cmd_monotone(args, tol: None) -> tuple[dict, bool]:
+    certificate = is_monotone_nonneg_rect(_load_matrix(args.input))
     L = certificate.nonneg_left_inverse
     return {
         "schema_version": SCHEMA_VERSION,
@@ -269,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("monotone", help="test a matrix for monotonicity")
-    _add_io_flags(p)
+    _add_io_flags(p, with_tolerances=False)
     p.set_defaults(func=cmd_monotone)
 
     p = sub.add_parser("factorize", help="non-negative projector factors for the "

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NotNonnegativeError
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, is_nonneg, unit_peak
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, unit_peak
 
 
 class Factorization(NamedTuple):
@@ -161,14 +161,15 @@ def find_nonneg_factorization(
 def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Independent recheck of the factorization invariants.
 
-    Both factors non-negative, Jdag @ J = I within eq_tol, and J @ Jdag
-    fixing each unit-peak basis column within eq_tol, an absolute residual
-    (fixes_columns); the two give Im(J) = span of V.
+    Both factors non-negative, with no entry below 0 and no tolerance, so
+    that Jdag A' J >= 0 for every A' >= 0; Jdag @ J = I within eq_tol, and
+    J @ Jdag fixing each unit-peak basis column within eq_tol, an absolute
+    residual (fixes_columns); the two give Im(J) = span of V.
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):
         return False
-    if not (is_nonneg(F.J, tol) and is_nonneg(F.Jdag, tol)):
+    if not (F.J.min(initial=0.0) >= 0.0 and F.Jdag.min(initial=0.0) >= 0.0):  # a NaN fails too
         return False
     if np.abs(F.Jdag @ F.J - np.eye(m)).max() > tol.eq_tol:
         return False

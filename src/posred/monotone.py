@@ -6,9 +6,9 @@ spanned by its rows contains the whole non-negative orthant. The package
 works with non-negative matrices only, where a structural test decides:
 a non-negative n x m matrix is monotone exactly when m of its rows are
 positive multiples of distinct unit vectors. Those monomial rows have
-disjoint supports, so they are pairwise orthogonal. A matrix with a
-negative entry is refused with NotNonnegativeError; no cone-membership
-solve is made.
+disjoint supports, so they are pairwise orthogonal. A matrix with an
+entry below 0 is refused with NotNonnegativeError; neither the sign test
+nor the support has a tolerance, and no cone-membership solve is made.
 """
 
 from typing import NamedTuple, Optional
@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NotNonnegativeError
-from .numerics import DEFAULT_TOL, Tolerances, as_matrix
+from .numerics import as_matrix
 
 
 class MonotoneCertificate(NamedTuple):
@@ -29,7 +29,7 @@ class MonotoneCertificate(NamedTuple):
     orthogonal_row_set: Optional[list[int]] = None
 
 
-def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertificate:
+def is_monotone_nonneg_rect(X) -> MonotoneCertificate:
     """Monomial-row test for a non-negative matrix of any rank or shape.
 
     A non-negative n x m matrix has a non-negative left inverse exactly
@@ -38,22 +38,17 @@ def is_monotone_nonneg_rect(X, tol: Tolerances = DEFAULT_TOL) -> MonotoneCertifi
     supported on each column alone. Those m rows form an invertible
     diagonal block, so a True verdict implies full column rank and no
     rank test is needed: a rank-deficient or wide matrix has fewer such
-    rows and is refused. Both the sign test
-    and the support are taken relative to the largest entry of each row:
-    X counts as non-negative when no entry is below -nonneg_tol times its
-    row's peak, and an entry is in the support when it exceeds nonneg_tol
-    times that peak. A pivot row is divided by its own pivot, which is its
-    peak, so L X is within nonneg_tol of I, and the verdict depends
-    neither on the scale of X nor on the scale of any row. On success the
-    left inverse picks those rows, scaled to invert the diagonal block
-    they form.
+    rows and is refused. X is non-negative when no entry is below 0 (-0.0
+    passes), and its support is its nonzero entries; neither test has a
+    tolerance, so the verdict depends neither on the scale of X nor on the
+    scale of any row. On success the left inverse picks those rows, each
+    divided by its pivot, and L X is I up to the rounding of 1 / pivot.
     """
     A = as_matrix(X, "X")
     n, m = A.shape
-    row_floor = tol.nonneg_tol * abs(A).max(axis=1, initial=0.0, keepdims=True)
-    if (A < -row_floor).any():
+    if (A < 0.0).any():
         raise NotNonnegativeError("matrix has negative entries")
-    support = A > row_floor
+    support = A > 0.0
     support_sizes = support.sum(axis=1)
     pivot_for_column: dict[int, int] = {}
     for i in range(n):

@@ -3,8 +3,8 @@
 All operations are pure functions over float64 arrays: rank by Gaussian
 elimination with a relative pivot threshold fixed once per matrix, greedy
 column bases by one elimination pass whose threshold follows the columns
-kept so far, Moore-Penrose left inverses, sign tests, unit-peak columns
-and the projector residual that certifies exactness.
+kept so far, Moore-Penrose left inverses, unit-peak columns and the
+projector residual that certifies exactness.
 """
 
 from typing import NamedTuple
@@ -43,8 +43,11 @@ class Tolerances(_Checked, _Tolerances):
     times the largest absolute entry of the matrix under test; for column
     selection that matrix is the columns kept so far plus the candidate,
     so every kept pivot is held to the threshold too. nonneg_tol =
-    eq_tol/10 is the sign-test floor of values that carry rounding
-    (entries >= -nonneg_tol count as non-negative); a system has none.
+    eq_tol/10 is the sign-test floor (entries >= -nonneg_tol count as
+    non-negative) of computed values, which carry rounding: the search's
+    unit-row signs and its zeroing of J, the row sums that choose_p and
+    the search require, and perturbation_experiment's signs. Inputs have
+    none: systems, monotone-test matrices and verified factor pairs.
     """
 
     __slots__ = ()
@@ -221,12 +224,6 @@ def left_inverse(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not np.isfinite(L).all():
         raise NonFiniteError(f"left inverse of the {n}x{m} matrix overflows")
     return L
-
-
-def is_nonneg(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when every entry is >= -nonneg_tol."""
-    A = as_matrix(M)
-    return bool(A.size == 0 or A.min() >= -tol.nonneg_tol)
 
 
 def unit_peak(M: np.ndarray) -> np.ndarray:

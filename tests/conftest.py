@@ -34,7 +34,7 @@ import posred.possys
 from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, MonotoneCertificate,
                     NonFiniteError, NotInvariantError, PositiveLtiSystem,
                     Tolerances, algebra_factorization, as_matrix,
-                    choose_p, closure, generate_system, is_nonneg, rank, reachable_subspace,
+                    choose_p, closure, generate_system, rank, reachable_subspace,
                     reduce, rpmr_reachable)
 
 # Derandomized, bounded and without an example database, so the property
@@ -378,7 +378,8 @@ def exhaustive_first_hit(basis, tol: Tolerances = Tolerances()):
         V0 = B[rows]
         if rank(V0, tol) < m:
             continue
-        if is_nonneg(np.delete(B, rows, axis=0) @ np.linalg.inv(V0), tol):
+        # A computed ratio carries rounding, so it gets the sign floor.
+        if (np.delete(B, rows, axis=0) @ np.linalg.inv(V0)).min(initial=0.0) >= -tol.nonneg_tol:
             return rows
     return None
 
@@ -576,7 +577,7 @@ def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):
     ratios = U @ np.linalg.inv(U[pivots])
     ratios[~nonzero] = B[~nonzero] @ np.linalg.inv(B[pivots])
     ratios[pivots] = np.eye(m)
-    if not is_nonneg(ratios, tol):
+    if not ratios.min(initial=0.0) >= -tol.nonneg_tol:  # computed, so floored
         return None
     J = np.maximum(B @ np.linalg.inv(B[pivots]), 0.0)
     J[pivots] = np.eye(m)

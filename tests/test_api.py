@@ -19,7 +19,7 @@ PUBLIC_NAMES = sorted([
     "SubspaceBasis", "Tolerances", "ZeroMatrixError", "algebra_factorization", "as_matrix",
     "choose_p", "closure", "column_space_basis", "equivalent",
     "find_nonneg_factorization", "generate_system",
-    "is_monotone_nonneg_rect", "is_nonneg", "left_inverse", "markov_match",
+    "is_monotone_nonneg_rect", "left_inverse", "markov_match",
     "perturbation_experiment", "project", "rank",
     "reachable_subspace", "reduce", "rpmr_observable",
     "rpmr_reachable", "verify_factorization",
@@ -27,7 +27,7 @@ PUBLIC_NAMES = sorted([
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 37
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name

@@ -140,7 +140,7 @@ class TestReduce:
         io = {"--input", "--output", "--tol"}
         assert options == {
             "reduce": io | {"--space"},
-            "monotone": io,
+            "monotone": {"--input", "--output"},
             "factorize": io,
             "algebra": io,
             "verify": {"original", "reduced", "--output", "--tol"},
@@ -148,7 +148,7 @@ class TestReduce:
                     "--density", "--seed"},
             "perturb": io | {"--delta", "--count", "--seed"},
         }
-        assert sum(map(len, options.values())) == 30
+        assert sum(map(len, options.values())) == 29
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -190,6 +190,20 @@ class TestMonotone:
         code, out, _ = run(capsys, "monotone", "--input", path)
         assert code == 3
         assert json.loads(out)["monotone"] is False
+
+    def test_tiny_entry_is_in_the_support(self, tmp_path, capsys):
+        # A support relative to the row peak dropped the 1e-12 and called X
+        # monotone, yet X x = (0, 1) >= 0 at x = (-1e-12, 1): exit 3.
+        path = write_json(tmp_path / "m.json", [[1.0, 1e-12], [0.0, 1.0]])
+        code, out, _ = run(capsys, "monotone", "--input", path)
+        assert (code, json.loads(out)["monotone"]) == (3, False)
+
+    def test_tolerance_flag_is_a_usage_error(self, tmp_path, capsys):
+        # The monotone test has no tolerance, so monotone takes no --tol.
+        path = write_json(tmp_path / "m.json", np.eye(2).tolist())
+        with pytest.raises(SystemExit) as exit_info:
+            main(["monotone", "--input", path, "--tol", "1e-8"])
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-5, 1.0, 1e20])
     def test_shortcut_verdict_does_not_depend_on_scale(self, tmp_path, capsys, scale):
@@ -259,7 +273,7 @@ class TestFactorize:
     def test_huge_entries_factor_like_unit_ones(self, tmp_path, capsys):
         # The row norms of this basis overflowed, and numpy's LinAlgError
         # escaped as a traceback.
-        path = write_json(tmp_path / "m.json", [[1e200, 1e200], [1e200, -1e200]])
+        path = write_json(tmp_path / "m.json", [[1e200, 1e200], [1e200, 0.0]])
         code, out, err = run(capsys, "factorize", "--input", path)
         assert (code, err) == (0, "")
         report = json.loads(out)
@@ -314,18 +328,21 @@ class TestAlgebra:
 
     def test_mixed_sign_span_is_an_input_error(self, tmp_path, capsys):
         # span{(1, -1)} has no non-negative generating set: factorize and
-        # algebra both exit 1 with one error line and nothing on stdout.
+        # algebra both refuse the matrix file before any search, with exit
+        # 1, one error line and nothing on stdout.
         path = write_json(tmp_path / "m.json", [[1.0], [-1.0]])
-        code, out, err = run(capsys, "factorize", "--input", path)
-        assert (code, out) == (1, "")
-        assert err == ("error: basis has negative entries: a unit row does not sum above the "
-                       "sign tolerance, and the factorization search needs a non-negative "
-                       "generating set of the span\n")
-        code, out, err = run(capsys, "algebra", "--input", path)
-        assert (code, out) == (1, "")
-        assert err == ("error: basis column sum is not positive, at the scale of its row, on "
-                       "every nonzero row (negative entries): choose_p needs a non-negative "
-                       "generating set of the span\n")
+        for command in ("factorize", "algebra"):
+            assert run(capsys, command, "--input", path) == (
+                1, "", "error: matrix has negative entries\n")
+
+    @pytest.mark.parametrize("command", ["factorize", "algebra"])
+    def test_rows_that_sum_above_zero_are_still_an_input_error(self, tmp_path, capsys,
+                                                               command):
+        # Every row sums above 0, which the search and choose_p accept (both
+        # commands exited 0); the matrix file is refused before either runs.
+        path = write_json(tmp_path / "m.json", [[1.0, 0.0], [0.0, 1.0], [1.0, -0.5]])
+        assert run(capsys, command, "--input", path) == (
+            1, "", "error: matrix has negative entries\n")
 
     def test_span_below_the_sign_tolerance_closes_as_at_unit_scale(self, tmp_path, capsys):
         # Every entry is below nonneg_tol, yet every nonzero row is on the
@@ -535,8 +552,7 @@ class TestMalformedInput:
         assert "time_domain must be one of" in outcome[2]
 
     @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
-    @pytest.mark.parametrize("command", ["reduce", "monotone", "factorize", "algebra",
-                                         "verify", "perturb"])
+    @pytest.mark.parametrize("command", ["reduce", "factorize", "algebra", "verify", "perturb"])
     def test_bad_tolerance_is_refused_before_the_input_is_read(self, tmp_path, capsys,
                                                                command, tol):
         # The input file does not exist, so only a check made first can

@@ -431,6 +431,22 @@ class TestVerify:
         Jdag[[0, 1], [0, 1]] = 1.0
         assert not verify_factorization(Factorization(V.basis, Jdag, [0, 2]), V)
 
+    def test_rejects_a_negative_entry_below_the_old_sign_floor(self):
+        # Jdag @ J = I and J @ Jdag fixes the basis, each within eq_tol, and
+        # the -1e-10 of J passed a sign floor of -nonneg_tol; yet the pair
+        # is not robust: A' = e0 e0^T >= 0 gives Jdag A' J = [[1, -1e-10],
+        # [0, 0]]. A factor pair is non-negative when no entry is below 0.
+        V = SubspaceBasis(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        J = np.array([[1.0, -1e-10], [0.0, 1.0], [1.0, 1.0]])
+        Jdag = np.eye(3)[:2]
+        A = np.zeros((3, 3))
+        A[0, 0] = 1.0
+        assert (Jdag @ A @ J).min() == -1e-10
+        assert verify_factorization(Factorization(J, Jdag, [0, 1]), V) is False
+        assert verify_factorization(Factorization(np.maximum(J, 0.0), Jdag, [0, 1]), V) is True
+        J[0, 1] = -0.0
+        assert verify_factorization(Factorization(J, Jdag, [0, 1]), V) is True
+
     def test_rejects_wrong_image(self):
         F = find_nonneg_factorization(self.V)
         other = SubspaceBasis(np.eye(4)[:, :2])

@@ -3,11 +3,12 @@ scipy.optimize.nnls) against hand checks, and the monomial-row test
 against the oracle."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from posred import NotNonnegativeError, Tolerances, is_monotone_nonneg_rect
-from conftest import cone_coefficients, is_monotone_by_cone
+from conftest import (_dyadic_integers, _has_nonneg_solution, cone_coefficients,
+                      is_monotone_by_cone)
 
 TOL = Tolerances()
 
@@ -139,15 +140,15 @@ class TestRectShortcut:
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_sign_test_is_relative_to_the_peak(self, scale):
-        # -5e-10 of the peak counts as zero at every scale, and -1e-6 of
-        # it as negative; an absolute floor decided both by the scale of X.
+        # -5e-10 of the peak, which a floor of -nonneg_tol times the row
+        # peak forgave, is refused at every scale; -0.0 passes, and the
+        # matrix is then monotone.
         X = scale * np.array([[1.0, -5e-10], [1.0, 1.0], [0.0, 1.0]])
-        cert = is_monotone_nonneg_rect(X)
-        assert cert.monotone and cert.orthogonal_row_set == [0, 2]
-        np.testing.assert_allclose(cert.nonneg_left_inverse @ X, np.eye(2), atol=1e-9)
-        X[0, 1] = -1e-6 * scale
         with pytest.raises(NotNonnegativeError):
             is_monotone_nonneg_rect(X)
+        X[0, 1] = -0.0
+        cert = is_monotone_nonneg_rect(X)
+        assert cert.monotone and cert.orthogonal_row_set == [0, 2]
 
     def test_small_row_beside_a_large_one_keeps_its_support(self):
         # A support taken against the matrix peak dropped the 5e-7 entry,
@@ -253,3 +254,41 @@ def test_nonneg_orthogonality_is_disjoint_support():
         w = np.where(rng.random(6) < 0.5, rng.uniform(0.1, 1.0, 6), 0.0)
         disjoint = not ((v > 0) & (w > 0)).any()
         assert (abs(float(v @ w)) <= TOL.eq_tol) == disjoint
+
+
+@st.composite
+def square_dyadic_matrices(draw):
+    """A square non-negative matrix of order 1-5 with dyadic entries: a
+    permutation matrix with powers of two from 2^-3 to 2^3 for its ones,
+    plus up to three powers of two from 2^-60 to 2^3 added anywhere, so
+    that an entry far below any row floor can sit beside a pivot. One draw
+    in two of order 2 or more repeats its first row, which makes it
+    singular."""
+    m = draw(st.integers(1, 5))
+    X = np.zeros((m, m))
+    X[np.arange(m), draw(st.permutations(range(m)))] = [
+        2.0 ** k for k in draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
+                                           st.integers(-60, 3)), max_size=3)):
+        X[i, j] += 2.0 ** k
+    singular = m > 1 and draw(st.booleans())
+    if singular:
+        X[-1] = X[0]
+    return X, singular
+
+
+@given(square_dyadic_matrices())
+@example((np.array([[1.0, 1e-12], [0.0, 1.0]]), False))
+def test_verdict_is_the_exact_one_on_dyadic_squares(drawn):
+    # A square X is monotone exactly when it is invertible with inv(X) >= 0,
+    # which fraction-free elimination decides in integers; the verdict
+    # takes every nonzero entry into the support, however small. A floor
+    # of nonneg_tol times the row peak called the example monotone with
+    # L = I, yet X x = (0, 1) >= 0 at x = (-1e-12, 1).
+    X, singular = drawn
+    N, _ = _dyadic_integers(X, "X")
+    exact = _has_nonneg_solution(N.tolist(), np.eye(len(X), dtype=int).tolist())
+    monotone = is_monotone_nonneg_rect(X).monotone
+    assert monotone == exact
+    if singular:
+        assert not monotone

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from posred import (GeneratorSpec, NonFiniteError, RankDeficientError, SubspaceBasis,
-                    Tolerances, ZeroMatrixError, column_space_basis, generate_system, is_nonneg,
+                    Tolerances, ZeroMatrixError, column_space_basis, generate_system,
                     left_inverse, rank, rpmr_reachable)
 from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
@@ -320,19 +320,6 @@ class TestLeftInverse:
         assert left_inverse(np.zeros((0, 0))).shape == (0, 0)
         with pytest.raises(RankDeficientError):
             left_inverse(np.zeros((0, 3)))
-
-
-class TestIsNonneg:
-    def test_zero(self):
-        assert is_nonneg(np.zeros((2, 2)))
-
-    def test_mixed_sign_left_inverse(self):
-        assert not is_nonneg(np.array([[-1.0, 2.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]))
-
-    def test_tolerance_floor(self):
-        tol = Tolerances(1e-8)  # nonneg_tol = 1e-9
-        assert is_nonneg(np.array([[-1e-12]]), tol)
-        assert not is_nonneg(np.array([[-1e-6]]), tol)
 
 
 def test_tolerances_must_be_nonnegative():
