@@ -13,7 +13,7 @@ from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
                      NotNonnegativeError, NotPositiveError, PosredError,
                      RankDeficientError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
-                       column_space_basis, left_inverse, rank)
+                       column_space_basis, left_inverse)
 from .monotone import MonotoneCertificate, is_monotone_nonneg_rect
 from .factorize import (Factorization, find_nonneg_factorization,
                         verify_factorization)
@@ -31,7 +31,7 @@ __all__ = [
     "NotNonnegativeError", "NotPositiveError", "PosredError", "RankDeficientError",
     "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
-    "column_space_basis", "left_inverse", "rank",
+    "column_space_basis", "left_inverse",
     "MonotoneCertificate", "is_monotone_nonneg_rect",
     "Factorization", "find_nonneg_factorization", "verify_factorization",
     "PositiveLtiSystem", "equivalent", "markov_match", "project",

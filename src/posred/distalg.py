@@ -71,11 +71,10 @@ def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarr
     """Groups of rows, each row within eq_tol of the first row of its
     group, in order of first appearance: the 0/1 matrix whose column k
     marks the k-th group, and for each row the index of its group's first
-    row. Closeness is one n x n boolean matrix, built column by column."""
+    row. Closeness is one n x n boolean matrix, from one comparison of
+    every pair of rows in every column; a NaN is close to nothing."""
     n = rows.shape[0]
-    close = np.ones((n, n), dtype=bool)
-    for column in rows.T:
-        close &= abs(column[:, None] - column) <= tol.eq_tol
+    close = (abs(rows[:, None, :] - rows) <= tol.eq_tol).all(axis=2)
     # Python lists: one numpy call per group costs more than the whole
     # walk at the sizes grouped here.
     first, leaders = [-1] * n, []
@@ -92,12 +91,12 @@ def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarr
 def _indicators_span(levels: np.ndarray, first: np.ndarray, tol: Tolerances) -> bool:
     """Whether the indicators of the groups span the columns of levels,
     given each row's group leader first: every row equals its leader
-    within rank_tol times max(1, max|levels|). This is the decision of
-    rank([indicators | levels]) == #groups, bit for bit: elimination on
-    the indicator columns pivots on each group's leader (the first
-    maximum) with multipliers exactly 1 or 0, so what it leaves of the
-    levels is exactly each row minus its leader, and rank's threshold is
-    rank_tol times the largest entry, max(1, max|levels|)."""
+    within rank_tol times max(1, max|levels|). This is, bit for bit, the
+    decision that elimination on [indicators | levels] finds #groups
+    pivots: it pivots on each group's leader (the first maximum) with
+    multipliers exactly 1 or 0, so what it leaves of the levels is exactly
+    each row minus its leader, and its threshold is rank_tol times the
+    largest entry, max(1, max|levels|)."""
     return abs(levels - levels[first]).max() <= tol.rank_tol * max(1.0, abs(levels).max())
 
 

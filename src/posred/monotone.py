@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotNonnegativeError
+from .errors import NonFiniteError, NotNonnegativeError
 from .numerics import as_matrix
 
 
@@ -43,6 +43,8 @@ def is_monotone_nonneg_rect(X) -> MonotoneCertificate:
     tolerance, so the verdict depends neither on the scale of X nor on the
     scale of any row. On success the left inverse picks those rows, each
     divided by its pivot, and L X is I up to the rounding of 1 / pivot.
+    NonFiniteError, without a warning, when 1 / pivot overflows ([[5e-324]]
+    has inverse [[2e323]], which is not a double).
     """
     A = as_matrix(X, "X")
     n, m = A.shape
@@ -59,8 +61,11 @@ def is_monotone_nonneg_rect(X) -> MonotoneCertificate:
             pivot_for_column[j] = i
     if len(pivot_for_column) < m:
         return MonotoneCertificate(False)
+    columns, rows = list(pivot_for_column), list(pivot_for_column.values())
+    with np.errstate(over="ignore"):
+        inverse_pivots = 1.0 / A[rows, columns]
+    if not np.isfinite(inverse_pivots).all():
+        raise NonFiniteError(f"left inverse of the {n}x{m} matrix overflows")
     Jdag = np.zeros((m, n))
-    for j, i in pivot_for_column.items():
-        Jdag[j, i] = 1.0 / A[i, j]
-    rows = sorted(pivot_for_column.values())
-    return MonotoneCertificate(True, nonneg_left_inverse=Jdag, orthogonal_row_set=rows)
+    Jdag[columns, rows] = inverse_pivots
+    return MonotoneCertificate(True, nonneg_left_inverse=Jdag, orthogonal_row_set=sorted(rows))

@@ -1,9 +1,9 @@
 """Tolerance-controlled dense linear algebra shared by every other module.
 
-All operations are pure functions over float64 arrays: rank by Gaussian
-elimination with a relative pivot threshold fixed once per matrix, greedy
-column bases by one elimination pass whose threshold follows the columns
-kept so far, Moore-Penrose left inverses, unit-peak columns and the
+All operations are pure functions over float64 arrays: greedy column
+bases by one Gaussian elimination pass whose relative pivot threshold
+follows the columns kept so far, which also certifies a basis's full
+column rank, Moore-Penrose left inverses, unit-peak columns and the
 projector residual that certifies exactness.
 """
 
@@ -93,34 +93,23 @@ def _eliminate(W: np.ndarray, r: int, j: int, threshold: float) -> float:
     return size
 
 
-def rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank via Gaussian elimination with partial pivoting.
-
-    The pivot threshold rank_tol * max|entry| is fixed once from the input
-    before any elimination step.
-    """
-    A = as_matrix(M).copy()
-    if A.size == 0:
-        return 0
-    threshold = tol.rank_tol * np.abs(A).max()
-    rows, cols = A.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        if _eliminate(A, r, col, threshold):
-            r += 1
-    return r
-
-
 class SubspaceBasis:
-    """Full-column-rank matrix whose columns span a subspace of R^n."""
+    """Full-column-rank matrix whose columns span a subspace of R^n.
+
+    Full rank is certified by one column_space_basis pass keeping every
+    column, so selection and this check share one elimination rule; a
+    matrix with no column kept, such as the all-zero one, is refused too.
+    """
 
     def __init__(self, basis, tol: Tolerances = DEFAULT_TOL):
         B = as_matrix(basis, "basis")
         if B.shape[1] == 0:
             raise ValueError("a basis needs at least one column")
-        if rank(B, tol) < B.shape[1]:
+        try:
+            kept = column_space_basis(B, tol).dimension
+        except ZeroMatrixError:
+            kept = 0
+        if kept < B.shape[1]:
             raise RankDeficientError("basis columns are linearly dependent")
         B = B.copy()
         B.setflags(write=False)
@@ -141,15 +130,15 @@ class SubspaceBasis:
 def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Greedy left-to-right column selection in one elimination pass.
 
-    Column j is kept exactly when the columns kept so far plus j have full
-    rank under rank(), whose threshold is rank_tol times the largest entry
-    of those columns: its own pivot and every pivot already kept must
-    exceed that threshold. A column with a large peak can thus be refused
-    because it raises the threshold above a small kept pivot. Kept columns
-    are returned in their original order. The kept columns get the row
-    operations and pivots that rank() would give them, and each kept pivot
-    beats rank_tol times the final kept peak, rank()'s threshold for them;
-    so the result has full rank and skips SubspaceBasis's check.
+    The columns kept so far are eliminated with partial pivoting, and
+    column j is eliminated below them and kept exactly when its own pivot
+    and every pivot already kept exceed rank_tol times the largest entry
+    of the kept columns plus j. A column with a large peak can thus be
+    refused because it raises the threshold above a small kept pivot.
+    Kept columns are returned in their original order, and each kept
+    pivot beats rank_tol times the final kept peak, so the result is the
+    full-rank basis that SubspaceBasis's check would certify, and skips
+    that check. M has full column rank exactly when every column is kept.
 
     The eliminated matrix changes only when a column is kept, so after a
     refusal one vectorised scan applies the same test to every later

@@ -4,9 +4,10 @@ scipy.optimize.nnls) and the monotonicity test built on it that serve as
 the cone oracles, the exhaustive subset scan and the per-row cone walk
 that serve as the minimal-route oracles, the exact verdict of a
 reduction in integer arithmetic, the integer sweep it is checked on and
-its exactly scaled corpora, the draws of the sign probe, the per-column
-rank loop and the per-column elimination loop that serve as the
-column-selection oracles, the block Arnoldi basis that serves as the
+its exactly scaled corpora, the draws of the sign probe, the numerical
+rank by elimination with a fixed threshold that serves as the rank
+oracle, the per-column rank loop and the per-column elimination loop
+that serve as the column-selection oracles, the block Arnoldi basis that serves as the
 reachable-space oracle, the raw reachability matrix, the list of Krylov
 blocks that serves as the raw-stack oracle, the n-step Krylov loop that
 serves as the exactness oracle, the algebraic reduction alone, a counter
@@ -34,7 +35,7 @@ import posred.possys
 from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, MonotoneCertificate,
                     NonFiniteError, NotInvariantError, PositiveLtiSystem,
                     Tolerances, algebra_factorization, as_matrix,
-                    choose_p, closure, generate_system, rank, reachable_subspace,
+                    choose_p, closure, generate_system, reachable_subspace,
                     reduce, rpmr_reachable)
 
 # Derandomized, bounded and without an example database, so the property
@@ -315,6 +316,29 @@ def closure_by_block_masks(basis, p, tol: Tolerances = Tolerances()) -> tuple[np
     generators = np.zeros((B.shape[0], marks.shape[1]))
     generators[s] = marks * p[s][:, None]
     return generators, tuple(tuple(int(k) for k in s[column > 0]) for column in marks.T)
+
+
+def rank(M, tol: Tolerances = Tolerances()) -> int:
+    """Reference numerical rank: Gaussian elimination with partial
+    pivoting, counting the pivots above rank_tol times the largest entry
+    of M, a threshold fixed once before any step. SubspaceBasis refuses M
+    exactly when this is below its column count."""
+    W = as_matrix(M).copy()
+    if W.size == 0:
+        return 0
+    threshold = tol.rank_tol * np.abs(W).max()
+    rows, cols = W.shape
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        pivot = r + int(np.abs(W[r:, j]).argmax())
+        if abs(W[pivot, j]) <= threshold:
+            continue
+        W[[r, pivot], j:] = W[[pivot, r], j:]
+        W[r + 1:, j:] -= np.outer(W[r + 1:, j] / W[r, j], W[r, j:])
+        r += 1
+    return r
 
 
 def greedy_column_selection(M, tol: Tolerances = Tolerances()) -> list[int]:

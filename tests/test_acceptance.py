@@ -14,10 +14,10 @@ from posred import (Factorization, GeneratorSpec,
                     Tolerances, choose_p, closure, equivalent,
                     find_nonneg_factorization, generate_system,
                     is_monotone_nonneg_rect, left_inverse,
-                    project, rank, reachable_subspace, reduce,
+                    project, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, cascade_system, is_monotone_by_cone,
-                      markov_parameters, reachability_matrix, swap_system, wedge)
+                      markov_parameters, rank, reachability_matrix, swap_system, wedge)
 
 TOL = Tolerances()
 

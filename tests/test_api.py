@@ -20,14 +20,14 @@ PUBLIC_NAMES = sorted([
     "choose_p", "closure", "column_space_basis", "equivalent",
     "find_nonneg_factorization", "generate_system",
     "is_monotone_nonneg_rect", "left_inverse", "markov_match",
-    "perturbation_experiment", "project", "rank",
+    "perturbation_experiment", "project",
     "reachable_subspace", "reduce", "rpmr_observable",
     "rpmr_reachable", "verify_factorization",
 ])
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(posred.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(posred, name), name

@@ -248,6 +248,23 @@ class TestMonotone:
         code, out, err = run(capsys, "monotone", "--input", write_json(tmp_path / "m.json", X))
         assert (code, out, err) == (1, "", "error: matrix has negative entries\n")
 
+    def test_inverse_beyond_the_largest_double_is_an_input_error(self, tmp_path):
+        # 1 / 5e-324 is not a double: exit 1 with one error line, no
+        # warning under -W error, and no Infinity (which is not JSON) on stdout.
+        path = write_json(tmp_path / "m.json", [[5e-324]])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "posred", "monotone",
+                               "--input", path], capture_output=True, text=True,
+                              env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: left inverse of the 1x1 matrix overflows\n")
+
+    def test_inverse_near_the_largest_double_is_written(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", [[1e-308, 0.0], [0.0, 1.0]])
+        code, out, err = run(capsys, "monotone", "--input", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["left_inverse"] == [[1e308, 0.0], [0.0, 1.0]]
+        assert "1e+308" in out
+
 
 class TestFactorize:
     def test_found(self, tmp_path, capsys):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from posred import (DimensionMismatchError, NonFiniteError, NotNonnegativeError, PosredError,
                     SubspaceBasis, Tolerances, algebra_factorization, choose_p, closure,
-                    column_space_basis, is_monotone_nonneg_rect, rank, reachable_subspace)
+                    column_space_basis, is_monotone_nonneg_rect, reachable_subspace)
 from posred import GeneratorSpec, RankDeficientError, ZeroMatrixError, generate_system
 from posred.distalg import _indicators_span, _level_sets
 from conftest import (closure_by_block_masks, greedy_level_sets, indicators_span_by_rank,
-                      lumped_system, swap_system, wedge)
+                      lumped_system, rank, swap_system, wedge)
 
 TOL = Tolerances()
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from posred import (Factorization, GeneratorSpec, NotNonnegativeError, PositiveLtiSystem,
                     SubspaceBasis, Tolerances, ZeroMatrixError, find_nonneg_factorization,
-                    generate_system, is_monotone_nonneg_rect, rank, reachable_subspace,
+                    generate_system, is_monotone_nonneg_rect, reachable_subspace,
                     verify_factorization)
 from posred import factorize
-from conftest import cone_walk_pivots, exhaustive_first_hit, lumped_system, stubborn_span
+from conftest import cone_walk_pivots, exhaustive_first_hit, lumped_system, rank, stubborn_span
 
 TOL = Tolerances()
 

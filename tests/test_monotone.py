@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from posred import NotNonnegativeError, Tolerances, is_monotone_nonneg_rect
+from posred import NonFiniteError, NotNonnegativeError, Tolerances, is_monotone_nonneg_rect
 from conftest import (_dyadic_integers, _has_nonneg_solution, cone_coefficients,
                       is_monotone_by_cone)
 
@@ -184,6 +184,14 @@ class TestRectShortcut:
         # a verdict, not an error.
         assert not is_monotone_nonneg_rect(np.array([[1.0, 1.0], [2.0, 2.0]])).monotone
         assert not is_monotone_nonneg_rect(np.ones((2, 3))).monotone
+
+    def test_inverse_pivot_beyond_the_largest_double_is_non_finite(self):
+        # 1 / 5e-324 overflows: NonFiniteError, and no warning (warnings
+        # are errors in this suite), as numerics.left_inverse does.
+        with pytest.raises(NonFiniteError, match="overflows"):
+            is_monotone_nonneg_rect(np.array([[1.0, 0.0], [0.0, 5e-324]]))
+        cert = is_monotone_nonneg_rect(np.array([[1e-308, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(cert.nonneg_left_inverse, np.diag([1e308, 1.0]))
 
 
 def random_nonneg_full_rank(rng, n, m):

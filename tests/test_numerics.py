@@ -3,15 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from posred import (GeneratorSpec, NonFiniteError, RankDeficientError, SubspaceBasis,
                     Tolerances, ZeroMatrixError, column_space_basis, generate_system,
-                    left_inverse, rank, rpmr_reachable)
+                    left_inverse, rpmr_reachable)
 from posred import DEFAULT_TOL, as_matrix, numerics
 from posred.numerics import fixes_columns, unit_peak
-from conftest import (greedy_column_selection, per_column_selection, r600_system,
+from conftest import (greedy_column_selection, per_column_selection, r600_system, rank,
                       reachability_matrix)
 
 TOL = Tolerances()
@@ -24,6 +24,8 @@ RANK_TWO_BLOCK = np.array([[1.0, 2.0, 3.0, 4.0],
 
 
 class TestRank:
+    """The reference rank of conftest, the oracle of SubspaceBasis's check."""
+
     def test_identity(self):
         assert rank(np.eye(4)) == 4
 
@@ -198,9 +200,9 @@ def test_coordinate_stack_selection_stops_at_its_last_pivot(n, inputs, reachable
 @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 6), st.integers(2, 12),
        st.floats(6.0, 16.0))
 def test_selected_columns_pass_the_rank_check_they_skip(seed, n, k, m, decades):
-    # column_space_basis does not run SubspaceBasis's rank() check on its
-    # result; the selection must make that check redundant even when the
-    # column peaks span many decades.
+    # column_space_basis does not run SubspaceBasis's check on its result;
+    # the selection must make that check redundant, by the rank oracle,
+    # even when the column peaks span many decades.
     rng = np.random.default_rng(seed)
     exponents = rng.uniform(0.0, decades, m)
     exponents[rng.permutation(m)[:2]] = 0.0, decades
@@ -213,6 +215,53 @@ def test_selected_columns_pass_the_rank_check_they_skip(seed, n, k, m, decades):
 def test_direct_basis_construction_checks_rank():
     with pytest.raises(RankDeficientError):
         SubspaceBasis(RANK_TWO_BLOCK)
+
+
+@st.composite
+def basis_candidates(draw):
+    """Matrices of up to 8 x 8 near the full-rank boundary: Gaussian,
+    low-rank products, columns that repeat an earlier one plus 10^u of a
+    random column (u uniform in [-14, -6], about the rank threshold),
+    small integers, or all zeros; then, in two of three, the rows or the
+    columns scaled by 10^u, u uniform in [-12, 12]. The shape and contents
+    follow one drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = rng.integers(1, 9, 2)
+    kind = draw(st.sampled_from(["normal", "low-rank", "near", "integer", "zero"]))
+    if kind == "normal":
+        M = rng.normal(size=(n, m))
+    elif kind == "low-rank":
+        M = rng.normal(size=(n, rng.integers(1, m + 1)))
+        M = M @ rng.normal(size=(M.shape[1], m))
+    elif kind == "near":
+        M = rng.normal(size=(n, m))
+        for j in range(1, m):
+            if rng.random() < 0.5:
+                M[:, j] = M[:, rng.integers(0, j)] + 10.0 ** rng.uniform(-14, -6) * M[:, j]
+    elif kind == "integer":
+        M = rng.integers(-3, 4, (n, m)).astype(float)
+    else:
+        M = np.zeros((n, m))
+    axis = rng.integers(0, 3)
+    if axis < 2:
+        M = M * 10.0 ** rng.uniform(-12, 12, (n, 1) if axis == 0 else m)
+    return M
+
+
+@given(basis_candidates(), st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))
+@example(np.zeros((3, 2)), 1e-8)
+def test_basis_check_agrees_with_the_rank_oracle(M, eq_tol):
+    # SubspaceBasis certifies full rank by column selection keeping every
+    # column; that is the verdict of rank by elimination at a threshold
+    # fixed from the whole matrix, and the all-zero matrix is refused too.
+    tol = Tolerances(eq_tol)
+    if rank(M, tol) < M.shape[1]:
+        with pytest.raises(RankDeficientError, match="linearly dependent"):
+            SubspaceBasis(M, tol)
+        return
+    V = SubspaceBasis(M, tol)
+    np.testing.assert_array_equal(V.basis, M)
+    assert V.basis.flags.c_contiguous and not V.basis.flags.writeable
 
 
 def test_basis_needs_a_column():

@@ -16,12 +16,12 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInv
                     NotPositiveError, PerturbationRecord, PositiveLtiSystem, Tolerances,
                     algebra_factorization, equivalent, find_nonneg_factorization,
                     generate_system, left_inverse, markov_match,
-                    perturbation_experiment, project, rank, reachable_subspace, reduce,
+                    perturbation_experiment, project, reachable_subspace, reduce,
                     rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
                       exact_markov_parameters, exact_verdict, exactly_scaled, exhaustive_first_hit,
                       integer_sweep, krylov_stacks_built, lumped_system, observability_matrix,
-                      r600_system, sign_probe_draw, stubborn_span, swap_system)
+                      r600_system, rank, sign_probe_draw, stubborn_span, swap_system)
 
 TOL = Tolerances()
 

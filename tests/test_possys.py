@@ -16,7 +16,7 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     NotInvariantError, NotPositiveError, PositiveLtiSystem,
                     PosredError, SubspaceBasis, Tolerances, algebra_factorization,
                     choose_p, closure, column_space_basis, equivalent,
-                    find_nonneg_factorization, left_inverse, markov_match, project, rank,
+                    find_nonneg_factorization, left_inverse, markov_match, project,
                     reachable_subspace, reduce, rpmr_observable, rpmr_reachable,
                     verify_factorization)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system
@@ -24,8 +24,8 @@ from posred.possys import _krylov_powers
 from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive_first_hit,
                       fixes_every_krylov_block, krylov_stacks_built,
                       lumped_system, markov_parameters, observability_matrix, r600_system,
-                      reachability_matrix, simulate, spurious_mode_pair, stacked_krylov_blocks,
-                      swap_system)
+                      rank, reachability_matrix, simulate, spurious_mode_pair,
+                      stacked_krylov_blocks, swap_system)
 
 TOL = Tolerances()
 
