@@ -10,8 +10,7 @@ built this way reproduce the original impulse response exactly and stay
 positive under any positivity-preserving perturbation of the data.
 """
 from .errors import (DimensionMismatchError, NonFiniteError, NotInvariantError,
-                     NotNonnegativeError, NotPositiveError, PosredError,
-                     RankDeficientError, ZeroMatrixError)
+                     NotNonnegativeError, PosredError, RankDeficientError, ZeroMatrixError)
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix,
                        column_space_basis, left_inverse)
 from .monotone import MonotoneCertificate, is_monotone_nonneg_rect
@@ -28,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatchError", "NonFiniteError", "NotInvariantError",
-    "NotNonnegativeError", "NotPositiveError", "PosredError", "RankDeficientError",
-    "ZeroMatrixError",
+    "NotNonnegativeError", "PosredError", "RankDeficientError", "ZeroMatrixError",
     "DEFAULT_TOL", "SubspaceBasis", "Tolerances", "as_matrix",
     "column_space_basis", "left_inverse",
     "MonotoneCertificate", "is_monotone_nonneg_rect",

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NonFiniteError, PosredError
+from .errors import NonFiniteError, NotNonnegativeError, PosredError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_nonneg_rect
@@ -59,7 +59,7 @@ def _matrix_from(payload, name: str) -> np.ndarray:
 def _load_matrix(path: Optional[str]) -> np.ndarray:
     M = _matrix_from(_load_json(path), "matrix")
     if (M < 0.0).any():
-        raise CliError(1, "matrix has negative entries")
+        raise NotNonnegativeError("matrix has negative entries")
     return M
 
 

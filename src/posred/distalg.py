@@ -71,14 +71,17 @@ def _level_sets(rows: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarr
     """Groups of rows, each row within eq_tol of the first row of its
     group, in order of first appearance: the 0/1 matrix whose column k
     marks the k-th group, and for each row the index of its group's first
-    row. Closeness is one n x n boolean matrix, from one comparison of
-    every pair of rows in every column; a NaN is close to nothing."""
-    n = rows.shape[0]
-    close = (abs(rows[:, None, :] - rows) <= tol.eq_tol).all(axis=2)
+    row. Closeness compares every pair of rows in every column, in chunks
+    of rows whose chunk x n x k temporary holds at most max(2^18, n k)
+    entries; a NaN is close to nothing."""
+    n, k = rows.shape
+    step = max(1, 2 ** 18 // max(1, n * k))
+    close = (row for i in range(0, n, step)
+             for row in (abs(rows[i:i + step, None, :] - rows) <= tol.eq_tol).all(axis=2).tolist())
     # Python lists: one numpy call per group costs more than the whole
     # walk at the sizes grouped here.
     first, leaders = [-1] * n, []
-    for i, row in enumerate(close.tolist()):
+    for i, row in enumerate(close):
         if first[i] < 0:
             leaders.append(i)
             for j in range(i, n):

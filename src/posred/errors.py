@@ -18,7 +18,10 @@ class RankDeficientError(PosredError):
 
 
 class NotNonnegativeError(PosredError):
-    """An entrywise non-negative matrix was required."""
+    """An entry below 0 (-0.0 passes) in PositiveLtiSystem's A, B or C (so
+    in reduce's output), in is_monotone_nonneg_rect's matrix or a CLI
+    matrix file, or a basis that find_nonneg_factorization or choose_p
+    finds is no non-negative generating set of its span."""
 
 
 class DimensionMismatchError(PosredError):
@@ -28,7 +31,3 @@ class DimensionMismatchError(PosredError):
 class NotInvariantError(PosredError):
     """J @ Jdag does not fix the reachable space, so the reduction would
     not reproduce every Markov coefficient."""
-
-
-class NotPositiveError(PosredError):
-    """System matrices (original or reduced) have negative entries."""

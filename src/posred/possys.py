@@ -3,7 +3,7 @@ responses, projection-based reduction and equivalence."""
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotInvariantError, NotPositiveError, ZeroMatrixError
+from .errors import DimensionMismatchError, NotInvariantError, NotNonnegativeError, ZeroMatrixError
 from .factorize import Factorization, _Selector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
                        column_space_basis, unit_peak)
@@ -20,7 +20,7 @@ def _frozen(A: np.ndarray) -> np.ndarray:
 class PositiveLtiSystem:
     """State-space triple (A, B, C) with entrywise non-negative matrices.
 
-    An entry below 0 raises NotPositiveError, with no tolerance (-0.0
+    An entry below 0 raises NotNonnegativeError, with no tolerance (-0.0
     passes), a verdict that no diagonal scaling can change.
     C defaults to the identity (full state readout). The time-domain tag
     is metadata only: the reduction machinery is representation-level and
@@ -42,7 +42,7 @@ class PositiveLtiSystem:
             raise ValueError(f"time_domain must be one of {TIME_DOMAINS}")
         for name, M in (("A", A), ("B", B), ("C", C)):
             if M.size and not M.min() >= 0.0:
-                raise NotPositiveError(f"system is not positive: {name} has negative entries")
+                raise NotNonnegativeError(f"system is not positive: {name} has negative entries")
         self.A = _frozen(A)
         self.B = _frozen(B)
         self.C = _frozen(C)
@@ -302,7 +302,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
     and at least 0 (the selector's output, entries of S, passes by
     construction). A triple that fails goes to the PositiveLtiSystem
     constructor, which names the fault: NonFiniteError for an overflow,
-    NotPositiveError for a negative entry (possible only with mixed-sign
+    NotNonnegativeError for a negative entry (possible only with mixed-sign
     factors). Either pass's matrices are then frozen and returned as they
     are, A_r and B_r as read-only views of [A_r, B_r].
     """

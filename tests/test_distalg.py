@@ -1,6 +1,7 @@
 """Product-algebra machinery: the wedge product (a test oracle), the
 choice of the reference vector p, closure, idempotent generators, and
 their factorization."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -496,6 +497,26 @@ def test_level_sets_and_span_test_match_the_reference_loops(seed):
     np.testing.assert_array_equal(marks, expected)
     np.testing.assert_array_equal(first, leaders_of(expected))
     assert _indicators_span(levels, first, TOL) == indicators_span_by_rank(expected, levels)
+
+
+def test_level_sets_of_a_large_basis_stay_in_bounded_memory():
+    # 400 rows in about 100 groups of 200 columns, each within 4e-9 of its
+    # group's centre: comparing every pair at once would hold 400 x 400 x
+    # 200 floats (256 MB); row chunks keep the temporary near 2 MB.
+    rng = np.random.default_rng(0)
+    levels = rng.random((100, 200))[rng.integers(0, 100, 400)]
+    levels += rng.uniform(-4e-9, 4e-9, levels.shape)
+    tracemalloc.start()
+    try:
+        marks, first = _level_sets(levels, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = greedy_level_sets(levels)
+    assert 90 < expected.shape[1] <= 100
+    np.testing.assert_array_equal(marks, expected)
+    np.testing.assert_array_equal(first, leaders_of(expected))
+    assert peak < 16e6
 
 
 def test_repeated_rows_reach_both_span_decisions():

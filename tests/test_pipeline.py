@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import posred.pipeline
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInvariantError,
-                    NotPositiveError, PerturbationRecord, PositiveLtiSystem, Tolerances,
+                    NotNonnegativeError, PerturbationRecord, PositiveLtiSystem, Tolerances,
                     algebra_factorization, equivalent, find_nonneg_factorization,
                     generate_system, left_inverse, markov_match,
                     perturbation_experiment, project, reachable_subspace, reduce,
@@ -326,7 +326,7 @@ class TestObservable:
         # neither the system nor its dual exists to be reduced.
         assert "tol" not in inspect.signature(PositiveLtiSystem).parameters
         for A in ([[1.0, -5e-7], [0.0, 1.0]], [[1.0, 0.0], [-5e-7, 1.0]]):
-            with pytest.raises(NotPositiveError, match="^system is not positive: A has "
+            with pytest.raises(NotNonnegativeError, match="^system is not positive: A has "
                                                        "negative entries$"):
                 PositiveLtiSystem(A, [[1.0], [0.0]], [[1.0, 1.0]])
 
@@ -985,7 +985,7 @@ def test_every_system_the_constructor_accepts_gets_both_reports(seed):
     negative = min(A.min(), B.min()) < 0.0
     try:
         S = PositiveLtiSystem(A, B, C)
-    except NotPositiveError:
+    except NotNonnegativeError:
         assert negative
         return
     assert not negative

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import posred.possys
 from posred import (DimensionMismatchError, Factorization, NonFiniteError,
-                    NotInvariantError, NotPositiveError, PositiveLtiSystem,
+                    NotInvariantError, NotNonnegativeError, PositiveLtiSystem,
                     PosredError, SubspaceBasis, Tolerances, algebra_factorization,
                     choose_p, closure, column_space_basis, equivalent,
-                    find_nonneg_factorization, left_inverse, markov_match, project,
-                    reachable_subspace, reduce, rpmr_observable, rpmr_reachable,
-                    verify_factorization)
+                    find_nonneg_factorization, is_monotone_nonneg_rect, left_inverse,
+                    markov_match, project, reachable_subspace, reduce, rpmr_observable,
+                    rpmr_reachable, verify_factorization)
 from posred import GeneratorSpec, ZeroMatrixError, generate_system
 from posred.possys import _krylov_powers
 from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive_first_hit,
@@ -30,10 +30,34 @@ from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive
 TOL = Tolerances()
 
 
+@st.composite
+def one_entry_below_zero(draw):
+    """A system with integer entries 0-3 (n <= 4, up to 3 inputs and 3
+    outputs) and one entry of A, B or C set to -2^k, k in [-1074, 1023]:
+    the name of that matrix, and A, B and C by name."""
+    n = draw(st.integers(1, 4))
+    shapes = {"A": (n, n), "B": (n, draw(st.integers(1, 3))), "C": (draw(st.integers(1, 3)), n)}
+    matrices = {name: np.array(draw(st.lists(st.integers(0, 3), min_size=r * c,
+                                             max_size=r * c)), dtype=float).reshape(r, c)
+                for name, (r, c) in shapes.items()}
+    name = draw(st.sampled_from("ABC"))
+    i, j = (draw(st.integers(0, size - 1)) for size in shapes[name])
+    matrices[name][i, j] = -(2.0 ** draw(st.integers(-1074, 1023)))
+    return name, matrices
+
+
 class TestConstruction:
-    def test_negative_entry_rejected(self):
-        with pytest.raises(NotPositiveError, match="not positive"):
-            PositiveLtiSystem([[1.0, -0.5], [0.0, 1.0]], [[1.0], [0.0]])
+    @given(one_entry_below_zero())
+    def test_negative_entry_rejected(self, drawn):
+        # One class for one fact: from the subnormal -2^-1074 to -2^1023,
+        # the constructor names the matrix, and the monotone test refuses
+        # the same matrix.
+        name, matrices = drawn
+        with pytest.raises(NotNonnegativeError,
+                           match=f"^system is not positive: {name} has negative entries$"):
+            PositiveLtiSystem(**matrices)
+        with pytest.raises(NotNonnegativeError, match="^matrix has negative entries$"):
+            is_monotone_nonneg_rect(matrices[name])
 
     @pytest.mark.parametrize("A, B, C", [
         ([[1e-12, -5e-10], [0.0, 1e-12]], [[1e-12], [1e-12]], None),
@@ -44,7 +68,7 @@ class TestConstruction:
         # No floor: the first negative entry is 500 times the largest entry,
         # which an absolute floor of 1e-9 accepts; the second is 5e-10 of
         # its row's peak, which a floor relative to that peak accepts.
-        with pytest.raises(NotPositiveError,
+        with pytest.raises(NotNonnegativeError,
                            match="^system is not positive: A has negative entries$"):
             PositiveLtiSystem(A, B, C)
 
@@ -378,7 +402,7 @@ class TestReduce:
         Ar, Br, _ = project(S, F.J, F.Jdag)
         np.testing.assert_allclose(Ar, [[-0.1, 0.9], [1.1, 1.1]], atol=1e-12)
         np.testing.assert_allclose(Br, [[1.2], [-0.1]], atol=1e-12)
-        with pytest.raises(NotPositiveError,
+        with pytest.raises(NotNonnegativeError,
                            match="^system is not positive: A has negative entries$"):
             reduce(S, F)
 
