@@ -9,12 +9,10 @@ class NonFiniteError(PosredError):
     """A matrix or vector contains NaN or infinite entries."""
 
 
-class ZeroMatrixError(PosredError):
-    """The matrix is numerically zero where a nonzero one is required."""
-
-
 class RankDeficientError(PosredError):
-    """Full column rank was required but not present."""
+    """No independent column where one is required (column_space_basis
+    keeps none, or reachable_subspace finds an empty support: rank 0), or
+    full column rank required but not present (SubspaceBasis, left_inverse)."""
 
 
 class NotNonnegativeError(PosredError):

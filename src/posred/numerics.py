@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteError, RankDeficientError, ZeroMatrixError
+from .errors import NonFiniteError, RankDeficientError
 
 
 class _Checked:
@@ -97,8 +97,8 @@ class SubspaceBasis:
     """Full-column-rank matrix whose columns span a subspace of R^n.
 
     Full rank is certified by one column_space_basis pass keeping every
-    column, so selection and this check share one elimination rule; a
-    matrix with no column kept, such as the all-zero one, is refused too.
+    column, so selection and this check share one elimination rule; the
+    pass's rank-0 refusal, as for the all-zero matrix, counts as none kept.
     """
 
     def __init__(self, basis, tol: Tolerances = DEFAULT_TOL):
@@ -107,7 +107,7 @@ class SubspaceBasis:
             raise ValueError("a basis needs at least one column")
         try:
             kept = column_space_basis(B, tol).dimension
-        except ZeroMatrixError:
+        except RankDeficientError:
             kept = 0
         if kept < B.shape[1]:
             raise RankDeficientError("basis columns are linearly dependent")
@@ -138,7 +138,8 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     Kept columns are returned in their original order, and each kept
     pivot beats rank_tol times the final kept peak, so the result is the
     full-rank basis that SubspaceBasis's check would certify, and skips
-    that check. M has full column rank exactly when every column is kept.
+    that check. M has full column rank exactly when every column is kept;
+    RankDeficientError when none is (M is zero, or has no rows or columns).
 
     The eliminated matrix changes only when a column is kept, so after a
     refusal one vectorised scan applies the same test to every later
@@ -175,7 +176,7 @@ def column_space_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
             break
         j += 1 + int(live[0])
     if not selected:
-        raise ZeroMatrixError("matrix has rank 0; no column-space basis")
+        raise RankDeficientError("matrix has rank 0; no column-space basis")
     return _full_rank_basis(A[:, selected])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import possys
 from .distalg import DistortedAlgebra, algebra_factorization, choose_p, closure
-from .errors import DimensionMismatchError, NonFiniteError, NotInvariantError, ZeroMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, NotInvariantError, RankDeficientError
 from .factorize import Factorization, find_nonneg_factorization
 from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances
 from .possys import PositiveLtiSystem
@@ -73,9 +73,9 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionRe
 
     try:
         basis = possys.reachable_subspace(S, tol)
-    except ZeroMatrixError:
-        # The target space is trivial and the order-zero reduction is
-        # exact with empty factors.
+    except RankDeficientError:
+        # Rank 0, the one RankDeficientError of reachable_subspace: the target
+        # space is trivial, and the order-zero reduction is exact with empty factors.
         zero_map = "input" if space == "reachable" else "output"
         return report("minimal", Factorization(np.zeros((n, 0)), np.zeros((0, n)), []),
                       f"{space} space is trivial (zero {zero_map} map); reduced to order 0")

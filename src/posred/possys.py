@@ -3,7 +3,7 @@ responses, projection-based reduction and equivalence."""
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotInvariantError, NotNonnegativeError, ZeroMatrixError
+from .errors import DimensionMismatchError, NotInvariantError, NotNonnegativeError, RankDeficientError
 from .factorize import Factorization, _Selector
 from .numerics import (DEFAULT_TOL, SubspaceBasis, Tolerances, _full_rank_basis, as_matrix,
                        column_space_basis, unit_peak)
@@ -122,14 +122,14 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     fails, X is not finite, or s is everything) the full stack is built and
     handed to column_space_basis, where a power that overflows raises
     NonFiniteError. An empty s (B = 0, or n = 0) builds no stack and raises
-    ZeroMatrixError, as column_space_basis would on the zero stack.
+    RankDeficientError, as column_space_basis would on the zero stack.
     """
     # q, m and peak are Python numbers: numpy scalar arithmetic costs more
     # here than the matrix products.
     s = S.B.any(axis=1)
     q = int(np.count_nonzero(s))
     if not q:
-        raise ZeroMatrixError("matrix has rank 0; no column-space basis")
+        raise RankDeficientError("matrix has rank 0; no column-space basis")
     if q < S.dim:
         # Grow s until it stops changing (q then stays) or holds every state.
         G, q = S.A != 0, -1

@@ -283,9 +283,14 @@ class TestFactorize:
         assert json.loads(out)["found"] is False
 
     def test_zero_matrix_is_an_input_error(self, tmp_path, capsys):
-        path = write_json(tmp_path / "m.json", [[0.0], [0.0]])
-        code, _, err = run(capsys, "factorize", "--input", path)
-        assert code == 1
+        # No column of a zero matrix is independent: factorize and algebra
+        # exit 1, print nothing on stdout, and give the basis selection's
+        # refusal as the one stderr line.
+        for matrix in ([[0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]):
+            path = write_json(tmp_path / "m.json", matrix)
+            for command in ("factorize", "algebra"):
+                assert run(capsys, command, "--input", path) == (
+                    1, "", "error: matrix has rank 0; no column-space basis\n")
 
     def test_huge_entries_factor_like_unit_ones(self, tmp_path, capsys):
         # The row norms of this basis overflowed, and numpy's LinAlgError

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from posred import (Factorization, GeneratorSpec, NotNonnegativeError, PositiveLtiSystem,
-                    SubspaceBasis, Tolerances, ZeroMatrixError, find_nonneg_factorization,
+                    RankDeficientError, SubspaceBasis, Tolerances, find_nonneg_factorization,
                     generate_system, is_monotone_nonneg_rect, reachable_subspace,
                     verify_factorization)
 from posred import factorize
@@ -296,7 +296,7 @@ def coordinate_bases(draw):
                                       draw(st.integers(0, 2**32 - 1))))
     try:
         basis = reachable_subspace(S.transpose() if draw(st.booleans()) else S)
-    except ZeroMatrixError:
+    except RankDeficientError:
         assume(False)
     assume(np.count_nonzero(basis.basis.any(axis=1)) == basis.dimension)
     return basis
@@ -339,7 +339,7 @@ def system_bases(draw):
         S = PositiveLtiSystem(d[:, None] * S.A / d, d[:, None] * S.B, S.C / d)
     try:
         return reachable_subspace(S)
-    except ZeroMatrixError:
+    except RankDeficientError:
         assume(False)
 
 

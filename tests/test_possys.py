@@ -19,7 +19,7 @@ from posred import (DimensionMismatchError, Factorization, NonFiniteError,
                     find_nonneg_factorization, is_monotone_nonneg_rect, left_inverse,
                     markov_match, project, reachable_subspace, reduce, rpmr_observable,
                     rpmr_reachable, verify_factorization)
-from posred import GeneratorSpec, ZeroMatrixError, generate_system
+from posred import GeneratorSpec, RankDeficientError, generate_system
 from posred.possys import _krylov_powers
 from conftest import (algebraic_reduction, cascade_system, d3_scaled, exhaustive_first_hit,
                       fixes_every_krylov_block, krylov_stacks_built,
@@ -197,7 +197,7 @@ class TestReachableSubspace:
 
     def test_zero_input_map(self):
         S = PositiveLtiSystem(np.eye(3), np.zeros((3, 1)))
-        with pytest.raises(ZeroMatrixError):
+        with pytest.raises(RankDeficientError, match="rank 0"):
             reachable_subspace(S)
 
     def test_invariance_and_positivity(self):
@@ -208,12 +208,36 @@ class TestReachableSubspace:
             S = generate_system(spec)
             try:
                 basis = reachable_subspace(S)
-            except ZeroMatrixError:
+            except RankDeficientError:
                 continue
             q = basis.dimension
             assert rank(np.hstack([basis.basis, S.A @ basis.basis])) == q
             assert rank(np.hstack([basis.basis, S.B])) == q
             assert basis.basis.min(initial=0.0) >= 0.0
+
+
+@pytest.mark.parametrize("refuse, argument, message", [
+    (column_space_basis, np.zeros((3, 2)), "matrix has rank 0; no column-space basis"),
+    (column_space_basis, np.zeros((0, 2)), "matrix has rank 0; no column-space basis"),
+    (reachable_subspace, PositiveLtiSystem(np.eye(3), np.zeros((3, 1))),
+     "matrix has rank 0; no column-space basis"),
+    (reachable_subspace, PositiveLtiSystem(np.zeros((0, 0)), np.zeros((0, 2))),
+     "matrix has rank 0; no column-space basis"),
+    (SubspaceBasis, np.zeros((3, 2)), "basis columns are linearly dependent")],
+    ids=["zero-matrix", "no-rows", "zero-input-map", "no-states", "zero-basis"])
+def test_no_independent_column_is_one_refusal(refuse, argument, message):
+    # Rank 0 is refused by one class at every site, and the pipeline turns
+    # reachable_subspace's refusal into the order-0 reduction on both spaces.
+    with pytest.raises(RankDeficientError, match=message):
+        refuse(argument)
+    if isinstance(argument, PositiveLtiSystem):
+        for rpmr, S, space, zero_map in ((rpmr_reachable, argument, "reachable", "input"),
+                                         (rpmr_observable, argument.transpose(),
+                                          "observable", "output")):
+            report = rpmr(S)
+            assert (report.method, report.reduced_dim, report.diagnostics) == (
+                "minimal", 0, (f"{space} space is trivial (zero {zero_map} map); "
+                               "reduced to order 0",))
 
 
 def full_stack_basis(S: PositiveLtiSystem) -> np.ndarray:
@@ -227,7 +251,7 @@ def assert_same_basis(S: PositiveLtiSystem) -> None:
     reference basis, or raises what the reference raises."""
     try:
         expected = full_stack_basis(PositiveLtiSystem(S.A, S.B, S.C))
-    except (ZeroMatrixError, NonFiniteError) as exc:
+    except (RankDeficientError, NonFiniteError) as exc:
         with pytest.raises(type(exc)):
             reachable_subspace(S)
         return
@@ -318,7 +342,7 @@ def tiny_entries(outside: bool) -> PositiveLtiSystem:
 def test_reachable_basis_edge_cases(system, full_stacks):
     S = system()
     assert_same_basis(S)
-    with krylov_stacks_built() as built, contextlib.suppress(ZeroMatrixError, NonFiniteError):
+    with krylov_stacks_built() as built, contextlib.suppress(RankDeficientError, NonFiniteError):
         reachable_subspace(S)
     assert built["raw full"] == full_stacks
 
@@ -1149,7 +1173,7 @@ def test_exact_reduction_on_planted_systems():
         S = generate_system(spec)
         try:
             basis = reachable_subspace(S)
-        except ZeroMatrixError:
+        except RankDeficientError:
             continue
         if basis.dimension == S.dim:
             continue
