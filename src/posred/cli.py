@@ -184,15 +184,17 @@ def cmd_algebra(args, tol: Tolerances) -> tuple[dict, bool]:
 
 
 def cmd_verify(args, tol: Tolerances) -> tuple[dict, bool]:
-    original = _raw_system(_load_json(args.original))[:3]
-    reduced = _raw_system(_load_json(args.reduced), original[1].shape[1])[:3]
-    match = markov_match(original, reduced, tol)
+    # The original must be a positive system; the reduced file is read raw,
+    # because its positivity is what verify reports.
+    original = _load_system(args.original)
+    reduced = _raw_system(_load_json(args.reduced), original.num_inputs)[:3]
+    match = markov_match((original.A, original.B, original.C), reduced, tol)
     positive = all(M.min(initial=0.0) >= 0.0 for M in reduced)
     return {
         "schema_version": SCHEMA_VERSION,
         "markov_match": match,
         "positivity": positive,
-        "horizon": len(original[0]) + len(reduced[0]),  # n1 + n2, as markov_match
+        "horizon": original.dim + len(reduced[0]),  # n1 + n2, as markov_match
     }, match and positive
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NotNonnegativeError
-from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, fixes_columns, unit_peak
+from .numerics import DEFAULT_TOL, SubspaceBasis, Tolerances, unit_peak
 
 
 class Factorization(NamedTuple):
@@ -163,8 +163,9 @@ def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = D
 
     Both factors non-negative, with no entry below 0 and no tolerance, so
     that Jdag A' J >= 0 for every A' >= 0; Jdag @ J = I within eq_tol, and
-    J @ Jdag fixing each unit-peak basis column within eq_tol, an absolute
-    residual (fixes_columns); the two give Im(J) = span of V.
+    J @ Jdag fixing each column of the unit-peak basis P within eq_tol, by
+    the absolute residual max|P - J (Jdag P)|; the two give Im(J) = span
+    of V.
     """
     m = V.dimension
     if F.J.shape != (V.ambient_dim, m) or F.Jdag.shape != (m, V.ambient_dim):
@@ -173,4 +174,5 @@ def verify_factorization(F: Factorization, V: SubspaceBasis, tol: Tolerances = D
         return False
     if np.abs(F.Jdag @ F.J - np.eye(m)).max() > tol.eq_tol:
         return False
-    return fixes_columns(F.J, F.Jdag, unit_peak(V.basis), tol)
+    P = unit_peak(V.basis)
+    return bool(np.abs(P - F.J @ (F.Jdag @ P)).max() <= tol.eq_tol)

@@ -3,8 +3,8 @@
 All operations are pure functions over float64 arrays: greedy column
 bases by one Gaussian elimination pass whose relative pivot threshold
 follows the columns kept so far, which also certifies a basis's full
-column rank, Moore-Penrose left inverses, unit-peak columns and the
-projector residual that certifies exactness.
+column rank, Moore-Penrose left inverses, and unit-peak columns, on
+which verify_factorization measures its projector residual.
 """
 
 from typing import NamedTuple
@@ -220,8 +220,3 @@ def unit_peak(M: np.ndarray) -> np.ndarray:
     """M with each column divided by its peak |entry|; zero columns stay zero."""
     peaks = np.abs(M).max(axis=0, initial=0.0)
     return M / np.where(peaks > 0.0, peaks, 1.0)
-
-
-def fixes_columns(J, Jdag, P, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether J @ Jdag fixes P's columns, max|P - J (Jdag P)| <= eq_tol; NaN fails."""
-    return bool(np.abs(P - J @ (Jdag @ P)).max(initial=0.0) <= tol.eq_tol)

@@ -58,16 +58,11 @@ class PerturbationRecord(NamedTuple):
 
 def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionReport:
     n = S.dim
-    notes: list[str] = []
     basis = algebra = None
 
-    def report(method: str, F: Optional[Factorization] = None, *closing: str,
-               replacing: bool = False) -> ReductionReport:
-        # With F, possys.reduce raises unless the reduction by F is exact and
-        # positive, before the closing lines follow the notes (in place of
-        # the last one when replacing).
+    def report(method: str, F: Optional[Factorization] = None, *lines: str) -> ReductionReport:
+        # With F, possys.reduce raises unless the reduction by F is exact and positive.
         reduced = None if F is None else possys.reduce(S, F, tol)
-        lines = (*(notes[:-1] if replacing else notes), *closing)
         return ReductionReport(method, space, n, n if reduced is None else reduced.dim, F,
                                reduced, lines, algebra, basis)
 
@@ -85,21 +80,20 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionRe
         return report("none", None, f"already {space}: the {space} space has full dimension")
 
     F = find_nonneg_factorization(basis, tol)
-    if F is None:
-        notes.append(f"no projector onto the {space} space admits non-negative factors")
-    else:
+    # missed: why the minimal route did not decide (no pair, or a refused one).
+    missed = f"no projector onto the {space} space admits non-negative factors"
+    if F is not None:
         # Factors of a basis that column selection left short of the
         # space (raw powers under scaling) fail reduce's Krylov check.
         try:
             return report("minimal", F)
         except NotInvariantError:
-            notes.append(f"non-negative factors of the {space} basis do not fix "
-                         f"the {space} space")
+            missed = f"non-negative factors of the {space} basis do not fix the {space} space"
 
     algebra = closure(basis, choose_p(basis, tol), tol)
     if algebra.dimension >= n:
-        return report("none", None, "RPMR could not be performed: the algebra "
-                                    "enlargement has full dimension")
+        return report("none", None, missed, "RPMR could not be performed: the algebra "
+                                            "enlargement has full dimension")
 
     # The enlargement need not be A-invariant: reduce() falls back to
     # checking that its projector fixes the target space. A closure
@@ -108,18 +102,17 @@ def _rpmr_core(S: PositiveLtiSystem, tol: Tolerances, space: str) -> ReductionRe
     enlarged = f"algebra enlargement: {q} -> {algebra.dimension} dimensions"
     try:
         if algebra.dimension != q:
-            return report("algebraic", G, enlarged)
+            return report("algebraic", G, missed, enlarged)
         # An algebra of dimension q is the target space itself: once reduce()
         # accepts its factors, they are a minimal pair that the search missed,
-        # and that line replaces the enlargement line and, when the search
-        # found none, the note that claims none exists.
-        return report("minimal", G, f"the algebra enlargement equals the {space} space "
-                      f"({q} dimensions); its factors are a non-negative minimal pair",
-                      replacing=F is None)
+        # and missed stays only when it says that reduce refused the search's pair.
+        return report("minimal", G, *(() if F is None else (missed,)),
+                      f"the algebra enlargement equals the {space} space ({q} dimensions); "
+                      "its factors are a non-negative minimal pair")
     except NotInvariantError:
-        return report("none", None, enlarged, "RPMR could not be performed: the projector "
-                      "of the algebra enlargement fails the exactness check (it does not "
-                      f"fix the {space} space)")
+        return report("none", None, missed, enlarged, "RPMR could not be performed: the "
+                      "projector of the algebra enlargement fails the exactness check (it "
+                      f"does not fix the {space} space)")
 
 
 def rpmr_reachable(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> ReductionReport:

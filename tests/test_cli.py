@@ -448,6 +448,15 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["positivity"] is False
 
+    def test_original_that_is_not_positive_is_an_input_error(self, tmp_path, capsys):
+        # The reduced file matches the original's Markov sequence and has no
+        # negative entry, but the original has one, so it is not a positive system.
+        original = write_json(tmp_path / "orig.json", {"A": [[0.5, -0.1], [0.0, 0.5]],
+                                                       "B": [[1.0], [0.0]], "C": [[1.0, 1.0]]})
+        reduced = write_json(tmp_path / "red.json", {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]]})
+        assert run(capsys, "verify", original, reduced) == (
+            1, "", "error: system is not positive: A has negative entries\n")
+
     def test_infinite_tolerance_is_an_input_error(self, tmp_path, capsys):
         first = write_system(tmp_path / "a.json", posred.generate_system(posred.GeneratorSpec(4)))
         second = write_system(tmp_path / "b.json",

@@ -457,6 +457,16 @@ class TestVerify:
         assert verify_factorization(F, self.V) is True
         assert verify_factorization(F, SubspaceBasis(np.eye(4)[:, :2])) is False
 
+    def test_residual_is_absolute_on_unit_peak_columns_and_gives_a_bool(self):
+        # Jdag @ J = I exactly, and J @ Jdag drops row 2, so the residual
+        # is entry d of the unit-peak column (0, 1, d): eq_tol itself is
+        # accepted, the next double above it is refused.
+        J = np.eye(3)[:, :2]
+        eq_tol = Tolerances().eq_tol
+        for d, verdict in ((eq_tol, True), (np.nextafter(eq_tol, 1.0), False)):
+            V = SubspaceBasis([[1.0, 0.0], [0.0, 2.0], [0.0, 2.0 * d]])
+            assert verify_factorization(Factorization(J, J.T, [0, 1]), V) is verdict
+
     def test_rejects_factors_of_the_wrong_shape(self):
         F = find_nonneg_factorization(self.V)
         for J, Jdag in ((F.J[:, :1], F.Jdag[:1]), (F.J, F.J), (F.J[:3], F.Jdag[:, :3])):

@@ -10,7 +10,7 @@ from posred import (GeneratorSpec, NonFiniteError, RankDeficientError, SubspaceB
                     Tolerances, column_space_basis, generate_system,
                     left_inverse, rpmr_reachable)
 from posred import DEFAULT_TOL, as_matrix, numerics
-from posred.numerics import fixes_columns, unit_peak
+from posred.numerics import unit_peak
 from conftest import (greedy_column_selection, per_column_selection, r600_system, rank,
                       reachability_matrix)
 
@@ -279,14 +279,6 @@ class TestExactnessResidual:
     def test_unit_peak_leaves_zero_columns_zero(self):
         M = np.array([[2.0, 0.0, -4.0], [1.0, 0.0, 1.0]])
         np.testing.assert_array_equal(unit_peak(M), [[1.0, 0.0, -1.0], [0.5, 0.0, 0.25]])
-
-    def test_fixes_columns_gives_a_bool_and_nan_fails(self):
-        J = np.eye(3)[:, :2]
-        P = np.array([[1.0], [0.5], [0.0]])
-        assert fixes_columns(J, J.T, P) is True
-        assert fixes_columns(J, J.T, P + [[0.0], [0.0], [1e-6]]) is False
-        assert fixes_columns(J, J.T, P * np.nan) is False
-        assert fixes_columns(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))) is True
 
 
 class TestLeftInverse:

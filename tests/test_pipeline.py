@@ -582,6 +582,30 @@ def test_search_factors_with_rounding_zeroed_keep_every_markov_coefficient():
     assert equivalent(S, report.reduced_system)
 
 
+def routes(S: PositiveLtiSystem) -> list[tuple[str, int]]:
+    return [(r.method, r.reduced_dim) for r in (rpmr_reachable(S), rpmr_observable(S))]
+
+
+def test_relabelling_moves_no_report():
+    # Relabelling the states (P A P^T, P B, C P^T), or the inputs and the
+    # outputs, describes the same system: on every R600 system, each of
+    # three relabellings keeps (method, reduced_dim) on both spaces. For
+    # system s and t in 0..2, default_rng(50000 + 3s + t) draws the kind
+    # of relabelling, then its permutations.
+    for s in range(600):
+        S = r600_system(s)
+        expected = routes(S)
+        for t in range(3):
+            rng = np.random.default_rng(50000 + 3 * s + t)
+            if rng.integers(2):
+                P = rng.permutation(S.dim)
+                T = PositiveLtiSystem(S.A[P][:, P], S.B[P], S.C[:, P])
+            else:
+                T = PositiveLtiSystem(S.A, S.B[:, rng.permutation(S.num_inputs)],
+                                      S.C[rng.permutation(S.num_outputs)])
+            assert routes(T) == expected, (s, t)
+
+
 class TestReportBasis:
     """The report carries the target-space basis that the pipeline built."""
 
