@@ -226,8 +226,8 @@ def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
     # pattern; one generator draws A's noise for every perturbation, then
     # B's, then C's.
     rng = np.random.default_rng(args.seed)
-    # A huge --delta can overflow the perturbed stacks or their projections;
-    # the experiment then raises NonFiniteError instead of giving records.
+    # A huge --delta can overflow the perturbed stacks or their projections
+    # (NonFiniteError); a --count past numpy's largest array fails the draw.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             perturbed = [np.where(M > 0, M * rng.uniform(1.0, 1.0 + args.delta,
@@ -237,6 +237,8 @@ def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
     except NonFiniteError:
         raise CliError(1, f"--delta {args.delta:g} overflows the perturbed systems "
                           "or their projections")
+    except ValueError as exc:
+        raise CliError(1, f"--count {args.count} is too large: {exc}")
 
     count = max(len(records), 1)
     return {
@@ -325,6 +327,6 @@ def main(argv=None) -> int:
         payload, holds = args.func(args, tol)
         _emit(args, payload)
         return 0 if holds else 3
-    except (CliError, PosredError) as exc:
+    except (CliError, PosredError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1

@@ -20,9 +20,9 @@ from .numerics import as_matrix
 
 
 class MonotoneCertificate(NamedTuple):
-    """Verdict plus evidence: a non-negative left inverse when monotone,
-    and, when the structural shortcut found them, the indices of the m
-    monomial rows, one per column, which are pairwise orthogonal."""
+    """Verdict plus evidence: when monotone, a non-negative left inverse
+    and the sorted indices of the m monomial rows, one per column, which
+    are pairwise orthogonal; both are None when not."""
 
     monotone: bool
     nonneg_left_inverse: Optional[np.ndarray] = None
@@ -34,15 +34,17 @@ def is_monotone_nonneg_rect(X) -> MonotoneCertificate:
 
     A non-negative n x m matrix has a non-negative left inverse exactly
     when m of its rows are positive multiples of distinct unit vectors
-    (Berman & Plemmons, ch. 5), so the scan looks for the first row
-    supported on each column alone. Those m rows form an invertible
-    diagonal block, so a True verdict implies full column rank and no
-    rank test is needed: a rank-deficient or wide matrix has fewer such
-    rows and is refused. X is non-negative when no entry is below 0 (-0.0
-    passes), and its support is its nonzero entries; neither test has a
-    tolerance, so the verdict depends neither on the scale of X nor on the
-    scale of any row. On success the left inverse picks those rows, each
-    divided by its pivot, and L X is I up to the rounding of 1 / pivot.
+    (Berman & Plemmons, ch. 5). One boolean matrix marks the monomial
+    rows, each in the column of its one nonzero entry; the verdict is that
+    every column has a mark, and each column takes its first. Those m rows
+    form an invertible diagonal block, so a True verdict implies full
+    column rank and no rank test is needed: a rank-deficient or wide
+    matrix has fewer such rows and is refused. X is non-negative when no
+    entry is below 0 (-0.0 passes), and its support is its nonzero
+    entries; neither test has a tolerance, so the verdict depends neither
+    on the scale of X nor on the scale of any row. On success the left
+    inverse picks those rows, each divided by its pivot, and L X is I up
+    to the rounding of 1 / pivot.
     NonFiniteError, without a warning, when 1 / pivot overflows ([[5e-324]]
     has inverse [[2e323]], which is not a double).
     """
@@ -50,22 +52,15 @@ def is_monotone_nonneg_rect(X) -> MonotoneCertificate:
     n, m = A.shape
     if (A < 0.0).any():
         raise NotNonnegativeError("matrix has negative entries")
-    support = A > 0.0
-    support_sizes = support.sum(axis=1)
-    pivot_for_column: dict[int, int] = {}
-    for i in range(n):
-        if support_sizes[i] != 1:
-            continue
-        j = int(np.argmax(support[i]))
-        if j not in pivot_for_column:
-            pivot_for_column[j] = i
-    if len(pivot_for_column) < m:
+    monomial = (A > 0.0) & (np.count_nonzero(A, axis=1) == 1)[:, None]
+    if not monomial.any(axis=0).all():
         return MonotoneCertificate(False)
-    columns, rows = list(pivot_for_column), list(pivot_for_column.values())
+    columns = np.arange(m)  # argmax refuses a 0 x 0 matrix, which keeps no rows
+    rows = monomial.argmax(axis=0) if n else columns
     with np.errstate(over="ignore"):
         inverse_pivots = 1.0 / A[rows, columns]
     if not np.isfinite(inverse_pivots).all():
         raise NonFiniteError(f"left inverse of the {n}x{m} matrix overflows")
     Jdag = np.zeros((m, n))
     Jdag[columns, rows] = inverse_pivots
-    return MonotoneCertificate(True, nonneg_left_inverse=Jdag, orthogonal_row_set=sorted(rows))
+    return MonotoneCertificate(True, nonneg_left_inverse=Jdag, orthogonal_row_set=sorted(rows.tolist()))

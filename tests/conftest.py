@@ -1,10 +1,13 @@
 """Shared fixtures: the reference systems used across the suite, the R600
 systems and their D3 and D5 scalings, the cone-membership solve (on
 scipy.optimize.nnls) and the monotonicity test built on it that serve as
-the cone oracles, the exhaustive subset scan and the per-row cone walk
+the cone oracles, the per-row monomial scan that serves as the monotone
+test's reference, the exhaustive subset scan and the per-row cone walk
 that serve as the minimal-route oracles, the exact verdict of a
-reduction in integer arithmetic, the integer sweep it is checked on and
-its exactly scaled corpora, the draws of the sign probe, the numerical
+reduction in integer arithmetic (by subset scan below n = 10, and by
+successive projection at any n), the integer sweep it is checked on and
+its exactly scaled corpora, the integer-built planted and lumped systems
+past the scan's reach, the draws of the sign probe, the numerical
 rank by elimination with a fixed threshold that serves as the rank
 oracle, the per-column rank loop and the per-column elimination loop
 that serve as the column-selection oracles, the block Arnoldi basis that serves as the
@@ -33,7 +36,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import posred.possys
 from posred import (DimensionMismatchError, DistortedAlgebra, GeneratorSpec, MonotoneCertificate,
-                    NonFiniteError, NotInvariantError, PositiveLtiSystem,
+                    NonFiniteError, NotInvariantError, NotNonnegativeError, PositiveLtiSystem,
                     Tolerances, algebra_factorization, as_matrix,
                     choose_p, closure, generate_system, reachable_subspace,
                     reduce, rpmr_reachable)
@@ -439,7 +442,34 @@ def _has_nonneg_solution(M: list[list[int]], rhs: list[list[int]]) -> bool:
     return all(x * W[i][i] >= 0 for i in range(q) for x in W[i][q:])
 
 
-def exact_verdict(A, B) -> tuple[str, int]:
+def _successive_projection(V: list[list[int]], rows: list[int], q: int) -> list[int]:
+    """q of `rows` picked by successive projection in exact arithmetic:
+    each row of V >= 0 is scaled to unit row sum, then q times the row of
+    largest squared norm (the lowest index on a tie) is picked and
+    projected out of every row. When a minimal pair exists the row cone
+    of V is simplicial, and the picks are one row per extreme ray
+    (Gillis & Vavasis 2014). Each row is held as integers w over one
+    denominator d, reduced by their common gcd after each projection."""
+    R = {i: (V[i], sum(V[i])) for i in rows}
+    picks: list[int] = []
+    for _ in range(q):
+        norms = {i: Fraction(sum(x * x for x in w), d * d) for i, (w, d) in R.items()}
+        pick = max(norms, key=norms.get)
+        picks.append(pick)
+        u = R.pop(pick)[0]
+        uu = sum(x * x for x in u)
+        for i, (w, d) in list(R.items()):
+            wu = sum(x * y for x, y in zip(w, u))
+            w = [x * uu - wu * y for x, y in zip(w, u)]
+            g = math.gcd(d * uu, *w)
+            if any(w):
+                R[i] = ([x // g for x in w], d * uu // g)
+            else:
+                del R[i]
+    return picks
+
+
+def exact_verdict(A, B, spa: bool = False) -> tuple[str, int]:
     """(method, reduced_dim) of the reachable report that an exact
     reduction of (A, B) gives, in Python integers only; an observable
     report is that of (A^T, C^T). It rests on the characterisation in
@@ -450,9 +480,13 @@ def exact_verdict(A, B) -> tuple[str, int]:
 
     The independent columns of [B, AB, ..., A^(n-1) B], selected greedily
     from the left, give the basis V of dimension q: q = 0 is minimal 0 and
-    q = n is none n. Otherwise it is minimal q when some q nonzero rows
-    form an invertible V0 with V V0^-1 >= 0 (an exhaustive scan, C(n, q)
-    <= 126 subsets for n < 10). Failing that, with r the number of
+    q = n is none n. The selection stops at the first block that adds no
+    column, since every later block then lies in the span. Otherwise it is
+    minimal q when some q nonzero rows form an invertible V0 with
+    V V0^-1 >= 0. Without spa that is an exhaustive scan (C(n, q) <= 126
+    subsets for n < 10), the reference; with spa, the one subset that
+    successive projection picks from the lowest row of each ray, which is
+    polynomial and serves at any n. Failing that, with r the number of
     distinct rays among the nonzero rows of V, it is none n when r = n,
     minimal q when r = q and algebraic r otherwise."""
     A, B = _dyadic_integers(A, "A")[0].tolist(), _dyadic_integers(B, "B")[0].tolist()
@@ -461,6 +495,7 @@ def exact_verdict(A, B) -> tuple[str, int]:
     kept: list[list[int]] = []
     echelon: list[tuple[int, list[int]]] = []
     for _ in range(n):
+        added = len(kept)
         for column in block:
             rest = column
             for pivot, row in echelon:
@@ -471,18 +506,25 @@ def exact_verdict(A, B) -> tuple[str, int]:
             if pivot is not None:
                 kept.append(column)
                 echelon.append((pivot, rest))
+        if len(kept) == added:
+            break
         block = [[sum(a * x for a, x in zip(row, column)) for row in A] for column in block]
     q = len(kept)
     if q in (0, n):
         return ("minimal", 0) if q == 0 else ("none", n)
     V = [list(row) for row in zip(*kept)]
     nonzero = [i for i in range(n) if any(V[i])]
+    rays: dict[tuple, int] = {}  # the lowest row of each ray
+    for i in nonzero:
+        rays.setdefault(tuple(_primitive(V[i])), i)
+    subsets = ([_successive_projection(V, list(rays.values()), q)] if spa
+               else itertools.combinations(nonzero, q))
     # V V0^-1 >= 0 iff V0^-T V^T >= 0.
     Vt = [list(row) for row in zip(*V)]
     if any(_has_nonneg_solution([list(row) for row in zip(*(V[i] for i in subset))], Vt)
-           for subset in itertools.combinations(nonzero, q)):
+           for subset in subsets):
         return "minimal", q
-    r = len({tuple(_primitive(V[i])) for i in nonzero})
+    r = len(rays)
     return ("none", n) if r == n else ("minimal", q) if r == q else ("algebraic", r)
 
 
@@ -499,6 +541,40 @@ def integer_sweep(count: int):
         B = rng.integers(0, 2, (n, m)) * (rng.random((n, m)) < 0.5)
         C = rng.integers(0, 2, (int(rng.integers(1, 3)), n))
         yield A.astype(float), B.astype(float), C.astype(float)
+
+
+def integer_planted_system(n: int, seed: int) -> PositiveLtiSystem:
+    """Integer-built planted system, whose exact reachable space is at most
+    the coordinate space of a random half s of the states: from
+    default_rng(seed) draw s = permutation(n)[:n // 2]; A = integers(0, 4,
+    (n, n)) masked by random((n, n)) < 0.3, then A[~s, s] = 0; B =
+    integers(0, 2, (n // 2, 2)) on the rows of s and 0 elsewhere, in that
+    order; C = ones((1, n))."""
+    rng = np.random.default_rng(seed)
+    s = np.zeros(n, dtype=bool)
+    s[rng.permutation(n)[:n // 2]] = True
+    A = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.3)
+    A[np.ix_(~s, s)] = 0
+    B = np.zeros((n, 2), dtype=int)
+    B[s] = rng.integers(0, 2, (n // 2, 2))
+    return PositiveLtiSystem(A.astype(float), B.astype(float), np.ones((1, n)))
+
+
+def integer_lumped_system(n: int, r: int, q: int, seed: int) -> PositiveLtiSystem:
+    """lumped_system's recipe in integers, so that exact_verdict is an
+    exact reference for it: from default_rng(seed) draw the blocks as
+    lumped_system does, then L's weights integers(1, 4, n), U = integers(1,
+    6, (r, q)), K = integers(0, 2, (q, n)) masked by random((q, n)) < 0.5
+    and G = integers(0, 3, (q, 2)), in that order; V = L U, A = V K and
+    B = V G, with no spectral scaling; C = ones((1, n))."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.permutation(np.concatenate([np.arange(r), rng.integers(0, r, n - r)]))
+    L = np.zeros((n, r), dtype=int)
+    L[np.arange(n), blocks] = rng.integers(1, 4, n)
+    V = L @ rng.integers(1, 6, (r, q))
+    K = rng.integers(0, 2, (q, n)) * (rng.random((q, n)) < 0.5)
+    G = rng.integers(0, 3, (q, 2))
+    return PositiveLtiSystem((V @ K).astype(float), (V @ G).astype(float), np.ones((1, n)))
 
 
 def sign_probe_draw(rng: np.random.Generator):
@@ -568,6 +644,31 @@ def is_monotone_by_cone(X, tol: Tolerances = Tolerances()) -> MonotoneCertificat
             return MonotoneCertificate(False)
         inverse_rows[j] = coeffs / norms
     return MonotoneCertificate(True, nonneg_left_inverse=inverse_rows)
+
+
+def monotone_by_row_scan(X) -> MonotoneCertificate:
+    """Reference monomial-row test, one row at a time: each row with one
+    nonzero entry is the pivot of that entry's column unless an earlier
+    row is, and X is monotone when every column has a pivot. It refuses
+    and overflows as is_monotone_nonneg_rect does, with the same errors."""
+    A = as_matrix(X, "X")
+    n, m = A.shape
+    if (A < 0.0).any():
+        raise NotNonnegativeError("matrix has negative entries")
+    pivot_for_column: dict[int, int] = {}
+    for i in range(n):
+        if (A[i] != 0.0).sum() == 1:
+            pivot_for_column.setdefault(int(np.argmax(A[i] > 0.0)), i)
+    if len(pivot_for_column) < m:
+        return MonotoneCertificate(False)
+    columns, rows = list(pivot_for_column), list(pivot_for_column.values())
+    with np.errstate(over="ignore"):
+        inverse_pivots = 1.0 / A[rows, columns]
+    if not np.isfinite(inverse_pivots).all():
+        raise NonFiniteError(f"left inverse of the {n}x{m} matrix overflows")
+    L = np.zeros((m, n))
+    L[columns, rows] = inverse_pivots
+    return MonotoneCertificate(True, nonneg_left_inverse=L, orthogonal_row_set=sorted(rows))
 
 
 def cone_walk_pivots(basis, tol: Tolerances = Tolerances()):

@@ -526,6 +526,13 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--n", "4", "--seed", "-1")
         assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
 
+    def test_system_beyond_any_address_space_is_an_input_error(self, capsys):
+        # A 10^9 x 10^9 matrix of doubles (6.94 EiB) cannot be mapped, so
+        # numpy's MemoryError comes before any byte is written.
+        code, out, err = run(capsys, "gen", "--n", "1000000000")
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("error: Unable to allocate 6.94 EiB")
+
     def test_round_trip_bit_exact(self, capsys):
         # Parse then re-serialize: every float must survive bit-exactly.
         from posred import PositiveLtiSystem
@@ -622,6 +629,20 @@ class TestPerturb:
         code, out, err = run(capsys, "perturb", "--input", path, "--seed", "-1")
         assert (code, out) == (1, "")
         assert err == "error: --seed must be finite and non-negative\n"
+
+    @pytest.mark.parametrize("count, message", [
+        (10**16, "error: Unable to allocate 2.50 EiB"),
+        (10**18, "error: --count 1000000000000000000 is too large: array is too big")],
+        ids=["1e16", "1e18"])
+    def test_count_beyond_any_address_space_is_an_input_error(self, tmp_path, capsys,
+                                                              count, message):
+        # Each stack of 6 x 6 draws exceeds any address space: numpy raises
+        # MemoryError below its largest array size and ValueError above it.
+        S = posred.generate_system(posred.GeneratorSpec(n=6, reachable_dim=3, seed=7))
+        path = write_system(tmp_path / "s.json", S)
+        code, out, err = run(capsys, "perturb", "--input", path, "--count", str(count))
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith(message)
 
     def test_zero_input_map_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.5], [0.0, 1.0]],

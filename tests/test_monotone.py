@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from posred import NonFiniteError, NotNonnegativeError, Tolerances, is_monotone_nonneg_rect
 from conftest import (_dyadic_integers, _has_nonneg_solution, cone_coefficients,
-                      is_monotone_by_cone)
+                      is_monotone_by_cone, monotone_by_row_scan)
 
 TOL = Tolerances()
 
@@ -192,6 +192,55 @@ class TestRectShortcut:
             is_monotone_nonneg_rect(np.array([[1.0, 0.0], [0.0, 5e-324]]))
         cert = is_monotone_nonneg_rect(np.array([[1e-308, 0.0], [0.0, 1.0]]))
         np.testing.assert_array_equal(cert.nonneg_left_inverse, np.diag([1e308, 1.0]))
+
+
+@pytest.mark.parametrize("X, L, rows", [
+    (np.zeros((1, 0)), np.zeros((0, 1)), []),
+    (np.zeros((0, 2)), None, None),
+    (np.zeros((0, 0)), np.zeros((0, 0)), []),
+    # Rows 0 and 1 are both monomial in column 0; the first is kept.
+    ([[2.0, 0.0], [4.0, 0.0], [0.0, 1.0]], [[0.5, 0.0, 0.0], [0.0, 0.0, 1.0]], [0, 2]),
+    # Columns 0, 1 and 2 find their monomial rows at 3, 2 and 0.
+    ([[0.0, 0.0, 4.0], [1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [8.0, 0.0, 0.0]],
+     [[0.0, 0.0, 0.0, 0.125], [0.0, 0.0, 0.5, 0.0], [0.25, 0.0, 0.0, 0.0]], [0, 2, 3]),
+    ([[1.0, 1.0], [1.0, 0.0]], None, None),
+], ids=["1x0", "0x2", "0x0", "first-of-two", "out-of-order", "not-monotone"])
+def test_certificate_bytes(X, L, rows):
+    # The whole certificate is pinned: the verdict, the left inverse's
+    # bytes, shape and dtype, and the sorted row set of Python ints.
+    cert = is_monotone_nonneg_rect(np.asarray(X, dtype=float))
+    assert cert.monotone is (L is not None)
+    assert cert.orthogonal_row_set == rows
+    if L is None:
+        assert cert.nonneg_left_inverse is None
+    else:
+        L = np.asarray(L)
+        got = cert.nonneg_left_inverse
+        assert (got.shape, got.dtype, got.tobytes()) == (L.shape, L.dtype, L.tobytes())
+        assert all(type(i) is int for i in cert.orthogonal_row_set)
+
+
+def certificate_or_error(test, X):
+    """The certificate's bytes, or the error's class and message."""
+    try:
+        cert = test(X)
+    except (NonFiniteError, NotNonnegativeError) as exc:
+        return type(exc), str(exc)
+    L = cert.nonneg_left_inverse
+    return (cert.monotone, cert.orthogonal_row_set,
+            None if L is None else (L.shape, L.dtype, L.tobytes()))
+
+
+def test_certificate_is_the_row_scans_byte_for_byte():
+    # Shapes with no rows or no columns included; 5e-324 overflows its
+    # inverse pivot, and -0.0 is outside the support.
+    rng = np.random.default_rng(47)
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0])
+    for _ in range(3000):
+        n, m = rng.integers(0, 7), rng.integers(0, 5)
+        X = np.where(rng.random((n, m)) < 0.5, values[rng.integers(0, len(values), (n, m))], 0.0)
+        assert (certificate_or_error(is_monotone_nonneg_rect, X)
+                == certificate_or_error(monotone_by_row_scan, X)), X
 
 
 def random_nonneg_full_rank(rng, n, m):

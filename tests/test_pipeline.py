@@ -20,7 +20,8 @@ from posred import (DimensionMismatchError, Factorization, GeneratorSpec, NotInv
                     rpmr_observable, rpmr_reachable)
 from conftest import (algebraic_reduction, arnoldi_reachable_basis, cascade_system, d3_scaled,
                       exact_markov_parameters, exact_verdict, exactly_scaled, exhaustive_first_hit,
-                      integer_sweep, krylov_stacks_built, lumped_system, observability_matrix,
+                      integer_lumped_system, integer_planted_system, integer_sweep,
+                      krylov_stacks_built, lumped_system, observability_matrix,
                       r600_system, rank, sign_probe_draw, stubborn_span, swap_system)
 
 TOL = Tolerances()
@@ -1041,6 +1042,31 @@ def test_reports_on_the_integer_sweep_are_the_exact_verdicts():
     # 4000 reports on integer data, where the oracle's rank and sign tests
     # are exact: a missed reduction fails here as surely as a wrong one.
     assert sweep_disagreements(2000) == []
+
+
+def test_successive_projection_oracle_is_the_subset_scan_on_the_integer_sweep():
+    # The exact successive-projection path, which serves at any n, against
+    # the exhaustive scan, the reference below n = 10: 4000 reports.
+    for draw, (A, B, C) in enumerate(integer_sweep(2000)):
+        for pair in ((A, B), (A.T, C.T)):
+            assert exact_verdict(*pair, spa=True) == exact_verdict(*pair), draw
+
+
+@pytest.mark.parametrize("recipe, args, exact", [
+    (integer_planted_system, (40,), ("minimal", 20)),
+    (integer_lumped_system, (40, 12, 8), ("algebraic", 12)),
+    (integer_lumped_system, (60, 16, 8), ("algebraic", 16)),
+], ids=["planted-40", "lumped-40-12-8", "lumped-60-16-8"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_large_systems_get_the_exact_verdict(recipe, args, exact, seed):
+    # Past the subset scan's reach, the successive-projection oracle is
+    # the exact reference for integer-built systems. Larger ones (planted
+    # n = 60 and 100, lumped (100, 30, 15)) are missed today, so they are
+    # not pinned.
+    S = recipe(*args, seed)
+    assert exact_verdict(S.A, S.B, spa=True) == exact
+    report = rpmr_reachable(S)
+    assert (report.method, report.reduced_dim) == exact
 
 
 def test_no_report_on_the_exactly_scaled_sweep_claims_a_lower_order_than_the_exact_one():
