@@ -10,9 +10,11 @@ class NonFiniteError(PosredError):
 
 
 class RankDeficientError(PosredError):
-    """No independent column where one is required (column_space_basis
-    keeps none, or reachable_subspace finds an empty support: rank 0), or
-    full column rank required but not present (SubspaceBasis, left_inverse)."""
+    """No independent column where one is required, refused with one
+    rank-0 message wherever it is found (column_space_basis, and so
+    SubspaceBasis, keeps none, or reachable_subspace finds an empty
+    support), or full column rank required but not present (SubspaceBasis,
+    left_inverse)."""
 
 
 class NotNonnegativeError(PosredError):

@@ -97,19 +97,15 @@ class SubspaceBasis:
     """Full-column-rank matrix whose columns span a subspace of R^n.
 
     Full rank is certified by one column_space_basis pass keeping every
-    column, so selection and this check share one elimination rule; the
-    pass's rank-0 refusal, as for the all-zero matrix, counts as none kept.
+    column, so selection and this check share one elimination rule. A
+    matrix with no independent column (all zero, or with no rows or no
+    columns) gets the pass's own rank-0 RankDeficientError; one that keeps
+    some columns but not all, "basis columns are linearly dependent".
     """
 
     def __init__(self, basis, tol: Tolerances = DEFAULT_TOL):
         B = as_matrix(basis, "basis")
-        if B.shape[1] == 0:
-            raise ValueError("a basis needs at least one column")
-        try:
-            kept = column_space_basis(B, tol).dimension
-        except RankDeficientError:
-            kept = 0
-        if kept < B.shape[1]:
+        if column_space_basis(B, tol).dimension < B.shape[1]:
             raise RankDeficientError("basis columns are linearly dependent")
         B = B.copy()
         B.setflags(write=False)

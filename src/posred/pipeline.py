@@ -182,8 +182,8 @@ def perturbation_experiment(S: PositiveLtiSystem, F_naive: Factorization,
     A, B, C = (np.asarray(M, dtype=float) for M in perturbations)
     if [M.shape for M in (A, B, C)] != [A.shape[:1] + M.shape for M in (S.A, S.B, S.C)]:
         raise DimensionMismatchError("perturbation dimensions differ from the base system")
-    reduced = [possys._restrict((A, B, C), *possys._factor_pair(F, S.dim))
-               for F in (F_naive, F_robust)]
+    pairs = [possys._factor_pair(F.J, F.Jdag, S.dim) for F in (F_naive, F_robust)]
+    reduced = [(Jdag @ A @ J, Jdag @ B, C @ J) for J, Jdag in pairs]
     if not all(np.isfinite(M).all() for M in (A, B, C, *reduced[0], *reduced[1])):
         raise NonFiniteError("a perturbed system or one of its projections is not finite")
     naive_positive, robust_positive = (

@@ -216,10 +216,10 @@ def markov_match(first, second, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndar
     return bool(match) if match.ndim == 0 else match
 
 
-def _factor_pair(F: Factorization, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """F.J and F.Jdag as matrices, checked to be n x r and r x n for one r;
+def _factor_pair(J, Jdag, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """J and Jdag as matrices, checked to be n x r and r x n for one r;
     DimensionMismatchError otherwise."""
-    J, Jdag = as_matrix(F.J, "J"), as_matrix(F.Jdag, "Jdag")
+    J, Jdag = as_matrix(J, "J"), as_matrix(Jdag, "Jdag")
     if J.shape[0] != n or Jdag.shape != J.shape[::-1]:
         raise DimensionMismatchError(f"factors must be {n} x r and r x {n}, "
                                      f"got J {J.shape} and Jdag {Jdag.shape}")
@@ -227,18 +227,14 @@ def _factor_pair(F: Factorization, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project(S: PositiveLtiSystem, J, Jdag) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw restriction (Jdag A J, Jdag B, C J) with no validity checks.
+    """Raw restriction (Jdag A J, Jdag B, C J), checking only that J is
+    n x r and Jdag r x n (DimensionMismatchError otherwise).
 
     Used for comparison experiments where the factors may have mixed signs
     or the image may fail to be invariant; reduce() is the checked path.
     """
-    return _restrict((S.A, S.B, S.C), as_matrix(J, "J"), as_matrix(Jdag, "Jdag"))
-
-
-def _restrict(system, J: np.ndarray, Jdag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jdag A J, Jdag B, C J) of an (A, B, C) triple of matrices or of stacks."""
-    A, B, C = system
-    return Jdag @ A @ J, Jdag @ B, C @ J
+    J, Jdag = _factor_pair(J, Jdag, S.dim)
+    return Jdag @ S.A @ J, Jdag @ S.B, S.C @ J
 
 
 def _entrywise_close(X: np.ndarray, Y: np.ndarray, e: float) -> bool:
@@ -318,7 +314,7 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
         indexed = (np.count_nonzero(M) == np.count_nonzero(R)
                    and R.max(initial=0.0) < 2.0 ** 1023 / (r + 1))
     if not indexed:
-        J, Jdag = _factor_pair(F, S.dim)
+        J, Jdag = _factor_pair(F.J, F.Jdag, S.dim)
         r = J.shape[1]
         eps = tol.eq_tol / (S.dim + r + 1)
         with np.errstate(over="ignore", invalid="ignore"):

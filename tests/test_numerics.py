@@ -253,20 +253,18 @@ def basis_candidates(draw):
 def test_basis_check_agrees_with_the_rank_oracle(M, eq_tol):
     # SubspaceBasis certifies full rank by column selection keeping every
     # column; that is the verdict of rank by elimination at a threshold
-    # fixed from the whole matrix, and the all-zero matrix is refused too.
+    # fixed from the whole matrix. Rank 0, as for the all-zero matrix, gets
+    # column_space_basis's own refusal.
     tol = Tolerances(eq_tol)
-    if rank(M, tol) < M.shape[1]:
-        with pytest.raises(RankDeficientError, match="linearly dependent"):
+    expected = rank(M, tol)
+    if expected < M.shape[1]:
+        message = "linearly dependent" if expected else "matrix has rank 0; no column-space basis"
+        with pytest.raises(RankDeficientError, match=message):
             SubspaceBasis(M, tol)
         return
     V = SubspaceBasis(M, tol)
     np.testing.assert_array_equal(V.basis, M)
     assert V.basis.flags.c_contiguous and not V.basis.flags.writeable
-
-
-def test_basis_needs_a_column():
-    with pytest.raises(ValueError, match="at least one column"):
-        SubspaceBasis(np.zeros((3, 0)))
 
 
 def test_as_matrix_rejects_input_that_is_not_2d():

@@ -3,6 +3,7 @@ equivalence, simulation."""
 import contextlib
 import copy
 import pickle
+import re
 import warnings
 from unittest import mock
 
@@ -223,11 +224,15 @@ class TestReachableSubspace:
      "matrix has rank 0; no column-space basis"),
     (reachable_subspace, PositiveLtiSystem(np.zeros((0, 0)), np.zeros((0, 2))),
      "matrix has rank 0; no column-space basis"),
-    (SubspaceBasis, np.zeros((3, 2)), "basis columns are linearly dependent")],
-    ids=["zero-matrix", "no-rows", "zero-input-map", "no-states", "zero-basis"])
+    (SubspaceBasis, np.zeros((3, 2)), "matrix has rank 0; no column-space basis"),
+    (SubspaceBasis, np.zeros((3, 0)), "matrix has rank 0; no column-space basis"),
+    (SubspaceBasis, np.zeros((0, 2)), "matrix has rank 0; no column-space basis")],
+    ids=["zero-matrix", "no-rows", "zero-input-map", "no-states", "zero-basis",
+         "basis-no-columns", "basis-no-rows"])
 def test_no_independent_column_is_one_refusal(refuse, argument, message):
-    # Rank 0 is refused by one class at every site, and the pipeline turns
-    # reachable_subspace's refusal into the order-0 reduction on both spaces.
+    # Rank 0 is refused by one class and one message at every site, and the
+    # pipeline turns reachable_subspace's refusal into the order-0 reduction
+    # on both spaces.
     with pytest.raises(RankDeficientError, match=message):
         refuse(argument)
     if isinstance(argument, PositiveLtiSystem):
@@ -519,6 +524,22 @@ class TestReduce:
         A[m, m - 1] = 0.0  # the chain now stops inside Im(J)
         assert reduce(PositiveLtiSystem(A, np.eye(n)[:, :1]), F).dim == m
 
+    @pytest.mark.parametrize("J, Jdag", [(np.ones((3, 1)), np.ones((2, 3))),
+                                         (np.ones((2, 1)), np.ones((1, 2)))],
+                             ids=["Jdag-too-short", "J-too-short"])
+    def test_project_refuses_factors_that_do_not_fit(self, J, Jdag):
+        # project checks the shapes as reduce does: J is n x r and Jdag r x n.
+        S = PositiveLtiSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        message = re.escape(f"factors must be 3 x r and r x 3, "
+                            f"got J {J.shape} and Jdag {Jdag.shape}")
+        for refuse in (lambda: project(S, J, Jdag), lambda: reduce(S, Factorization(J, Jdag, []))):
+            with pytest.raises(DimensionMismatchError, match=message):
+                refuse()
+        # A mixed-sign pair that fits still projects: A = I, so Jdag A J = J^T J.
+        J = np.array([[1.0], [-1.0], [1.0]])
+        for got, expected in zip(project(S, J, J.T), ([[3.0]], [[1.0]], [[1.0]])):
+            np.testing.assert_array_equal(got, expected)
+
     def test_blocks_within_eq_tol_that_drift_out_later_are_rejected(self):
         # The selector of states {0, 1} fixes the unit-peak blocks e0, e1
         # and e1 + 1e-9 e2 within eq_tol of their peak, so an absolute
@@ -648,7 +669,9 @@ def reduce_outcome(S: PositiveLtiSystem, F: Factorization):
 
 
 def counting_factor_pair():
-    """Counts the calls of reduce's general pass, which starts with _factor_pair."""
+    """Counts the calls of _factor_pair, which starts reduce's general pass
+    and also checks the pairs of project and perturbation_experiment; no
+    counted block calls either of those two."""
     return mock.patch.object(posred.possys, "_factor_pair", wraps=posred.possys._factor_pair)
 
 
