@@ -3,8 +3,8 @@
 Every command that takes --tol (all but monotone and gen) has it checked
 before any input is read. A matrix file, the input of monotone, factorize
 and algebra, may have no entry below 0 (-0.0 passes). Each command
-returns its JSON payload and whether its property holds, and main alone
-writes the payload and maps the verdict to the exit code.
+returns its report (gen: its system) and whether its property holds, and
+main alone writes it through _emit and maps the verdict to the exit code.
 
 Exit codes: 0 success (reduction found, property holds), 1 input or
 validation error (among them a bad --tol, or a matrix with negative
@@ -27,7 +27,7 @@ from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_nonneg_rect
 from .numerics import Tolerances, as_matrix, column_space_basis, left_inverse
-from .pipeline import ReductionReport, perturbation_experiment, rpmr_observable, rpmr_reachable
+from .pipeline import perturbation_experiment, rpmr_observable, rpmr_reachable
 from .possys import TIME_DOMAINS, PositiveLtiSystem, markov_match
 
 SCHEMA_VERSION = 1
@@ -87,7 +87,11 @@ def _system_payload(S: PositiveLtiSystem) -> dict:
             "time_domain": S.time_domain}
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict | PositiveLtiSystem) -> None:
+    """Write sorted JSON: a report with schema_version stamped on it, or
+    gen's system as exactly a system file, which reduce and verify read."""
+    payload = (_system_payload(payload) if isinstance(payload, PositiveLtiSystem)
+               else {**payload, "schema_version": SCHEMA_VERSION})
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     try:
         if args.output:
@@ -111,38 +115,32 @@ def _emit(args, payload: dict) -> None:
         raise CliError(1, str(exc))
 
 
-def report_to_dict(report: ReductionReport) -> dict:
+def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
+    system = _load_system(args.input)
+    runner = rpmr_observable if args.space == "observable" else rpmr_reachable
+    report = runner(system, tol)
+    F, reduced = report.factorization, report.reduced_system
     # possys.reduce certified every reported reduced system: all Markov
     # coefficients up to n + r (hence all by Cayley-Hamilton) and positivity.
-    reduced = report.reduced_system
     return {
-        "schema_version": SCHEMA_VERSION,
         "method": report.method,
         "space": report.space,
         "original_dim": report.original_dim,
         "reduced_dim": report.reduced_dim,
-        "J": report.factorization.J.tolist() if report.factorization else None,
-        "Jdag": report.factorization.Jdag.tolist() if report.factorization else None,
+        "J": F.J.tolist() if F else None,
+        "Jdag": F.Jdag.tolist() if F else None,
         "reduced_system": _system_payload(reduced) if reduced is not None else None,
         "verification": ({"markov_match": True, "positivity": True,
                           "horizon": report.original_dim + report.reduced_dim}
                          if reduced is not None else None),
         "diagnostics": list(report.diagnostics),
-    }
-
-
-def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
-    system = _load_system(args.input)
-    runner = rpmr_observable if args.space == "observable" else rpmr_reachable
-    report = runner(system, tol)
-    return report_to_dict(report), report.method != "none"
+    }, report.method != "none"
 
 
 def cmd_monotone(args, tol: None) -> tuple[dict, bool]:
     certificate = is_monotone_nonneg_rect(_load_matrix(args.input))
     L = certificate.nonneg_left_inverse
     return {
-        "schema_version": SCHEMA_VERSION,
         "monotone": certificate.monotone,
         "method": "nonneg-shortcut",
         "left_inverse": L.tolist() if L is not None else None,
@@ -155,7 +153,6 @@ def cmd_factorize(args, tol: Tolerances) -> tuple[dict, bool]:
     basis = column_space_basis(_load_matrix(args.input), tol)
     factorization = find_nonneg_factorization(basis, tol)
     return {
-        "schema_version": SCHEMA_VERSION,
         "found": factorization is not None,
         "subspace_dim": basis.dimension,
         "pivot_rows": list(factorization.pivot_rows) if factorization else None,
@@ -170,7 +167,6 @@ def cmd_algebra(args, tol: Tolerances) -> tuple[dict, bool]:
     algebra = closure(basis, p, tol)
     factorization = algebra_factorization(algebra)
     return {
-        "schema_version": SCHEMA_VERSION,
         "p": p.tolist(),
         "support": np.flatnonzero(p).tolist(),
         "blocks": [list(block) for block in algebra.blocks],
@@ -191,21 +187,20 @@ def cmd_verify(args, tol: Tolerances) -> tuple[dict, bool]:
     match = markov_match((original.A, original.B, original.C), reduced, tol)
     positive = all(M.min(initial=0.0) >= 0.0 for M in reduced)
     return {
-        "schema_version": SCHEMA_VERSION,
         "markov_match": match,
         "positivity": positive,
         "horizon": original.dim + len(reduced[0]),  # n1 + n2, as markov_match
     }, match and positive
 
 
-def cmd_gen(args, tol: None) -> tuple[dict, bool]:
+def cmd_gen(args, tol: None) -> tuple[PositiveLtiSystem, bool]:
     try:
         spec = GeneratorSpec(n=args.n, inputs=args.inputs, outputs=args.outputs,
                              reachable_dim=args.reachable_dim,
                              density=args.density, seed=args.seed)
     except ValueError as exc:
         raise CliError(1, str(exc))
-    return _system_payload(generate_system(spec)), True
+    return generate_system(spec), True
 
 
 def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
@@ -242,7 +237,6 @@ def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
 
     count = max(len(records), 1)
     return {
-        "schema_version": SCHEMA_VERSION,
         "count": len(records),
         "delta": args.delta,
         "robust_method": robust.method,

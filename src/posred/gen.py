@@ -56,7 +56,7 @@ def generate_system(spec: GeneratorSpec) -> PositiveLtiSystem:
     A = _dense(rng, (spec.n, spec.n), spec.density)
     B = _dense(rng, (spec.n, spec.inputs), spec.density)
     C = _dense(rng, (spec.outputs, spec.n), spec.density)
-    if spec.reachable_dim is not None and spec.reachable_dim < spec.n:
+    if spec.reachable_dim is not None:
         permutation = rng.permutation(spec.n)
         inside = permutation[:spec.reachable_dim]
         outside = permutation[spec.reachable_dim:]

@@ -69,7 +69,7 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return A
 

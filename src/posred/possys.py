@@ -120,9 +120,9 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
     stack would keep exactly them, and the full stack is never formed: a
     later power that would overflow no longer matters. Otherwise (the test
     fails, X is not finite, or s is everything) the full stack is built and
-    handed to column_space_basis, where a power that overflows raises
-    NonFiniteError. An empty s (B = 0, or n = 0) builds no stack and raises
-    RankDeficientError, as column_space_basis would on the zero stack.
+    handed to column_space_basis; a power that overflows raises
+    NonFiniteError naming the Krylov stack. An empty s (B = 0, or n = 0)
+    builds no stack and raises RankDeficientError, as on a zero stack.
     """
     # q, m and peak are Python numbers: numpy scalar arithmetic costs more
     # here than the matrix products.
@@ -147,7 +147,7 @@ def reachable_subspace(S: PositiveLtiSystem, tol: Tolerances = DEFAULT_TOL) -> S
                               > 2 * q ** 0.5 * max(tol.rank_tol, q * 2.0 ** -52) * peak).all():
             # Column-major, the layout of column_space_basis's selection.
             return _full_rank_basis(np.asfortranarray(X[:, :q]))
-    return column_space_basis(_krylov_powers(S.A, S.B), tol)
+    return column_space_basis(as_matrix(_krylov_powers(S.A, S.B), "Krylov stack [B, AB, ...]"), tol)
 
 
 def markov_match(first, second, tol: Tolerances = DEFAULT_TOL) -> bool | np.ndarray:

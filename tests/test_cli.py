@@ -165,6 +165,34 @@ class TestReduce:
         report = json.loads(out_path.read_text())
         assert (report["method"], report["reduced_dim"]) == ("minimal", 2)
 
+    @pytest.mark.parametrize("argv", [["reduce"], ["reduce", "--space", "observable"],
+                                      ["perturb"]])
+    def test_overflowing_krylov_stack_is_named(self, tmp_path, capsys, argv):
+        # No entry of the file is non-finite: A B = 1e600 overflows in the
+        # full stack (on the observable side, A^T C^T).
+        path = write_json(tmp_path / "s.json", {"A": [[0, 1e300], [0, 0]], "B": [[0], [1e300]],
+                                                "C": [[1e300, 0]]})
+        assert run(capsys, *argv, "--input", path) == (
+            1, "", "error: Krylov stack [B, AB, ...] contains non-finite entries\n")
+
+
+@pytest.mark.parametrize("command", ["reduce", "monotone", "factorize", "algebra", "verify",
+                                     "perturb"])
+def test_every_report_carries_the_schema_version(tmp_path, capsys, command):
+    # The writer stamps the version on every report, at its top level;
+    # gen writes a system file, with none (test_round_trip_bit_exact).
+    system = write_system(tmp_path / "s.json", cascade_system())
+    matrix = write_json(tmp_path / "m.json", [[1, 0], [0, 1], [1, 1]])
+    inputs = {"monotone": ["--input", matrix], "factorize": ["--input", matrix],
+              "algebra": ["--input", matrix], "verify": [system, system],
+              "perturb": ["--input", system, "--count", "2"]}
+    code, out, err = run(capsys, command, *inputs.get(command, ["--input", system]))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["schema_version"] == 1
+    assert "schema_version" not in json.dumps(
+        {key: value for key, value in report.items() if key != "schema_version"})
+
 
 class TestMonotone:
     def test_identity(self, tmp_path, capsys):
@@ -541,6 +569,17 @@ class TestGen:
         payload = json.loads(out)
         A, B, C, time_domain = _raw_system(payload)
         assert _system_payload(PositiveLtiSystem(A, B, C, time_domain)) == payload
+
+    @pytest.mark.parametrize("density", [0.6, 1.0])
+    def test_reachable_dim_of_every_state_plants_nothing(self, density):
+        # The permutation is drawn after A, B and C, and no state lies
+        # outside it, so the system is that of no reachable_dim.
+        def system_bytes(reachable_dim, seed):
+            S = posred.generate_system(posred.GeneratorSpec(6, 2, 2, reachable_dim, density, seed))
+            return [M.tobytes() for M in (S.A, S.B, S.C)]
+
+        for seed in range(10):
+            assert system_bytes(6, seed) == system_bytes(None, seed)
 
     def test_tolerance_flags_are_usage_errors(self, capsys):
         # A generated system is non-negative by construction; gen reads no tolerance.

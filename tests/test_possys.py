@@ -201,6 +201,18 @@ class TestReachableSubspace:
         with pytest.raises(RankDeficientError, match="rank 0"):
             reachable_subspace(S)
 
+    @pytest.mark.parametrize("A, B", [
+        ([[0.0, 1e300], [0.0, 0.0]], [[0.0], [1e300]]),
+        ([[1e308, 1e308], [1e308, 1e308]], [[1.0], [1.0]]),
+        ([[1e308, 1e308, 0.0], [1e308, 1e-320, 0.0], [0.0, 0.0, 0.0]], [[1.0], [0.0], [0.0]])],
+        ids=["product", "sum", "sum-beside-a-subnormal"])
+    def test_overflowing_stack_is_named(self, A, B):
+        # No entry of the system is non-finite: a power in the full stack
+        # overflows, and the refusal names the stack, not a "matrix".
+        with pytest.raises(NonFiniteError,
+                           match=r"^Krylov stack \[B, AB, \.\.\.\] contains non-finite entries$"):
+            reachable_subspace(PositiveLtiSystem(A, B))
+
     def test_invariance_and_positivity(self):
         rng = np.random.default_rng(31)
         for seed in range(20):
