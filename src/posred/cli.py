@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .distalg import algebra_factorization, choose_p, closure
-from .errors import NonFiniteError, NotNonnegativeError, PosredError
+from .errors import NonFiniteError, NotNonnegativeError, PosredError, RankDeficientError
 from .factorize import Factorization, find_nonneg_factorization
 from .gen import GeneratorSpec, generate_system
 from .monotone import is_monotone_nonneg_rect
@@ -30,7 +30,7 @@ from .numerics import Tolerances, as_matrix, column_space_basis, left_inverse
 from .pipeline import perturbation_experiment, rpmr_observable, rpmr_reachable
 from .possys import TIME_DOMAINS, PositiveLtiSystem, markov_match
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CliError(Exception):
@@ -120,8 +120,6 @@ def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
     runner = rpmr_observable if args.space == "observable" else rpmr_reachable
     report = runner(system, tol)
     F, reduced = report.factorization, report.reduced_system
-    # possys.reduce certified every reported reduced system: all Markov
-    # coefficients up to n + r (hence all by Cayley-Hamilton) and positivity.
     return {
         "method": report.method,
         "space": report.space,
@@ -130,9 +128,6 @@ def cmd_reduce(args, tol: Tolerances) -> tuple[dict, bool]:
         "J": F.J.tolist() if F else None,
         "Jdag": F.Jdag.tolist() if F else None,
         "reduced_system": _system_payload(reduced) if reduced is not None else None,
-        "verification": ({"markov_match": True, "positivity": True,
-                          "horizon": report.original_dim + report.reduced_dim}
-                         if reduced is not None else None),
         "diagnostics": list(report.diagnostics),
     }, report.method != "none"
 
@@ -142,7 +137,6 @@ def cmd_monotone(args, tol: None) -> tuple[dict, bool]:
     L = certificate.nonneg_left_inverse
     return {
         "monotone": certificate.monotone,
-        "method": "nonneg-shortcut",
         "left_inverse": L.tolist() if L is not None else None,
         "orthogonal_rows": (list(certificate.orthogonal_row_set)
                             if certificate.orthogonal_row_set is not None else None),
@@ -168,11 +162,9 @@ def cmd_algebra(args, tol: Tolerances) -> tuple[dict, bool]:
     factorization = algebra_factorization(algebra)
     return {
         "p": p.tolist(),
-        "support": np.flatnonzero(p).tolist(),
         "blocks": [list(block) for block in algebra.blocks],
         "subspace_dim": basis.dimension,
         "algebra_dim": algebra.dimension,
-        "is_algebra": algebra.dimension == basis.dimension,
         "generators": algebra.generators.tolist(),
         "J": factorization.J.tolist(),
         "Jdag": factorization.Jdag.tolist(),
@@ -186,11 +178,7 @@ def cmd_verify(args, tol: Tolerances) -> tuple[dict, bool]:
     reduced = _raw_system(_load_json(args.reduced), original.num_inputs)[:3]
     match = markov_match((original.A, original.B, original.C), reduced, tol)
     positive = all(M.min(initial=0.0) >= 0.0 for M in reduced)
-    return {
-        "markov_match": match,
-        "positivity": positive,
-        "horizon": original.dim + len(reduced[0]),  # n1 + n2, as markov_match
-    }, match and positive
+    return {"markov_match": match, "positivity": positive}, match and positive
 
 
 def cmd_gen(args, tol: None) -> tuple[PositiveLtiSystem, bool]:
@@ -215,7 +203,12 @@ def cmd_perturb(args, tol: Tolerances) -> tuple[dict, bool]:
     if robust.method == "none":
         raise CliError(3, robust.diagnostics[-1])
     basis = robust.basis.basis
-    naive = Factorization(basis, left_inverse(basis, tol), [])
+    try:
+        naive = Factorization(basis, left_inverse(basis, tol), [])
+    except RankDeficientError:
+        raise CliError(1, "naive comparison pair refused: the left inverse of the "
+                          f"{basis.shape[0]}x{basis.shape[1]} reachable basis misses the "
+                          f"identity by more than {tol.eq_tol:g} (ill-conditioned basis)")
 
     # Multiplicative noise on nonzero entries keeps positivity and the zero
     # pattern; one generator draws A's noise for every perturbation, then

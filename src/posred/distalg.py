@@ -108,7 +108,8 @@ def closure(V: SubspaceBasis, p, tol: Tolerances = DEFAULT_TOL) -> DistortedAlge
 
     p must be finite, of length n, positive on the nonzero rows of the
     basis (its support s) and zero on the others; ValueError otherwise.
-    Dividing by p on s turns the product into the plain entrywise one.
+    Dividing by p on s turns the product into the plain entrywise one;
+    NonFiniteError, without a warning, when that quotient overflows.
     The unital algebra that vectors generate under the entrywise product
     is the set of functions constant on their joint level sets, so the
     blocks are the groups of equal rows of levels = basis[s] / p[s], with
@@ -131,11 +132,14 @@ def closure(V: SubspaceBasis, p, tol: Tolerances = DEFAULT_TOL) -> DistortedAlge
     p.setflags(write=False)
     s = np.flatnonzero(on)
 
+    with np.errstate(over="ignore"):
+        levels = B[s, :] / p[s][:, None]
+    if not np.isfinite(levels).all():
+        raise NonFiniteError("basis / p overflows: p is too small beside the basis")
     # A column that vanishes on the support separates no coordinates; it stays 0.
-    levels = unit_peak(B[s, :] / p[s][:, None])
+    levels = unit_peak(levels)
     marks, first = _level_sets(levels, tol)
-    # Singleton blocks span everything; otherwise check the span.
-    if marks.shape[1] < s.size and not _indicators_span(levels, first, tol):
+    if not _indicators_span(levels, first, tol):
         marks, first = _level_sets(np.linalg.qr(levels)[0], tol)
     generators = np.zeros((V.ambient_dim, marks.shape[1]))
     generators[s] = marks * p[s][:, None]

@@ -321,9 +321,10 @@ def reduce(S: PositiveLtiSystem, F: Factorization, tol: Tolerances = DEFAULT_TOL
             M = np.concatenate((S.A @ J, S.B), axis=1)  # [A J, B]
             R = Jdag @ M  # [A_r, B_r]
             C_r = S.C @ J
-            # No entry of J or Jdag is negative, and none of A or J is in
-            # (0, 2^-511), so no product term of A J underflows.
-            invariant = (Jdag.min(initial=0.0) >= 0.0
+            # The monotonicity proof needs J, Jdag >= 0 (A, B and C are),
+            # and no entry of A or J in (0, 2^-511), so that no product term
+            # of A J underflows.
+            invariant = (J.min(initial=0.0) >= 0.0 and Jdag.min(initial=0.0) >= 0.0
                          and not ((S.A < 2.0 ** -511) & (S.A != 0.0)).any()
                          and not ((J < 2.0 ** -511) & (J != 0.0)).any())
             if invariant:

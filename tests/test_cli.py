@@ -47,11 +47,11 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "--input", path)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["method"] == "minimal"
         assert report["reduced_dim"] == 2
         assert report["space"] == "reachable"
-        assert report["verification"]["markov_match"] is True
+        assert report["reduced_system"] is not None
         np.testing.assert_allclose(report["reduced_system"]["A"],
                                    [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
@@ -176,11 +176,27 @@ class TestReduce:
             1, "", "error: Krylov stack [B, AB, ...] contains non-finite entries\n")
 
 
+REPORT_KEYS = {
+    "reduce": {"method", "space", "original_dim", "reduced_dim", "J", "Jdag",
+               "reduced_system", "diagnostics"},
+    "monotone": {"monotone", "left_inverse", "orthogonal_rows"},
+    "factorize": {"found", "subspace_dim", "pivot_rows", "J", "Jdag"},
+    "algebra": {"p", "blocks", "subspace_dim", "algebra_dim", "generators", "J", "Jdag"},
+    "verify": {"markov_match", "positivity"},
+    "perturb": {"count", "delta", "robust_method", "naive_positive_rate",
+                "robust_positive_rate", "equivalent_rate", "records"},
+}
+
+
 @pytest.mark.parametrize("command", ["reduce", "monotone", "factorize", "algebra", "verify",
                                      "perturb"])
 def test_every_report_carries_the_schema_version(tmp_path, capsys, command):
     # The writer stamps the version on every report, at its top level;
     # gen writes a system file, with none (test_round_trip_bit_exact).
+    # Schema 2 has no key that is a constant or a copy of another: not
+    # reduce's verification (a non-null reduced_system), monotone's method,
+    # algebra's support (the union of blocks) or is_algebra (algebra_dim ==
+    # subspace_dim), nor verify's horizon (n1 + n2).
     system = write_system(tmp_path / "s.json", cascade_system())
     matrix = write_json(tmp_path / "m.json", [[1, 0], [0, 1], [1, 1]])
     inputs = {"monotone": ["--input", matrix], "factorize": ["--input", matrix],
@@ -189,7 +205,8 @@ def test_every_report_carries_the_schema_version(tmp_path, capsys, command):
     code, out, err = run(capsys, command, *inputs.get(command, ["--input", system]))
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert set(report) == REPORT_KEYS[command] | {"schema_version"}
     assert "schema_version" not in json.dumps(
         {key: value for key, value in report.items() if key != "schema_version"})
 
@@ -201,7 +218,7 @@ class TestMonotone:
         assert code == 0
         report = json.loads(out)
         assert report["monotone"] is True
-        assert report["method"] == "nonneg-shortcut"
+        assert report["orthogonal_rows"] == [0, 1, 2]
 
     def test_tower_block_left_inverse(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json",
@@ -241,7 +258,7 @@ class TestMonotone:
         path = write_json(tmp_path / "m.json", X.tolist())
         code, out, _ = run(capsys, "monotone", "--input", path)
         report = json.loads(out)
-        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        assert (code, report["monotone"]) == (0, True)
         assert report["orthogonal_rows"] == [0, 2]
         np.testing.assert_allclose(np.array(report["left_inverse"]) @ X, np.eye(2))
 
@@ -249,7 +266,7 @@ class TestMonotone:
         path = write_json(tmp_path / "m.json", [[1e3, 0.0], [0.0, 5e-7]])
         code, out, _ = run(capsys, "monotone", "--input", path)
         report = json.loads(out)
-        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        assert (code, report["monotone"]) == (0, True)
         assert report["orthogonal_rows"] == [0, 1]
         np.testing.assert_allclose(report["left_inverse"], np.diag([1e-3, 2e6]))
 
@@ -260,7 +277,7 @@ class TestMonotone:
         path = write_json(tmp_path / "m.json", [[1.0, 0.0], [0.0, s]])
         code, out, _ = run(capsys, "monotone", "--input", path)
         report = json.loads(out)
-        assert (code, report["monotone"], report["method"]) == (0, True, "nonneg-shortcut")
+        assert (code, report["monotone"], report["orthogonal_rows"]) == (0, True, [0, 1])
         np.testing.assert_allclose(report["left_inverse"], np.diag([1.0, 1.0 / s]))
 
     @pytest.mark.parametrize("X", [
@@ -339,7 +356,7 @@ class TestAlgebra:
         assert code == 0
         report = json.loads(out)
         assert report["algebra_dim"] == 3
-        assert report["is_algebra"] is False
+        assert report["subspace_dim"] < report["algebra_dim"]
         assert report["blocks"] == [[0], [1], [2, 3]]
         np.testing.assert_allclose(report["p"], [1.0, 1.0, 2.0, 2.0])
 
@@ -403,12 +420,12 @@ class TestAlgebra:
         code, out, err = run(capsys, "algebra", "--input", tiny)
         assert (code, err) == (0, "")
         report = json.loads(out)
-        assert report["support"] == [0, 1, 3, 4]
+        assert np.flatnonzero(report["p"]).tolist() == [0, 1, 3, 4]
         assert report["blocks"] == [[0, 1], [3, 4]]
         code, out, err = run(capsys, "algebra", "--input", unit)
         assert (code, err) == (0, "")
         assert json.loads(out)["blocks"] == report["blocks"]
-        assert json.loads(out)["support"] == report["support"]
+        assert (np.flatnonzero(json.loads(out)["p"]) == np.flatnonzero(report["p"])).all()
 
 
 class TestVerify:
@@ -439,10 +456,13 @@ class TestVerify:
     def test_large_exact_reduction_verifies(self, tmp_path, capsys):
         S = posred.generate_system(posred.GeneratorSpec(150, 2, 2, 75, 0.6, 0))
         original = write_system(tmp_path / "orig.json", S)
-        reduced = write_system(tmp_path / "red.json", posred.rpmr_reachable(S).reduced_system)
+        R = posred.rpmr_reachable(S).reduced_system
+        reduced = write_system(tmp_path / "red.json", R)
         code, out, _ = run(capsys, "verify", original, reduced)
         assert code == 0
-        assert json.loads(out)["horizon"] == 225
+        assert S.dim + R.dim == 225  # markov_match's horizon, n1 + n2
+        assert json.loads(out) == {"markov_match": True, "positivity": True,
+                                   "schema_version": 2}
 
     def test_spurious_decaying_mode_fails(self, tmp_path, capsys):
         S, spurious = spurious_mode_pair()
@@ -683,6 +703,16 @@ class TestPerturb:
         assert (code, out, err.count("\n")) == (1, "", 1)
         assert err.startswith(message)
 
+    def test_ill_conditioned_basis_refuses_the_naive_pair(self, tmp_path, capsys):
+        # R600 system 66 reduces (14 of 15 states), but its raw-power basis
+        # of full rank has condition about 5e10, so no left inverse meets
+        # eq_tol. The refusal names the naive pair, not a rank deficiency.
+        path = write_system(tmp_path / "s.json", r600_system(66))
+        assert run(capsys, "perturb", "--input", path) == (
+            1, "", "error: naive comparison pair refused: the left inverse of the 15x14 "
+                   "reachable basis misses the identity by more than 1e-08 "
+                   "(ill-conditioned basis)\n")
+
     def test_zero_input_map_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", {"A": [[1.0, 0.5], [0.0, 1.0]],
                                                 "B": [[0.0], [0.0]]})
@@ -885,7 +915,7 @@ class TestPerturb:
         records = [{"naive_positive": bit == "1", "robust_positive": True,
                     "equivalent": True} for bit in naive_bits]
         assert json.loads(out) == {
-            "schema_version": 1, "count": count, "delta": 0.1, "robust_method": method,
+            "schema_version": 2, "count": count, "delta": 0.1, "robust_method": method,
             "naive_positive_rate": naive_bits.count("1") / count,
             "robust_positive_rate": 1.0, "equivalent_rate": 1.0, "records": records}
 

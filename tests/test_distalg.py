@@ -82,6 +82,13 @@ class TestReferenceVector:
         with pytest.raises(ValueError, match="finite"):
             closure(self.PLANE, [1.0, bad, 0.0])
 
+    def test_refuses_a_p_so_small_that_the_levels_overflow(self):
+        # 1 / 5e-324 is not a double. The level row was NaN and joined no
+        # group, so generator 0 vanished on its own block (0,). The overflow
+        # warning, which the warning filter makes an error, is gone too.
+        with pytest.raises(NonFiniteError, match="overflows"):
+            closure(SubspaceBasis([[1.0], [1.0]]), [5e-324, 1.0])
+
     def test_closure_rejects_a_vector_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="length n"):
             closure(self.PLANE, [1.0, 1.0])

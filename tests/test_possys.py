@@ -878,6 +878,20 @@ def test_non_invariant_algebra_is_accepted_by_the_krylov_fallback():
     assert equivalent(S, reduced)
 
 
+def test_mixed_sign_j_takes_the_krylov_check():
+    # The invariance test's proof needs J >= 0. This J has -7/8, yet the
+    # pair is exact: A = J A_r Jdag and B = J (1, 0), so J Jdag fixes every
+    # Krylov block, and the Krylov check, not the shortcut, accepts it.
+    J = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -7 / 8]])
+    Jdag = np.eye(3)[:2]
+    S = PositiveLtiSystem(J @ np.array([[1.0, 0.0], [1.0, 0.0]]) @ Jdag, [[1.0], [0.0], [1.0]],
+                          np.ones((1, 3)))
+    with krylov_stacks_built() as built:
+        R = reduce(S, Factorization(J, Jdag, [0, 1]))
+    assert built == {"scaled full": 1}
+    assert equivalent(S, R)
+
+
 class KrylovFallback(Exception):
     """Raised in place of building a Krylov stack."""
 
